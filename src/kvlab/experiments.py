@@ -30,16 +30,7 @@ from .metrics import (
 )
 from .model import ModelConfig, PrefillTrace, init_model, prefill
 from .numerics import TensorView
-from .policies import (
-    PolicySpec,
-    chunkkv_from_scores,
-    compress_layer,
-    max_pool_1d,
-    pyramid_budgets,
-    run_policy,
-    streaming_compress,
-    topk_from_scores,
-)
+from .policies import PolicySpec, ScoreMatrices, compress_layer
 from .reuse import (
     ReusePlan,
     adjacent_similarity,
@@ -172,6 +163,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
     prompt = parse_prompt(doc["prompt"])
     policies = tuple(parse_policy(p) for p in doc.get("policies", ()))
     _require(len(policies) >= 1, "config requires at least one policy")
+    for spec in policies:
+        _require(
+            spec.kind != "Hybrid" or spec.split <= model.n_layers,
+            f"Hybrid split {spec.split} exceeds model n_layers {model.n_layers}",
+        )
     reuse = None
     if doc.get("reuse") is not None:
         reuse = int(doc["reuse"].get("n_reuse", 1))
@@ -210,36 +206,21 @@ def prompt_tokens(cfg: ExperimentConfig, seed_override: Optional[int] = None) ->
 
 
 # ---------------------------------------------------------------------------
-# score-level policy evaluation (needle prompts and sweep diagnostics)
+# synthetic needle scores
 
 
-def compress_from_scores(a: TensorView, spec: PolicySpec, layer: int, n_layers: int) -> KeptIndices:
-    """Apply one policy directly to a synthetic observe-window score matrix."""
-    t_k = a.cols
-    if spec.kind == "Hybrid":
-        inner = spec.inner_a if layer < spec.split else spec.inner_b
-        return compress_from_scores(a, inner, layer, n_layers)
-    b = spec.budget
-    max_len = b.resolve(t_k)
-    if spec.kind == "PyramidStyle":
-        budgets = pyramid_budgets(max_len, n_layers, spec.skew, min_budget=b.w + b.c)
-        max_len = budgets[layer]
-    if spec.kind == "FullKV" or max_len >= t_k:
-        return KeptIndices.from_iterable(range(t_k))
-    if spec.kind == "StreamingStyle":
-        return streaming_compress(t_k, spec)
-    if spec.kind == "ChunkKV":
-        return chunkkv_from_scores(a, b.c, b.w, max_len, t_k)
-    col = a.data.sum(axis=0, dtype=np.float64)
-    if spec.kind == "SnapKVStyle":
-        col = max_pool_1d(col, spec.pool_width)
-    return topk_from_scores(col, b.w, max_len, t_k)
-
-
-def needle_layer_scores(case: NeedleCase, layer: int, observe_rows: int) -> TensorView:
-    """Layer-varying synthetic scores for one needle case."""
-    per_layer = replace(case, seed=case.seed * 1000003 + layer)
-    return make_needle_case(per_layer, observe_rows=observe_rows)
+def needle_source(cfg: ExperimentConfig) -> ScoreMatrices:
+    """Layer-varying synthetic scores of the config's needle case, one per layer."""
+    case = cfg.prompt.needle
+    return ScoreMatrices(
+        tuple(
+            make_needle_case(
+                replace(case, seed=case.seed * 1000003 + l),
+                observe_rows=cfg.prompt.observe_rows,
+            )
+            for l in range(cfg.model.n_layers)
+        )
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +254,20 @@ def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> TensorVi
     return observe_scores(trace, layer, head, w=1, mode="softmax")
 
 
+def _fidelity(
+    trace: PrefillTrace, kept: list[list[KeptIndices]]
+) -> tuple[list[float], list[float]]:
+    """Per-layer head means of the evicted KV L1 and the final-row attention cosine."""
+    heads = range(trace.n_heads)
+    l1s, coss = [], []
+    for l in range(trace.n_layers):
+        kv = trace.layer_kv(l)
+        l1s.append(float(np.mean([kv_l1_loss(kv, kept[l][h]) for h in heads])))
+        rows = [_final_row_attention(trace, l, h) for h in heads]
+        coss.append(float(np.mean([attention_cosine(rows[h], kept[l][h]) for h in heads])))
+    return l1s, coss
+
+
 def _policy_report(
     cfg: ExperimentConfig,
     trace: Optional[PrefillTrace],
@@ -304,22 +299,7 @@ def _policy_report(
     }
 
     if trace is not None:
-        l1s, coss = [], []
-        for l in range(n_layers):
-            kv = trace.layer_kv(l)
-            l1s.append(
-                float(np.mean([kv_l1_loss(kv, kept[l][h]) for h in range(trace.n_heads)]))
-            )
-            coss.append(
-                float(
-                    np.mean(
-                        [
-                            attention_cosine(_final_row_attention(trace, l, h), kept[l][h])
-                            for h in range(trace.n_heads)
-                        ]
-                    )
-                )
-            )
+        l1s, coss = _fidelity(trace, kept)
         rep["fidelity"] = {
             "kv_l1": round(float(np.mean(l1s)), 6),
             "attn_cos": round(float(np.mean(coss)), 6),
@@ -348,41 +328,25 @@ def _policy_report(
 def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Run every policy once; returns (report, timings)."""
     timings: dict[str, Any] = {"policies": {}}
-    t_k = cfg.prompt.length
 
     trace: Optional[PrefillTrace] = None
-    score_mats: Optional[list[TensorView]] = None
     if cfg.prompt.kind == "needle":
-        score_mats = [
-            needle_layer_scores(cfg.prompt.needle, l, cfg.prompt.observe_rows)
-            for l in range(cfg.model.n_layers)
-        ]
+        source = needle_source(cfg)
     else:
         model = init_model(cfg.model)
         t0 = time.perf_counter()
-        trace = prefill(model, prompt_tokens(cfg))
+        trace = source = prefill(model, prompt_tokens(cfg))
         timings["prefill_s"] = time.perf_counter() - t0
-        t_k = trace.seq_len
+    t_k = source.seq_len
+    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=cfg.reuse or 1)
 
     policy_reports = []
     for spec in cfg.policies:
         t0 = time.perf_counter()
-        if trace is not None:
-            if cfg.reuse is not None:
-                plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=cfg.reuse)
-                kept = run_with_reuse(trace, spec, plan)
-            else:
-                kept = run_policy(trace, spec)
-        else:
-            n_heads = cfg.model.n_heads
-            kept = []
-            for l in range(cfg.model.n_layers):
-                if cfg.reuse is not None and l % cfg.reuse != 0:
-                    kept.append(kept[(l // cfg.reuse) * cfg.reuse])
-                else:
-                    one = compress_from_scores(score_mats[l], spec, l, cfg.model.n_layers)
-                    kept.append([one] * n_heads)
+        kept = run_with_reuse(source, spec, plan)
         timings["policies"][spec.name] = time.perf_counter() - t0
+        if trace is None:  # synthetic scores have one head; report it for every head
+            kept = [heads * cfg.model.n_heads for heads in kept]
         policy_reports.append(_policy_report(cfg, trace, spec, kept, t_k))
 
     config_echo = dict(cfg.raw or {})
@@ -464,9 +428,11 @@ def run_sweep_cell(cfg: ExperimentConfig, c: int, ratio: float, n_reuse: int, se
     """One sweep cell: every policy at (c, ratio, n_reuse, seed)."""
     model = init_model(cfg.model)
     trace = None
-    if cfg.prompt.kind != "needle":
-        trace = prefill(model, prompt_tokens(cfg, seed_override=seed))
-    t_k = cfg.prompt.length if trace is None else trace.seq_len
+    if cfg.prompt.kind == "needle":
+        source = needle_source(cfg)
+    else:
+        trace = source = prefill(model, prompt_tokens(cfg, seed_override=seed))
+    t_k = source.seq_len
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
 
     rows = []
@@ -479,48 +445,24 @@ def run_sweep_cell(cfg: ExperimentConfig, c: int, ratio: float, n_reuse: int, se
             "n_reuse": n_reuse,
             "seed": seed,
         }
+        kept = run_with_reuse(source, cell, plan)
+        head0 = [heads[0] for heads in kept]
+        row["adjacent_jaccard"] = (
+            round(adjacent_similarity(head0), 6) if cfg.model.n_layers >= 2 else ""
+        )
         if trace is not None:
-            kept = run_with_reuse(trace, cell, plan)
-            head0 = [kept[l][0] for l in range(trace.n_layers)]
-            row["adjacent_jaccard"] = (
-                round(adjacent_similarity(head0), 6) if trace.n_layers >= 2 else ""
-            )
-            l1s, coss = [], []
-            for l in range(trace.n_layers):
-                kv = trace.layer_kv(l)
-                l1s.append(float(np.mean([kv_l1_loss(kv, kept[l][h]) for h in range(trace.n_heads)])))
-                coss.append(
-                    float(
-                        np.mean(
-                            [
-                                attention_cosine(_final_row_attention(trace, l, h), kept[l][h])
-                                for h in range(trace.n_heads)
-                            ]
-                        )
-                    )
-                )
+            l1s, coss = _fidelity(trace, kept)
             row["kv_l1"] = round(float(np.mean(l1s)), 6)
             row["attn_cos"] = round(float(np.mean(coss)), 6)
             case = _auto_needle(cfg, c, seed)
         else:
-            case = cfg.prompt.needle
-            scores = [
-                needle_layer_scores(case, l, cfg.prompt.observe_rows)
-                for l in range(cfg.model.n_layers)
-            ]
-            kept_layers = [
-                compress_from_scores(scores[l], cell, l, cfg.model.n_layers)
-                for l in range(cfg.model.n_layers)
-            ]
-            row["adjacent_jaccard"] = (
-                round(adjacent_similarity(kept_layers), 6) if cfg.model.n_layers >= 2 else ""
-            )
             row["kv_l1"] = ""
             row["attn_cos"] = ""
+            case = cfg.prompt.needle
 
-        # score-level needle diagnostic for this cell's budget
-        needle_scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
-        kept0 = compress_from_scores(needle_scores, cell, 0, cfg.model.n_layers)
+        # score-level needle diagnostic for this cell's budget, outside the reuse loop
+        scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
+        kept0 = compress_layer(ScoreMatrices((scores,) * cfg.model.n_layers), 0, cell)[0]
         frac, intact = needle_retention(kept0, case)
         row["needle_fraction"] = round(frac, 6)
         row["needle_intact"] = str(intact).lower()
@@ -617,12 +559,12 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> Path:
         "seed": case.seed,
         "weak_offset": case.weak_offset,
     }, "policies": []}
+    source = needle_source(cfg)
+    fresh = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=1)
     for spec in cfg.policies:
         per_layer = []
-        for l in range(cfg.model.n_layers):
-            scores = needle_layer_scores(case, l, cfg.prompt.observe_rows)
-            kept = compress_from_scores(scores, spec, l, cfg.model.n_layers)
-            frac, intact = needle_retention(kept, case)
+        for l, heads in enumerate(run_with_reuse(source, spec, fresh)):
+            frac, intact = needle_retention(heads[0], case)
             per_layer.append({"layer": l, "fraction": round(frac, 6), "intact": intact})
         out["policies"].append({
             "policy": spec.name,
@@ -660,10 +602,11 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) 
 
     reuses = cfg.sweep.get("n_reuse") if cfg.sweep else None
     reuses = [int(n) for n in (reuses or [cfg.reuse])]
+    fresh = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=1)
     rows = []
     for n_reuse in reuses:
         plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
-        t_full = median_time(lambda: run_policy(trace, spec))
+        t_full = median_time(lambda: run_with_reuse(trace, spec, fresh))
         t_reuse = median_time(lambda: run_with_reuse(trace, spec, plan))
         rows.append({
             "n_reuse": n_reuse,

@@ -18,14 +18,6 @@ from .numerics import TensorView
 
 
 @dataclass(frozen=True)
-class FidelityReport:
-    kv_l1: float
-    attn_cos: float
-    per_layer_l1: tuple[float, ...]
-    per_layer_cos: tuple[float, ...]
-
-
-@dataclass(frozen=True)
 class NeedleCase:
     """A contiguous high-signal span planted in uniform noise scores.
 

@@ -1,4 +1,10 @@
-"""Eviction policies behind one interface.
+"""Eviction policies behind one dispatch.
+
+`compress_layer(source, layer, spec)` is the only place a policy kind picks
+its scoring rule.  A source is either a `PrefillTrace`, whose scores are the
+observe-window attention rows of each (layer, head), or `ScoreMatrices`, a
+synthetic one-head source (needle prompts) that hands every policy the same
+matrix per layer.
 
 Chunk-based compression keeps whole contiguous chunks scored by summed
 observe-window attention, always unioned with the most recent w positions
@@ -12,8 +18,8 @@ hybrid of two inner policies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -60,6 +66,8 @@ class PolicySpec:
         if self.kind == "Hybrid":
             if self.inner_a is None or self.inner_b is None or self.split is None:
                 raise ValueError("Hybrid requires split, inner_a and inner_b")
+            if self.split < 1:
+                raise ValueError(f"Hybrid split must be >= 1, got {self.split}")
             if self.inner_a.kind == "Hybrid" or self.inner_b.kind == "Hybrid":
                 raise ValueError("Hybrid specs cannot be nested")
 
@@ -68,6 +76,25 @@ class PolicySpec:
         if self.kind == "Hybrid":
             return f"Hybrid[{self.inner_a.kind}|{self.inner_b.kind}@{self.split}]"
         return self.kind
+
+
+@dataclass(frozen=True)
+class ScoreMatrices:
+    """Synthetic one-head score source (needle prompts): a matrix per layer.
+
+    Every observe window and score mode reads the layer's matrix as given.
+    """
+
+    mats: tuple[TensorView, ...]
+    n_heads: ClassVar[int] = 1
+
+    @property
+    def n_layers(self) -> int:
+        return len(self.mats)
+
+    @property
+    def seq_len(self) -> int:
+        return self.mats[0].cols
 
 
 @dataclass(frozen=True)
@@ -152,30 +179,6 @@ def chunkkv_from_scores(
     return KeptIndices.from_iterable(kept)
 
 
-def _zero_scores(w: int, t_k: int) -> TensorView:
-    return TensorView(np.zeros((max(w, 1), t_k), dtype=np.float32))
-
-
-def _observe_or_zero(trace, layer, head, w, mode) -> TensorView:
-    if w == 0:
-        return _zero_scores(0, trace.seq_len)
-    return observe_scores(trace, layer, head, w, mode)
-
-
-def chunkkv_compress(
-    trace: PrefillTrace, layer: int, head: int, spec: PolicySpec
-) -> KeptIndices:
-    t_k = trace.seq_len
-    b = spec.budget
-    max_len = b.resolve(t_k)
-    if b.w > max_len:
-        raise ValueError("observe window exceeds budget")
-    if max_len >= t_k:
-        return KeptIndices.from_iterable(range(t_k))
-    a = _observe_or_zero(trace, layer, head, b.w, spec.score_mode)
-    return chunkkv_from_scores(a, b.c, b.w, max_len, t_k)
-
-
 def topk_from_scores(
     col_scores: np.ndarray, w: int, max_len: int, t_k: int
 ) -> KeptIndices:
@@ -225,19 +228,6 @@ def h2o_column_scores(full_softmax: np.ndarray, normalize: str = "exposure") -> 
     return col
 
 
-def h2o_compress(
-    trace: PrefillTrace, layer: int, head: int, spec: PolicySpec
-) -> KeptIndices:
-    """Cumulative attention mass over all query rows picks the heavy hitters."""
-    t_k = trace.seq_len
-    max_len = spec.budget.resolve(t_k)
-    if max_len >= t_k:
-        return KeptIndices.from_iterable(range(t_k))
-    full = observe_scores(trace, layer, head, w=t_k, mode="softmax")
-    col = h2o_column_scores(full.data, spec.h2o_normalize)
-    return topk_from_scores(col, spec.budget.w, max_len, t_k)
-
-
 def max_pool_1d(x: np.ndarray, width: int) -> np.ndarray:
     """Centered 1-D max pool; width must be odd."""
     if width < 1 or width % 2 == 0:
@@ -250,19 +240,6 @@ def max_pool_1d(x: np.ndarray, width: int) -> np.ndarray:
     return np.array(
         [x[max(i - half, 0) : min(i + half + 1, n)].max() for i in range(n)]
     )
-
-
-def snapkv_compress(
-    trace: PrefillTrace, layer: int, head: int, spec: PolicySpec
-) -> KeptIndices:
-    """Observe-window column mass, max-pooled across neighboring positions."""
-    t_k = trace.seq_len
-    max_len = spec.budget.resolve(t_k)
-    if max_len >= t_k:
-        return KeptIndices.from_iterable(range(t_k))
-    a = _observe_or_zero(trace, layer, head, spec.budget.w, spec.score_mode)
-    col = max_pool_1d(a.data.sum(axis=0, dtype=np.float64), spec.pool_width)
-    return topk_from_scores(col, spec.budget.w, max_len, t_k)
 
 
 def pyramid_budgets(
@@ -300,33 +277,6 @@ def pyramid_budgets(
     return budgets
 
 
-def compress_layer_head(
-    trace: PrefillTrace,
-    layer: int,
-    head: int,
-    spec: PolicySpec,
-    max_len_override: Optional[int] = None,
-) -> KeptIndices:
-    """Dispatch one (layer, head) compression for any non-Hybrid policy."""
-    t_k = trace.seq_len
-    if max_len_override is not None:
-        spec = replace(
-            spec, budget=replace(spec.budget, max_len=max_len_override, ratio=None)
-        )
-    kind = spec.kind
-    if kind == "FullKV":
-        return KeptIndices.from_iterable(range(t_k))
-    if kind == "ChunkKV":
-        return chunkkv_compress(trace, layer, head, spec)
-    if kind == "StreamingStyle":
-        return streaming_compress(t_k, spec)
-    if kind == "H2OStyle":
-        return h2o_compress(trace, layer, head, spec)
-    if kind in ("SnapKVStyle", "PyramidStyle"):
-        return snapkv_compress(trace, layer, head, spec)
-    raise ValueError(f"cannot dispatch kind {kind!r} per (layer, head)")
-
-
 def resolved_layer_budgets(
     spec: PolicySpec, n_layers: int, t_k: int
 ) -> list[int]:
@@ -343,78 +293,55 @@ def resolved_layer_budgets(
     return [base] * n_layers
 
 
-def _pooled_scores_kept(
-    trace: PrefillTrace, layer: int, spec: PolicySpec, max_len: int
-) -> KeptIndices:
-    """Head-pooled variant: mean scores across heads, one kept-set per layer."""
-    t_k = trace.seq_len
-    b = spec.budget
-    if spec.kind == "ChunkKV":
-        mats = [
-            _observe_or_zero(trace, layer, h, b.w, spec.score_mode).data
-            for h in range(trace.n_heads)
-        ]
-        mean = TensorView(np.mean(mats, axis=0).astype(np.float32))
-        return chunkkv_from_scores(mean, b.c, b.w, max_len, t_k)
-    if spec.kind in ("SnapKVStyle", "PyramidStyle"):
-        cols = [
-            _observe_or_zero(trace, layer, h, b.w, spec.score_mode).data.sum(
-                axis=0, dtype=np.float64
-            )
-            for h in range(trace.n_heads)
-        ]
-        col = max_pool_1d(np.mean(cols, axis=0), spec.pool_width)
-        return topk_from_scores(col, b.w, max_len, t_k)
-    if spec.kind == "H2OStyle":
-        cols = [
-            h2o_column_scores(
-                observe_scores(trace, layer, h, t_k, "softmax").data,
-                spec.h2o_normalize,
-            )
-            for h in range(trace.n_heads)
-        ]
-        return topk_from_scores(np.mean(cols, axis=0), b.w, max_len, t_k)
-    return compress_layer_head(trace, layer, 0, spec, max_len_override=max_len)
+def _scores(
+    source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int, mode: str
+) -> TensorView:
+    """The score rows a policy reads for one (layer, head) of a source."""
+    if isinstance(source, ScoreMatrices):
+        return source.mats[layer]
+    if w == 0:
+        return TensorView(np.zeros((1, source.seq_len), dtype=np.float32))
+    return observe_scores(source, layer, head, w, mode)
 
 
 def compress_layer(
-    trace: PrefillTrace,
-    layer: int,
-    spec: PolicySpec,
-    max_len_override: Optional[int] = None,
+    source: PrefillTrace | ScoreMatrices, layer: int, spec: PolicySpec
 ) -> list[KeptIndices]:
-    """Per-head kept-sets for one layer (identical sets when head-pooled)."""
+    """Per-head kept-sets for one layer of a trace or synthetic score source.
+
+    The one place a policy kind picks its budget and scoring rule.  Head-pooled
+    specs select once from the mean of the heads' scores and give every head
+    that set.
+    """
     if spec.kind == "Hybrid":
         inner = spec.inner_a if layer < spec.split else spec.inner_b
-        return compress_layer(trace, layer, inner, max_len_override)
-    if spec.kind == "PyramidStyle" and max_len_override is None:
-        budgets = resolved_layer_budgets(spec, trace.n_layers, trace.seq_len)
-        max_len_override = budgets[layer]
+        return compress_layer(source, layer, inner)
+    t_k, heads = source.seq_len, range(source.n_heads)
+    if spec.kind == "StreamingStyle":
+        return [streaming_compress(t_k, spec)] * len(heads)
+    max_len = resolved_layer_budgets(spec, source.n_layers, t_k)[layer]
+    if spec.kind == "FullKV" or max_len >= t_k:
+        return [KeptIndices.from_iterable(range(t_k))] * len(heads)
+    b = spec.budget
+    if spec.kind == "H2OStyle":
+        # synthetic scores have no causal mask, so every position is equally
+        # exposed and exposure normalization would divide by 1
+        normalize = "none" if isinstance(source, ScoreMatrices) else spec.h2o_normalize
+        scores = [
+            h2o_column_scores(_scores(source, layer, h, t_k, "softmax").data, normalize)
+            for h in heads
+        ]
+        select = lambda col: topk_from_scores(col, b.w, max_len, t_k)
+    else:
+        mats = [_scores(source, layer, h, b.w, spec.score_mode).data for h in heads]
+        if spec.kind == "ChunkKV":
+            scores = mats
+            select = lambda a: chunkkv_from_scores(TensorView(a), b.c, b.w, max_len, t_k)
+        else:  # SnapKVStyle, PyramidStyle: max-pooled observe-window column mass
+            scores = [m.sum(axis=0, dtype=np.float64) for m in mats]
+            select = lambda col: topk_from_scores(
+                max_pool_1d(col, spec.pool_width), b.w, max_len, t_k
+            )
     if spec.head_pool:
-        max_len = (
-            max_len_override
-            if max_len_override is not None
-            else spec.budget.resolve(trace.seq_len)
-        )
-        kept = _pooled_scores_kept(trace, layer, spec, max_len)
-        return [kept] * trace.n_heads
-    return [
-        compress_layer_head(trace, layer, h, spec, max_len_override)
-        for h in range(trace.n_heads)
-    ]
-
-
-def hybrid_compress(trace: PrefillTrace, spec: PolicySpec) -> list[list[KeptIndices]]:
-    """Depth-split composition: inner_a below the split layer, inner_b above."""
-    if spec.kind != "Hybrid":
-        raise ValueError("hybrid_compress requires a Hybrid spec")
-    if not (0 < spec.split <= trace.n_layers):
-        raise ValueError("split must lie in (0, n_layers]")
-    return [compress_layer(trace, l, spec) for l in range(trace.n_layers)]
-
-
-def run_policy(trace: PrefillTrace, spec: PolicySpec) -> list[list[KeptIndices]]:
-    """Compress every layer independently: [layer][head] -> KeptIndices."""
-    if spec.kind == "Hybrid":
-        return hybrid_compress(trace, spec)
-    return [compress_layer(trace, l, spec) for l in range(trace.n_layers)]
+        return [select(np.mean(scores, axis=0))] * len(heads)
+    return [select(s) for s in scores]

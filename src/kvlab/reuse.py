@@ -13,7 +13,7 @@ import numpy as np
 
 from .cache import KeptIndices
 from .model import PrefillTrace
-from .policies import PolicySpec, compress_layer
+from .policies import PolicySpec, ScoreMatrices, compress_layer
 
 
 @dataclass(frozen=True)
@@ -45,15 +45,18 @@ def jaccard(a: KeptIndices, b: KeptIndices) -> float:
 
 
 def run_with_reuse(
-    trace: PrefillTrace, spec: PolicySpec, plan: ReusePlan
+    source: PrefillTrace | ScoreMatrices, spec: PolicySpec, plan: ReusePlan
 ) -> list[list[KeptIndices]]:
-    """Compress anchor layers fresh; all other layers copy their anchor."""
-    if plan.n_layers != trace.n_layers:
-        raise ValueError("reuse plan layer count does not match trace")
+    """Compress anchor layers fresh; all other layers copy their anchor.
+
+    n_reuse=1 compresses every layer independently.
+    """
+    if plan.n_layers != source.n_layers:
+        raise ValueError("reuse plan layer count does not match source")
     out: list[list[KeptIndices]] = []
-    for l in range(trace.n_layers):
+    for l in range(source.n_layers):
         if l % plan.n_reuse == 0:
-            out.append(compress_layer(trace, l, spec))
+            out.append(compress_layer(source, l, spec))
         else:
             out.append(list(out[plan.anchor(l)]))
     return out

@@ -21,12 +21,7 @@ from kvlab.metrics import (
 )
 from kvlab.model import ModelConfig, init_model, prefill
 from kvlab.numerics import TensorView
-from kvlab.policies import (
-    PolicySpec,
-    chunkkv_from_scores,
-    run_policy,
-    topk_from_scores,
-)
+from kvlab.policies import PolicySpec, chunkkv_from_scores, topk_from_scores
 from kvlab.reuse import ReusePlan, adjacent_similarity, run_with_reuse, speedup_estimate
 
 from conftest import random_tokens
@@ -129,7 +124,7 @@ def test_criterion_4_budget_and_recency_laws():
             else:
                 spec = _policy_for(kind, budget)
             try:
-                kept = run_policy(trace, spec)
+                kept = run_with_reuse(trace, spec, ReusePlan(trace.n_layers, 1))
             except ValueError:
                 continue  # infeasible sink/skew for this budget draw
             budgets = resolved_layer_budgets(spec, trace.n_layers, t)
@@ -174,7 +169,7 @@ def test_criterion_6_directional_adjacent_similarity():
         model = init_model(ModelConfig(8, 4, 16, 256, seed=seed))
         trace = prefill(model, random_tokens(256, 256, seed=seed + 1000))
         for name, spec in specs.items():
-            kept = run_policy(trace, spec)
+            kept = run_with_reuse(trace, spec, ReusePlan(8, 1))
             sims[name].append(adjacent_similarity([kept[l][0] for l in range(8)]))
     means = {name: float(np.mean(v)) for name, v in sims.items()}
     assert means["ChunkKV"] > means["SnapKVStyle"]

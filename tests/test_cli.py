@@ -21,6 +21,16 @@ def base_config(out_dir, **overrides):
     return cfg
 
 
+NEEDLE_PROMPT = {
+    "kind": "needle",
+    "seq_len": 60,
+    "span_start": 20,
+    "span_len": 5,
+    "signal": 60.0,
+    "seed": 4,
+}
+
+
 def write_config(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
@@ -114,6 +124,19 @@ class TestSweep:
         cfg = base_config(tmp_path / "out", sweep={"c": []})
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_needle_prompt_applies_n_reuse(self, tmp_path):
+        cfg = base_config(
+            tmp_path / "out",
+            prompt=NEEDLE_PROMPT,
+            sweep={"c": [5], "ratio": [0.1], "n_reuse": [1, 4], "seeds": [0]},
+        )
+        cfg["policies"] = cfg["policies"][1:]  # SnapKVStyle
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        with (tmp_path / "out" / "sweep.csv").open() as f:
+            jaccard = {int(r["n_reuse"]): float(r["adjacent_jaccard"]) for r in csv.DictReader(f)}
+        assert jaccard[4] == 1.0
+        assert jaccard[1] < 1.0
+
     def test_workers_match_sequential(self, tmp_path):
         cfg = base_config(
             tmp_path / "out_seq", sweep={"c": [3, 5], "seeds": [0, 1]}
@@ -168,18 +191,32 @@ class TestSimilarity:
         assert all(px == "255" for row in lines[3:] for px in row.split())
 
 
+class TestHybridSplit:
+    @pytest.mark.parametrize("split", [0, 9])
+    @pytest.mark.parametrize(
+        "overrides",
+        [{"reuse": {"n_reuse": 2}}, {"prompt": NEEDLE_PROMPT}],
+        ids=["reuse", "needle"],
+    )
+    def test_out_of_range_split_exit_2(self, tmp_path, capsys, split, overrides):
+        budget = {"ratio": 0.25, "w": 4, "c": 5}
+        hybrid = {
+            "kind": "Hybrid",
+            "split": split,
+            "budget": budget,
+            "inner_a": {"kind": "ChunkKV", "budget": budget},
+            "inner_b": {"kind": "SnapKVStyle", "budget": budget},
+        }
+        cfg = base_config(tmp_path / "out", policies=[hybrid], **overrides)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "split" in capsys.readouterr().err
+
+
 class TestNeedleCommand:
     def test_needle_report(self, tmp_path):
         cfg = base_config(
             tmp_path / "out",
-            prompt={
-                "kind": "needle",
-                "seq_len": 60,
-                "span_start": 20,
-                "span_len": 5,
-                "signal": 60.0,
-                "seed": 4,
-            },
+            prompt=NEEDLE_PROMPT,
         )
         cfg["policies"][0]["budget"] = {"max_len": 9, "w": 4, "c": 5}
         assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 0

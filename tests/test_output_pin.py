@@ -1,0 +1,75 @@
+"""Byte-level pin of report.json and needle.json across every policy kind.
+
+The digests were recorded before the policy dispatch was unified; any change
+to what a policy keeps, or to how reports are written, shows up here.  The
+config stays clear of PyramidStyle with pool_width > 1 on needle scores and
+of sweeps, whose needle-prompt behaviour changed on purpose.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from kvlab.cli import main
+
+
+def _policy(kind, **extra):
+    return {"kind": kind, "budget": {"ratio": 0.25, "w": 4, "c": 5}, **extra}
+
+
+POLICIES = [
+    _policy("FullKV"),
+    _policy("ChunkKV"),
+    _policy("ChunkKV", head_pool=True),
+    _policy("ChunkKV", score_mode="raw"),
+    _policy("SnapKVStyle", pool_width=3),
+    _policy("SnapKVStyle", pool_width=3, head_pool=True),
+    _policy("H2OStyle"),
+    _policy("H2OStyle", h2o_normalize="none"),
+    _policy("H2OStyle", head_pool=True),
+    _policy("StreamingStyle", sink=2),
+    _policy("PyramidStyle", skew=0.2),
+    _policy("PyramidStyle", skew=0.2, head_pool=True),
+    _policy("Hybrid", split=2, inner_a=_policy("ChunkKV"), inner_b=_policy("SnapKVStyle", pool_width=3)),
+]
+
+PROMPTS = {
+    "random": {"kind": "random", "length": 48, "seed": 1},
+    "needle": {
+        "kind": "needle", "seq_len": 60, "span_start": 20, "span_len": 5,
+        "signal": 60.0, "seed": 4, "weak_offset": 2, "observe_rows": 4,
+    },
+}
+
+# (command, prompt, n_reuse) -> sha256 of the written file
+DIGESTS = {
+    ("simulate", "random", 1): "fba6337e857080f7492645c449da4aea692d31076afdb326f7f4238db0bc9178",
+    ("simulate", "random", 2): "a5e60fddd364f969748b0e1872b75bd16a27652f58c04a65753bf2d0f4c6289a",
+    ("simulate", "needle", 1): "367de4c8edec4ea06374e5ca475cd20fe4ea728cbb210f037f9dd64cb8553b2e",
+    ("simulate", "needle", 2): "07daa6385c96adee9de0ec60fb57513ea2be7ef89788cbeea6309acf5a2bec8e",
+    # the needle command scores every layer fresh whatever the reuse plan
+    ("needle", "needle", 1): "b2eb1b7d89f0fa30b0f3dd98e1db46d5b592b853d5ece047f80d7b5f179de0e9",
+    ("needle", "needle", 2): "b2eb1b7d89f0fa30b0f3dd98e1db46d5b592b853d5ece047f80d7b5f179de0e9",
+}
+
+OUTPUT = {"simulate": "report.json", "needle": "needle.json"}
+
+
+def output_digest(tmp_path, command, prompt, n_reuse):
+    cfg = {
+        "schema": 1,
+        "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
+        "prompt": PROMPTS[prompt],
+        "policies": POLICIES,
+        "reuse": {"n_reuse": n_reuse},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    return hashlib.sha256((tmp_path / "out" / OUTPUT[command]).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: "-".join(map(str, k)))
+def test_output_digest(tmp_path, key):
+    assert output_digest(tmp_path, *key) == DIGESTS[key]

@@ -7,24 +7,23 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kvlab.cache import BudgetSpec
+from kvlab.metrics import NeedleCase, make_needle_case
 from kvlab.numerics import TensorView, causal_softmax_rows
 from kvlab.policies import (
     PolicySpec,
+    ScoreMatrices,
     chunk_scores,
-    chunkkv_compress,
     chunkkv_from_scores,
+    compress_layer,
     h2o_column_scores,
-    h2o_compress,
-    hybrid_compress,
     max_pool_1d,
     observe_scores,
     pyramid_budgets,
-    run_policy,
     select_chunks,
-    snapkv_compress,
     streaming_compress,
     topk_from_scores,
 )
+from kvlab.reuse import ReusePlan, run_with_reuse
 
 from test_numerics import naive_matmul_transposed
 
@@ -140,7 +139,7 @@ class TestChunkKV:
 
     def test_trace_compress_budget_and_recency(self, small_trace):
         spec = PolicySpec("ChunkKV", BudgetSpec(max_len=14, w=4, c=5))
-        kept = chunkkv_compress(small_trace, 0, 0, spec)
+        kept = compress_layer(small_trace, 0, spec)[0]
         t = small_trace.seq_len
         assert len(kept) <= 14
         assert set(range(t - 4, t)) <= kept.as_set()
@@ -225,7 +224,7 @@ class TestStreaming:
 class TestH2O:
     def test_budget_covers_all(self, small_trace):
         spec = PolicySpec("H2OStyle", BudgetSpec(max_len=small_trace.seq_len, w=2))
-        kept = h2o_compress(small_trace, 0, 0, spec)
+        kept = compress_layer(small_trace, 0, spec)[0]
         assert kept.positions == tuple(range(small_trace.seq_len))
 
     def test_dominating_column_always_kept(self):
@@ -242,7 +241,7 @@ class TestH2O:
         w, max_len = 3, 10
         t = small_trace.seq_len
         spec = PolicySpec("H2OStyle", BudgetSpec(max_len=max_len, w=w))
-        kept = h2o_compress(small_trace, 1, 1, spec)
+        kept = compress_layer(small_trace, 1, spec)[1]
 
         # independent path: explicit python-loop scores + sorted() selection
         probs = observe_scores(small_trace, 1, 1, w=t, mode="softmax").data
@@ -256,14 +255,14 @@ class TestH2O:
 class TestSnapKV:
     def test_p1_reduces_to_plain_topk(self, small_trace):
         spec = PolicySpec("SnapKVStyle", BudgetSpec(max_len=12, w=4), pool_width=1)
-        kept = snapkv_compress(small_trace, 0, 0, spec)
+        kept = compress_layer(small_trace, 0, spec)[0]
         a = observe_scores(small_trace, 0, 0, 4, "softmax")
         want = topk_from_scores(a.data.sum(axis=0, dtype=np.float64), 4, 12, small_trace.seq_len)
         assert kept.positions == want.positions
 
     def test_budget_covers_all(self, small_trace):
         spec = PolicySpec("SnapKVStyle", BudgetSpec(max_len=small_trace.seq_len, w=2))
-        assert len(snapkv_compress(small_trace, 0, 0, spec)) == small_trace.seq_len
+        assert len(compress_layer(small_trace, 0, spec)[0]) == small_trace.seq_len
 
     def test_pooling_hand_case(self):
         pooled = max_pool_1d(np.array([0.0, 5.0, 0.0, 0.0]), 3)
@@ -315,17 +314,17 @@ class TestHybrid:
 
     def test_degenerate_split_is_pure_a(self, small_trace):
         spec = self._spec(split=small_trace.n_layers)
-        kept = hybrid_compress(small_trace, spec)
-        pure = run_policy(small_trace, spec.inner_a)
+        kept = run_with_reuse(small_trace, spec, ReusePlan(small_trace.n_layers, 1))
+        pure = run_with_reuse(small_trace, spec.inner_a, ReusePlan(small_trace.n_layers, 1))
         for l in range(small_trace.n_layers):
             for h in range(small_trace.n_heads):
                 assert kept[l][h].positions == pure[l][h].positions
 
     def test_depth_split_structure(self, small_trace):
         spec = self._spec(split=2)
-        kept = hybrid_compress(small_trace, spec)
-        a = run_policy(small_trace, spec.inner_a)
-        b = run_policy(small_trace, spec.inner_b)
+        kept = run_with_reuse(small_trace, spec, ReusePlan(small_trace.n_layers, 1))
+        a = run_with_reuse(small_trace, spec.inner_a, ReusePlan(small_trace.n_layers, 1))
+        b = run_with_reuse(small_trace, spec.inner_b, ReusePlan(small_trace.n_layers, 1))
         for l in range(small_trace.n_layers):
             want = a[l] if l < 2 else b[l]
             for h in range(small_trace.n_heads):
@@ -335,8 +334,8 @@ class TestHybrid:
         budget = BudgetSpec(max_len=12, w=4, c=5)
         inner = PolicySpec("ChunkKV", budget)
         spec = PolicySpec("Hybrid", budget, split=1, inner_a=inner, inner_b=inner)
-        kept = hybrid_compress(small_trace, spec)
-        pure = run_policy(small_trace, inner)
+        kept = run_with_reuse(small_trace, spec, ReusePlan(small_trace.n_layers, 1))
+        pure = run_with_reuse(small_trace, inner, ReusePlan(small_trace.n_layers, 1))
         for l in range(small_trace.n_layers):
             for h in range(small_trace.n_heads):
                 assert kept[l][h].positions == pure[l][h].positions
@@ -347,6 +346,12 @@ class TestHybrid:
         hy = PolicySpec("Hybrid", budget, split=1, inner_a=inner, inner_b=inner)
         with pytest.raises(ValueError):
             PolicySpec("Hybrid", budget, split=1, inner_a=hy, inner_b=inner)
+
+    def test_split_below_one_rejected(self):
+        budget = BudgetSpec(max_len=12, w=4, c=5)
+        inner = PolicySpec("ChunkKV", budget)
+        with pytest.raises(ValueError, match="split"):
+            PolicySpec("Hybrid", budget, split=0, inner_a=inner, inner_b=inner)
 
 
 ALL_KINDS = ["FullKV", "ChunkKV", "SnapKVStyle", "H2OStyle", "StreamingStyle", "PyramidStyle"]
@@ -361,7 +366,7 @@ def test_budget_and_recency_law(kind, small_trace):
         w = 4
         budget = BudgetSpec(max_len=max_len, w=w, c=3)
         spec = PolicySpec(kind, budget, pool_width=3, sink=2, skew=0.1)
-        kept = run_policy(small_trace, spec)
+        kept = run_with_reuse(small_trace, spec, ReusePlan(small_trace.n_layers, 1))
         budgets = resolved_layer_budgets(spec, small_trace.n_layers, t)
         for l in range(small_trace.n_layers):
             for h in range(small_trace.n_heads):
@@ -398,9 +403,60 @@ def test_needle_preservation_vs_token_policy():
 
 def test_head_pool_gives_identical_sets_across_heads(small_trace):
     spec = PolicySpec("ChunkKV", BudgetSpec(max_len=12, w=4, c=5), head_pool=True)
-    kept = run_policy(small_trace, spec)
+    kept = run_with_reuse(small_trace, spec, ReusePlan(small_trace.n_layers, 1))
     for l in range(small_trace.n_layers):
         assert all(
             kept[l][h].positions == kept[l][0].positions
             for h in range(small_trace.n_heads)
         )
+
+
+@pytest.mark.parametrize("head_pool", [False, True])
+@pytest.mark.parametrize("kind", ALL_KINDS + ["Hybrid"])
+def test_score_source_matches_selection_primitives(kind, head_pool):
+    # a synthetic source hands every policy its layer's matrix as given; H2O
+    # ranks plain column sums because no causal mask shaped the scores
+    t, w, c, max_len, n_layers = 40, 4, 5, 14, 3
+    mats = tuple(random_scores(w, t, seed) for seed in range(n_layers))
+    budget = BudgetSpec(max_len=max_len, w=w, c=c)
+    inner = dict(pool_width=3, sink=2, skew=0.2, head_pool=head_pool)
+    if kind == "Hybrid":
+        spec = PolicySpec(
+            kind, budget, split=1,
+            inner_a=PolicySpec("H2OStyle", budget, **inner),
+            inner_b=PolicySpec("PyramidStyle", budget, **inner),
+        )
+    else:
+        spec = PolicySpec(kind, budget, **inner)
+    pyramid = pyramid_budgets(max_len, n_layers, 0.2, min_budget=w + c)
+    for l in range(n_layers):
+        k = kind if kind != "Hybrid" else ("H2OStyle" if l < 1 else "PyramidStyle")
+        a = mats[l]
+        col = a.data.sum(axis=0, dtype=np.float64)
+        if k == "FullKV":
+            want = tuple(range(t))
+        elif k == "ChunkKV":
+            want = chunkkv_from_scores(a, c, w, max_len, t).positions
+        elif k == "SnapKVStyle":
+            want = topk_from_scores(max_pool_1d(col, 3), w, max_len, t).positions
+        elif k == "PyramidStyle":
+            want = topk_from_scores(max_pool_1d(col, 3), w, pyramid[l], t).positions
+        elif k == "H2OStyle":
+            want = topk_from_scores(col, w, max_len, t).positions
+        else:
+            want = streaming_compress(t, spec).positions
+        got = compress_layer(ScoreMatrices(mats), l, spec)
+        assert [kept.positions for kept in got] == [want]
+
+
+def test_pyramid_zero_skew_equals_snapkv_on_scores():
+    # the pooled neighbours of a zeroed span column keep it under both
+    case = NeedleCase(seq_len=200, span_start=50, span_len=10, signal=50.0, weak_offset=4)
+    source = ScoreMatrices((make_needle_case(case, observe_rows=8),) * 4)
+    budget = BudgetSpec(ratio=0.1, w=8, c=10)
+    snap = PolicySpec("SnapKVStyle", budget, pool_width=3)
+    pyramid = PolicySpec("PyramidStyle", budget, pool_width=3, skew=0.0)
+    for l in range(source.n_layers):
+        kept = compress_layer(source, l, pyramid)[0]
+        assert kept.positions == compress_layer(source, l, snap)[0].positions
+        assert 54 in kept.as_set()

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kvlab.cache import BudgetSpec, KeptIndices
-from kvlab.policies import PolicySpec, run_policy
+from kvlab.policies import PolicySpec, compress_layer
 from kvlab.reuse import (
     ReusePlan,
     adjacent_similarity,
@@ -17,6 +17,10 @@ from kvlab.reuse import (
 
 def ki(*positions):
     return KeptIndices.from_iterable(positions)
+
+
+def per_layer(trace, spec):
+    return [compress_layer(trace, l, spec) for l in range(trace.n_layers)]
 
 
 class TestJaccard:
@@ -48,7 +52,7 @@ class TestRunWithReuse:
     def test_n_reuse_1_equals_independent(self, small_trace):
         plan = ReusePlan(small_trace.n_layers, 1)
         reused = run_with_reuse(small_trace, self.SPEC, plan)
-        fresh = run_policy(small_trace, self.SPEC)
+        fresh = per_layer(small_trace, self.SPEC)
         for l in range(small_trace.n_layers):
             for h in range(small_trace.n_heads):
                 assert reused[l][h].positions == fresh[l][h].positions
@@ -64,7 +68,7 @@ class TestRunWithReuse:
         # 3-layer trace, n_reuse=2: layer 1 copies layer 0, layer 2 is fresh
         plan = ReusePlan(small_trace.n_layers, 2)
         reused = run_with_reuse(small_trace, self.SPEC, plan)
-        fresh = run_policy(small_trace, self.SPEC)
+        fresh = per_layer(small_trace, self.SPEC)
         for h in range(small_trace.n_heads):
             assert reused[1][h].positions == reused[0][h].positions
             assert reused[2][h].positions == fresh[2][h].positions
@@ -106,7 +110,7 @@ class TestSimilarityMatrix:
         assert m.entries == ((1.0, 1.0), (1.0, 1.0))
 
     def test_symmetric_unit_diagonal(self, small_trace):
-        kept = run_policy(small_trace, TestRunWithReuse.SPEC)
+        kept = per_layer(small_trace, TestRunWithReuse.SPEC)
         m = similarity_matrix([kept[l][0] for l in range(small_trace.n_layers)])
         for i in range(m.n):
             assert m.entries[i][i] == 1.0
