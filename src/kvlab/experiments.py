@@ -73,14 +73,26 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
+def _require_type(value, types, field: str, what: str):
+    """Type check for a JSON scalar; JSON true/false never counts as a number."""
+    _require(
+        isinstance(value, types) and not isinstance(value, bool),
+        f"{field} must be {what}, got {value!r}",
+    )
+
+
 def parse_budget(doc: dict) -> BudgetSpec:
+    _require_type(doc, dict, "budget", "a JSON object")
+    max_len, ratio = doc.get("max_len"), doc.get("ratio")
+    w, c = doc.get("w", 8), doc.get("c", 10)
+    if max_len is not None:
+        _require_type(max_len, int, "budget.max_len", "an integer")
+    if ratio is not None:
+        _require_type(ratio, (int, float), "budget.ratio", "a number")
+    _require_type(w, int, "budget.w", "an integer")
+    _require_type(c, int, "budget.c", "an integer")
     try:
-        return BudgetSpec(
-            max_len=doc.get("max_len"),
-            ratio=doc.get("ratio"),
-            w=doc.get("w", 8),
-            c=doc.get("c", 10),
-        )
+        return BudgetSpec(max_len=max_len, ratio=ratio, w=w, c=c)
     except ValueError as e:
         raise ConfigError(f"invalid budget: {e}") from e
 
@@ -170,7 +182,9 @@ def parse_config(doc: dict) -> ExperimentConfig:
         )
     reuse = None
     if doc.get("reuse") is not None:
-        reuse = int(doc["reuse"].get("n_reuse", 1))
+        _require_type(doc["reuse"], dict, "reuse", "a JSON object")
+        reuse = doc["reuse"].get("n_reuse", 1)
+        _require_type(reuse, int, "reuse.n_reuse", "an integer")
         _require(1 <= reuse <= model.n_layers, "reuse n_reuse outside [1, n_layers]")
     sweep = doc.get("sweep")
     if sweep is not None:

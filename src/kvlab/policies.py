@@ -63,6 +63,10 @@ class PolicySpec:
             raise ValueError(f"unknown score mode {self.score_mode!r}")
         if self.h2o_normalize not in ("exposure", "none"):
             raise ValueError(f"unknown h2o_normalize {self.h2o_normalize!r}")
+        width = self.pool_width
+        is_int = isinstance(width, int) and not isinstance(width, bool)
+        if not is_int or width < 1 or width % 2 == 0:
+            raise ValueError(f"pool_width must be an odd integer >= 1, got {width!r}")
         if self.kind == "Hybrid":
             if self.inner_a is None or self.inner_b is None or self.split is None:
                 raise ValueError("Hybrid requires split, inner_a and inner_b")

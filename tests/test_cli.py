@@ -4,6 +4,7 @@ import json
 import pytest
 
 from kvlab.cli import main
+from kvlab.experiments import ConfigError, parse_config
 
 
 def base_config(out_dir, **overrides):
@@ -210,6 +211,42 @@ class TestHybridSplit:
         cfg = base_config(tmp_path / "out", policies=[hybrid], **overrides)
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert "split" in capsys.readouterr().err
+
+
+def _with_budget(out_dir, **budget):
+    cfg = base_config(out_dir)
+    cfg["policies"][0]["budget"] = {**cfg["policies"][0]["budget"], **budget}
+    return cfg
+
+
+class TestConfigTypes:
+    @pytest.mark.parametrize(
+        "make_cfg, field",
+        [
+            (lambda out: _with_budget(out, ratio="0.2"), "budget.ratio"),
+            (lambda out: _with_budget(out, w="2"), "budget.w"),
+            (lambda out: _with_budget(out, c=2.5), "budget.c"),
+            (lambda out: base_config(out, reuse=2), "reuse"),
+            (
+                lambda out: base_config(out, policies=[{"kind": "ChunkKV", "budget": [1]}]),
+                "budget",
+            ),
+        ],
+        ids=["ratio-string", "w-string", "c-float", "reuse-int", "budget-list"],
+    )
+    def test_wrong_type_exits_2_naming_field(self, tmp_path, capsys, make_cfg, field):
+        cfg = make_cfg(tmp_path / "out")
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {field} must be" in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("width", [0, 2, 4])
+    def test_even_pool_width_rejected_by_parse_config(self, tmp_path, width):
+        cfg = base_config(tmp_path / "out")
+        cfg["policies"][1]["pool_width"] = width
+        with pytest.raises(ConfigError, match="pool_width"):
+            parse_config(cfg)
 
 
 class TestNeedleCommand:

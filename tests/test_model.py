@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -117,3 +119,36 @@ def test_decode_layer_mismatch(small_model):
     cache = CacheSet.from_trace(other)
     with pytest.raises(ValueError):
         decode_step(small_model, cache, 1)
+
+
+# SHA-256 over the q/k/v bytes of every (layer, head) and each layer's hidden
+# state, recorded before prefill attention was computed in causal row blocks.
+# T = 127, 128, 129 straddle the first row-block edge; 300 spans three blocks.
+GOLDEN_TRACE_DIGESTS = {
+    1: "985d4817288d27144e268962d9fc021d8916dad2e2e660fbdeef883e47827aa1",
+    127: "b878b6578935ec80c4670558ab98c8a10de73a54e7ae05bca6add9def1aa10b1",
+    128: "9262b2ea223eda645bfdf19a5ab2471fe9a09ef4b07bc8919afd7b4aeafca6e6",
+    129: "3306ccb66138dbd695a3eb26410e4c1db45a5fbba89987e3ca365afae7abed99",
+    300: "c297aa00a5960e4671d0fd5f6ba3f2089acf65958d8412180b50510596a8173c",
+}
+
+
+def _trace_digest(trace) -> str:
+    h = hashlib.sha256()
+    for l in range(trace.n_layers):
+        for hd in range(trace.n_heads):
+            for m in (trace.q, trace.k, trace.v):
+                h.update(m[l][hd].data.tobytes())
+        h.update(trace.hidden[l].data.tobytes())
+    return h.hexdigest()
+
+
+@pytest.fixture(scope="module")
+def roadmap_model():
+    return init_model(ModelConfig(n_layers=8, n_heads=4, head_dim=16, vocab_size=256, seed=0))
+
+
+@pytest.mark.parametrize("t", sorted(GOLDEN_TRACE_DIGESTS))
+def test_golden_trace_digest(roadmap_model, t):
+    trace = prefill(roadmap_model, random_tokens(256, t, seed=t))
+    assert _trace_digest(trace) == GOLDEN_TRACE_DIGESTS[t]
