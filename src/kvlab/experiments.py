@@ -46,6 +46,14 @@ class ConfigError(ValueError):
 
 SCHEMA_VERSION = 1
 
+# sweep axis -> (JSON type of its values, how an error message names it)
+SWEEP_AXES = {
+    "c": (int, "an integer"),
+    "ratio": ((int, float), "a number"),
+    "n_reuse": (int, "an integer"),
+    "seeds": (int, "an integer"),
+}
+
 
 @dataclass(frozen=True)
 class PromptSpec:
@@ -97,7 +105,8 @@ def parse_budget(doc: dict) -> BudgetSpec:
         raise ConfigError(f"invalid budget: {e}") from e
 
 
-def parse_policy(doc: dict) -> PolicySpec:
+def parse_policy(doc: dict, field: str = "policy") -> PolicySpec:
+    _require_type(doc, dict, field, "a JSON object")
     _require("kind" in doc, "policy requires 'kind'")
     kwargs: dict[str, Any] = {
         "kind": doc["kind"],
@@ -109,6 +118,12 @@ def parse_policy(doc: dict) -> PolicySpec:
         "head_pool": doc.get("head_pool", False),
         "h2o_normalize": doc.get("h2o_normalize", "exposure"),
     }
+    _require_type(kwargs["sink"], int, "sink", "an integer")
+    _require_type(kwargs["skew"], (int, float), "skew", "a number")
+    if kwargs["split"] is not None:
+        _require_type(kwargs["split"], int, "split", "an integer")
+    head_pool = kwargs["head_pool"]
+    _require(isinstance(head_pool, bool), f"head_pool must be true or false, got {head_pool!r}")
     _require("budget" in doc, "policy requires 'budget'")
     kwargs["budget"] = parse_budget(doc["budget"])
     if doc["kind"] == "Hybrid":
@@ -116,42 +131,59 @@ def parse_policy(doc: dict) -> PolicySpec:
             "inner_a" in doc and "inner_b" in doc,
             "Hybrid policy requires inner_a and inner_b",
         )
-        kwargs["inner_a"] = parse_policy(doc["inner_a"])
-        kwargs["inner_b"] = parse_policy(doc["inner_b"])
+        kwargs["inner_a"] = parse_policy(doc["inner_a"], "inner_a")
+        kwargs["inner_b"] = parse_policy(doc["inner_b"], "inner_b")
     try:
         return PolicySpec(**kwargs)
     except ValueError as e:
         raise ConfigError(f"invalid policy: {e}") from e
 
 
+def _field(doc: dict, section: str, name: str, default=None, types=int, what="an integer"):
+    """doc[name] checked against JSON types; missing is an error unless a default is given."""
+    value = doc.get(name, default)
+    _require(value is not None, f"{section} requires '{name}'")
+    _require_type(value, types, f"{section}.{name}", what)
+    return value
+
+
 def parse_prompt(doc: dict) -> PromptSpec:
+    _require_type(doc, dict, "prompt", "a JSON object")
     kind = doc.get("kind")
     if kind == "random":
-        _require(int(doc.get("length", 0)) >= 1, "random prompt needs length >= 1")
-        return PromptSpec(kind="random", length=int(doc["length"]), seed=int(doc.get("seed", 0)))
+        length = _field(doc, "prompt", "length", 0)
+        _require(length >= 1, "random prompt needs length >= 1")
+        return PromptSpec(kind="random", length=length, seed=_field(doc, "prompt", "seed", 0))
     if kind == "tokens":
-        toks = tuple(int(t) for t in doc.get("tokens", ()))
+        toks = doc.get("tokens", [])
+        _require_type(toks, list, "prompt.tokens", "a JSON list")
+        for i, t in enumerate(toks):
+            _require_type(t, int, f"prompt.tokens[{i}]", "an integer")
         _require(len(toks) >= 1, "tokens prompt must be non-empty")
-        return PromptSpec(kind="tokens", tokens=toks, length=len(toks))
+        return PromptSpec(kind="tokens", tokens=tuple(toks), length=len(toks))
     if kind == "needle":
+        signal = _field(doc, "prompt", "signal", types=(int, float), what="a number")
+        weak = doc.get("weak_offset")
+        if weak is not None:
+            _require_type(weak, int, "prompt.weak_offset", "an integer")
+        ints = {n: _field(doc, "prompt", n) for n in ("seq_len", "span_start", "span_len")}
+        seed = _field(doc, "prompt", "seed", 0)
         try:
             case = NeedleCase(
-                seq_len=int(doc["seq_len"]),
-                span_start=int(doc["span_start"]),
-                span_len=int(doc["span_len"]),
-                signal=float(doc["signal"]),
-                seed=int(doc.get("seed", 0)),
+                **ints,
+                signal=float(signal),
+                seed=seed,
                 noise=doc.get("noise", "uniform"),
-                weak_offset=doc.get("weak_offset"),
+                weak_offset=weak,
             )
-        except (KeyError, ValueError) as e:
+        except ValueError as e:
             raise ConfigError(f"invalid needle prompt: {e}") from e
         return PromptSpec(
             kind="needle",
             length=case.seq_len,
             seed=case.seed,
             needle=case,
-            observe_rows=int(doc.get("observe_rows", 8)),
+            observe_rows=_field(doc, "prompt", "observe_rows", 8),
         )
     raise ConfigError(f"unknown prompt kind {kind!r}")
 
@@ -161,19 +193,18 @@ def parse_config(doc: dict) -> ExperimentConfig:
     _require(doc.get("schema") == SCHEMA_VERSION, "config requires 'schema': 1")
     _require("model" in doc, "config requires 'model'")
     m = doc["model"]
+    _require_type(m, dict, "model", "a JSON object")
+    dims = {n: _field(m, "model", n) for n in ("n_layers", "n_heads", "head_dim", "vocab_size")}
+    dims["seed"] = _field(m, "model", "seed", 0)
     try:
-        model = ModelConfig(
-            n_layers=int(m["n_layers"]),
-            n_heads=int(m["n_heads"]),
-            head_dim=int(m["head_dim"]),
-            vocab_size=int(m["vocab_size"]),
-            seed=int(m.get("seed", 0)),
-        )
-    except (KeyError, ValueError) as e:
+        model = ModelConfig(**dims)
+    except ValueError as e:
         raise ConfigError(f"invalid model config: {e}") from e
     _require("prompt" in doc, "config requires 'prompt'")
     prompt = parse_prompt(doc["prompt"])
-    policies = tuple(parse_policy(p) for p in doc.get("policies", ()))
+    policy_docs = doc.get("policies", [])
+    _require_type(policy_docs, list, "policies", "a JSON list")
+    policies = tuple(parse_policy(p, f"policies[{i}]") for i, p in enumerate(policy_docs))
     _require(len(policies) >= 1, "config requires at least one policy")
     for spec in policies:
         _require(
@@ -188,16 +219,22 @@ def parse_config(doc: dict) -> ExperimentConfig:
         _require(1 <= reuse <= model.n_layers, "reuse n_reuse outside [1, n_layers]")
     sweep = doc.get("sweep")
     if sweep is not None:
+        _require_type(sweep, dict, "sweep", "a JSON object")
         for axis, values in sweep.items():
-            _require(axis in ("c", "ratio", "n_reuse", "seeds"), f"unknown sweep axis {axis!r}")
+            _require(axis in SWEEP_AXES, f"unknown sweep axis {axis!r}")
             _require(isinstance(values, list) and len(values) >= 1, f"sweep axis {axis!r} must be a non-empty list")
+            types, what = SWEEP_AXES[axis]
+            for i, v in enumerate(values):
+                _require_type(v, types, f"sweep.{axis}[{i}]", what)
+    out_dir = doc.get("out_dir", "out")
+    _require_type(out_dir, str, "out_dir", "a string")
     return ExperimentConfig(
         model=model,
         prompt=prompt,
         policies=policies,
         reuse=reuse,
         sweep=sweep,
-        out_dir=doc.get("out_dir", "out"),
+        out_dir=out_dir,
         raw=doc,
     )
 
@@ -263,9 +300,7 @@ def _digest(kept: KeptIndices) -> str:
 
 
 def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> TensorView:
-    from .policies import observe_scores
-
-    return observe_scores(trace, layer, head, w=1, mode="softmax")
+    return trace.final_row[layer][head]
 
 
 def _fidelity(
@@ -438,14 +473,16 @@ def _cell_spec(spec: PolicySpec, c: int, ratio: float) -> PolicySpec:
     return out
 
 
-def run_sweep_cell(cfg: ExperimentConfig, c: int, ratio: float, n_reuse: int, seed: int) -> list[dict]:
-    """One sweep cell: every policy at (c, ratio, n_reuse, seed)."""
-    model = init_model(cfg.model)
-    trace = None
-    if cfg.prompt.kind == "needle":
-        source = needle_source(cfg)
-    else:
-        trace = source = prefill(model, prompt_tokens(cfg, seed_override=seed))
+def run_sweep_cell(
+    cfg: ExperimentConfig,
+    source: PrefillTrace | ScoreMatrices,
+    c: int,
+    ratio: float,
+    n_reuse: int,
+    seed: int,
+) -> list[dict]:
+    """One sweep cell: every policy at (c, ratio, n_reuse) on seed's source."""
+    trace = source if isinstance(source, PrefillTrace) else None
     t_k = source.seq_len
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
 
@@ -501,18 +538,31 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[int, float, int, int]]:
     ]
 
 
-def _cell_worker(args):
-    doc, c, ratio, n_reuse, seed = args
-    return run_sweep_cell(parse_config(doc), c, ratio, n_reuse, seed)
+def _seed_rows(cfg: ExperimentConfig, seed: int, cells: list) -> list[list[dict]]:
+    """Every cell of one prompt seed, on one source built (prefilled) once."""
+    if cfg.prompt.kind == "needle":
+        source = needle_source(cfg)
+    else:
+        source = prefill(init_model(cfg.model), prompt_tokens(cfg, seed_override=seed))
+    return [run_sweep_cell(cfg, source, c, r, n, seed) for c, r, n, _ in cells]
+
+
+def _seed_worker(args):
+    doc, seed, cells = args
+    return _seed_rows(parse_config(doc), seed, cells)
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> Path:
     cells = _sweep_cells(cfg)
+    seeds = list(dict.fromkeys(cell[3] for cell in cells))
+    groups = [(s, [cell for cell in cells if cell[3] == s]) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_cell_worker, [(cfg.raw, *cell) for cell in cells]))
+            done = list(pool.map(_seed_worker, [(cfg.raw, *g) for g in groups]))
     else:
-        results = [run_sweep_cell(cfg, *cell) for cell in cells]
+        done = [_seed_rows(cfg, *g) for g in groups]
+    pending = {s: iter(rows) for s, rows in zip(seeds, done)}
+    results = [next(pending[cell[3]]) for cell in cells]  # back in cell order
 
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"

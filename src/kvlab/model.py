@@ -67,7 +67,13 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class PrefillTrace:
-    """Per (layer, head) Q/K/V plus per-layer hidden states for one prompt."""
+    """Per (layer, head) Q/K/V plus per-layer hidden states for one prompt.
+
+    Two attention statistics per (layer, head) come from prefill's own causal
+    softmax, so nothing downstream recomputes the T x T matrix: ``col_mass``,
+    its float64 column sums (H2OStyle's cumulative attention), and
+    ``final_row``, the last query's 1 x T attention row (the fidelity metric).
+    """
 
     config: ModelConfig
     tokens: tuple[int, ...]
@@ -75,6 +81,8 @@ class PrefillTrace:
     k: tuple[tuple[TensorView, ...], ...]
     v: tuple[tuple[TensorView, ...], ...]
     hidden: tuple[TensorView, ...]
+    col_mass: tuple[tuple[np.ndarray, ...], ...]
+    final_row: tuple[tuple[TensorView, ...], ...]
 
     @property
     def seq_len(self) -> int:
@@ -141,7 +149,7 @@ def prefill(model: ToyModel, tokens) -> PrefillTrace:
     x = model.embed[np.asarray(tokens, dtype=np.intp)]
     t = len(tokens)
 
-    all_q, all_k, all_v, hiddens = [], [], [], []
+    all_q, all_k, all_v, hiddens, col_mass, final_row = [], [], [], [], [], []
     probs = np.empty((t, t), dtype=np.float32)  # causal rows, T wide
     for lw in model.layers:
         q = _mm_t(x, lw.wq)
@@ -152,6 +160,7 @@ def prefill(model: ToyModel, tokens) -> PrefillTrace:
         heads_v = _split_heads(v, cfg.n_heads, cfg.head_dim)
 
         ctx = np.empty((t, cfg.hidden_dim), dtype=np.float32)
+        masses, finals = [], []
         for h in range(cfg.n_heads):
             for r0 in range(0, t, ROW_BLOCK):
                 r1 = min(r0 + ROW_BLOCK, t)
@@ -160,6 +169,13 @@ def prefill(model: ToyModel, tokens) -> PrefillTrace:
             ctx[:, h * cfg.head_dim : (h + 1) * cfg.head_dim] = _causal_pv(
                 probs, heads_v[h], query_offset=0
             )
+            mass = probs.sum(axis=0, dtype=np.float64)
+            mass.flags.writeable = False
+            masses.append(mass)
+            # copied: a contiguous float32 view would alias the reused buffer
+            finals.append(TensorView(probs[t - 1 :].copy()))
+        col_mass.append(tuple(masses))
+        final_row.append(tuple(finals))
         x = x + _mm_t(ctx, lw.wo)
         x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
 
@@ -175,6 +191,8 @@ def prefill(model: ToyModel, tokens) -> PrefillTrace:
         k=tuple(all_k),
         v=tuple(all_v),
         hidden=tuple(hiddens),
+        col_mass=tuple(col_mass),
+        final_row=tuple(final_row),
     )
 
 

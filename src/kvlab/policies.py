@@ -67,6 +67,8 @@ class PolicySpec:
         is_int = isinstance(width, int) and not isinstance(width, bool)
         if not is_int or width < 1 or width % 2 == 0:
             raise ValueError(f"pool_width must be an odd integer >= 1, got {width!r}")
+        if self.sink < 0:
+            raise ValueError(f"sink must be >= 0, got {self.sink}")
         if self.kind == "Hybrid":
             if self.inner_a is None or self.inner_b is None or self.split is None:
                 raise ValueError("Hybrid requires split, inner_a and inner_b")
@@ -219,17 +221,18 @@ def positional_exposure(t_k: int) -> np.ndarray:
     return np.cumsum(harmonic[::-1])[::-1]
 
 
-def h2o_column_scores(full_softmax: np.ndarray, normalize: str = "exposure") -> np.ndarray:
-    """Heavy-hitter scores from a full causal attention matrix.
+def h2o_scores(col_mass: np.ndarray, normalize: str = "exposure") -> np.ndarray:
+    """Heavy-hitter scores from attention column mass, one row per head.
 
-    Plain column sums are structurally dominated by early positions (they
-    are visible to every query); 'exposure' divides by the uniform-attention
-    expectation so content, not position, ranks tokens.
+    col_mass holds each head's column sums of its full causal attention
+    matrix (last axis: positions).  Plain column sums are structurally
+    dominated by early positions (they are visible to every query);
+    'exposure' divides by the uniform-attention expectation so content, not
+    position, ranks tokens.
     """
-    col = full_softmax.sum(axis=0, dtype=np.float64)
     if normalize == "exposure":
-        return col / positional_exposure(full_softmax.shape[1])
-    return col
+        return col_mass / positional_exposure(col_mass.shape[-1])
+    return col_mass
 
 
 def max_pool_1d(x: np.ndarray, width: int) -> np.ndarray:
@@ -328,13 +331,12 @@ def compress_layer(
         return [KeptIndices.from_iterable(range(t_k))] * len(heads)
     b = spec.budget
     if spec.kind == "H2OStyle":
-        # synthetic scores have no causal mask, so every position is equally
-        # exposed and exposure normalization would divide by 1
-        normalize = "none" if isinstance(source, ScoreMatrices) else spec.h2o_normalize
-        scores = [
-            h2o_column_scores(_scores(source, layer, h, t_k, "softmax").data, normalize)
-            for h in heads
-        ]
+        if isinstance(source, ScoreMatrices):
+            # no causal mask shaped synthetic scores: every position is
+            # equally exposed, so they rank by plain column sums
+            scores = source.mats[layer].data.sum(axis=0, dtype=np.float64)[None]
+        else:
+            scores = h2o_scores(np.stack(source.col_mass[layer]), spec.h2o_normalize)
         select = lambda col: topk_from_scores(col, b.w, max_len, t_k)
     else:
         mats = [_scores(source, layer, h, b.w, spec.score_mode).data for h in heads]

@@ -138,6 +138,30 @@ class TestSweep:
         assert jaccard[4] == 1.0
         assert jaccard[1] < 1.0
 
+    def test_prefill_once_per_seed_rows_in_cell_order(self, tmp_path, monkeypatch):
+        import kvlab.experiments
+
+        calls = []
+        real = kvlab.experiments.prefill
+
+        def counting(model, tokens):
+            calls.append(len(tokens))
+            return real(model, tokens)
+
+        monkeypatch.setattr(kvlab.experiments, "prefill", counting)
+        cfg = base_config(
+            tmp_path / "out",
+            sweep={"c": [3, 5], "n_reuse": [1, 2], "seeds": [0, 1, 0]},
+        )
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        assert len(calls) == 2  # seeds 0 and 1
+        with (tmp_path / "out" / "sweep.csv").open() as f:
+            rows = list(csv.DictReader(f))
+        cells = [(r["c"], r["n_reuse"], r["seed"]) for r in rows[:: len(cfg["policies"])]]
+        assert cells == [
+            (c, n, s) for c in "35" for n in "12" for s in "010"
+        ]
+
     def test_workers_match_sequential(self, tmp_path):
         cfg = base_config(
             tmp_path / "out_seq", sweep={"c": [3, 5], "seeds": [0, 1]}
@@ -219,6 +243,17 @@ def _with_budget(out_dir, **budget):
     return cfg
 
 
+def _with_policy(out_dir, kind, **extra):
+    budget = {"ratio": 0.25, "w": 4, "c": 5}
+    return base_config(out_dir, policies=[{"kind": kind, "budget": budget, **extra}])
+
+
+def _with_model(out_dir, **fields):
+    cfg = base_config(out_dir)
+    cfg["model"] = {**cfg["model"], **fields}
+    return cfg
+
+
 class TestConfigTypes:
     @pytest.mark.parametrize(
         "make_cfg, field",
@@ -231,8 +266,43 @@ class TestConfigTypes:
                 lambda out: base_config(out, policies=[{"kind": "ChunkKV", "budget": [1]}]),
                 "budget",
             ),
+            (lambda out: base_config(out, policies=[1]), "policies[0]"),
+            (lambda out: base_config(out, policies={"kind": "ChunkKV"}), "policies"),
+            (lambda out: base_config(out, model=[]), "model"),
+            (lambda out: base_config(out, prompt=[]), "prompt"),
+            (lambda out: base_config(out, sweep=[1]), "sweep"),
+            (lambda out: _with_policy(out, "StreamingStyle", sink="4"), "sink"),
+            (lambda out: _with_policy(out, "StreamingStyle", sink=None), "sink"),
+            (lambda out: _with_policy(out, "PyramidStyle", skew="0.1"), "skew"),
+            (lambda out: _with_policy(out, "ChunkKV", head_pool="yes"), "head_pool"),
+            (lambda out: _with_model(out, n_layers=2.5), "model.n_layers"),
+            (lambda out: _with_model(out, seed="3"), "model.seed"),
+            (lambda out: base_config(out, sweep={"c": [2.5]}), "sweep.c[0]"),
+            (
+                lambda out: base_config(out, prompt={"kind": "random", "length": "16"}),
+                "prompt.length",
+            ),
+            (
+                lambda out: base_config(out, prompt={"kind": "tokens", "tokens": ["1", 2]}),
+                "prompt.tokens[0]",
+            ),
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": []}),
+                "prompt.seq_len",
+            ),
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "weak_offset": "2"}),
+                "prompt.weak_offset",
+            ),
+            (lambda out: {**base_config(out), "out_dir": 5}, "out_dir"),
         ],
-        ids=["ratio-string", "w-string", "c-float", "reuse-int", "budget-list"],
+        ids=[
+            "ratio-string", "w-string", "c-float", "reuse-int", "budget-list",
+            "policy-int", "policies-object", "model-list", "prompt-list",
+            "sweep-list", "sink-string", "sink-null", "skew-string", "head-pool-string",
+            "n-layers-float", "model-seed-string", "sweep-c-float", "length-string", "token-string",
+            "seq-len-list", "weak-offset-string", "out-dir-int",
+        ],
     )
     def test_wrong_type_exits_2_naming_field(self, tmp_path, capsys, make_cfg, field):
         cfg = make_cfg(tmp_path / "out")
@@ -240,6 +310,23 @@ class TestConfigTypes:
         err = capsys.readouterr().err
         assert f"error: {field} must be" in err
         assert "internal error" not in err
+
+    def test_hybrid_split_string_exits_2(self, tmp_path, capsys):
+        budget = {"ratio": 0.25, "w": 4, "c": 5}
+        hybrid = {
+            "kind": "Hybrid",
+            "split": "2",
+            "budget": budget,
+            "inner_a": {"kind": "ChunkKV", "budget": budget},
+            "inner_b": {"kind": "SnapKVStyle", "budget": budget},
+        }
+        cfg = base_config(tmp_path / "out", policies=[hybrid])
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "error: split must be an integer" in capsys.readouterr().err
+
+    def test_negative_sink_rejected_by_parse_config(self, tmp_path):
+        with pytest.raises(ConfigError, match="sink"):
+            parse_config(_with_policy(tmp_path / "out", "StreamingStyle", sink=-2))
 
     @pytest.mark.parametrize("width", [0, 2, 4])
     def test_even_pool_width_rejected_by_parse_config(self, tmp_path, width):

@@ -152,3 +152,19 @@ def roadmap_model():
 def test_golden_trace_digest(roadmap_model, t):
     trace = prefill(roadmap_model, random_tokens(256, t, seed=t))
     assert _trace_digest(trace) == GOLDEN_TRACE_DIGESTS[t]
+
+
+@pytest.mark.parametrize("t", sorted(GOLDEN_TRACE_DIGESTS))
+def test_attention_statistics_match_observe_oracle(roadmap_model, t):
+    from kvlab.policies import observe_scores
+
+    trace = prefill(roadmap_model, random_tokens(256, t, seed=t))
+    for l in range(trace.n_layers):
+        for h in range(trace.n_heads):
+            full = observe_scores(trace, l, h, t, "softmax").data
+            mass = trace.col_mass[l][h]
+            assert mass.dtype == np.float64 and mass.shape == (t,)
+            assert mass.tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
+            row = trace.final_row[l][h].data
+            assert row.shape == (1, t)
+            assert row.tobytes() == observe_scores(trace, l, h, 1, "softmax").data.tobytes()

@@ -3,7 +3,9 @@
 The digests were recorded before the policy dispatch was unified; any change
 to what a policy keeps, or to how reports are written, shows up here.  The
 config stays clear of PyramidStyle with pool_width > 1 on needle scores and
-of sweeps, whose needle-prompt behaviour changed on purpose.
+of sweeps, whose needle-prompt behaviour changed on purpose.  The sweep.csv
+digests were recorded before a sweep prefilled each prompt seed once and
+H2OStyle read its column mass from prefill.
 """
 
 import hashlib
@@ -73,3 +75,36 @@ def output_digest(tmp_path, command, prompt, n_reuse):
 @pytest.mark.parametrize("key", sorted(DIGESTS), ids=lambda k: "-".join(map(str, k)))
 def test_output_digest(tmp_path, key):
     assert output_digest(tmp_path, *key) == DIGESTS[key]
+
+
+SWEEP_POLICIES = [
+    _policy("ChunkKV"),
+    _policy("SnapKVStyle", pool_width=3),
+    _policy("H2OStyle"),
+    _policy("H2OStyle", h2o_normalize="none"),
+    _policy("H2OStyle", head_pool=True),
+]
+
+# prompt -> sha256 of sweep.csv over c x ratio x n_reuse x two seeds
+SWEEP_DIGESTS = {
+    "random": "b2db089142e5ce5104cc4df078624d9181054605c22cd2250544a10a5a89b01e",
+    "needle": "798ec796e52436ddeab29157dae479b91fa72179f6e2ae7aebde50197453b062",
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("prompt", sorted(SWEEP_DIGESTS))
+def test_sweep_digest(tmp_path, prompt, workers):
+    cfg = {
+        "schema": 1,
+        "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
+        "prompt": PROMPTS[prompt],
+        "policies": SWEEP_POLICIES,
+        "sweep": {"c": [3, 5], "ratio": [0.25, 0.4], "n_reuse": [1, 2], "seeds": [1, 2]},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
+    assert main([*argv, "--workers", str(workers)]) == 0
+    digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
+    assert digest == SWEEP_DIGESTS[prompt]

@@ -15,7 +15,7 @@ from kvlab.policies import (
     chunk_scores,
     chunkkv_from_scores,
     compress_layer,
-    h2o_column_scores,
+    h2o_scores,
     max_pool_1d,
     observe_scores,
     pyramid_budgets,
@@ -233,7 +233,7 @@ class TestH2O:
         raw[:, 5] = 50.0
         probs = causal_softmax_rows(TensorView(raw), query_offset=0)
         for normalize in ("exposure", "none"):
-            col = h2o_column_scores(probs.data, normalize)
+            col = h2o_scores(probs.data.sum(axis=0, dtype=np.float64), normalize)
             kept = topk_from_scores(col, w=2, max_len=4, t_k=t)
             assert 5 in kept.as_set()
 
