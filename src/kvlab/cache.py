@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -58,6 +59,16 @@ class LayerKV:
     @property
     def n_heads(self) -> int:
         return len(self.keys)
+
+    @cached_property
+    def magnitudes(self) -> np.ndarray:
+        """|K| and |V| of every head, stacked K0, V0, K1, V1, ... (2H x T x D).
+
+        Built on first use and kept as long as this LayerKV; read-only.
+        """
+        mags = np.abs(np.stack([m.data for kv in zip(self.keys, self.values) for m in kv]))
+        mags.flags.writeable = False
+        return mags
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from .experiments import (
     cmd_simulate,
     cmd_sweep,
     load_config,
+    override_seed,
 )
 
 
@@ -49,11 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
-        import dataclasses
-
-        cfg = dataclasses.replace(
-            cfg, prompt=dataclasses.replace(cfg.prompt, seed=args.seed)
-        )
+        cfg = override_seed(cfg, args.seed)
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir

@@ -30,7 +30,7 @@ from .metrics import (
 )
 from .model import ModelConfig, PrefillTrace, init_model, prefill
 from .numerics import TensorView
-from .policies import PolicySpec, ScoreMatrices, compress_layer
+from .policies import PolicySpec, ScoreMatrices, compress_layer, resolved_layer_budgets
 from .reuse import (
     ReusePlan,
     adjacent_similarity,
@@ -226,9 +226,11 @@ def parse_config(doc: dict) -> ExperimentConfig:
             types, what = SWEEP_AXES[axis]
             for i, v in enumerate(values):
                 _require_type(v, types, f"sweep.{axis}[{i}]", what)
+                if axis == "n_reuse":
+                    _require(1 <= v <= model.n_layers, f"sweep.n_reuse[{i}] outside [1, n_layers]")
     out_dir = doc.get("out_dir", "out")
     _require_type(out_dir, str, "out_dir", "a string")
-    return ExperimentConfig(
+    cfg = ExperimentConfig(
         model=model,
         prompt=prompt,
         policies=policies,
@@ -237,6 +239,45 @@ def parse_config(doc: dict) -> ExperimentConfig:
         out_dir=out_dir,
         raw=doc,
     )
+    _check_budgets(cfg)
+    return cfg
+
+
+def _check_budgets(cfg: ExperimentConfig):
+    """Budget range errors a policy would raise only once it runs, raised now.
+
+    Every policy, every Hybrid inner policy and every sweep (c, ratio) cell
+    is checked at the prompt length, so a bad config exits before prefill.
+    """
+    runs = [("", cfg.policies)]
+    if cfg.sweep:
+        for c, r in dict.fromkeys((c, r) for c, r, _, _ in _sweep_cells(cfg)):
+            try:
+                cells = [_cell_spec(spec, c, r) for spec in cfg.policies]
+            except ValueError as e:
+                raise ConfigError(f"invalid sweep cell c={c}, ratio={r}: {e}") from e
+            runs.append((f" in sweep cell c={c}, ratio={r}", cells))
+    for at, specs in runs:
+        for i, spec in enumerate(specs):
+            _check_policy_budget(spec, f"policies[{i}]", at, cfg)
+
+
+def _check_policy_budget(spec: PolicySpec, field: str, at: str, cfg: ExperimentConfig):
+    t_k = cfg.prompt.length
+    if spec.kind == "Hybrid":
+        _check_policy_budget(spec.inner_a, f"{field}.inner_a", at, cfg)
+        _check_policy_budget(spec.inner_b, f"{field}.inner_b", at, cfg)
+    elif spec.kind == "PyramidStyle":
+        try:
+            resolved_layer_budgets(spec, cfg.model.n_layers, t_k)
+        except ValueError as e:
+            raise ConfigError(f"{field}.skew {spec.skew}: {e} at seq_len {t_k}{at}") from e
+    elif spec.kind == "StreamingStyle":
+        budget = spec.budget.resolve(t_k)
+        _require(
+            spec.sink <= budget,
+            f"{field}.sink {spec.sink} exceeds the budget {budget} resolved at seq_len {t_k}{at}",
+        )
 
 
 def load_config(path) -> ExperimentConfig:
@@ -245,6 +286,14 @@ def load_config(path) -> ExperimentConfig:
     except (OSError, json.JSONDecodeError) as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config(doc)
+
+
+def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
+    """cfg with its prompt seed replaced, needle case and echoed config included."""
+    p = cfg.prompt
+    needle = replace(p.needle, seed=seed) if p.needle is not None else None
+    raw = {**cfg.raw, "prompt": {**cfg.raw["prompt"], "seed": seed}}
+    return replace(cfg, prompt=replace(p, seed=seed, needle=needle), raw=raw)
 
 
 def prompt_tokens(cfg: ExperimentConfig, seed_override: Optional[int] = None) -> tuple[int, ...]:
@@ -319,7 +368,7 @@ def _fidelity(
 
 def _policy_report(
     cfg: ExperimentConfig,
-    trace: Optional[PrefillTrace],
+    fidelity: Optional[tuple[list[float], list[float]]],
     spec: PolicySpec,
     kept: list[list[KeptIndices]],
     t_k: int,
@@ -347,8 +396,8 @@ def _policy_report(
         "adjacent_jaccard": round(adjacent_similarity(head0), 6) if n_layers >= 2 else None,
     }
 
-    if trace is not None:
-        l1s, coss = _fidelity(trace, kept)
+    if fidelity is not None:
+        l1s, coss = fidelity
         rep["fidelity"] = {
             "kv_l1": round(float(np.mean(l1s)), 6),
             "attn_cos": round(float(np.mean(coss)), 6),
@@ -375,7 +424,11 @@ def _policy_report(
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
-    """Run every policy once; returns (report, timings)."""
+    """Run every policy once; returns (report, timings).
+
+    timings holds prefill_s and, per policy name, select_s (the reuse loop's
+    kept sets) and fidelity_s (the fidelity metrics on them).
+    """
     timings: dict[str, Any] = {"policies": {}}
 
     trace: Optional[PrefillTrace] = None
@@ -393,10 +446,15 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     for spec in cfg.policies:
         t0 = time.perf_counter()
         kept = run_with_reuse(source, spec, plan)
-        timings["policies"][spec.name] = time.perf_counter() - t0
+        t1 = time.perf_counter()
+        fidelity = _fidelity(trace, kept) if trace is not None else None
+        timings["policies"][spec.name] = {
+            "select_s": t1 - t0,
+            "fidelity_s": time.perf_counter() - t1,
+        }
         if trace is None:  # synthetic scores have one head; report it for every head
             kept = [heads * cfg.model.n_heads for heads in kept]
-        policy_reports.append(_policy_report(cfg, trace, spec, kept, t_k))
+        policy_reports.append(_policy_report(cfg, fidelity, spec, kept, t_k))
 
     config_echo = dict(cfg.raw or {})
     config_echo.pop("out_dir", None)  # output location is not experiment content
@@ -485,6 +543,11 @@ def run_sweep_cell(
     trace = source if isinstance(source, PrefillTrace) else None
     t_k = source.seq_len
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
+    # score-level needle diagnostic for this cell's budget, outside the reuse
+    # loop; its case depends only on (c, seed), so every policy shares it
+    case = _auto_needle(cfg, c, seed) if trace is not None else cfg.prompt.needle
+    scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
+    needle_scores = ScoreMatrices((scores,) * cfg.model.n_layers)
 
     rows = []
     for spec in cfg.policies:
@@ -505,15 +568,11 @@ def run_sweep_cell(
             l1s, coss = _fidelity(trace, kept)
             row["kv_l1"] = round(float(np.mean(l1s)), 6)
             row["attn_cos"] = round(float(np.mean(coss)), 6)
-            case = _auto_needle(cfg, c, seed)
         else:
             row["kv_l1"] = ""
             row["attn_cos"] = ""
-            case = cfg.prompt.needle
 
-        # score-level needle diagnostic for this cell's budget, outside the reuse loop
-        scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
-        kept0 = compress_layer(ScoreMatrices((scores,) * cfg.model.n_layers), 0, cell)[0]
+        kept0 = compress_layer(needle_scores, 0, cell)[0]
         frac, intact = needle_retention(kept0, case)
         row["needle_fraction"] = round(frac, 6)
         row["needle_intact"] = str(intact).lower()

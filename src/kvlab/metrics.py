@@ -49,25 +49,32 @@ class NeedleCase:
 
 
 def kv_l1_loss(full: LayerKV, kept: KeptIndices) -> float:
-    """Absolute K/V mass at evicted positions over the total entry count."""
+    """Absolute K/V mass at evicted positions over the total entry count.
+
+    One gather from the layer's |K|/|V| stack, then one float64 sum per
+    array, added in K0, V0, K1, V1, ... order: the bits of summing each
+    head's gathered |K| and |V| on its own.  The gather must come out
+    C-contiguous (``np.compress``; ``mags[:, evicted]`` is position-major),
+    since numpy's buffered sum rounds by memory layout once an array
+    passes 8192 elements.
+    """
     if kept.positions and kept.positions[-1] >= full.seq_len:
         raise ValueError("kept index out of range")
     evicted = np.ones(full.seq_len, dtype=bool)
     evicted[np.asarray(kept.positions, dtype=np.intp)] = False
-    total_entries = 0
+    mags = full.magnitudes
     lost = 0.0
-    for k, v in zip(full.keys, full.values):
-        total_entries += k.data.size + v.data.size
-        lost += float(np.abs(k.data[evicted]).sum(dtype=np.float64))
-        lost += float(np.abs(v.data[evicted]).sum(dtype=np.float64))
-    return lost / total_entries
+    for s in np.compress(evicted, mags, axis=1).sum(axis=(1, 2), dtype=np.float64):
+        lost += float(s)
+    return lost / mags.size
 
 
 def attention_cosine(full_attn_row: TensorView, kept: KeptIndices) -> float:
     """Cosine between a distribution and its zero-masked restriction."""
     p = full_attn_row.data.reshape(-1).astype(np.float64)
     masked = np.zeros_like(p)
-    idx = np.asarray([i for i in kept.positions if i < len(p)], dtype=np.intp)
+    idx = np.asarray(kept.positions, dtype=np.intp)
+    idx = idx[idx < len(p)]
     masked[idx] = p[idx]
     norm = np.linalg.norm(p) * np.linalg.norm(masked)
     if norm == 0:

@@ -236,17 +236,23 @@ def h2o_scores(col_mass: np.ndarray, normalize: str = "exposure") -> np.ndarray:
 
 
 def max_pool_1d(x: np.ndarray, width: int) -> np.ndarray:
-    """Centered 1-D max pool; width must be odd."""
+    """Centered 1-D max pool; width must be odd.
+
+    Windows are clipped at both ends: one sliding-window max over a copy
+    padded with -inf.  Max is exact, so every value equals the per-window
+    maximum, except that a window whose maximum is zero may come out as
+    -0.0 where another reduction order gives +0.0.  The stable top-k ranks
+    the two zeros as equal, so kept sets do not depend on it.
+    """
     if width < 1 or width % 2 == 0:
         raise ValueError("pool width must be odd and >= 1")
-    if width == 1:
-        return np.asarray(x, dtype=np.float64)
-    half = width // 2
     x = np.asarray(x, dtype=np.float64)
-    n = len(x)
-    return np.array(
-        [x[max(i - half, 0) : min(i + half + 1, n)].max() for i in range(n)]
-    )
+    if width == 1 or x.size == 0:
+        return x
+    half = width // 2
+    padded = np.full(len(x) + 2 * half, -np.inf)
+    padded[half : half + len(x)] = x
+    return np.lib.stride_tricks.sliding_window_view(padded, width).max(axis=1)
 
 
 def pyramid_budgets(
@@ -280,7 +286,7 @@ def pyramid_budgets(
     for l in fracs[:remainder]:
         budgets[l] += 1
     if min(budgets) < min_budget:
-        raise ValueError("pyramid skew leaves a layer below the minimum budget")
+        raise ValueError(f"pyramid skew leaves a layer below the minimum budget {min_budget}")
     return budgets
 
 

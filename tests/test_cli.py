@@ -98,6 +98,12 @@ class TestSimulate:
         report = (tmp_path / "out" / "report.json").read_text()
         assert "perf" not in report
         assert (tmp_path / "out" / "timings.json").exists()
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert set(timings["policies"]) == {"ChunkKV", "SnapKVStyle"}
+        for stages in timings["policies"].values():
+            assert set(stages) == {"select_s", "fidelity_s"}
+            assert all(v >= 0.0 for v in stages.values())
+        assert "select_s" not in report and "fidelity_s" not in report
 
 
 class TestSweep:
@@ -172,6 +178,70 @@ class TestSweep:
         main(["sweep", "--config", write_config(tmp_path, cfg), "--workers", "2"])
         par = (tmp_path / "out_par" / "sweep.csv").read_bytes()
         assert seq == par
+
+    def test_needle_matrix_built_once_per_cell(self, tmp_path, monkeypatch):
+        import kvlab.experiments
+
+        calls = []
+        real = kvlab.experiments.make_needle_case
+
+        def counting(case, observe_rows=1):
+            calls.append(case)
+            return real(case, observe_rows=observe_rows)
+
+        monkeypatch.setattr(kvlab.experiments, "make_needle_case", counting)
+        cfg = base_config(tmp_path / "out", sweep={"c": [3, 5], "n_reuse": [1, 2], "seeds": [0]})
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        assert len(calls) == 4  # one per cell, shared by both policies
+
+
+class TestSeedOverride:
+    def test_needle_prompt_follows_seed(self, tmp_path):
+        weak = {**NEEDLE_PROMPT, "signal": 0.3}  # retention then depends on the noise draw
+        cfg = base_config(tmp_path / "out", prompt=weak)
+        path = write_config(tmp_path, cfg)
+        outs = {}
+        for name, extra in (("file", []), ("seed7", ["--seed", "7"])):
+            assert main(["needle", "--config", path, "--out", str(tmp_path / name)] + extra) == 0
+            outs[name] = json.loads((tmp_path / name / "needle.json").read_text())
+        assert outs["file"]["case"]["seed"] == NEEDLE_PROMPT["seed"]
+        assert outs["seed7"]["case"]["seed"] == 7
+        assert outs["file"]["policies"] != outs["seed7"]["policies"]
+        in_file = base_config(tmp_path / "out", prompt={**weak, "seed": 7})
+        in_file_path = tmp_path / "in_file.json"
+        in_file_path.write_text(json.dumps(in_file))
+        assert main(["needle", "--config", str(in_file_path), "--out", str(tmp_path / "f7")]) == 0
+        assert (tmp_path / "f7" / "needle.json").read_bytes() == (
+            tmp_path / "seed7" / "needle.json"
+        ).read_bytes()
+
+    @pytest.mark.parametrize("prompt", [None, NEEDLE_PROMPT], ids=["random", "needle"])
+    def test_report_echoes_effective_seed(self, tmp_path, prompt):
+        cfg = base_config(tmp_path / "out")
+        if prompt is not None:
+            cfg["prompt"] = prompt
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path, "--seed", "7"]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        assert report["config"]["prompt"]["seed"] == 7
+        in_file = {**cfg, "prompt": {**cfg["prompt"], "seed": 7}, "out_dir": str(tmp_path / "f7")}
+        assert main(["simulate", "--config", write_config(tmp_path, in_file)]) == 0
+        assert (tmp_path / "f7" / "report.json").read_bytes() == (
+            tmp_path / "out" / "report.json"
+        ).read_bytes()
+
+    def test_needle_sweep_workers_follow_seed(self, tmp_path):
+        weak = {**NEEDLE_PROMPT, "signal": 0.3}
+        cfg = base_config(tmp_path / "out", prompt=weak, sweep={"c": [3, 5]})
+        path = write_config(tmp_path, cfg)
+        for name, workers in (("seq", "1"), ("par", "2")):
+            out = str(tmp_path / name)
+            assert main(["sweep", "--config", path, "--out", out, "--seed", "7", "--workers", workers]) == 0
+        in_file = {**cfg, "prompt": {**weak, "seed": 7}, "out_dir": str(tmp_path / "f7")}
+        assert main(["sweep", "--config", write_config(tmp_path, in_file)]) == 0
+        want = (tmp_path / "f7" / "sweep.csv").read_bytes()
+        assert (tmp_path / "seq" / "sweep.csv").read_bytes() == want
+        assert (tmp_path / "par" / "sweep.csv").read_bytes() == want
 
 
 class TestSimilarity:
@@ -334,6 +404,80 @@ class TestConfigTypes:
         cfg["policies"][1]["pool_width"] = width
         with pytest.raises(ConfigError, match="pool_width"):
             parse_config(cfg)
+
+
+def _hybrid_with_inner_b(out_dir, **inner_b):
+    budget = {"ratio": 0.25, "w": 4, "c": 5}
+    return _with_policy(
+        out_dir, "Hybrid", split=2,
+        inner_a={"kind": "ChunkKV", "budget": budget},
+        inner_b={"budget": budget, **inner_b},
+    )
+
+
+class TestRangeErrorsBeforePrefill:
+    """Range errors that need only the config and prompt length exit 2 unprefilled."""
+
+    @pytest.mark.parametrize(
+        "make_cfg, field",
+        [
+            (lambda out: _with_policy(out, "PyramidStyle", skew=1.5), "policies[0].skew"),
+            (lambda out: _with_policy(out, "PyramidStyle", skew=-0.5), "policies[0].skew"),
+            # ratio 0.25 of 48 is 12 positions; skew 0.5 leaves the last layer 6 < w + c = 9
+            (lambda out: _with_policy(out, "PyramidStyle", skew=0.5), "policies[0].skew"),
+            (lambda out: _with_policy(out, "StreamingStyle", sink=13), "policies[0].sink"),
+            (
+                lambda out: _hybrid_with_inner_b(out, kind="StreamingStyle", sink=13),
+                "policies[0].inner_b.sink",
+            ),
+            (
+                lambda out: _hybrid_with_inner_b(out, kind="PyramidStyle", skew=1.5),
+                "policies[0].inner_b.skew",
+            ),
+            (
+                lambda out: base_config(
+                    out,
+                    policies=[{"kind": "StreamingStyle", "budget": {"ratio": 0.5, "w": 4, "c": 5}, "sink": 13}],
+                    sweep={"ratio": [0.5, 0.25]},
+                ),
+                "policies[0].sink",
+            ),
+            (lambda out: base_config(out, sweep={"c": [5, 0]}), "c must be"),
+            (lambda out: base_config(out, sweep={"ratio": [1.5]}), "ratio must be"),
+            (lambda out: base_config(out, sweep={"n_reuse": [5]}), "sweep.n_reuse[0]"),
+        ],
+        ids=[
+            "skew-above-1", "skew-negative", "skew-below-w-plus-c", "sink-above-budget",
+            "hybrid-inner-sink", "hybrid-inner-skew", "sweep-cell-sink", "sweep-c-zero",
+            "sweep-ratio-above-1", "sweep-n-reuse",
+        ],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_exit_2_naming_field_without_prefill(
+        self, tmp_path, capsys, monkeypatch, make_cfg, field, command
+    ):
+        import kvlab.experiments
+
+        calls = []
+        real = kvlab.experiments.prefill
+        monkeypatch.setattr(
+            kvlab.experiments, "prefill", lambda *a: calls.append(1) or real(*a)
+        )
+        cfg = make_cfg(tmp_path / "out")
+        cfg.setdefault("sweep", {"c": [5]})
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert field in err
+        assert "internal error" not in err
+        assert calls == []
+
+    def test_valid_edges_still_run(self, tmp_path):
+        # a sink equal to the budget, and a skew whose last layer gets exactly w + c
+        cfg = base_config(tmp_path / "out", policies=[
+            {"kind": "StreamingStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "sink": 12},
+            {"kind": "PyramidStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "skew": 0.25},
+        ])
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
 
 
 class TestNeedleCommand:

@@ -22,6 +22,19 @@ def ki(it):
     return KeptIndices.from_iterable(it)
 
 
+def kv_l1_loss_loop_oracle(full, kept):
+    """The per-head gather/abs/sum loop kv_l1_loss used to run, verbatim."""
+    evicted = np.ones(full.seq_len, dtype=bool)
+    evicted[np.asarray(kept.positions, dtype=np.intp)] = False
+    total_entries = 0
+    lost = 0.0
+    for k, v in zip(full.keys, full.values):
+        total_entries += k.data.size + v.data.size
+        lost += float(np.abs(k.data[evicted]).sum(dtype=np.float64))
+        lost += float(np.abs(v.data[evicted]).sum(dtype=np.float64))
+    return lost / total_entries
+
+
 class TestKvL1Loss:
     def test_keep_all_is_zero(self):
         kv = make_layer_kv()
@@ -56,6 +69,29 @@ class TestKvL1Loss:
         extra = data.draw(st.frozensets(st.integers(0, 7), max_size=6))
         bigger = small | extra
         assert kv_l1_loss(kv, ki(small)) >= kv_l1_loss(kv, ki(bigger))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        t=st.integers(1, 1100),
+        heads=st.integers(1, 4),
+        dim=st.sampled_from([1, 3, 16, 64, 100]),
+        seed=st.integers(0, 10_000),
+        keep_frac=st.floats(0.0, 1.0),
+    )
+    def test_bytes_match_per_head_oracle(self, t, heads, dim, seed, keep_frac):
+        # dims 64 and 100 push evicted x head_dim past numpy's 8192-element
+        # cast buffer, where a sum's rounding depends on memory layout
+        kv = make_layer_kv(seq_len=t, heads=heads, dim=dim, seed=seed)
+        rng = np.random.default_rng(seed)
+        kept = KeptIndices(tuple(np.flatnonzero(rng.random(t) < keep_frac).tolist()))
+        assert kv_l1_loss(kv, kept).hex() == kv_l1_loss_loop_oracle(kv, kept).hex()
+
+    @pytest.mark.parametrize("t, dim, n_kept", [(1100, 16, 100), (600, 64, 0), (1024, 100, 400)])
+    def test_bytes_match_oracle_past_cast_buffer(self, t, dim, n_kept):
+        kv = make_layer_kv(seq_len=t, heads=4, dim=dim, seed=t)
+        kept = KeptIndices(tuple(range(0, 2 * n_kept, 2)))
+        assert (t - n_kept) * dim > 8192
+        assert kv_l1_loss(kv, kept).hex() == kv_l1_loss_loop_oracle(kv, kept).hex()
 
     def test_head_permutation_invariant(self):
         kv = make_layer_kv(seq_len=5, heads=3, seed=4)

@@ -274,6 +274,47 @@ class TestSnapKV:
         with pytest.raises(ValueError):
             max_pool_1d(np.ones(4), 2)
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        half=st.integers(0, 25),
+        n=st.integers(1, 2048),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    def test_max_pool_matches_loop_oracle(self, half, n, seed, data):
+        # widths 1..51 (above the 8-lane SIMD reduce), signed zeros, negatives,
+        # and 1e+-30 magnitudes, with runs of equal values for ties
+        rng = np.random.default_rng(seed)
+        palette = np.array([0.0, -0.0, 1.0, -1.0, 2.5, -7.0, 1e30, -1e30, 1e-30, -1e-30])
+        x = np.where(
+            rng.random(n) < 0.7,
+            palette[rng.integers(0, len(palette), n)],
+            rng.standard_normal(n) * 10.0 ** rng.integers(-30, 31, n),
+        )
+        width = 2 * half + 1
+        got, want = max_pool_1d(x, width), max_pool_loop_oracle(x, width)
+        assert got.shape == want.shape and (got == want).all()
+        w = data.draw(st.integers(0, n))
+        max_len = data.draw(st.integers(w, n))
+        assert (
+            topk_from_scores(got, w, max_len, n).positions
+            == topk_from_scores(want, w, max_len, n).positions
+        )
+
+
+def max_pool_loop_oracle(x, width):
+    """The per-position loop max_pool_1d used to run, verbatim."""
+    if width < 1 or width % 2 == 0:
+        raise ValueError("pool width must be odd and >= 1")
+    if width == 1:
+        return np.asarray(x, dtype=np.float64)
+    half = width // 2
+    x = np.asarray(x, dtype=np.float64)
+    n = len(x)
+    return np.array(
+        [x[max(i - half, 0) : min(i + half + 1, n)].max() for i in range(n)]
+    )
+
 
 class TestPyramidBudgets:
     def test_zero_skew_uniform(self):
