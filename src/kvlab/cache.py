@@ -125,19 +125,3 @@ class BudgetSpec:
         if self.max_len is not None:
             return self.max_len
         return max(self.w + self.c, int(np.floor(self.ratio * seq_len)))
-
-
-def apply_kept(kv: LayerKV, kept: KeptIndices) -> LayerKV:
-    """Gather the retained rows of every head, preserving relative order."""
-    if kept.positions and kept.positions[-1] >= kv.seq_len:
-        raise ValueError("kept index out of range")
-    idx = np.asarray(kept.positions, dtype=np.intp)
-    keys = tuple(TensorView(k.data[idx]) for k in kv.keys)
-    values = tuple(TensorView(v.data[idx]) for v in kv.values)
-    return LayerKV(layer=kv.layer, keys=keys, values=values, seq_len=len(kept))
-
-
-def compression_ratio(kept: KeptIndices, seq_len: int) -> float:
-    if seq_len < 1:
-        raise ValueError("seq_len must be >= 1")
-    return len(kept) / seq_len

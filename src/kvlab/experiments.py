@@ -348,8 +348,14 @@ def _digest(kept: KeptIndices) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
+def _observe_rows(cfg: ExperimentConfig) -> int:
+    """Observe rows prefill keeps: the widest w of any policy or Hybrid inner policy."""
+    specs = [s for p in cfg.policies for s in (p, p.inner_a, p.inner_b) if s is not None]
+    return max(1, *(s.budget.w for s in specs))
+
+
 def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> TensorView:
-    return trace.final_row[layer][head]
+    return TensorView(trace.observe_probs[layer][head].data[-1:])
 
 
 def _fidelity(
@@ -392,7 +398,7 @@ def _policy_report(
     rep: dict[str, Any] = {
         "policy": spec.name,
         "layers": layers,
-        "similarity_matrix": [[round(v, 6) for v in row] for row in sim.entries],
+        "similarity_matrix": [[round(v, 6) for v in row] for row in sim],
         "adjacent_jaccard": round(adjacent_similarity(head0), 6) if n_layers >= 2 else None,
     }
 
@@ -426,10 +432,11 @@ def _policy_report(
 def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Run every policy once; returns (report, timings).
 
-    timings holds prefill_s and, per policy name, select_s (the reuse loop's
-    kept sets) and fidelity_s (the fidelity metrics on them).
+    timings holds prefill_s and a list with one entry per policy, in report
+    order: its name, select_s (the reuse loop's kept sets) and fidelity_s
+    (the fidelity metrics on them).
     """
-    timings: dict[str, Any] = {"policies": {}}
+    timings: dict[str, Any] = {"policies": []}
 
     trace: Optional[PrefillTrace] = None
     if cfg.prompt.kind == "needle":
@@ -437,7 +444,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     else:
         model = init_model(cfg.model)
         t0 = time.perf_counter()
-        trace = source = prefill(model, prompt_tokens(cfg))
+        trace = source = prefill(model, prompt_tokens(cfg), observe_rows=_observe_rows(cfg))
         timings["prefill_s"] = time.perf_counter() - t0
     t_k = source.seq_len
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=cfg.reuse or 1)
@@ -448,10 +455,11 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
         kept = run_with_reuse(source, spec, plan)
         t1 = time.perf_counter()
         fidelity = _fidelity(trace, kept) if trace is not None else None
-        timings["policies"][spec.name] = {
+        timings["policies"].append({
+            "policy": spec.name,
             "select_s": t1 - t0,
             "fidelity_s": time.perf_counter() - t1,
-        }
+        })
         if trace is None:  # synthetic scores have one head; report it for every head
             kept = [heads * cfg.model.n_heads for heads in kept]
         policy_reports.append(_policy_report(cfg, fidelity, spec, kept, t_k))
@@ -602,7 +610,8 @@ def _seed_rows(cfg: ExperimentConfig, seed: int, cells: list) -> list[list[dict]
     if cfg.prompt.kind == "needle":
         source = needle_source(cfg)
     else:
-        source = prefill(init_model(cfg.model), prompt_tokens(cfg, seed_override=seed))
+        tokens = prompt_tokens(cfg, seed_override=seed)
+        source = prefill(init_model(cfg.model), tokens, observe_rows=_observe_rows(cfg))
     return [run_sweep_cell(cfg, source, c, r, n, seed) for c, r, n, _ in cells]
 
 
@@ -708,7 +717,7 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) 
     if cfg.reuse is None and not (cfg.sweep and cfg.sweep.get("n_reuse")):
         raise ConfigError("reuse-bench requires a reuse plan or an n_reuse sweep axis")
     model = init_model(cfg.model)
-    trace = prefill(model, prompt_tokens(cfg))
+    trace = prefill(model, prompt_tokens(cfg), observe_rows=_observe_rows(cfg))
     spec = cfg.policies[0]
 
     def median_time(fn) -> float:

@@ -69,10 +69,14 @@ class ToyModel:
 class PrefillTrace:
     """Per (layer, head) Q/K/V plus per-layer hidden states for one prompt.
 
-    Two attention statistics per (layer, head) come from prefill's own causal
-    softmax, so nothing downstream recomputes the T x T matrix: ``col_mass``,
-    its float64 column sums (H2OStyle's cumulative attention), and
-    ``final_row``, the last query's 1 x T attention row (the fidelity metric).
+    Every attention score downstream code reads comes from prefill's own
+    QK^T and causal softmax; nothing recomputes them.  Per (layer, head):
+    ``col_mass``, the float64 column sums of the T x T softmax (H2OStyle's
+    cumulative attention), and the observe rows, the last n = min(observe_rows,
+    T) queries against all T keys: ``observe_raw``, their scaled QK^T rows
+    (upper triangle included), and ``observe_probs``, their causal softmax
+    rows.  Policies read the last w of these rows as their observe window,
+    and the fidelity metric reads the final softmax row.
     """
 
     config: ModelConfig
@@ -82,7 +86,8 @@ class PrefillTrace:
     v: tuple[tuple[TensorView, ...], ...]
     hidden: tuple[TensorView, ...]
     col_mass: tuple[tuple[np.ndarray, ...], ...]
-    final_row: tuple[tuple[TensorView, ...], ...]
+    observe_raw: tuple[tuple[TensorView, ...], ...]
+    observe_probs: tuple[tuple[TensorView, ...], ...]
 
     @property
     def seq_len(self) -> int:
@@ -136,20 +141,30 @@ def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> list[np.ndarray]
     return [x[:, h * head_dim : (h + 1) * head_dim] for h in range(n_heads)]
 
 
-def prefill(model: ToyModel, tokens) -> PrefillTrace:
-    """Full causal forward pass capturing Q/K/V per head and hidden states."""
+def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
+    """Full causal forward pass capturing Q/K/V per head and hidden states.
+
+    The last row block is the observe tail [T - n, T), n = min(observe_rows,
+    T): its QK^T spans all T keys, so its raw and softmax rows are kept as
+    they are computed.
+    """
     cfg = model.config
     tokens = tuple(int(t) for t in tokens)
     if not tokens:
         raise ValueError("token sequence must be non-empty")
     if any(t < 0 or t >= cfg.vocab_size for t in tokens):
         raise ValueError("token id out of vocabulary range")
+    if observe_rows < 1:
+        raise ValueError(f"observe_rows must be >= 1, got {observe_rows}")
 
     scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
     x = model.embed[np.asarray(tokens, dtype=np.intp)]
     t = len(tokens)
+    tail = t - min(observe_rows, t)
+    blocks = [(r0, min(r0 + ROW_BLOCK, tail)) for r0 in range(0, tail, ROW_BLOCK)]
+    blocks.append((tail, t))
 
-    all_q, all_k, all_v, hiddens, col_mass, final_row = [], [], [], [], [], []
+    all_q, all_k, all_v, hiddens, col_mass, observe_raw, observe_probs = ([] for _ in range(7))
     probs = np.empty((t, t), dtype=np.float32)  # causal rows, T wide
     for lw in model.layers:
         q = _mm_t(x, lw.wq)
@@ -160,10 +175,9 @@ def prefill(model: ToyModel, tokens) -> PrefillTrace:
         heads_v = _split_heads(v, cfg.n_heads, cfg.head_dim)
 
         ctx = np.empty((t, cfg.hidden_dim), dtype=np.float32)
-        masses, finals = [], []
+        masses, raws, tails = [], [], []
         for h in range(cfg.n_heads):
-            for r0 in range(0, t, ROW_BLOCK):
-                r1 = min(r0 + ROW_BLOCK, t)
+            for r0, r1 in blocks:
                 scores = _mm_t(heads_q[h][r0:r1], heads_k[h][:r1]) * scale
                 _causal_softmax(scores, query_offset=r0, out=probs[r0:r1])
             ctx[:, h * cfg.head_dim : (h + 1) * cfg.head_dim] = _causal_pv(
@@ -172,10 +186,12 @@ def prefill(model: ToyModel, tokens) -> PrefillTrace:
             mass = probs.sum(axis=0, dtype=np.float64)
             mass.flags.writeable = False
             masses.append(mass)
+            raws.append(TensorView(scores))  # the tail block's QK^T, fresh per head
             # copied: a contiguous float32 view would alias the reused buffer
-            finals.append(TensorView(probs[t - 1 :].copy()))
+            tails.append(TensorView(probs[tail:].copy()))
         col_mass.append(tuple(masses))
-        final_row.append(tuple(finals))
+        observe_raw.append(tuple(raws))
+        observe_probs.append(tuple(tails))
         x = x + _mm_t(ctx, lw.wo)
         x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
 
@@ -192,7 +208,8 @@ def prefill(model: ToyModel, tokens) -> PrefillTrace:
         v=tuple(all_v),
         hidden=tuple(hiddens),
         col_mass=tuple(col_mass),
-        final_row=tuple(final_row),
+        observe_raw=tuple(observe_raw),
+        observe_probs=tuple(observe_probs),
     )
 
 

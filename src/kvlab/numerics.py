@@ -16,6 +16,10 @@ differently.  P.V (``_causal_pv``) skips the masked terms outright: they are
 exact zeros, and adding +-0 to an accumulator that starts at +0 and is never
 -0 leaves it unchanged.
 
+The last row block is the observe tail, the last n query rows: its r1 is T,
+so its QK^T covers every key and prefill keeps its raw and softmax rows as
+the policies' observe-window scores.  Nothing else computes QK^T or softmax.
+
 Because the sum spans T, an attention row depends on the prompt length in
 its last bit: prefill of tokens[:-1] is not bit-equal to the first T-1 rows
 of prefill of tokens (hidden states from layer 0, Q/K/V from layer 1).
@@ -75,15 +79,6 @@ def _mm_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def matmul_transposed(a: TensorView, b: TensorView) -> TensorView:
-    """Compute a @ b.T for a: m x d, b: n x d."""
-    if a.cols != b.cols:
-        raise ValueError(
-            f"inner dimension mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
-        )
-    return TensorView(_mm_t(a.data, b.data))
-
-
 def _causal_softmax(
     scores: np.ndarray, query_offset: int, out: np.ndarray | None = None
 ) -> np.ndarray:
@@ -129,12 +124,3 @@ def _causal_pv(probs: np.ndarray, v: np.ndarray, query_offset: int) -> np.ndarra
         np.multiply(probs[i0:, k : k + 1], v[k], out=prod[i0:])
         out[i0:] += prod[i0:]
     return out
-
-
-def causal_softmax_rows(scores: TensorView, query_offset: int) -> TensorView:
-    """Row-wise softmax where row i may attend to columns <= query_offset + i.
-
-    Masked entries become exactly zero; each row is max-stabilized and sums
-    to 1 up to float32 rounding.
-    """
-    return TensorView(_causal_softmax(scores.data, query_offset))

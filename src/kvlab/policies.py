@@ -25,7 +25,7 @@ import numpy as np
 
 from .cache import BudgetSpec, KeptIndices
 from .model import PrefillTrace
-from .numerics import TensorView, causal_softmax_rows, matmul_transposed
+from .numerics import TensorView
 
 POLICY_KINDS = (
     "FullKV",
@@ -118,24 +118,6 @@ def chunk_boundaries(seq_len: int, c: int) -> tuple[tuple[int, int], ...]:
     return tuple(
         (start, min(start + c, seq_len)) for start in range(0, seq_len, c)
     )
-
-
-def observe_scores(
-    trace: PrefillTrace, layer: int, head: int, w: int, mode: str = "softmax"
-) -> TensorView:
-    """Scaled attention scores of the last w queries against all keys."""
-    t_q = trace.seq_len
-    if w < 1 or w > t_q:
-        raise ValueError(f"observe window w={w} outside [1, {t_q}]")
-    q = trace.q[layer][head]
-    k = trace.k[layer][head]
-    scale = np.float32(1.0 / math.sqrt(trace.config.head_dim))
-    raw = TensorView(matmul_transposed(TensorView(q.data[t_q - w :]), k).data * scale)
-    if mode == "raw":
-        return raw
-    if mode == "softmax":
-        return causal_softmax_rows(raw, query_offset=t_q - w)
-    raise ValueError(f"unknown score mode {mode!r}")
 
 
 def chunk_scores(a: TensorView, c: int) -> ChunkScoreTable:
@@ -309,12 +291,18 @@ def resolved_layer_budgets(
 def _scores(
     source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int, mode: str
 ) -> TensorView:
-    """The score rows a policy reads for one (layer, head) of a source."""
+    """The score rows a policy reads for one (layer, head) of a source.
+
+    A trace gives the last w of the observe rows prefill kept, raw or softmax.
+    """
     if isinstance(source, ScoreMatrices):
         return source.mats[layer]
     if w == 0:
         return TensorView(np.zeros((1, source.seq_len), dtype=np.float32))
-    return observe_scores(source, layer, head, w, mode)
+    rows = (source.observe_raw if mode == "raw" else source.observe_probs)[layer][head]
+    if w > rows.rows:
+        raise ValueError(f"observe window w={w} exceeds the {rows.rows} observe rows prefill kept")
+    return TensorView(rows.data[rows.rows - w :])
 
 
 def compress_layer(

@@ -29,12 +29,6 @@ class ReusePlan:
         return (layer // self.n_reuse) * self.n_reuse
 
 
-@dataclass(frozen=True)
-class SimilarityMatrix:
-    n: int
-    entries: tuple[tuple[float, ...], ...]
-
-
 def jaccard(a: KeptIndices, b: KeptIndices) -> float:
     """|a n b| / |a u b|; 1.0 when both sets are empty."""
     sa, sb = a.as_set(), b.as_set()
@@ -70,15 +64,11 @@ def adjacent_similarity(per_layer: list[KeptIndices]) -> float:
     return float(np.mean(sims))
 
 
-def similarity_matrix(per_layer: list[KeptIndices]) -> SimilarityMatrix:
+def similarity_matrix(per_layer: list[KeptIndices]) -> tuple[tuple[float, ...], ...]:
+    """Jaccard similarity of every pair of layers' kept sets, row by row."""
     if not per_layer:
         raise ValueError("need at least 1 layer")
-    n = len(per_layer)
-    entries = tuple(
-        tuple(jaccard(per_layer[i], per_layer[j]) for j in range(n))
-        for i in range(n)
-    )
-    return SimilarityMatrix(n=n, entries=entries)
+    return tuple(tuple(jaccard(a, b) for b in per_layer) for a in per_layer)
 
 
 def speedup_estimate(

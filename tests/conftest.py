@@ -16,4 +16,4 @@ def small_model():
 
 @pytest.fixture(scope="session")
 def small_trace(small_model):
-    return prefill(small_model, random_tokens(64, 40, seed=5))
+    return prefill(small_model, random_tokens(64, 40, seed=5), observe_rows=40)

@@ -101,6 +101,7 @@ def test_criterion_4_budget_and_recency_laws():
         prefill(
             init_model(ModelConfig(3, 2, 8, 64, seed=s)),
             random_tokens(64, 24 + 4 * s, seed=s),
+            observe_rows=4,
         )
         for s in range(5)
     ]
@@ -167,7 +168,7 @@ def test_criterion_6_directional_adjacent_similarity():
     sims = {name: [] for name in specs}
     for seed in range(20):
         model = init_model(ModelConfig(8, 4, 16, 256, seed=seed))
-        trace = prefill(model, random_tokens(256, 256, seed=seed + 1000))
+        trace = prefill(model, random_tokens(256, 256, seed=seed + 1000), observe_rows=8)
         for name, spec in specs.items():
             kept = run_with_reuse(trace, spec, ReusePlan(8, 1))
             sims[name].append(adjacent_similarity([kept[l][0] for l in range(8)]))
@@ -183,7 +184,7 @@ def test_criterion_6_directional_adjacent_similarity():
 
 def test_criterion_7_index_reuse_correctness():
     model = init_model(ModelConfig(8, 2, 8, 64, seed=5))
-    trace = prefill(model, random_tokens(64, 48, seed=6))
+    trace = prefill(model, random_tokens(64, 48, seed=6), observe_rows=4)
     spec = PolicySpec("ChunkKV", BudgetSpec(ratio=0.3, w=4, c=5))
     for n_reuse in (2, 4):
         plan = ReusePlan(8, n_reuse)

@@ -8,8 +8,6 @@ from kvlab.cache import (
     KeptIndices,
     LayerKV,
     MemoryParams,
-    apply_kept,
-    compression_ratio,
     memory_bytes,
 )
 from kvlab.numerics import TensorView
@@ -54,51 +52,6 @@ class TestMemoryBytes:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             MemoryParams(0, 1, 1, 1, 1)
-
-
-class TestApplyKept:
-    def test_identity(self):
-        kv = make_layer_kv()
-        out = apply_kept(kv, KeptIndices.from_iterable(range(kv.seq_len)))
-        for h in range(kv.n_heads):
-            assert np.array_equal(out.keys[h].data, kv.keys[h].data)
-
-    def test_single_row(self):
-        kv = make_layer_kv(seq_len=3)
-        out = apply_kept(kv, KeptIndices.from_iterable([0]))
-        assert out.seq_len == 1
-        assert np.array_equal(out.keys[0].data[0], kv.keys[0].data[0])
-
-    def test_gather_oracle(self):
-        kv = make_layer_kv(seq_len=5, seed=3)
-        out = apply_kept(kv, KeptIndices.from_iterable([1, 3]))
-        for h in range(kv.n_heads):
-            for j, src in enumerate((1, 3)):
-                assert np.array_equal(out.keys[h].data[j], kv.keys[h].data[src])
-                assert np.array_equal(out.values[h].data[j], kv.values[h].data[src])
-
-    def test_out_of_range(self):
-        kv = make_layer_kv(seq_len=4)
-        with pytest.raises(ValueError):
-            apply_kept(kv, KeptIndices.from_iterable([4]))
-
-    def test_idempotent_with_all_positions(self):
-        kv = make_layer_kv()
-        once = apply_kept(kv, KeptIndices.from_iterable(range(kv.seq_len)))
-        twice = apply_kept(once, KeptIndices.from_iterable(range(once.seq_len)))
-        for h in range(kv.n_heads):
-            assert np.array_equal(once.keys[h].data, twice.keys[h].data)
-
-
-class TestCompressionRatio:
-    def test_full(self):
-        assert compression_ratio(KeptIndices.from_iterable(range(7)), 7) == 1.0
-
-    def test_empty(self):
-        assert compression_ratio(KeptIndices(()), 10) == 0.0
-
-    def test_ten_percent(self):
-        assert compression_ratio(KeptIndices.from_iterable(range(12)), 120) == 0.10
 
 
 class TestBudgetSpec:

@@ -99,11 +99,18 @@ class TestSimulate:
         assert "perf" not in report
         assert (tmp_path / "out" / "timings.json").exists()
         timings = json.loads((tmp_path / "out" / "timings.json").read_text())
-        assert set(timings["policies"]) == {"ChunkKV", "SnapKVStyle"}
-        for stages in timings["policies"].values():
-            assert set(stages) == {"select_s", "fidelity_s"}
-            assert all(v >= 0.0 for v in stages.values())
+        assert [p["policy"] for p in timings["policies"]] == ["ChunkKV", "SnapKVStyle"]
+        for stages in timings["policies"]:
+            assert set(stages) == {"policy", "select_s", "fidelity_s"}
+            assert stages["select_s"] >= 0.0 and stages["fidelity_s"] >= 0.0
         assert "select_s" not in report and "fidelity_s" not in report
+
+    def test_timings_keep_policies_of_one_kind(self, tmp_path):
+        h2o = {"kind": "H2OStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}}
+        cfg = base_config(tmp_path / "out", policies=[h2o, {**h2o, "h2o_normalize": "none"}])
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        timings = json.loads((tmp_path / "out" / "timings.json").read_text())
+        assert [p["policy"] for p in timings["policies"]] == ["H2OStyle", "H2OStyle"]
 
 
 class TestSweep:
@@ -150,9 +157,9 @@ class TestSweep:
         calls = []
         real = kvlab.experiments.prefill
 
-        def counting(model, tokens):
+        def counting(model, tokens, *args, **kwargs):
             calls.append(len(tokens))
-            return real(model, tokens)
+            return real(model, tokens, *args, **kwargs)
 
         monkeypatch.setattr(kvlab.experiments, "prefill", counting)
         cfg = base_config(

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from kvlab.model import CacheSet, ModelConfig, decode_step, init_model, prefill
-from kvlab.numerics import TensorView, matmul_transposed
+from kvlab.experiments import _final_row_attention
+from kvlab.numerics import _mm_t
 
 from conftest import random_tokens
+from observe_reference import observe_scores
 
 # first-run regression value for ModelConfig(2, 2, 4, 32, seed=7)
 GOLDEN_CHECKSUM = -10.527508854866028
@@ -53,6 +55,11 @@ def test_prefill_rejects_bad_tokens(small_model):
         prefill(small_model, [small_model.config.vocab_size])
 
 
+def test_prefill_rejects_nonpositive_observe_rows(small_model):
+    with pytest.raises(ValueError, match="observe_rows"):
+        prefill(small_model, [1, 2], observe_rows=0)
+
+
 def test_token_permutation_changes_keys(small_model):
     t1 = prefill(small_model, [1, 2, 3, 4])
     t2 = prefill(small_model, [2, 1, 3, 4])
@@ -95,8 +102,7 @@ def test_decode_matches_prefill(small_model):
     logits, _ = decode_step(small_model, cache, toks[-1])
 
     full = prefill(small_model, toks)
-    last_hidden = TensorView(full.hidden[-1].data[-1:])
-    want = matmul_transposed(last_hidden, TensorView(small_model.embed)).data
+    want = _mm_t(full.hidden[-1].data[-1:], small_model.embed)
     assert np.allclose(logits.data, want, atol=1e-4)
 
 
@@ -154,17 +160,32 @@ def test_golden_trace_digest(roadmap_model, t):
     assert _trace_digest(trace) == GOLDEN_TRACE_DIGESTS[t]
 
 
+@pytest.mark.parametrize("t", [127, 128, 129, 300])
+def test_observe_rows_leave_trace_bits(roadmap_model, t):
+    # a 129-row observe tail moves every row-block edge but no bit of the trace
+    trace = prefill(roadmap_model, random_tokens(256, t, seed=t), observe_rows=129)
+    assert _trace_digest(trace) == GOLDEN_TRACE_DIGESTS[t]
+
+
 @pytest.mark.parametrize("t", sorted(GOLDEN_TRACE_DIGESTS))
 def test_attention_statistics_match_observe_oracle(roadmap_model, t):
-    from kvlab.policies import observe_scores
-
-    trace = prefill(roadmap_model, random_tokens(256, t, seed=t))
-    for l in range(trace.n_layers):
-        for h in range(trace.n_heads):
-            full = observe_scores(trace, l, h, t, "softmax").data
-            mass = trace.col_mass[l][h]
-            assert mass.dtype == np.float64 and mass.shape == (t,)
-            assert mass.tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
-            row = trace.final_row[l][h].data
-            assert row.shape == (1, t)
-            assert row.tobytes() == observe_scores(trace, l, h, 1, "softmax").data.tobytes()
+    # observe_rows 129 and T put the tail block across a 128-row block edge
+    tokens = random_tokens(256, t, seed=t)
+    for observe_rows in sorted({1, 2, 8, 129, t}):
+        trace = prefill(roadmap_model, tokens, observe_rows=observe_rows)
+        kept = min(observe_rows, t)
+        for l in range(trace.n_layers):
+            for h in range(trace.n_heads):
+                for mode, rows in (("raw", trace.observe_raw), ("softmax", trace.observe_probs)):
+                    got = rows[l][h].data
+                    assert got.shape == (kept, t)
+                    for w in sorted({1, kept}):
+                        want = observe_scores(trace, l, h, w, mode).data
+                        assert got[kept - w :].tobytes() == want.tobytes()
+                full = observe_scores(trace, l, h, t, "softmax").data
+                mass = trace.col_mass[l][h]
+                assert mass.dtype == np.float64 and mass.shape == (t,)
+                assert mass.tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
+                row = _final_row_attention(trace, l, h).data
+                assert row.shape == (1, t)
+                assert row.tobytes() == observe_scores(trace, l, h, 1, "softmax").data.tobytes()

@@ -108,3 +108,34 @@ def test_sweep_digest(tmp_path, prompt, workers):
     assert main([*argv, "--workers", str(workers)]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
     assert digest == SWEEP_DIGESTS[prompt]
+
+
+# The only observe window wider than 4 is the Hybrid's inner_a (w = 12), so
+# prefill must size its observe rows by Hybrid inner policies too.  Digests
+# recorded before policies read their observe rows from prefill.
+HYBRID_INNER_DIGESTS = {
+    "simulate": "86c1d31bc73aa4d260ca2a37037a5b0fdc9875bcf658bd5ba47fa1af752e3f26",
+    "sweep": "9f0610ab73ef5875a867a2c2dc3e8471dcf99f638d8bae708d8039df6f6d7383",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HYBRID_INNER_DIGESTS))
+def test_hybrid_inner_window_digest(tmp_path, command):
+    hybrid = _policy(
+        "Hybrid", split=2,
+        inner_a={**_policy("ChunkKV"), "budget": {"ratio": 0.25, "w": 12, "c": 5}},
+        inner_b=_policy("SnapKVStyle", pool_width=3),
+    )
+    cfg = {
+        "schema": 1,
+        "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
+        "prompt": PROMPTS["random"],
+        "policies": [_policy("ChunkKV"), hybrid],
+        "sweep": {"c": [3, 5], "ratio": [0.25, 0.4], "n_reuse": [1, 2], "seeds": [1, 2]},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    name = {"simulate": "report.json", "sweep": "sweep.csv"}[command]
+    digest = hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+    assert digest == HYBRID_INNER_DIGESTS[command]

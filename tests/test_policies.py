@@ -8,16 +8,17 @@ from hypothesis import strategies as st
 
 from kvlab.cache import BudgetSpec
 from kvlab.metrics import NeedleCase, make_needle_case
-from kvlab.numerics import TensorView, causal_softmax_rows
+from kvlab.model import prefill
+from kvlab.numerics import TensorView
 from kvlab.policies import (
     PolicySpec,
     ScoreMatrices,
+    _scores,
     chunk_scores,
     chunkkv_from_scores,
     compress_layer,
     h2o_scores,
     max_pool_1d,
-    observe_scores,
     pyramid_budgets,
     select_chunks,
     streaming_compress,
@@ -25,6 +26,8 @@ from kvlab.policies import (
 )
 from kvlab.reuse import ReusePlan, run_with_reuse
 
+from conftest import random_tokens
+from observe_reference import causal_softmax_rows, observe_scores
 from test_numerics import naive_matmul_transposed
 
 
@@ -46,22 +49,27 @@ def exhaustive_best_chunks(scores, k):
 
 
 class TestObserveScores:
+    """The observe rows prefill keeps (small_trace keeps all T) as policies read them."""
+
     def test_full_window_raw_is_scaled_gram(self, small_trace):
         t = small_trace.seq_len
         d = small_trace.config.head_dim
-        a = observe_scores(small_trace, 0, 0, w=t, mode="raw")
+        a = _scores(small_trace, 0, 0, w=t, mode="raw")
         q = small_trace.q[0][0].data
         k = small_trace.k[0][0].data
         want = naive_matmul_transposed(q, k) * np.float32(1 / math.sqrt(d))
+        assert np.array_equal(small_trace.observe_raw[0][0].data, want)
         assert np.array_equal(a.data, want)
 
     def test_softmax_rows_sum_to_one(self, small_trace):
-        a = observe_scores(small_trace, 1, 0, w=4, mode="softmax")
+        a = _scores(small_trace, 1, 0, w=4, mode="softmax")
         assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-5)
+        assert np.allclose(small_trace.observe_probs[1][0].data.sum(axis=1), 1.0, atol=1e-5)
 
-    def test_w_too_large_raises(self, small_trace):
-        with pytest.raises(ValueError):
-            observe_scores(small_trace, 0, 0, w=small_trace.seq_len + 1)
+    def test_w_too_large_raises(self, small_model):
+        trace = prefill(small_model, random_tokens(64, 40, seed=5), observe_rows=4)
+        with pytest.raises(ValueError, match="w=5 exceeds the 4 observe rows"):
+            _scores(trace, 0, 0, w=5, mode="softmax")
 
 
 class TestChunkScores:

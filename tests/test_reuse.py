@@ -103,20 +103,20 @@ class TestAdjacentSimilarity:
 class TestSimilarityMatrix:
     def test_single_layer(self):
         m = similarity_matrix([ki(3, 4)])
-        assert m.n == 1 and m.entries == ((1.0,),)
+        assert len(m) == 1 and m == ((1.0,),)
 
     def test_two_identical_layers(self):
         m = similarity_matrix([ki(1, 2), ki(1, 2)])
-        assert m.entries == ((1.0, 1.0), (1.0, 1.0))
+        assert m == ((1.0, 1.0), (1.0, 1.0))
 
     def test_symmetric_unit_diagonal(self, small_trace):
         kept = per_layer(small_trace, TestRunWithReuse.SPEC)
         m = similarity_matrix([kept[l][0] for l in range(small_trace.n_layers)])
-        for i in range(m.n):
-            assert m.entries[i][i] == 1.0
-            for j in range(m.n):
-                assert m.entries[i][j] == m.entries[j][i]
-                assert m.entries[i][j] == jaccard(kept[i][0], kept[j][0])
+        for i in range(len(m)):
+            assert m[i][i] == 1.0
+            for j in range(len(m)):
+                assert m[i][j] == m[j][i]
+                assert m[i][j] == jaccard(kept[i][0], kept[j][0])
 
 
 class TestSpeedupEstimate:
