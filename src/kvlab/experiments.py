@@ -8,14 +8,16 @@ the config.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import itertools
 import json
+import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Optional
+from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -46,12 +48,15 @@ class ConfigError(ValueError):
 
 SCHEMA_VERSION = 1
 
-# sweep axis -> (JSON type of its values, how an error message names it)
-SWEEP_AXES = {
-    "c": (int, "an integer"),
-    "ratio": ((int, float), "a number"),
-    "n_reuse": (int, "an integer"),
-    "seeds": (int, "an integer"),
+# sweep axis -> the JSON type of its values
+SWEEP_AXES = {"c": int, "ratio": float, "n_reuse": int, "seeds": int}
+
+# prompt kind -> the PromptSpec fields its JSON object sets; a needle prompt's
+# other keys are NeedleCase fields
+PROMPT_KEYS = {
+    "random": ("kind", "length", "seed"),
+    "tokens": ("kind", "tokens"),
+    "needle": ("kind", "observe_rows"),
 }
 
 
@@ -64,13 +69,33 @@ class PromptSpec:
     needle: Optional[NeedleCase] = None
     observe_rows: int = 8
 
+    def __post_init__(self):
+        if self.kind == "random" and self.length < 1:
+            raise ValueError("random prompt needs length >= 1")
+        if self.kind == "tokens" and not self.tokens:
+            raise ValueError("tokens prompt must be non-empty")
+
+
+@dataclass(frozen=True)
+class ReuseSpec:
+    n_reuse: int = 1
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed config document.
+
+    With the dataclasses its fields hold (ModelConfig, PromptSpec,
+    PolicySpec, BudgetSpec, NeedleCase, ReuseSpec) this is the JSON schema:
+    every key is a field, every JSON type a field annotation and every
+    default a field default.  The document's `schema` key is checked before
+    the build; `raw` keeps the document as written.
+    """
+
     model: ModelConfig
     prompt: PromptSpec
     policies: tuple[PolicySpec, ...]
-    reuse: Optional[int] = None
+    reuse: Optional[ReuseSpec] = None
     sweep: Optional[dict] = None
     out_dir: str = "out"
     raw: Optional[dict] = None
@@ -81,164 +106,106 @@ def _require(cond: bool, msg: str):
         raise ConfigError(msg)
 
 
-def _require_type(value, types, field: str, what: str):
-    """Type check for a JSON scalar; JSON true/false never counts as a number."""
-    _require(
-        isinstance(value, types) and not isinstance(value, bool),
-        f"{field} must be {what}, got {value!r}",
-    )
+_JSON_TYPES = {
+    int: "an integer",
+    float: "a finite number",
+    str: "a string",
+    bool: "true or false",
+    dict: "a JSON object",
+}
 
 
-def parse_budget(doc: dict) -> BudgetSpec:
-    _require_type(doc, dict, "budget", "a JSON object")
-    max_len, ratio = doc.get("max_len"), doc.get("ratio")
-    w, c = doc.get("w", 8), doc.get("c", 10)
-    if max_len is not None:
-        _require_type(max_len, int, "budget.max_len", "an integer")
-    if ratio is not None:
-        _require_type(ratio, (int, float), "budget.ratio", "a number")
-    _require_type(w, int, "budget.w", "an integer")
-    _require_type(c, int, "budget.c", "an integer")
+_type_hints = functools.cache(get_type_hints)
+
+
+def _at(path: str, key: str | int) -> str:
+    if isinstance(key, int):
+        return f"{path}[{key}]"
+    return f"{path}.{key}" if path else key
+
+
+def _value(hint, value, path: str):
+    """value as a field of type hint: Optional[X], a dataclass, tuple[X, ...] or a JSON scalar.
+
+    JSON true/false never counts as a number, and a number in a float field
+    is stored as a Python float.
+    """
+    if get_origin(hint) is Union:  # Optional[X]
+        if value is None:
+            return None
+        hint = get_args(hint)[0]
+    if is_dataclass(hint):
+        return _build(hint, value, path)
+    if get_origin(hint) is tuple:
+        _require(isinstance(value, list), f"{path} must be a JSON list, got {value!r}")
+        return tuple(_value(get_args(hint)[0], v, _at(path, i)) for i, v in enumerate(value))
+    ok = isinstance(value, (int, float) if hint is float else hint)
+    ok = ok and (hint is bool or not isinstance(value, bool))
+    if ok and hint is float:
+        ok = abs(value) <= sys.float_info.max  # finite, and an integer a float holds
+    _require(ok, f"{path} must be {_JSON_TYPES[hint]}, got {value!r}")
+    return float(value) if hint is float else value
+
+
+def _build(cls, doc, path: str, keys: Optional[tuple[str, ...]] = None, **given):
+    """The dataclass cls from the JSON object doc at path.
+
+    doc may set the fields in keys (default: every field not in given); a
+    missing key takes its field's default, an unknown key is an error.  The
+    given fields come from the caller.  The dataclass's own ValueError is
+    raised again as a ConfigError naming path.
+    """
+    _require(isinstance(doc, dict), f"{path} must be a JSON object, got {doc!r}")
+    keys = keys or [f.name for f in fields(cls) if f.name not in given]
+    for key in doc:
+        _require(key in keys, f"unknown field {_at(path, key)}")
+    for f in fields(cls):
+        known = f.name in doc or f.name in given or f.default is not MISSING
+        _require(known, f"missing field {_at(path, f.name)}")
+    hints = _type_hints(cls)
+    kwargs = {k: _value(hints[k], v, _at(path, k)) for k, v in doc.items()}
     try:
-        return BudgetSpec(max_len=max_len, ratio=ratio, w=w, c=c)
+        return cls(**kwargs, **given)
     except ValueError as e:
-        raise ConfigError(f"invalid budget: {e}") from e
+        raise ConfigError(f"{path}: {e}") from e
 
 
-def parse_policy(doc: dict, field: str = "policy") -> PolicySpec:
-    _require_type(doc, dict, field, "a JSON object")
-    _require("kind" in doc, "policy requires 'kind'")
-    kwargs: dict[str, Any] = {
-        "kind": doc["kind"],
-        "score_mode": doc.get("score_mode", "softmax"),
-        "pool_width": doc.get("pool_width", 1),
-        "sink": doc.get("sink", 4),
-        "skew": doc.get("skew", 0.0),
-        "split": doc.get("split"),
-        "head_pool": doc.get("head_pool", False),
-        "h2o_normalize": doc.get("h2o_normalize", "exposure"),
-    }
-    _require_type(kwargs["sink"], int, "sink", "an integer")
-    _require_type(kwargs["skew"], (int, float), "skew", "a number")
-    if kwargs["split"] is not None:
-        _require_type(kwargs["split"], int, "split", "an integer")
-    head_pool = kwargs["head_pool"]
-    _require(isinstance(head_pool, bool), f"head_pool must be true or false, got {head_pool!r}")
-    _require("budget" in doc, "policy requires 'budget'")
-    kwargs["budget"] = parse_budget(doc["budget"])
-    if doc["kind"] == "Hybrid":
-        _require(
-            "inner_a" in doc and "inner_b" in doc,
-            "Hybrid policy requires inner_a and inner_b",
-        )
-        kwargs["inner_a"] = parse_policy(doc["inner_a"], "inner_a")
-        kwargs["inner_b"] = parse_policy(doc["inner_b"], "inner_b")
-    try:
-        return PolicySpec(**kwargs)
-    except ValueError as e:
-        raise ConfigError(f"invalid policy: {e}") from e
-
-
-def _field(doc: dict, section: str, name: str, default=None, types=int, what="an integer"):
-    """doc[name] checked against JSON types; missing is an error unless a default is given."""
-    value = doc.get(name, default)
-    _require(value is not None, f"{section} requires '{name}'")
-    _require_type(value, types, f"{section}.{name}", what)
-    return value
-
-
-def parse_prompt(doc: dict) -> PromptSpec:
-    _require_type(doc, dict, "prompt", "a JSON object")
+def parse_prompt(doc) -> PromptSpec:
+    _require(isinstance(doc, dict), f"prompt must be a JSON object, got {doc!r}")
     kind = doc.get("kind")
-    if kind == "random":
-        length = _field(doc, "prompt", "length", 0)
-        _require(length >= 1, "random prompt needs length >= 1")
-        return PromptSpec(kind="random", length=length, seed=_field(doc, "prompt", "seed", 0))
-    if kind == "tokens":
-        toks = doc.get("tokens", [])
-        _require_type(toks, list, "prompt.tokens", "a JSON list")
-        for i, t in enumerate(toks):
-            _require_type(t, int, f"prompt.tokens[{i}]", "an integer")
-        _require(len(toks) >= 1, "tokens prompt must be non-empty")
-        return PromptSpec(kind="tokens", tokens=tuple(toks), length=len(toks))
+    _require(isinstance(kind, str) and kind in PROMPT_KEYS, f"unknown prompt kind {kind!r}")
+    keys = PROMPT_KEYS[kind]
     if kind == "needle":
-        signal = _field(doc, "prompt", "signal", types=(int, float), what="a number")
-        weak = doc.get("weak_offset")
-        if weak is not None:
-            _require_type(weak, int, "prompt.weak_offset", "an integer")
-        ints = {n: _field(doc, "prompt", n) for n in ("seq_len", "span_start", "span_len")}
-        seed = _field(doc, "prompt", "seed", 0)
-        try:
-            case = NeedleCase(
-                **ints,
-                signal=float(signal),
-                seed=seed,
-                noise=doc.get("noise", "uniform"),
-                weak_offset=weak,
-            )
-        except ValueError as e:
-            raise ConfigError(f"invalid needle prompt: {e}") from e
-        return PromptSpec(
-            kind="needle",
-            length=case.seq_len,
-            seed=case.seed,
-            needle=case,
-            observe_rows=_field(doc, "prompt", "observe_rows", 8),
-        )
-    raise ConfigError(f"unknown prompt kind {kind!r}")
+        case = _build(NeedleCase, {k: v for k, v in doc.items() if k not in keys}, "prompt")
+        own = {k: v for k, v in doc.items() if k in keys}
+        return _build(PromptSpec, own, "prompt", length=case.seq_len, seed=case.seed, needle=case)
+    spec = _build(PromptSpec, doc, "prompt", keys)
+    return replace(spec, length=len(spec.tokens)) if kind == "tokens" else spec
 
 
-def parse_config(doc: dict) -> ExperimentConfig:
+def parse_config(doc) -> ExperimentConfig:
     _require(isinstance(doc, dict), "config must be a JSON object")
-    _require(doc.get("schema") == SCHEMA_VERSION, "config requires 'schema': 1")
-    _require("model" in doc, "config requires 'model'")
-    m = doc["model"]
-    _require_type(m, dict, "model", "a JSON object")
-    dims = {n: _field(m, "model", n) for n in ("n_layers", "n_heads", "head_dim", "vocab_size")}
-    dims["seed"] = _field(m, "model", "seed", 0)
-    try:
-        model = ModelConfig(**dims)
-    except ValueError as e:
-        raise ConfigError(f"invalid model config: {e}") from e
-    _require("prompt" in doc, "config requires 'prompt'")
-    prompt = parse_prompt(doc["prompt"])
-    policy_docs = doc.get("policies", [])
-    _require_type(policy_docs, list, "policies", "a JSON list")
-    policies = tuple(parse_policy(p, f"policies[{i}]") for i, p in enumerate(policy_docs))
-    _require(len(policies) >= 1, "config requires at least one policy")
-    for spec in policies:
+    schema = doc.get("schema")
+    _require(type(schema) is int and schema == SCHEMA_VERSION, "config requires 'schema': 1")
+    _require("prompt" in doc, "missing field prompt")
+    body = {k: v for k, v in doc.items() if k not in ("schema", "prompt")}
+    cfg = _build(ExperimentConfig, body, "", prompt=parse_prompt(doc["prompt"]), raw=doc)
+    n_layers = cfg.model.n_layers
+    _require(len(cfg.policies) >= 1, "config requires at least one policy")
+    for i, spec in enumerate(cfg.policies):
         _require(
-            spec.kind != "Hybrid" or spec.split <= model.n_layers,
-            f"Hybrid split {spec.split} exceeds model n_layers {model.n_layers}",
+            spec.kind != "Hybrid" or spec.split <= n_layers,
+            f"policies[{i}].split {spec.split} exceeds model.n_layers {n_layers}",
         )
-    reuse = None
-    if doc.get("reuse") is not None:
-        _require_type(doc["reuse"], dict, "reuse", "a JSON object")
-        reuse = doc["reuse"].get("n_reuse", 1)
-        _require_type(reuse, int, "reuse.n_reuse", "an integer")
-        _require(1 <= reuse <= model.n_layers, "reuse n_reuse outside [1, n_layers]")
-    sweep = doc.get("sweep")
-    if sweep is not None:
-        _require_type(sweep, dict, "sweep", "a JSON object")
-        for axis, values in sweep.items():
-            _require(axis in SWEEP_AXES, f"unknown sweep axis {axis!r}")
-            _require(isinstance(values, list) and len(values) >= 1, f"sweep axis {axis!r} must be a non-empty list")
-            types, what = SWEEP_AXES[axis]
+    if cfg.reuse is not None:
+        _require(1 <= cfg.reuse.n_reuse <= n_layers, "reuse.n_reuse outside [1, n_layers]")
+    for axis, values in (cfg.sweep or {}).items():
+        _require(axis in SWEEP_AXES, f"unknown field sweep.{axis}")
+        values = _value(tuple[SWEEP_AXES[axis], ...], values, f"sweep.{axis}")
+        _require(len(values) >= 1, f"sweep.{axis} must be a non-empty list")
+        if axis == "n_reuse":
             for i, v in enumerate(values):
-                _require_type(v, types, f"sweep.{axis}[{i}]", what)
-                if axis == "n_reuse":
-                    _require(1 <= v <= model.n_layers, f"sweep.n_reuse[{i}] outside [1, n_layers]")
-    out_dir = doc.get("out_dir", "out")
-    _require_type(out_dir, str, "out_dir", "a string")
-    cfg = ExperimentConfig(
-        model=model,
-        prompt=prompt,
-        policies=policies,
-        reuse=reuse,
-        sweep=sweep,
-        out_dir=out_dir,
-        raw=doc,
-    )
+                _require(1 <= v <= n_layers, f"sweep.n_reuse[{i}] outside [1, n_layers]")
     _check_budgets(cfg)
     return cfg
 
@@ -289,10 +256,15 @@ def load_config(path) -> ExperimentConfig:
 
 
 def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """cfg with its prompt seed replaced, needle case and echoed config included."""
+    """cfg with its prompt seed replaced, needle case and echoed config included.
+
+    A tokens prompt has no seed key, so its echoed config stays as written.
+    """
     p = cfg.prompt
     needle = replace(p.needle, seed=seed) if p.needle is not None else None
-    raw = {**cfg.raw, "prompt": {**cfg.raw["prompt"], "seed": seed}}
+    raw = cfg.raw
+    if p.kind != "tokens":
+        raw = {**raw, "prompt": {**raw["prompt"], "seed": seed}}
     return replace(cfg, prompt=replace(p, seed=seed, needle=needle), raw=raw)
 
 
@@ -424,7 +396,7 @@ def _policy_report(
     if cfg.reuse is not None:
         t_c, t_s = modeled_layer_costs(t_k, cfg.model.n_heads, spec.budget.w)
         rep["speedup_estimate"] = round(
-            speedup_estimate(cfg.model.n_layers, cfg.reuse, t_c, t_s), 6
+            speedup_estimate(cfg.model.n_layers, cfg.reuse.n_reuse, t_c, t_s), 6
         )
     return rep
 
@@ -447,7 +419,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
         trace = source = prefill(model, prompt_tokens(cfg), observe_rows=_observe_rows(cfg))
         timings["prefill_s"] = time.perf_counter() - t0
     t_k = source.seq_len
-    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=cfg.reuse or 1)
+    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=cfg.reuse.n_reuse if cfg.reuse else 1)
 
     policy_reports = []
     for spec in cfg.policies:
@@ -597,7 +569,7 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[int, float, int, int]]:
     sw = cfg.sweep
     cs = sw.get("c", [cfg.policies[0].budget.c])
     ratios = sw.get("ratio", [cfg.policies[0].budget.ratio or 0.1])
-    reuses = sw.get("n_reuse", [cfg.reuse or 1])
+    reuses = sw.get("n_reuse", [cfg.reuse.n_reuse if cfg.reuse else 1])
     seeds = sw.get("seeds", [cfg.prompt.seed])
     return [
         (int(c), float(r), int(n), int(s))
@@ -615,18 +587,13 @@ def _seed_rows(cfg: ExperimentConfig, seed: int, cells: list) -> list[list[dict]
     return [run_sweep_cell(cfg, source, c, r, n, seed) for c, r, n, _ in cells]
 
 
-def _seed_worker(args):
-    doc, seed, cells = args
-    return _seed_rows(parse_config(doc), seed, cells)
-
-
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> Path:
     cells = _sweep_cells(cfg)
     seeds = list(dict.fromkeys(cell[3] for cell in cells))
     groups = [(s, [cell for cell in cells if cell[3] == s]) for s in seeds]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_seed_worker, [(cfg.raw, *g) for g in groups]))
+            done = list(pool.map(_seed_rows, [cfg] * len(groups), *zip(*groups)))
     else:
         done = [_seed_rows(cfg, *g) for g in groups]
     pending = {s: iter(rows) for s, rows in zip(seeds, done)}
@@ -733,7 +700,7 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) 
     t_select = median_time(lambda: list(anchor))
 
     reuses = cfg.sweep.get("n_reuse") if cfg.sweep else None
-    reuses = [int(n) for n in (reuses or [cfg.reuse])]
+    reuses = [int(n) for n in (reuses or [cfg.reuse.n_reuse])]
     fresh = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=1)
     rows = []
     for n_reuse in reuses:

@@ -57,13 +57,6 @@ class ToyModel:
     embed: np.ndarray
     layers: tuple[LayerWeights, ...]
 
-    def weight_checksum(self) -> float:
-        total = float(np.float64(self.embed.sum()))
-        for lw in self.layers:
-            for w in (lw.wq, lw.wk, lw.wv, lw.wo, lw.w1, lw.w2):
-                total += float(np.float64(w.sum()))
-        return total
-
 
 @dataclass(frozen=True)
 class PrefillTrace:

@@ -76,6 +76,8 @@ class PolicySpec:
                 raise ValueError(f"Hybrid split must be >= 1, got {self.split}")
             if self.inner_a.kind == "Hybrid" or self.inner_b.kind == "Hybrid":
                 raise ValueError("Hybrid specs cannot be nested")
+        elif (self.split, self.inner_a, self.inner_b) != (None, None, None):
+            raise ValueError("split, inner_a and inner_b are for Hybrid only")
 
     @property
     def name(self) -> str:

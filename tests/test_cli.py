@@ -22,6 +22,8 @@ def base_config(out_dir, **overrides):
     return cfg
 
 
+TOKENS_PROMPT = {"kind": "tokens", "tokens": [(7 * i) % 64 for i in range(40)]}
+
 NEEDLE_PROMPT = {
     "kind": "needle",
     "seq_len": 60,
@@ -251,6 +253,32 @@ class TestSeedOverride:
         assert (tmp_path / "par" / "sweep.csv").read_bytes() == want
 
 
+    def test_tokens_sweep_seed_workers_match(self, tmp_path):
+        cfg = base_config(tmp_path / "out", prompt=TOKENS_PROMPT, sweep={"c": [3, 5]})
+        path = write_config(tmp_path, cfg)
+        outs = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}"
+            args = ["--out", str(out), "--seed", "5", "--workers", workers]
+            assert main(["sweep", "--config", path, *args]) == 0
+            outs.append((out / "sweep.csv").read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["file-seed", "cli-seed"])
+    @pytest.mark.parametrize(
+        "prompt",
+        [{"kind": "random", "length": 48, "seed": 1}, TOKENS_PROMPT, NEEDLE_PROMPT],
+        ids=["random", "tokens", "needle"],
+    )
+    def test_echoed_config_parses_again(self, tmp_path, prompt, seed):
+        cfg = base_config(tmp_path / "out", prompt=prompt)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg), *seed]) == 0
+        echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        seeded = seed and prompt is not TOKENS_PROMPT  # a tokens prompt has no seed to echo
+        assert echo["prompt"] == ({**prompt, "seed": 5} if seeded else prompt)
+        parse_config(echo)
+
+
 class TestSimilarity:
     def test_outputs_per_policy(self, tmp_path):
         cfg = base_config(tmp_path / "out")
@@ -335,23 +363,26 @@ class TestConfigTypes:
     @pytest.mark.parametrize(
         "make_cfg, field",
         [
-            (lambda out: _with_budget(out, ratio="0.2"), "budget.ratio"),
-            (lambda out: _with_budget(out, w="2"), "budget.w"),
-            (lambda out: _with_budget(out, c=2.5), "budget.c"),
+            (lambda out: _with_budget(out, ratio="0.2"), "policies[0].budget.ratio"),
+            (lambda out: _with_budget(out, w="2"), "policies[0].budget.w"),
+            (lambda out: _with_budget(out, c=2.5), "policies[0].budget.c"),
             (lambda out: base_config(out, reuse=2), "reuse"),
             (
                 lambda out: base_config(out, policies=[{"kind": "ChunkKV", "budget": [1]}]),
-                "budget",
+                "policies[0].budget",
             ),
             (lambda out: base_config(out, policies=[1]), "policies[0]"),
             (lambda out: base_config(out, policies={"kind": "ChunkKV"}), "policies"),
             (lambda out: base_config(out, model=[]), "model"),
             (lambda out: base_config(out, prompt=[]), "prompt"),
             (lambda out: base_config(out, sweep=[1]), "sweep"),
-            (lambda out: _with_policy(out, "StreamingStyle", sink="4"), "sink"),
-            (lambda out: _with_policy(out, "StreamingStyle", sink=None), "sink"),
-            (lambda out: _with_policy(out, "PyramidStyle", skew="0.1"), "skew"),
-            (lambda out: _with_policy(out, "ChunkKV", head_pool="yes"), "head_pool"),
+            (lambda out: _with_policy(out, "StreamingStyle", sink="4"), "policies[0].sink"),
+            (lambda out: _with_policy(out, "StreamingStyle", sink=None), "policies[0].sink"),
+            (lambda out: _with_policy(out, "PyramidStyle", skew="0.1"), "policies[0].skew"),
+            (
+                lambda out: _with_policy(out, "ChunkKV", head_pool="yes"),
+                "policies[0].head_pool",
+            ),
             (lambda out: _with_model(out, n_layers=2.5), "model.n_layers"),
             (lambda out: _with_model(out, seed="3"), "model.seed"),
             (lambda out: base_config(out, sweep={"c": [2.5]}), "sweep.c[0]"),
@@ -399,7 +430,7 @@ class TestConfigTypes:
         }
         cfg = base_config(tmp_path / "out", policies=[hybrid])
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
-        assert "error: split must be an integer" in capsys.readouterr().err
+        assert "error: policies[0].split must be an integer" in capsys.readouterr().err
 
     def test_negative_sink_rejected_by_parse_config(self, tmp_path):
         with pytest.raises(ConfigError, match="sink"):
@@ -411,6 +442,23 @@ class TestConfigTypes:
         cfg["policies"][1]["pool_width"] = width
         with pytest.raises(ConfigError, match="pool_width"):
             parse_config(cfg)
+
+
+    @pytest.mark.parametrize("schema", [True, 1.0], ids=["true", "float"])
+    def test_schema_must_be_the_integer_1(self, tmp_path, capsys, schema):
+        cfg = base_config(tmp_path / "out", schema=schema)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert "schema" in capsys.readouterr().err
+
+    def test_integers_in_float_fields_stored_as_floats(self, tmp_path):
+        pyramid = {"kind": "PyramidStyle", "budget": {"ratio": 1, "w": 4, "c": 5}, "skew": 0}
+        cfg = parse_config(
+            base_config(tmp_path, prompt={**NEEDLE_PROMPT, "signal": 60}, policies=[pyramid])
+        )
+        spec = cfg.policies[0]
+        assert [type(v) for v in (cfg.prompt.needle.signal, spec.budget.ratio, spec.skew)] == [
+            float, float, float
+        ]
 
 
 def _hybrid_with_inner_b(out_dir, **inner_b):
@@ -485,6 +533,42 @@ class TestRangeErrorsBeforePrefill:
             {"kind": "PyramidStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "skew": 0.25},
         ])
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+
+
+class TestUnknownKeys:
+    @pytest.mark.parametrize(
+        "make_cfg, path",
+        [
+            (lambda out: {**base_config(out), "polices": []}, "polices"),
+            (lambda out: _with_model(out, n_layer=4), "model.n_layer"),
+            (
+                lambda out: base_config(out, prompt={"kind": "random", "length": 48, "seeds": 7}),
+                "prompt.seeds",
+            ),
+            (lambda out: base_config(out, prompt={**TOKENS_PROMPT, "seed": 7}), "prompt.seed"),
+            (lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "sead": 7}), "prompt.sead"),
+            (
+                lambda out: _with_policy(out, "SnapKVStyle", pool_widht=3),
+                "policies[0].pool_widht",
+            ),
+            (
+                lambda out: _hybrid_with_inner_b(out, kind="ChunkKV", skwe=0.1),
+                "policies[0].inner_b.skwe",
+            ),
+            (lambda out: _with_budget(out, W=12), "policies[0].budget.W"),
+            (lambda out: base_config(out, reuse={"nreuse": 4}), "reuse.nreuse"),
+        ],
+        ids=[
+            "top-level", "model", "random-prompt", "tokens-prompt", "needle-prompt",
+            "policy", "hybrid-inner-b", "budget", "reuse",
+        ],
+    )
+    def test_misspelled_key_exits_2_naming_its_path(self, tmp_path, capsys, make_cfg, path):
+        cfg = make_cfg(tmp_path / "out")
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: unknown field {path}\n" in err
+        assert "internal error" not in err
 
 
 class TestNeedleCommand:

@@ -1,0 +1,152 @@
+"""parse_config against arbitrary JSON, and against the benchmark's own configs."""
+
+import copy
+import importlib.util
+import sys
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from kvlab.cache import BudgetSpec
+from kvlab.experiments import (
+    SWEEP_AXES,
+    ConfigError,
+    ExperimentConfig,
+    PromptSpec,
+    ReuseSpec,
+    parse_config,
+)
+from kvlab.metrics import NeedleCase
+from kvlab.model import ModelConfig
+from kvlab.policies import POLICY_KINDS, PolicySpec
+
+ROOT = Path(__file__).resolve().parents[1]
+
+SCHEMA = (ExperimentConfig, ModelConfig, PromptSpec, PolicySpec, BudgetSpec, NeedleCase, ReuseSpec)
+KEYS = sorted({f.name for cls in SCHEMA for f in fields(cls)} | set(SWEEP_AXES) | {"schema"})
+WORDS = [
+    *POLICY_KINDS, "random", "tokens", "needle", "raw", "softmax", "exposure", "none",
+    "uniform", "gaussian",
+]
+
+# Integers stay small: parse_config checks one budget per model layer and
+# per sweep cell, so a large n_layers or sweep axis only makes an example
+# slow.  parse_config never prefills, so nothing else grows with them.
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-2, 40),
+    st.floats(),  # json.loads also yields NaN and Infinity
+    st.sampled_from(WORDS),
+    st.text(max_size=3),
+)
+JSON = st.recursive(
+    SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.sampled_from(KEYS) | st.text(max_size=3), inner, max_size=5),
+    ),
+    max_leaves=20,
+)
+
+
+def _budget(**extra):
+    return {"ratio": 0.25, "w": 4, "c": 5, **extra}
+
+
+VALID = [
+    {
+        "schema": 1,
+        "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
+        "prompt": {"kind": "random", "length": 48, "seed": 1},
+        "policies": [
+            {"kind": "StreamingStyle", "budget": _budget(), "sink": 2},
+            {
+                "kind": "Hybrid", "split": 2, "budget": _budget(),
+                "inner_a": {"kind": "PyramidStyle", "budget": _budget(), "skew": 0.2},
+                "inner_b": {"kind": "SnapKVStyle", "budget": _budget(), "pool_width": 3},
+            },
+        ],
+        "reuse": {"n_reuse": 2},
+        "sweep": {"c": [3, 5], "ratio": [0.2], "n_reuse": [1, 2], "seeds": [0]},
+    },
+    {
+        "schema": 1,
+        "model": {"n_layers": 2, "n_heads": 1, "head_dim": 4, "vocab_size": 16},
+        "prompt": {
+            "kind": "needle", "seq_len": 30, "span_start": 5, "span_len": 3, "signal": 9,
+            "weak_offset": 1, "noise": "gaussian", "observe_rows": 2,
+        },
+        "policies": [{"kind": "H2OStyle", "budget": {"max_len": 12, "w": 2, "c": 3}}],
+    },
+    {
+        "schema": 1,
+        "model": {"n_layers": 2, "n_heads": 1, "head_dim": 4, "vocab_size": 16},
+        "prompt": {"kind": "tokens", "tokens": [1, 2, 3, 4, 5, 6, 7, 8]},
+        "policies": [{"kind": "ChunkKV", "budget": _budget(), "head_pool": True}],
+        "out_dir": "out",
+    },
+]
+
+
+def _slots(node, path=()):
+    """Every (container path, key) of a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        yield path, key
+        if isinstance(value, (dict, list)):
+            yield from _slots(value, path + (key,))
+
+
+@st.composite
+def near_valid(draw):
+    """A valid config with up to three keys replaced, removed or added."""
+    doc = copy.deepcopy(draw(st.sampled_from(VALID)))
+    for _ in range(draw(st.integers(1, 3))):
+        path, key = draw(st.sampled_from(list(_slots(doc))))
+        node = doc
+        for step in path:
+            node = node[step]
+        action = draw(st.sampled_from(["replace", "remove", "add"]))
+        if action == "replace":
+            node[key] = draw(JSON)
+        elif isinstance(node, dict) and action == "remove":
+            del node[key]
+        elif isinstance(node, dict):
+            node[draw(st.sampled_from(KEYS))] = draw(JSON)
+    return doc
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(JSON, near_valid()))
+@example({"prompt": {"kind": {}}})
+@example({**VALID[0], "prompt": {"kind": {}}})
+@example({**VALID[0], "sweep": {"ratio": [10**400]}})
+def test_parse_config_returns_a_config_or_raises_config_error(doc):
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    assert isinstance(cfg, ExperimentConfig)
+
+
+def _load_workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up here
+    spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+WORKLOADS = _load_workloads()
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_configs_parse(name, seed):
+    assert isinstance(parse_config(WORKLOADS[name].config(seed)), ExperimentConfig)
