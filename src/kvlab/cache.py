@@ -3,12 +3,9 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
-
-from .numerics import TensorView
 
 
 @dataclass(frozen=True)
@@ -36,39 +33,6 @@ class KeptIndices:
 
     def as_set(self) -> frozenset:
         return frozenset(self.positions)
-
-
-@dataclass(frozen=True)
-class LayerKV:
-    """Per-layer key/value matrices, one T x D pair per head."""
-
-    layer: int
-    keys: tuple[TensorView, ...]
-    values: tuple[TensorView, ...]
-    seq_len: int
-
-    def __post_init__(self):
-        if len(self.keys) != len(self.values) or not self.keys:
-            raise ValueError("keys and values must be non-empty and equal length")
-        for k, v in zip(self.keys, self.values):
-            if k.rows != self.seq_len or v.rows != self.seq_len:
-                raise ValueError("all heads must share seq_len")
-            if (k.rows, k.cols) != (v.rows, v.cols):
-                raise ValueError("K and V must have identical shapes per head")
-
-    @property
-    def n_heads(self) -> int:
-        return len(self.keys)
-
-    @cached_property
-    def magnitudes(self) -> np.ndarray:
-        """|K| and |V| of every head, stacked K0, V0, K1, V1, ... (2H x T x D).
-
-        Built on first use and kept as long as this LayerKV; read-only.
-        """
-        mags = np.abs(np.stack([m.data for kv in zip(self.keys, self.values) for m in kv]))
-        mags.flags.writeable = False
-        return mags
 
 
 @dataclass(frozen=True)

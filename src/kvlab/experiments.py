@@ -27,6 +27,7 @@ from .metrics import (
     NeedleCase,
     attention_cosine,
     kv_l1_loss,
+    kv_magnitudes,
     make_needle_case,
     needle_retention,
 )
@@ -74,6 +75,8 @@ class PromptSpec:
             raise ValueError("random prompt needs length >= 1")
         if self.kind == "tokens" and not self.tokens:
             raise ValueError("tokens prompt must be non-empty")
+        if self.observe_rows < 1:
+            raise ValueError(f"observe_rows must be >= 1, got {self.observe_rows}")
 
 
 @dataclass(frozen=True)
@@ -237,6 +240,8 @@ def _check_policy_budget(spec: PolicySpec, field: str, at: str, cfg: ExperimentC
     elif spec.kind == "PyramidStyle":
         try:
             resolved_layer_budgets(spec, cfg.model.n_layers, t_k)
+        except OverflowError as e:  # a budget too large for the float skew arithmetic
+            raise ConfigError(f"{field}.budget: {e} at seq_len {t_k}{at}") from e
         except ValueError as e:
             raise ConfigError(f"{field}.skew {spec.skew}: {e} at seq_len {t_k}{at}") from e
     elif spec.kind == "StreamingStyle":
@@ -268,12 +273,11 @@ def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     return replace(cfg, prompt=replace(p, seed=seed, needle=needle), raw=raw)
 
 
-def prompt_tokens(cfg: ExperimentConfig, seed_override: Optional[int] = None) -> tuple[int, ...]:
+def prompt_tokens(cfg: ExperimentConfig) -> tuple[int, ...]:
     p = cfg.prompt
     if p.kind == "tokens":
         return p.tokens
-    seed = p.seed if seed_override is None else seed_override
-    rng = np.random.Generator(np.random.Philox(key=seed))
+    rng = np.random.Generator(np.random.Philox(key=p.seed))
     return tuple(int(t) for t in rng.integers(0, cfg.model.vocab_size, size=p.length))
 
 
@@ -326,6 +330,13 @@ def _observe_rows(cfg: ExperimentConfig) -> int:
     return max(1, *(s.budget.w for s in specs))
 
 
+def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:
+    """What the policies read: a needle prompt's synthetic scores, or the prompt's prefill."""
+    if cfg.prompt.kind == "needle":
+        return needle_source(cfg)
+    return prefill(init_model(cfg.model), prompt_tokens(cfg), observe_rows=_observe_rows(cfg))
+
+
 def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> TensorView:
     return TensorView(trace.observe_probs[layer][head].data[-1:])
 
@@ -333,12 +344,17 @@ def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> TensorVi
 def _fidelity(
     trace: PrefillTrace, kept: list[list[KeptIndices]]
 ) -> tuple[list[float], list[float]]:
-    """Per-layer head means of the evicted KV L1 and the final-row attention cosine."""
+    """Per-layer head means of the evicted KV L1 and the final-row attention cosine.
+
+    Head h's kept set is charged against the |K| and |V| of every head of
+    its layer, so a per-head policy's KV L1 is the head mean of "every head
+    evicts head h's set".
+    """
     heads = range(trace.n_heads)
     l1s, coss = [], []
     for l in range(trace.n_layers):
-        kv = trace.layer_kv(l)
-        l1s.append(float(np.mean([kv_l1_loss(kv, kept[l][h]) for h in heads])))
+        mags = kv_magnitudes(trace.k[l], trace.v[l])
+        l1s.append(float(np.mean([kv_l1_loss(mags, kept[l][h]) for h in heads])))
         rows = [_final_row_attention(trace, l, h) for h in heads]
         coss.append(float(np.mean([attention_cosine(rows[h], kept[l][h]) for h in heads])))
     return l1s, coss
@@ -404,19 +420,16 @@ def _policy_report(
 def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Run every policy once; returns (report, timings).
 
-    timings holds prefill_s and a list with one entry per policy, in report
-    order: its name, select_s (the reuse loop's kept sets) and fidelity_s
-    (the fidelity metrics on them).
+    timings holds prefill_s (model init and prefill; traces only) and a list
+    with one entry per policy, in report order: its name, select_s (the reuse
+    loop's kept sets) and fidelity_s (the fidelity metrics on them).
     """
     timings: dict[str, Any] = {"policies": []}
 
-    trace: Optional[PrefillTrace] = None
-    if cfg.prompt.kind == "needle":
-        source = needle_source(cfg)
-    else:
-        model = init_model(cfg.model)
-        t0 = time.perf_counter()
-        trace = source = prefill(model, prompt_tokens(cfg), observe_rows=_observe_rows(cfg))
+    t0 = time.perf_counter()
+    source = _source(cfg)
+    trace = source if isinstance(source, PrefillTrace) else None
+    if trace is not None:
         timings["prefill_s"] = time.perf_counter() - t0
     t_k = source.seq_len
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=cfg.reuse.n_reuse if cfg.reuse else 1)
@@ -579,11 +592,8 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[int, float, int, int]]:
 
 def _seed_rows(cfg: ExperimentConfig, seed: int, cells: list) -> list[list[dict]]:
     """Every cell of one prompt seed, on one source built (prefilled) once."""
-    if cfg.prompt.kind == "needle":
-        source = needle_source(cfg)
-    else:
-        tokens = prompt_tokens(cfg, seed_override=seed)
-        source = prefill(init_model(cfg.model), tokens, observe_rows=_observe_rows(cfg))
+    cfg = override_seed(cfg, seed)
+    source = _source(cfg)
     return [run_sweep_cell(cfg, source, c, r, n, seed) for c, r, n, _ in cells]
 
 
@@ -683,8 +693,7 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> Path:
 def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) -> Path:
     if cfg.reuse is None and not (cfg.sweep and cfg.sweep.get("n_reuse")):
         raise ConfigError("reuse-bench requires a reuse plan or an n_reuse sweep axis")
-    model = init_model(cfg.model)
-    trace = prefill(model, prompt_tokens(cfg), observe_rows=_observe_rows(cfg))
+    source = _source(cfg)
     spec = cfg.policies[0]
 
     def median_time(fn) -> float:
@@ -695,8 +704,8 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) 
             samples.append(time.perf_counter() - t0)
         return float(np.median(samples))
 
-    t_compress = median_time(lambda: compress_layer(trace, 0, spec))
-    anchor = compress_layer(trace, 0, spec)
+    t_compress = median_time(lambda: compress_layer(source, 0, spec))
+    anchor = compress_layer(source, 0, spec)
     t_select = median_time(lambda: list(anchor))
 
     reuses = cfg.sweep.get("n_reuse") if cfg.sweep else None
@@ -705,8 +714,8 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) 
     rows = []
     for n_reuse in reuses:
         plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
-        t_full = median_time(lambda: run_with_reuse(trace, spec, fresh))
-        t_reuse = median_time(lambda: run_with_reuse(trace, spec, plan))
+        t_full = median_time(lambda: run_with_reuse(source, spec, fresh))
+        t_reuse = median_time(lambda: run_with_reuse(source, spec, plan))
         rows.append({
             "n_reuse": n_reuse,
             "analytic_speedup": round(speedup_estimate(cfg.model.n_layers, n_reuse, t_compress, max(t_select, 0.0)), 6),

@@ -9,11 +9,11 @@ cosine between a final-row attention distribution and its zero-masked
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .cache import KeptIndices, LayerKV
+from .cache import KeptIndices
 from .numerics import TensorView
 
 
@@ -48,21 +48,28 @@ class NeedleCase:
         return range(self.span_start, self.span_start + self.span_len)
 
 
-def kv_l1_loss(full: LayerKV, kept: KeptIndices) -> float:
+def kv_magnitudes(keys: Sequence[TensorView], values: Sequence[TensorView]) -> np.ndarray:
+    """|K| and |V| of every head of one layer, stacked K0, V0, K1, V1, ... (2H x T x D)."""
+    return np.abs(np.stack([m.data for kv in zip(keys, values) for m in kv]))
+
+
+def kv_l1_loss(mags: np.ndarray, kept: KeptIndices) -> float:
     """Absolute K/V mass at evicted positions over the total entry count.
 
-    One gather from the layer's |K|/|V| stack, then one float64 sum per
-    array, added in K0, V0, K1, V1, ... order: the bits of summing each
-    head's gathered |K| and |V| on its own.  The gather must come out
-    C-contiguous (``np.compress``; ``mags[:, evicted]`` is position-major),
-    since numpy's buffered sum rounds by memory layout once an array
-    passes 8192 elements.
+    mags is one layer's `kv_magnitudes` stack, and kept is charged against
+    every head in it: callers that pass one head's kept set measure "every
+    head of the layer evicts this head's set", not that head's own evicted
+    mass.  One gather from the stack, then one float64 sum per array, added
+    in K0, V0, K1, V1, ... order: the bits of summing each head's gathered
+    |K| and |V| on its own.  The gather must come out C-contiguous
+    (``np.compress``; ``mags[:, evicted]`` is position-major), since numpy's
+    buffered sum rounds by memory layout once an array passes 8192 elements.
     """
-    if kept.positions and kept.positions[-1] >= full.seq_len:
+    seq_len = mags.shape[1]
+    if kept.positions and kept.positions[-1] >= seq_len:
         raise ValueError("kept index out of range")
-    evicted = np.ones(full.seq_len, dtype=bool)
+    evicted = np.ones(seq_len, dtype=bool)
     evicted[np.asarray(kept.positions, dtype=np.intp)] = False
-    mags = full.magnitudes
     lost = 0.0
     for s in np.compress(evicted, mags, axis=1).sum(axis=(1, 2), dtype=np.float64):
         lost += float(s)

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cache import KeptIndices, LayerKV
 from .numerics import TensorView, _causal_pv, _causal_softmax, _mm_t
 
 # Query rows per block of causal prefill attention.  Each block's QK^T and
@@ -93,14 +92,6 @@ class PrefillTrace:
     @property
     def n_heads(self) -> int:
         return self.config.n_heads
-
-    def layer_kv(self, layer: int) -> LayerKV:
-        return LayerKV(
-            layer=layer,
-            keys=self.k[layer],
-            values=self.v[layer],
-            seq_len=self.seq_len,
-        )
 
 
 def init_model(config: ModelConfig) -> ToyModel:
@@ -222,20 +213,14 @@ class CacheSet:
         the uncompressed FullKV cache.
         """
         cs = cls(config=trace.config)
+        heads = range(trace.n_heads)
         for l in range(trace.n_layers):
-            kv = trace.layer_kv(l)
-            if kept_per_layer is not None:
-                heads_k, heads_v = [], []
-                for h in range(trace.n_heads):
-                    kept = kept_per_layer[l][h]
-                    idx = np.asarray(kept.positions, dtype=np.intp)
-                    heads_k.append(np.array(kv.keys[h].data[idx]))
-                    heads_v.append(np.array(kv.values[h].data[idx]))
+            if kept_per_layer is None:
+                rows = [slice(None)] * len(heads)
             else:
-                heads_k = [np.array(k.data) for k in kv.keys]
-                heads_v = [np.array(v.data) for v in kv.values]
-            cs.keys.append(heads_k)
-            cs.values.append(heads_v)
+                rows = [np.asarray(kept_per_layer[l][h].positions, dtype=np.intp) for h in heads]
+            cs.keys.append([np.array(trace.k[l][h].data[rows[h]]) for h in heads])
+            cs.values.append([np.array(trace.v[l][h].data[rows[h]]) for h in heads])
         return cs
 
     def seq_len(self, layer: int, head: int = 0) -> int:

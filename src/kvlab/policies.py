@@ -105,51 +105,23 @@ class ScoreMatrices:
         return self.mats[0].cols
 
 
-@dataclass(frozen=True)
-class ChunkScoreTable:
-    """Per-chunk summed attention scores plus the chunk tiling of [0, T)."""
-
-    chunk_count: int
-    scores: tuple[float, ...]
-    boundaries: tuple[tuple[int, int], ...]
-
-
-def chunk_boundaries(seq_len: int, c: int) -> tuple[tuple[int, int], ...]:
+def chunk_scores(a: TensorView, c: int) -> np.ndarray:
+    """Float64 sums of all observe rows' scores over chunk i = [i*c, min(i*c + c, T))."""
     if c < 1:
         raise ValueError("chunk size must be >= 1")
-    return tuple(
-        (start, min(start + c, seq_len)) for start in range(0, seq_len, c)
-    )
-
-
-def chunk_scores(a: TensorView, c: int) -> ChunkScoreTable:
-    """Sum scores over all observe rows within each chunk of c columns."""
-    bounds = chunk_boundaries(a.cols, c)
     col_sums = a.data.sum(axis=0, dtype=np.float64)
-    starts = [s for s, _ in bounds]
-    sums = np.add.reduceat(col_sums, starts) if starts else np.zeros(0)
-    return ChunkScoreTable(
-        chunk_count=len(bounds),
-        scores=tuple(float(s) for s in sums),
-        boundaries=bounds,
-    )
+    return np.add.reduceat(col_sums, np.arange(0, a.cols, c)) if a.cols else np.zeros(0)
 
 
 def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores; ties broken toward the earlier index."""
+    """Indices of the k largest scores, ascending; ties broken toward the earlier index."""
     order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
     return np.sort(order[:k])
 
 
-def select_chunks(table: ChunkScoreTable, k: int) -> tuple[int, ...]:
-    """Top-k chunks by score, emitted in ascending chunk-index order."""
-    if k < 0 or k > table.chunk_count:
-        raise ValueError(f"k={k} outside [0, {table.chunk_count}]")
-    return tuple(int(i) for i in _top_k_stable(np.asarray(table.scores), k))
-
-
-def _recent_window(t_k: int, w: int) -> range:
-    return range(max(t_k - w, 0), t_k)
+def _with_recent(picked, recent: int, t_k: int) -> KeptIndices:
+    """The picked positions unioned with the last `recent` of t_k positions."""
+    return KeptIndices.from_iterable([*picked, *range(max(t_k - recent, 0), t_k)])
 
 
 def chunkkv_from_scores(
@@ -160,13 +132,9 @@ def chunkkv_from_scores(
         raise ValueError("observe window exceeds budget")
     if max_len >= t_k:
         return KeptIndices.from_iterable(range(t_k))
-    table = chunk_scores(a, c)
-    k = min((max_len - w) // c, table.chunk_count)
-    kept = set(_recent_window(t_k, w))
-    for ci in select_chunks(table, k):
-        start, end = table.boundaries[ci]
-        kept.update(range(start, end))
-    return KeptIndices.from_iterable(kept)
+    chunks = _top_k_stable(chunk_scores(a, c), (max_len - w) // c).tolist()
+    picked = [p for i in chunks for p in range(i * c, min(i * c + c, t_k))]
+    return _with_recent(picked, w, t_k)
 
 
 def topk_from_scores(
@@ -177,22 +145,17 @@ def topk_from_scores(
         raise ValueError("observe window exceeds budget")
     if max_len >= t_k:
         return KeptIndices.from_iterable(range(t_k))
-    kept = set(_recent_window(t_k, w))
-    top = _top_k_stable(np.asarray(col_scores, dtype=np.float64), max_len - w)
-    kept.update(int(i) for i in top)
-    return KeptIndices.from_iterable(kept)
+    return _with_recent(_top_k_stable(col_scores, max_len - w).tolist(), w, t_k)
 
 
 def streaming_compress(t_k: int, spec: PolicySpec) -> KeptIndices:
     """Sink tokens plus a recent window, no scores consulted."""
     max_len = spec.budget.resolve(t_k)
-    a = spec.sink
-    if a > max_len:
+    if spec.sink > max_len:
         raise ValueError("sink count exceeds budget")
     if t_k <= max_len:
         return KeptIndices.from_iterable(range(t_k))
-    kept = set(range(a)) | set(range(t_k - (max_len - a), t_k))
-    return KeptIndices.from_iterable(kept)
+    return _with_recent(range(spec.sink), max_len - spec.sink, t_k)
 
 
 def positional_exposure(t_k: int) -> np.ndarray:

@@ -16,6 +16,7 @@ from kvlab.metrics import (
     NeedleCase,
     attention_cosine,
     kv_l1_loss,
+    kv_magnitudes,
     make_needle_case,
     needle_retention,
 )
@@ -224,13 +225,13 @@ def test_criterion_8_needle_intactness():
 def test_criterion_9_fidelity_monotonicity():
     rng = np.random.Generator(np.random.Philox(key=17))
     for seed in range(50):
-        kv = make_layer_kv(seq_len=12, heads=2, dim=4, seed=seed)
+        mags = kv_magnitudes(*make_layer_kv(seq_len=12, heads=2, dim=4, seed=seed))
         p = rng.uniform(0.01, 1, size=12)
         row = TensorView((p / p.sum()).astype(np.float32).reshape(1, -1))
         positions = list(rng.permutation(12))
         chain = [KeptIndices.from_iterable(positions[:n]) for n in range(0, 13, 3)]
         for smaller, bigger in zip(chain, chain[1:]):
-            assert kv_l1_loss(kv, bigger) <= kv_l1_loss(kv, smaller)
+            assert kv_l1_loss(mags, bigger) <= kv_l1_loss(mags, smaller)
             assert attention_cosine(row, bigger) >= attention_cosine(row, smaller)
     ok(9, "growing kept-sets never raise KV L1 loss nor lower attention cosine (50 traces)")
 

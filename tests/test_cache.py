@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from kvlab.cache import (
     BudgetSpec,
     KeptIndices,
-    LayerKV,
     MemoryParams,
     memory_bytes,
 )
@@ -14,10 +13,11 @@ from kvlab.numerics import TensorView
 
 
 def make_layer_kv(seq_len=6, heads=2, dim=3, seed=0):
+    """One layer's per-head K and V, as (keys, values) tuples of seq_len x dim views."""
     rng = np.random.Generator(np.random.Philox(key=seed))
     ks = tuple(TensorView(rng.normal(size=(seq_len, dim)).astype(np.float32)) for _ in range(heads))
     vs = tuple(TensorView(rng.normal(size=(seq_len, dim)).astype(np.float32)) for _ in range(heads))
-    return LayerKV(layer=0, keys=ks, values=vs, seq_len=seq_len)
+    return ks, vs
 
 
 class TestMemoryBytes:

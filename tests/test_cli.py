@@ -188,6 +188,23 @@ class TestSweep:
         par = (tmp_path / "out_par" / "sweep.csv").read_bytes()
         assert seq == par
 
+    def test_needle_sweep_follows_seeds_axis(self, tmp_path):
+        weak = {**NEEDLE_PROMPT, "signal": 0.3}  # retention then depends on the noise draw
+        cfg = base_config(tmp_path / "out", prompt=weak, sweep={"c": [3, 5], "seeds": [1, 2]})
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        with (tmp_path / "out" / "sweep.csv").open() as f:
+            got = list(csv.DictReader(f))
+        del cfg["sweep"]["seeds"]
+        path = write_config(tmp_path, cfg)
+        want = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"seed{seed}"
+            assert main(["sweep", "--config", path, "--out", str(out), "--seed", seed]) == 0
+            with (out / "sweep.csv").open() as f:
+                want += csv.DictReader(f)
+        cell = lambda row: (row["c"], row["seed"], row["policy"])
+        assert sorted(got, key=cell) == sorted(want, key=cell)
+
     def test_needle_matrix_built_once_per_cell(self, tmp_path, monkeypatch):
         import kvlab.experiments
 
@@ -500,11 +517,15 @@ class TestRangeErrorsBeforePrefill:
             (lambda out: base_config(out, sweep={"c": [5, 0]}), "c must be"),
             (lambda out: base_config(out, sweep={"ratio": [1.5]}), "ratio must be"),
             (lambda out: base_config(out, sweep={"n_reuse": [5]}), "sweep.n_reuse[0]"),
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "observe_rows": 0}),
+                "prompt: observe_rows must be >= 1",
+            ),
         ],
         ids=[
             "skew-above-1", "skew-negative", "skew-below-w-plus-c", "sink-above-budget",
             "hybrid-inner-sink", "hybrid-inner-skew", "sweep-cell-sink", "sweep-c-zero",
-            "sweep-ratio-above-1", "sweep-n-reuse",
+            "sweep-ratio-above-1", "sweep-n-reuse", "needle-observe-rows-zero",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -602,3 +623,17 @@ class TestReuseBench:
         assert by_reuse[1]["analytic_speedup"] == pytest.approx(1.0)
         for r in out["results"]:
             assert "measured_speedup" in r and "analytic_speedup" in r
+
+    def test_needle_prompt_times_needle_scores(self, tmp_path, monkeypatch):
+        import kvlab.experiments
+
+        calls = []
+        real = kvlab.experiments.prefill
+        monkeypatch.setattr(
+            kvlab.experiments, "prefill", lambda *a, **k: calls.append(1) or real(*a, **k)
+        )
+        cfg = base_config(tmp_path / "out", prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2})
+        assert main(["reuse-bench", "--config", write_config(tmp_path, cfg)]) == 0
+        assert calls == []
+        out = json.loads((tmp_path / "out" / "reuse_bench.json").read_text())
+        assert [r["n_reuse"] for r in out["results"]] == [2]

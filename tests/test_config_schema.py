@@ -125,6 +125,7 @@ def near_valid(draw):
 @example({"prompt": {"kind": {}}})
 @example({**VALID[0], "prompt": {"kind": {}}})
 @example({**VALID[0], "sweep": {"ratio": [10**400]}})
+@example({**VALID[0], "policies": [{"kind": "PyramidStyle", "budget": {"max_len": 10**400}}]})
 def test_parse_config_returns_a_config_or_raises_config_error(doc):
     try:
         cfg = parse_config(doc)

@@ -14,13 +14,13 @@ from kvlab.policies import (
     PolicySpec,
     ScoreMatrices,
     _scores,
+    _top_k_stable,
     chunk_scores,
     chunkkv_from_scores,
     compress_layer,
     h2o_scores,
     max_pool_1d,
     pyramid_budgets,
-    select_chunks,
     streaming_compress,
     topk_from_scores,
 )
@@ -72,38 +72,46 @@ class TestObserveScores:
             _scores(trace, 0, 0, w=5, mode="softmax")
 
 
+def top_chunks(scores, k):
+    """Top-k chunks as chunkkv_from_scores ranks them, in ascending order."""
+    return tuple(_top_k_stable(scores, k).tolist())
+
+
 class TestChunkScores:
     def test_ceiling_boundaries(self):
-        table = chunk_scores(random_scores(1, 25, 0), c=10)
-        assert table.chunk_count == 3
-        assert table.boundaries == ((0, 10), (10, 20), (20, 25))
+        a = random_scores(1, 25, 0)
+        scores = chunk_scores(a, c=10)
+        assert scores.dtype == np.float64
+        assert len(scores) == 3
+        for i, (start, end) in enumerate([(0, 10), (10, 20), (20, 25)]):
+            assert scores[i] == pytest.approx(a.data[:, start:end].sum(dtype=np.float64))
 
     def test_all_ones_uniform(self):
-        table = chunk_scores(TensorView(np.ones((2, 6), dtype=np.float32)), c=2)
-        assert table.scores == (4.0, 4.0, 4.0)
+        scores = chunk_scores(TensorView(np.ones((2, 6), dtype=np.float32)), c=2)
+        assert scores.tolist() == [4.0, 4.0, 4.0]
 
     def test_column_sum_oracle(self):
         cols = [0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]
-        table = chunk_scores(TensorView.from_rows([cols]), c=2)
+        scores = chunk_scores(TensorView.from_rows([cols]), c=2)
         want = [cols[i] + cols[i + 1] for i in range(0, 8, 2)]
-        assert np.allclose(table.scores, want, atol=1e-6)
-        assert np.allclose(table.scores, [0.2, 0.9, 0.1, 1.8], atol=1e-6)
+        assert np.allclose(scores, want, atol=1e-6)
+        assert np.allclose(scores, [0.2, 0.9, 0.1, 1.8], atol=1e-6)
 
 
 class TestSelectChunks:
     def test_example(self):
-        table = chunk_scores(
+        scores = chunk_scores(
             TensorView.from_rows([[0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]]), c=2
         )
-        assert select_chunks(table, 2) == (1, 3)
+        assert top_chunks(scores, 2) == (1, 3)
 
     def test_k_equals_c(self):
-        table = chunk_scores(random_scores(2, 12, 1), c=3)
-        assert select_chunks(table, table.chunk_count) == tuple(range(table.chunk_count))
+        scores = chunk_scores(random_scores(2, 12, 1), c=3)
+        assert top_chunks(scores, len(scores)) == tuple(range(len(scores)))
 
     def test_k_zero(self):
-        table = chunk_scores(random_scores(2, 12, 1), c=3)
-        assert select_chunks(table, 0) == ()
+        scores = chunk_scores(random_scores(2, 12, 1), c=3)
+        assert top_chunks(scores, 0) == ()
 
     @settings(max_examples=100)
     @given(
@@ -113,16 +121,16 @@ class TestSelectChunks:
         st.data(),
     )
     def test_exhaustive_subset_oracle(self, t, c, seed, data):
-        table = chunk_scores(random_scores(2, t, seed), c)
-        if table.chunk_count > 8:
+        scores = chunk_scores(random_scores(2, t, seed), c)
+        if len(scores) > 8:
             c = -(-t // 8)
-            table = chunk_scores(random_scores(2, t, seed), c)
-        k = data.draw(st.integers(min_value=0, max_value=table.chunk_count))
-        assert select_chunks(table, k) == exhaustive_best_chunks(table.scores, k)
+            scores = chunk_scores(random_scores(2, t, seed), c)
+        k = data.draw(st.integers(min_value=0, max_value=len(scores)))
+        assert top_chunks(scores, k) == exhaustive_best_chunks(scores.tolist(), k)
 
     def test_tie_break_earlier(self):
-        table = chunk_scores(TensorView(np.ones((1, 9), dtype=np.float32)), c=3)
-        assert select_chunks(table, 2) == (0, 1)
+        scores = chunk_scores(TensorView(np.ones((1, 9), dtype=np.float32)), c=3)
+        assert top_chunks(scores, 2) == (0, 1)
 
 
 class TestChunkKV:
@@ -169,12 +177,10 @@ class TestChunkKV:
             return
         assert len(kept) <= max_len
         recent = set(range(t - w, t))
-        table = chunk_scores(a, c)
         kept_set = kept.as_set()
         for pos in kept_set - recent:
-            ci = pos // c
-            start, end = table.boundaries[ci]
-            assert set(range(start, end)) <= kept_set
+            start = pos // c * c
+            assert set(range(start, min(start + c, t))) <= kept_set
 
     @settings(max_examples=50, deadline=None)
     @given(
