@@ -50,7 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
-        cfg = override_seed(cfg, args.seed)
+        try:
+            cfg = override_seed(cfg, args.seed)
+        except ValueError as e:
+            raise ConfigError(f"--seed: {e}") from e
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     return cfg, out_dir

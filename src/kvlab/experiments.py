@@ -32,7 +32,7 @@ from .metrics import (
     needle_retention,
 )
 from .model import ModelConfig, PrefillTrace, init_model, prefill
-from .numerics import TensorView
+from .numerics import TensorView, check_seed
 from .policies import PolicySpec, ScoreMatrices, compress_layer, resolved_layer_budgets
 from .reuse import (
     ReusePlan,
@@ -77,6 +77,7 @@ class PromptSpec:
             raise ValueError("tokens prompt must be non-empty")
         if self.observe_rows < 1:
             raise ValueError(f"observe_rows must be >= 1, got {self.observe_rows}")
+        check_seed(self.seed)
 
 
 @dataclass(frozen=True)
@@ -206,9 +207,14 @@ def parse_config(doc) -> ExperimentConfig:
         _require(axis in SWEEP_AXES, f"unknown field sweep.{axis}")
         values = _value(tuple[SWEEP_AXES[axis], ...], values, f"sweep.{axis}")
         _require(len(values) >= 1, f"sweep.{axis} must be a non-empty list")
-        if axis == "n_reuse":
-            for i, v in enumerate(values):
+        for i, v in enumerate(values):
+            if axis == "n_reuse":
                 _require(1 <= v <= n_layers, f"sweep.n_reuse[{i}] outside [1, n_layers]")
+            elif axis == "seeds":
+                try:
+                    check_seed(v)
+                except ValueError as e:
+                    raise ConfigError(f"sweep.seeds[{i}]: {e}") from e
     _check_budgets(cfg)
     return cfg
 
@@ -237,7 +243,12 @@ def _check_policy_budget(spec: PolicySpec, field: str, at: str, cfg: ExperimentC
     if spec.kind == "Hybrid":
         _check_policy_budget(spec.inner_a, f"{field}.inner_a", at, cfg)
         _check_policy_budget(spec.inner_b, f"{field}.inner_b", at, cfg)
-    elif spec.kind == "PyramidStyle":
+        return
+    try:
+        budget = spec.budget.resolve(t_k)
+    except OverflowError as e:  # a ratio of a prompt length too large for a float
+        raise ConfigError(f"{field}.budget: {e} at seq_len {t_k}{at}") from e
+    if spec.kind == "PyramidStyle":
         try:
             resolved_layer_budgets(spec, cfg.model.n_layers, t_k)
         except OverflowError as e:  # a budget too large for the float skew arithmetic
@@ -245,7 +256,6 @@ def _check_policy_budget(spec: PolicySpec, field: str, at: str, cfg: ExperimentC
         except ValueError as e:
             raise ConfigError(f"{field}.skew {spec.skew}: {e} at seq_len {t_k}{at}") from e
     elif spec.kind == "StreamingStyle":
-        budget = spec.budget.resolve(t_k)
         _require(
             spec.sink <= budget,
             f"{field}.sink {spec.sink} exceeds the budget {budget} resolved at seq_len {t_k}{at}",
@@ -291,7 +301,7 @@ def needle_source(cfg: ExperimentConfig) -> ScoreMatrices:
     return ScoreMatrices(
         tuple(
             make_needle_case(
-                replace(case, seed=case.seed * 1000003 + l),
+                replace(case, seed=(case.seed * 1000003 + l) % 2**128),
                 observe_rows=cfg.prompt.observe_rows,
             )
             for l in range(cfg.model.n_layers)

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cache import KeptIndices
-from .numerics import TensorView
+from .numerics import TensorView, check_seed
 
 
 @dataclass(frozen=True)
@@ -42,6 +42,7 @@ class NeedleCase:
             raise ValueError("noise must be 'uniform' or 'gaussian'")
         if self.weak_offset is not None and not (0 <= self.weak_offset < self.span_len):
             raise ValueError("weak_offset must index into the span")
+        check_seed(self.seed)
 
     @property
     def span(self) -> range:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import TensorView, _causal_pv, _causal_softmax, _mm_t
+from .numerics import TensorView, _causal_pv, _causal_softmax, _mm_t, check_seed
 
 # Query rows per block of causal prefill attention.  Each block's QK^T and
 # softmax stop at its last row's column; per-head cost is flat within 10%
@@ -33,6 +33,7 @@ class ModelConfig:
     def __post_init__(self):
         if min(self.n_layers, self.n_heads, self.head_dim, self.vocab_size) < 1:
             raise ValueError("all model dimensions must be >= 1")
+        check_seed(self.seed)
 
     @property
     def hidden_dim(self) -> int:
@@ -125,6 +126,22 @@ def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> list[np.ndarray]
     return [x[:, h * head_dim : (h + 1) * head_dim] for h in range(n_heads)]
 
 
+def _add_rows(mass: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
+    """mass += rows[0], rows[1], ... in turn, in float64.
+
+    Bit-equal to summing the full T x T softmax over axis 0: each column is a
+    running sum in row order.  ``buf`` holds the running sum in row 0 and up
+    to len(buf) - 1 rows after it; one reduce adds them in row order.
+    (Adding a block's own column sums to ``mass`` would round differently.)
+    """
+    step = len(buf) - 1
+    for i in range(0, len(rows), step):
+        part = rows[i : i + step]
+        buf[0] = mass
+        buf[1 : len(part) + 1] = part
+        np.add.reduce(buf[: len(part) + 1], axis=0, out=mass)
+
+
 def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
     """Full causal forward pass capturing Q/K/V per head and hidden states.
 
@@ -149,7 +166,8 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
     blocks.append((tail, t))
 
     all_q, all_k, all_v, hiddens, col_mass, observe_raw, observe_probs = ([] for _ in range(7))
-    probs = np.empty((t, t), dtype=np.float32)  # causal rows, T wide
+    rows = np.empty((min(ROW_BLOCK, tail), t), dtype=np.float32)  # one block's rows, T wide
+    mass_buf = np.empty((ROW_BLOCK + 1, t), dtype=np.float64)
     for lw in model.layers:
         q = _mm_t(x, lw.wq)
         k = _mm_t(x, lw.wk)
@@ -161,18 +179,20 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
         ctx = np.empty((t, cfg.hidden_dim), dtype=np.float32)
         masses, raws, tails = [], [], []
         for h in range(cfg.n_heads):
+            mass = np.zeros(t, dtype=np.float64)
             for r0, r1 in blocks:
                 scores = _mm_t(heads_q[h][r0:r1], heads_k[h][:r1]) * scale
-                _causal_softmax(scores, query_offset=r0, out=probs[r0:r1])
-            ctx[:, h * cfg.head_dim : (h + 1) * cfg.head_dim] = _causal_pv(
-                probs, heads_v[h], query_offset=0
-            )
-            mass = probs.sum(axis=0, dtype=np.float64)
+                # the tail block's rows are kept, so they get a fresh buffer
+                block = rows[: r1 - r0] if r1 <= tail else np.empty((r1 - r0, t), np.float32)
+                _causal_softmax(scores, query_offset=r0, out=block)
+                ctx[r0:r1, h * cfg.head_dim : (h + 1) * cfg.head_dim] = _causal_pv(
+                    block, heads_v[h], query_offset=r0
+                )
+                _add_rows(mass, block, mass_buf)
             mass.flags.writeable = False
             masses.append(mass)
             raws.append(TensorView(scores))  # the tail block's QK^T, fresh per head
-            # copied: a contiguous float32 view would alias the reused buffer
-            tails.append(TensorView(probs[tail:].copy()))
+            tails.append(TensorView(block))
         col_mass.append(tuple(masses))
         observe_raw.append(tuple(raws))
         observe_probs.append(tuple(tails))

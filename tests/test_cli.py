@@ -487,6 +487,12 @@ def _hybrid_with_inner_b(out_dir, **inner_b):
     )
 
 
+def _with_seed(out_dir, section, seed):
+    cfg = base_config(out_dir)
+    cfg[section] = {**cfg[section], "seed": seed}
+    return cfg
+
+
 class TestRangeErrorsBeforePrefill:
     """Range errors that need only the config and prompt length exit 2 unprefilled."""
 
@@ -521,11 +527,33 @@ class TestRangeErrorsBeforePrefill:
                 lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "observe_rows": 0}),
                 "prompt: observe_rows must be >= 1",
             ),
+            # a ratio budget of this length overflows the float arithmetic
+            (
+                lambda out: base_config(
+                    out,
+                    prompt={"kind": "random", "length": 10**400, "seed": 1},
+                    policies=[{"kind": "StreamingStyle", "budget": {"ratio": 0.5}}],
+                ),
+                "policies[0].budget",
+            ),
+            # seeds outside Philox's key range [0, 2**128)
+            (lambda out: _with_seed(out, "model", -1), "model: seed"),
+            (lambda out: _with_seed(out, "model", 10**400), "model: seed"),
+            (lambda out: _with_seed(out, "prompt", -1), "prompt: seed"),
+            (lambda out: _with_seed(out, "prompt", 2**128), "prompt: seed"),
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seed": -1}),
+                "prompt: seed",
+            ),
+            (lambda out: base_config(out, sweep={"seeds": [0, -1]}), "sweep.seeds[1]"),
         ],
         ids=[
             "skew-above-1", "skew-negative", "skew-below-w-plus-c", "sink-above-budget",
             "hybrid-inner-sink", "hybrid-inner-skew", "sweep-cell-sink", "sweep-c-zero",
             "sweep-ratio-above-1", "sweep-n-reuse", "needle-observe-rows-zero",
+            "streaming-ratio-huge-length", "model-seed-negative", "model-seed-huge",
+            "prompt-seed-negative", "prompt-seed-2-to-128", "needle-seed-negative",
+            "sweep-seed-negative",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -546,6 +574,32 @@ class TestRangeErrorsBeforePrefill:
         assert field in err
         assert "internal error" not in err
         assert calls == []
+
+    @pytest.mark.parametrize(
+        "prompt", [{"kind": "random", "length": 48}, NEEDLE_PROMPT], ids=["random", "needle"]
+    )
+    @pytest.mark.parametrize("seed", [-1, 2**128], ids=["minus-1", "2-to-128"])
+    def test_seed_flag_outside_key_range_exits_2_without_prefill(
+        self, tmp_path, capsys, monkeypatch, prompt, seed
+    ):
+        import kvlab.experiments
+
+        calls = []
+        real = kvlab.experiments.prefill
+        monkeypatch.setattr(
+            kvlab.experiments, "prefill", lambda *a: calls.append(1) or real(*a)
+        )
+        cfg = write_config(tmp_path, base_config(tmp_path / "out", prompt=prompt))
+        assert main(["simulate", "--config", cfg, "--seed", str(seed)]) == 2
+        err = capsys.readouterr().err
+        assert "--seed: seed must be in [0, 2**128)" in err
+        assert calls == []
+
+    def test_needle_seed_at_the_key_limit_runs(self, tmp_path):
+        # each layer's needle scores draw from a key derived from the seed
+        prompt = {**NEEDLE_PROMPT, "seed": 2**128 - 1}
+        cfg = write_config(tmp_path, base_config(tmp_path / "out", prompt=prompt))
+        assert main(["simulate", "--config", cfg]) == 0
 
     def test_valid_edges_still_run(self, tmp_path):
         # a sink equal to the budget, and a skew whose last layer gets exactly w + c

@@ -126,6 +126,15 @@ def near_valid(draw):
 @example({**VALID[0], "prompt": {"kind": {}}})
 @example({**VALID[0], "sweep": {"ratio": [10**400]}})
 @example({**VALID[0], "policies": [{"kind": "PyramidStyle", "budget": {"max_len": 10**400}}]})
+@example(
+    {
+        **VALID[0],
+        "prompt": {"kind": "random", "length": 10**400},
+        "policies": [{"kind": "StreamingStyle", "budget": {"ratio": 0.5}}],
+    }
+)
+@example({**VALID[0], "model": {**VALID[0]["model"], "seed": 10**400}})
+@example({**VALID[0], "prompt": {**VALID[0]["prompt"], "seed": -1}})
 def test_parse_config_returns_a_config_or_raises_config_error(doc):
     try:
         cfg = parse_config(doc)

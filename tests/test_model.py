@@ -1,9 +1,20 @@
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from kvlab.model import CacheSet, ModelConfig, decode_step, init_model, prefill
+from kvlab.model import (
+    ROW_BLOCK,
+    CacheSet,
+    ModelConfig,
+    ToyModel,
+    decode_step,
+    init_model,
+    prefill,
+)
 from kvlab.experiments import _final_row_attention
 from kvlab.numerics import _mm_t
 
@@ -116,6 +127,29 @@ def test_decode_full_cache_equals_fullkv_logits(small_model, small_trace):
     assert np.array_equal(l1.data, l2.data)
 
 
+# SHA-256 over the logits bytes of four decode_step calls on a FullKV cache
+# from a T=300 prefill, recorded before P.V ran per row block on key tiles.
+# The head_dim-1 model takes the w*d == 1 path of _causal_pv in decode and in
+# prefill's one-row observe tail.
+DECODE_DIGESTS = {
+    (8, 4, 16, 256, 0): "ee17aaaab14b143f75b25742d0b644b119b9c554ead321ba03cefd5aad77a0e5",
+    (2, 3, 1, 64, 5): "68f95e4e3037785b23bdf4f168f5be1e11a86644c0031ea204d633139c5fda32",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(DECODE_DIGESTS))
+def test_decode_logits_digest(shape):
+    *dims, seed = shape
+    model = init_model(ModelConfig(*dims, seed=seed))
+    t = 300
+    cache = CacheSet.from_trace(prefill(model, random_tokens(model.config.vocab_size, t, seed=t)))
+    h = hashlib.sha256()
+    for token in random_tokens(model.config.vocab_size, 4, seed=t + 1):
+        logits, cache = decode_step(model, cache, token)
+        h.update(logits.data.tobytes())
+    assert h.hexdigest() == DECODE_DIGESTS[shape]
+
+
 def test_decode_layer_mismatch(small_model):
     other = prefill(init_model(ModelConfig(2, 2, 8, 64, seed=1)), [1, 2])
     cache = CacheSet.from_trace(other)
@@ -185,3 +219,29 @@ def test_attention_statistics_match_observe_oracle(roadmap_model, t):
                 row = _final_row_attention(trace, l, h).data
                 assert row.shape == (1, t)
                 assert row.tobytes() == observe_scores(trace, l, h, 1, "softmax").data.tobytes()
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t=st.integers(min_value=1, max_value=2 * ROW_BLOCK + 5),
+    observe_rows=st.integers(min_value=1, max_value=2 * ROW_BLOCK + 5),
+    head_dim=st.sampled_from([1, 2, 16]),
+    spread=st.sampled_from([1.0, 16.0]),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_col_mass_is_the_row_order_sum_of_the_full_softmax(t, observe_rows, head_dim, spread, seed):
+    # prefill adds each row block's softmax rows to col_mass as it goes and
+    # keeps no T x T buffer; the bits must be those of the full softmax sum.
+    # spread 16 scales the scores so probabilities span enough binades that
+    # float64 sums round, and summing a block's columns first would show.
+    cfg = ModelConfig(1, 2, head_dim, 32, seed=seed)
+    base = init_model(cfg)
+    s = np.float32(spread)
+    layers = tuple(replace(lw, wq=lw.wq * s, wk=lw.wk * s) for lw in base.layers)
+    model = ToyModel(cfg, base.embed * s, layers)
+    trace = prefill(model, random_tokens(32, t, seed=seed), observe_rows=observe_rows)
+    for h in range(trace.n_heads):
+        full = observe_scores(trace, 0, h, t, "softmax").data
+        assert trace.col_mass[0][h].tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
+        kept = trace.observe_probs[0][h].data
+        assert kept.tobytes() == full[t - min(observe_rows, t) :].tobytes()

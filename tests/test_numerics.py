@@ -2,11 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvlab.model import ROW_BLOCK
-from kvlab.numerics import TensorView, _causal_pv, _causal_softmax, _mm_t
+from kvlab.numerics import KEY_TILE, TensorView, _causal_pv, _causal_softmax, _mm_t
 
 
 def naive_matmul_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -149,6 +149,7 @@ def _oracle_causal_softmax(scores: np.ndarray, query_offset: int) -> np.ndarray:
     return (e / e.sum(axis=1, keepdims=True)).astype(np.float32)
 
 
+@pytest.mark.parametrize("head_dim", [16, 1, 2, 64])
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=3 * ROW_BLOCK + 5),
@@ -156,10 +157,10 @@ def _oracle_causal_softmax(scores: np.ndarray, query_offset: int) -> np.ndarray:
     st.sampled_from([1.0, 4.0, 40.0]),  # 40 underflows some allowed probabilities to 0
     st.integers(min_value=0, max_value=1000),
 )
-def test_blocked_softmax_and_causal_pv_match_unblocked_oracle(t, data, spread, seed):
+def test_blocked_softmax_and_causal_pv_match_unblocked_oracle(head_dim, t, data, spread, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     scores = (rng.normal(size=(t, t)) * spread).astype(np.float32)
-    v = rng.normal(size=(t, 16)).astype(np.float32)
+    v = rng.normal(size=(t, head_dim)).astype(np.float32)
     want = _oracle_causal_softmax(scores, query_offset=0)
 
     # one row block [r0, r1), written into a T-wide row buffer full of garbage
@@ -176,7 +177,13 @@ def test_blocked_softmax_and_causal_pv_match_unblocked_oracle(t, data, spread, s
         b1 = min(b0 + ROW_BLOCK, t)
         _causal_softmax(scores[b0:b1, :b1], query_offset=b0, out=probs[b0:b1])
     assert np.array_equal(probs, want)
-    assert np.array_equal(_causal_pv(probs, v, query_offset=0), _oracle_mm_t(want, v.T))
+    want_pv = _oracle_mm_t(want, v.T)
+    assert np.array_equal(_causal_pv(probs, v, query_offset=0), want_pv)
+    # P.V per row block, as prefill runs it right after each block's softmax
+    for b0 in range(0, t, ROW_BLOCK):
+        b1 = min(b0 + ROW_BLOCK, t)
+        got_pv = _causal_pv(probs[b0:b1], v, query_offset=b0)
+        assert got_pv.tobytes() == want_pv[b0:b1].tobytes()
 
     # the one-row decode case: the newest query sees every cached position
     row = scores[-1:]
@@ -198,3 +205,86 @@ def test_mm_t_matches_oracle_on_strided_views(m, data, seed):
     a = rng.normal(size=(m, 2 * d)).astype(np.float32)[:, d:]
     b = rng.normal(size=(n, 3 * d)).astype(np.float32)[:, ::3]
     assert np.array_equal(_mm_t(a, b), _oracle_mm_t(a, b))
+
+
+# Byte oracles: the two kernels as they were before _mm_t formed its rank-1
+# products with einsum and P.V ran on key tiles, copied verbatim.
+
+
+def _loop_mm_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    m, d = a.shape
+    n = b.shape[0]
+    bt = np.ascontiguousarray(b.T)
+    out = np.zeros((m, n), dtype=np.float32)
+    prod = np.empty_like(out)
+    for k in range(d):
+        np.multiply(a[:, k : k + 1], bt[k], out=prod)
+        out += prod
+    return out
+
+
+def _loop_causal_pv(probs: np.ndarray, v: np.ndarray, query_offset: int) -> np.ndarray:
+    w, t = probs.shape
+    out = np.zeros((w, v.shape[1]), dtype=np.float32)
+    prod = np.empty_like(out)
+    for k in range(min(t, query_offset + w)):
+        i0 = max(0, k - query_offset)
+        np.multiply(probs[i0:, k : k + 1], v[k], out=prod[i0:])
+        out[i0:] += prod[i0:]
+    return out
+
+
+def _entries(rng, shape, scale) -> np.ndarray:
+    """Normal entries times scale, with +0 and -0 sprinkled in."""
+    x = (rng.normal(size=shape) * scale).astype(np.float32)
+    x[rng.random(shape) < 0.05] = 0.0
+    x[rng.random(shape) < 0.05] = -0.0
+    return x
+
+
+# p_scale 1e-30 against v_scale 1e-20 underflows products to +-0
+@settings(max_examples=200, deadline=None)
+@given(
+    d=st.one_of(st.just(1), st.integers(min_value=1, max_value=64)),
+    w=st.one_of(st.just(1), st.integers(min_value=1, max_value=ROW_BLOCK + 5)),
+    query_offset=st.integers(min_value=0, max_value=400),
+    extra=st.integers(min_value=-ROW_BLOCK - 5, max_value=40),
+    p_scale=st.sampled_from([1e-30, 1e-20, 1e-3, 1.0]),
+    v_scale=st.sampled_from([1e-20, 1e-6, 1.0, 1e20]),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+# decode at head_dim 1: the w * d == 1 loop, over keys that cross tile edges
+@example(d=1, w=1, query_offset=300, extra=0, p_scale=1.0, v_scale=1.0, seed=1)
+@example(d=1, w=1, query_offset=2 * KEY_TILE, extra=0, p_scale=1.0, v_scale=1e20, seed=2)
+# the last visible key just before, at and just past a tile edge
+@example(d=16, w=1, query_offset=KEY_TILE - 2, extra=0, p_scale=1.0, v_scale=1.0, seed=3)
+@example(d=16, w=1, query_offset=KEY_TILE - 1, extra=0, p_scale=1.0, v_scale=1.0, seed=4)
+@example(d=16, w=ROW_BLOCK, query_offset=KEY_TILE + 1, extra=0, p_scale=1.0, v_scale=1.0, seed=5)
+@example(d=1, w=2, query_offset=0, extra=0, p_scale=1.0, v_scale=1.0, seed=6)
+def test_causal_pv_bytes_match_per_key_loop(d, w, query_offset, extra, p_scale, v_scale, seed):
+    t = max(query_offset + 1, query_offset + w + extra)  # every row sees key 0
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    probs = np.abs(_entries(rng, (w, t), p_scale))
+    probs[rng.random((w, t)) < 0.05] = -0.0
+    probs[np.arange(t)[None, :] > query_offset + np.arange(w)[:, None]] = 0.0  # the mask
+    v = _entries(rng, (t, d), v_scale)
+    got = _causal_pv(probs, v, query_offset)
+    assert got.shape == (w, d)
+    assert got.tobytes() == _loop_causal_pv(probs, v, query_offset).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=1, max_value=40),
+    d=st.integers(min_value=1, max_value=64),
+    a_scale=st.sampled_from([1e-30, 1e-20, 1.0]),
+    b_scale=st.sampled_from([1e-20, 1.0, 1e20]),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_mm_t_bytes_match_broadcast_loop(m, n, d, a_scale, b_scale, seed):
+    # strided views, as prefill passes per-head column slices
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    a = _entries(rng, (m, 2 * d), a_scale)[:, d:]
+    b = _entries(rng, (n, 3 * d), b_scale)[:, ::3]
+    assert _mm_t(a, b).tobytes() == _loop_mm_t(a, b).tobytes()
