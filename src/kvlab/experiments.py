@@ -37,6 +37,7 @@ from .policies import PolicySpec, ScoreMatrices, compress_layer, resolved_layer_
 from .reuse import (
     ReusePlan,
     adjacent_similarity,
+    modeled_micros,
     run_with_reuse,
     similarity_matrix,
     speedup_estimate,
@@ -265,7 +266,7 @@ def _check_policy_budget(spec: PolicySpec, field: str, at: str, cfg: ExperimentC
 def load_config(path) -> ExperimentConfig:
     try:
         doc = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # bad UTF-8 or JSON, or an integer too long to parse
         raise ConfigError(f"cannot read config {path}: {e}") from e
     return parse_config(doc)
 
@@ -318,11 +319,6 @@ def modeled_layer_costs(trace_like_t: int, n_heads: int, w: int) -> tuple[float,
     t_compress = float(n_heads * max(w, 1) * trace_like_t)
     t_select = float(n_heads)
     return t_compress, t_select
-
-
-def modeled_micros(n_layers: int, n_reuse: int, t_compress: float, t_select: float) -> float:
-    anchors = len(range(0, n_layers, n_reuse))
-    return anchors * t_compress + (n_layers - anchors) * t_select
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,8 @@ Weights come from a counter-based Philox generator, so a (config, tokens)
 pair always regenerates a bit-identical trace.  The model is deliberately
 tiny: causal multi-head attention with residual, a two-layer ReLU
 feedforward block, tied embedding logits, no positional encodings and no
-normalization layers.
+normalization layers.  One layer routine, ``_forward``, holds all of it:
+prefill runs it over an empty cache, decode_step over the cached keys.
 """
 
 from __future__ import annotations
@@ -122,10 +123,6 @@ def init_model(config: ModelConfig) -> ToyModel:
     return ToyModel(config=config, embed=embed, layers=layers)
 
 
-def _split_heads(x: np.ndarray, n_heads: int, head_dim: int) -> list[np.ndarray]:
-    return [x[:, h * head_dim : (h + 1) * head_dim] for h in range(n_heads)]
-
-
 def _add_rows(mass: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
     """mass += rows[0], rows[1], ... in turn, in float64.
 
@@ -142,78 +139,88 @@ def _add_rows(mass: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
         np.add.reduce(buf[: len(part) + 1], axis=0, out=mass)
 
 
+def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
+    """Run n new tokens through every layer over P cached keys per (layer, head).
+
+    New row i is query P + i.  Row block [r0, r1) has query offset P + r0,
+    reads keys [0, P + r1) and writes its softmax rows into a buffer T = P + n
+    wide; the last block is the observe tail, the last min(observe_rows, n)
+    rows.  Returns hidden per layer, then q (new rows), k and v (all P + n
+    rows), col_mass, observe_raw and observe_probs per layer and head.
+    """
+    cfg = model.config
+    if any(t < 0 or t >= cfg.vocab_size for t in tokens):
+        raise ValueError("token id out of vocabulary range")
+    d = cfg.head_dim
+    scale = np.float32(1.0 / math.sqrt(d))
+    x = model.embed[np.asarray(tokens, dtype=np.intp)]
+    n = len(tokens)
+    tail = n - min(observe_rows, n)
+    blocks = [(r0, min(r0 + ROW_BLOCK, tail)) for r0 in range(0, tail, ROW_BLOCK)]
+    blocks.append((tail, n))
+
+    width = n + max(len(k) for ks in past_k for k in ks)  # the widest T
+    rows = np.empty((min(ROW_BLOCK, tail), width), dtype=np.float32)  # one block's rows
+    mass_buf = np.empty((min(ROW_BLOCK, n) + 1, width), dtype=np.float64)
+    hiddens, per_layer = [], []
+    for lw, ks, vs in zip(model.layers, past_k, past_v, strict=True):
+        q, k, v = (_mm_t(x, w) for w in (lw.wq, lw.wk, lw.wv))
+        ctx = np.empty((n, cfg.hidden_dim), dtype=np.float32)
+        heads = []
+        for h in range(cfg.n_heads):
+            sl = slice(h * d, (h + 1) * d)
+            p = len(ks[h])
+            t = p + n
+            k_all = np.concatenate([ks[h], k[:, sl]], axis=0) if p else k[:, sl]
+            v_all = np.concatenate([vs[h], v[:, sl]], axis=0) if p else v[:, sl]
+            mass = np.zeros(t, dtype=np.float64)
+            for r0, r1 in blocks:
+                scores = _mm_t(q[r0:r1, sl], k_all[: p + r1]) * scale
+                # the tail block's QK^T and rows are kept: fresh per head
+                block = rows[: r1 - r0, :t] if r1 <= tail else np.empty((r1 - r0, t), np.float32)
+                _causal_softmax(scores, query_offset=p + r0, out=block)
+                ctx[r0:r1, sl] = _causal_pv(block, v_all, query_offset=p + r0)
+                _add_rows(mass, block, mass_buf[:, :t])
+            mass.flags.writeable = False
+            heads.append((q[:, sl], k_all, v_all, mass, scores, block))
+        x = x + _mm_t(ctx, lw.wo)
+        x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
+        hiddens.append(x)
+        # With no cached keys, q/k/v are views of the projections until here:
+        # copied last, they reuse the layer's freed temporaries (a cold T=1024
+        # prefill then takes half the page faults of copying them first).
+        per_layer.append([[np.ascontiguousarray(a) for a in f] for f in zip(*heads)])
+    return (hiddens, *map(list, zip(*per_layer)))
+
+
 def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
     """Full causal forward pass capturing Q/K/V per head and hidden states.
 
-    The last row block is the observe tail [T - n, T), n = min(observe_rows,
-    T): its QK^T spans all T keys, so its raw and softmax rows are kept as
-    they are computed.
+    ``_forward`` over an empty cache: the observe tail's QK^T spans all T keys.
     """
     cfg = model.config
     tokens = tuple(int(t) for t in tokens)
     if not tokens:
         raise ValueError("token sequence must be non-empty")
-    if any(t < 0 or t >= cfg.vocab_size for t in tokens):
-        raise ValueError("token id out of vocabulary range")
     if observe_rows < 1:
         raise ValueError(f"observe_rows must be >= 1, got {observe_rows}")
 
-    scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
-    x = model.embed[np.asarray(tokens, dtype=np.intp)]
-    t = len(tokens)
-    tail = t - min(observe_rows, t)
-    blocks = [(r0, min(r0 + ROW_BLOCK, tail)) for r0 in range(0, tail, ROW_BLOCK)]
-    blocks.append((tail, t))
+    empty = [[np.empty((0, cfg.head_dim), dtype=np.float32)] * cfg.n_heads] * cfg.n_layers
+    hidden, q, k, v, col_mass, raw, probs = _forward(model, tokens, empty, empty, observe_rows)
 
-    all_q, all_k, all_v, hiddens, col_mass, observe_raw, observe_probs = ([] for _ in range(7))
-    rows = np.empty((min(ROW_BLOCK, tail), t), dtype=np.float32)  # one block's rows, T wide
-    mass_buf = np.empty((ROW_BLOCK + 1, t), dtype=np.float64)
-    for lw in model.layers:
-        q = _mm_t(x, lw.wq)
-        k = _mm_t(x, lw.wk)
-        v = _mm_t(x, lw.wv)
-        heads_q = _split_heads(q, cfg.n_heads, cfg.head_dim)
-        heads_k = _split_heads(k, cfg.n_heads, cfg.head_dim)
-        heads_v = _split_heads(v, cfg.n_heads, cfg.head_dim)
-
-        ctx = np.empty((t, cfg.hidden_dim), dtype=np.float32)
-        masses, raws, tails = [], [], []
-        for h in range(cfg.n_heads):
-            mass = np.zeros(t, dtype=np.float64)
-            for r0, r1 in blocks:
-                scores = _mm_t(heads_q[h][r0:r1], heads_k[h][:r1]) * scale
-                # the tail block's rows are kept, so they get a fresh buffer
-                block = rows[: r1 - r0] if r1 <= tail else np.empty((r1 - r0, t), np.float32)
-                _causal_softmax(scores, query_offset=r0, out=block)
-                ctx[r0:r1, h * cfg.head_dim : (h + 1) * cfg.head_dim] = _causal_pv(
-                    block, heads_v[h], query_offset=r0
-                )
-                _add_rows(mass, block, mass_buf)
-            mass.flags.writeable = False
-            masses.append(mass)
-            raws.append(TensorView(scores))  # the tail block's QK^T, fresh per head
-            tails.append(TensorView(block))
-        col_mass.append(tuple(masses))
-        observe_raw.append(tuple(raws))
-        observe_probs.append(tuple(tails))
-        x = x + _mm_t(ctx, lw.wo)
-        x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
-
-        all_q.append(tuple(TensorView(hq) for hq in heads_q))
-        all_k.append(tuple(TensorView(hk) for hk in heads_k))
-        all_v.append(tuple(TensorView(hv) for hv in heads_v))
-        hiddens.append(TensorView(x))
+    def views(per_layer) -> tuple[tuple[TensorView, ...], ...]:
+        return tuple(tuple(map(TensorView, heads)) for heads in per_layer)
 
     return PrefillTrace(
         config=cfg,
         tokens=tokens,
-        q=tuple(all_q),
-        k=tuple(all_k),
-        v=tuple(all_v),
-        hidden=tuple(hiddens),
-        col_mass=tuple(col_mass),
-        observe_raw=tuple(observe_raw),
-        observe_probs=tuple(observe_probs),
+        q=views(q),
+        k=views(k),
+        v=views(v),
+        hidden=tuple(map(TensorView, hidden)),
+        col_mass=tuple(map(tuple, col_mass)),
+        observe_raw=views(raw),
+        observe_probs=views(probs),
     )
 
 
@@ -250,34 +257,25 @@ class CacheSet:
 def decode_step(model: ToyModel, cache: CacheSet, next_token: int):
     """Append one token: returns (logits as 1 x vocab TensorView, cache).
 
-    Exactly one K row and one V row are appended per (layer, head); the new
-    query attends over the retained cache plus its own fresh entry.
+    ``_forward`` of the token over the cache appends one K and one V row per
+    (layer, head); the new query attends over the retained cache and itself.
     """
     cfg = model.config
-    if len(cache.keys) != cfg.n_layers:
-        raise ValueError("cache layer count does not match model")
-    if next_token < 0 or next_token >= cfg.vocab_size:
-        raise ValueError("token id out of vocabulary range")
+    for name, layers in (("key", cache.keys), ("value", cache.values)):
+        heads = [len(hs) for hs in layers]
+        if heads != [cfg.n_heads] * cfg.n_layers:
+            raise ValueError(
+                f"cache {name} heads per layer {heads} do not fit the model's"
+                f" {cfg.n_layers} layers of {cfg.n_heads} heads"
+            )
+    for l, (ks, vs) in enumerate(zip(cache.keys, cache.values)):
+        for h, (k, v) in enumerate(zip(ks, vs)):
+            if k.shape != v.shape or k.shape[1:] != (cfg.head_dim,):
+                raise ValueError(
+                    f"cache layer {l} head {h}: keys {k.shape} and values {v.shape}"
+                    f" must both be (P, head_dim {cfg.head_dim})"
+                )
 
-    scale = np.float32(1.0 / math.sqrt(cfg.head_dim))
-    x = model.embed[np.asarray([next_token], dtype=np.intp)]
-    for l, lw in enumerate(model.layers):
-        q = _mm_t(x, lw.wq)
-        k = _mm_t(x, lw.wk)
-        v = _mm_t(x, lw.wv)
-        ctx = np.empty((1, cfg.hidden_dim), dtype=np.float32)
-        for h in range(cfg.n_heads):
-            sl = slice(h * cfg.head_dim, (h + 1) * cfg.head_dim)
-            k_all = np.concatenate([cache.keys[l][h], k[:, sl]], axis=0)
-            v_all = np.concatenate([cache.values[l][h], v[:, sl]], axis=0)
-            scores = _mm_t(q[:, sl], k_all) * scale
-            offset = k_all.shape[0] - 1
-            probs = _causal_softmax(scores, query_offset=offset)
-            ctx[:, sl] = _causal_pv(probs, v_all, query_offset=offset)
-            cache.keys[l][h] = k_all
-            cache.values[l][h] = v_all
-        x = x + _mm_t(ctx, lw.wo)
-        x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
-
-    logits = _mm_t(x, model.embed)
-    return TensorView(logits), cache
+    past = cache.keys, cache.values
+    hidden, _, cache.keys, cache.values, *_ = _forward(model, [next_token], *past, 1)
+    return TensorView(_mm_t(hidden[-1], model.embed)), cache

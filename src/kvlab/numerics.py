@@ -14,7 +14,8 @@ never shows.  einsum writes these products up to twice as fast as numpy's
 broadcast multiply (0.3-0.6 against 0.5-1.2 ns per element on a 2-core
 Xeon).
 
-Causal attention runs in row blocks (``model.prefill``): query rows
+Causal attention runs in row blocks (``model._forward``; offsets below are
+for prefill's empty cache, and P cached keys shift them by P): query rows
 [r0, r1) see keys [0, r1) only, so a block's QK^T and softmax stop at
 column r1 and the masked upper triangle is never computed.  The bits stay
 those of the full T x T computation under one rule: each block's softmax is
@@ -29,7 +30,9 @@ block.
 
 The last row block is the observe tail, the last n query rows: its r1 is T,
 so its QK^T covers every key and prefill keeps its raw and softmax rows as
-the policies' observe-window scores.  Nothing else computes QK^T or softmax.
+the policies' observe-window scores.  ``model._forward`` is the one layer
+routine: prefill and decode_step both run it, and nothing else computes
+QK^T or softmax.
 
 Because the sum spans T, an attention row depends on the prompt length in
 its last bit: prefill of tokens[:-1] is not bit-equal to the first T-1 rows

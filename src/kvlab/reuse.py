@@ -71,19 +71,21 @@ def similarity_matrix(per_layer: list[KeptIndices]) -> tuple[tuple[float, ...], 
     return tuple(tuple(jaccard(a, b) for b in per_layer) for a in per_layer)
 
 
-def speedup_estimate(
-    n_layers: int, n_reuse: int, t_compress: float, t_select: float
-) -> float:
+def modeled_micros(n_layers: int, n_reuse: int, t_compress: float, t_select: float) -> float:
+    """Compression cost: t_compress per anchor layer (l mod n_reuse == 0), else t_select."""
+    anchors = len(range(0, n_layers, n_reuse))
+    return anchors * t_compress + (n_layers - anchors) * t_select
+
+
+def speedup_estimate(n_layers: int, n_reuse: int, t_compress: float, t_select: float) -> float:
     """Analytic compression-phase speedup from reusing indices.
 
-    n_layers * t_compress over (n_layers / n_reuse) * t_compress plus the
-    remaining layers' selection cost.  A non-dividing n_reuse is evaluated
-    with the real-valued layer ratio.
+    modeled_micros without reuse (n_reuse 1) over modeled_micros at n_reuse,
+    so a non-dividing n_reuse counts its anchor layers as run_with_reuse does.
     """
     if t_compress <= 0 or t_select < 0:
         raise ValueError("need t_compress > 0 and t_select >= 0")
-    fresh = n_layers / n_reuse
-    denom = fresh * t_compress + (n_layers - fresh) * t_select
+    denom = modeled_micros(n_layers, n_reuse, t_compress, t_select)
     if denom == 0:
         raise ValueError("zero denominator in speedup estimate")
-    return (n_layers * t_compress) / denom
+    return modeled_micros(n_layers, 1, t_compress, t_select) / denom

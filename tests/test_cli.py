@@ -94,6 +94,16 @@ class TestSimulate:
         p.write_text(json.dumps({"schema": 99}))
         assert main(["simulate", "--config", str(p)]) == 2
 
+    def test_integer_too_long_to_parse_exits_2_naming_the_file(self, tmp_path, capsys):
+        # json.loads refuses integers of more than 4300 digits with a ValueError
+        text = json.dumps(base_config(tmp_path / "out"))
+        p = tmp_path / "huge.json"
+        p.write_text(text.replace('"seed": 3', '"seed": ' + "9" * 5000, 1))
+        assert main(["simulate", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: cannot read config {p}: " in err
+        assert "internal error" not in err
+
     def test_timings_isolated(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         main(["simulate", "--config", write_config(tmp_path, cfg)])

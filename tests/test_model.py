@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kvlab.cache import BudgetSpec
 from kvlab.model import (
     ROW_BLOCK,
     CacheSet,
@@ -17,6 +18,8 @@ from kvlab.model import (
 )
 from kvlab.experiments import _final_row_attention
 from kvlab.numerics import _mm_t
+from kvlab.policies import PolicySpec
+from kvlab.reuse import ReusePlan, run_with_reuse
 
 from conftest import random_tokens
 from observe_reference import observe_scores
@@ -150,10 +153,60 @@ def test_decode_logits_digest(shape):
     assert h.hexdigest() == DECODE_DIGESTS[shape]
 
 
+# SHA-256 over the logits bytes of four decode_step calls on a ChunkKV cache
+# (ratio 0.25, w 8, c 10, n_reuse 2) from the same T=300 prefills as
+# DECODE_DIGESTS, recorded before prefill and decode shared one layer routine.
+# The kept positions are non-contiguous, and odd layers reuse their anchor's.
+COMPRESSED_DECODE_DIGESTS = {
+    (8, 4, 16, 256, 0): "fc284b5033815f7ae4971705309c5f91a8ab9090a430e84c1c65c381e2414d39",
+    (2, 3, 1, 64, 5): "355b8b3a2b603a0f0c3c328ef792193de2ae5fa27c28b34a0f01383e81486bc4",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(COMPRESSED_DECODE_DIGESTS))
+def test_compressed_decode_logits_digest(shape):
+    *dims, seed = shape
+    model = init_model(ModelConfig(*dims, seed=seed))
+    spec = PolicySpec("ChunkKV", BudgetSpec(ratio=0.25, w=8, c=10))
+    t = 300
+    trace = prefill(model, random_tokens(model.config.vocab_size, t, seed=t), observe_rows=8)
+    kept = run_with_reuse(trace, spec, ReusePlan(model.config.n_layers, 2))
+    assert np.diff(kept[0][0].positions).max() > 1 and kept[1] == kept[0]
+    cache = CacheSet.from_trace(trace, kept)
+    h = hashlib.sha256()
+    for token in random_tokens(model.config.vocab_size, 4, seed=t + 1):
+        logits, cache = decode_step(model, cache, token)
+        h.update(logits.data.tobytes())
+    assert h.hexdigest() == COMPRESSED_DECODE_DIGESTS[shape]
+
+
+def _cache_of(config):
+    return CacheSet.from_trace(prefill(init_model(config), [1, 2, 3]))
+
+
 def test_decode_layer_mismatch(small_model):
-    other = prefill(init_model(ModelConfig(2, 2, 8, 64, seed=1)), [1, 2])
-    cache = CacheSet.from_trace(other)
-    with pytest.raises(ValueError):
+    # small_model has 3 layers of 2 heads of head_dim 8; a cache of 3 heads
+    # used to run on heads 0-1 only, and one of head_dim 4 failed in numpy
+    for shape, message in [
+        ((2, 2, 8), r"key heads per layer \[2, 2\] do not fit the model's 3 layers of 2"),
+        ((3, 3, 8), r"key heads per layer \[3, 3, 3\]"),
+        ((3, 1, 8), r"key heads per layer \[1, 1, 1\]"),
+        ((3, 2, 4), r"layer 0 head 0: keys \(3, 4\) and values \(3, 4\) must both be"),
+        ((3, 4, 4), r"key heads per layer \[4, 4, 4\]"),
+    ]:
+        cache = _cache_of(ModelConfig(*shape, 64, seed=1))
+        with pytest.raises(ValueError, match=message):
+            decode_step(small_model, cache, 1)
+
+
+@pytest.mark.parametrize("part", ["keys", "values"])
+def test_decode_rejects_keys_and_values_of_different_lengths(small_model, part):
+    cache = _cache_of(small_model.config)
+    getattr(cache, part)[1][1] = getattr(cache, part)[1][1][:2]
+    with pytest.raises(ValueError, match=r"layer 1 head 1: keys \(\d, 8\) and values"):
+        decode_step(small_model, cache, 1)
+    getattr(cache, part)[1] = getattr(cache, part)[1][:1]
+    with pytest.raises(ValueError, match=rf"{part[:-1]} heads per layer \[2, 1, 2\] do not fit"):
         decode_step(small_model, cache, 1)
 
 

@@ -9,6 +9,7 @@ from kvlab.reuse import (
     ReusePlan,
     adjacent_similarity,
     jaccard,
+    modeled_micros,
     run_with_reuse,
     similarity_matrix,
     speedup_estimate,
@@ -132,6 +133,14 @@ class TestSpeedupEstimate:
     @pytest.mark.parametrize("n", [1, 2, 4, 8, 16, 32])
     def test_divisor_identity(self, n):
         assert speedup_estimate(32, n, 2.5, 0.0) == pytest.approx(float(n))
+
+    def test_non_dividing_counts_anchor_layers(self):
+        # 8 layers at n_reuse 3 compress layers 0, 3 and 6: 3 anchors, not 8 / 3
+        assert speedup_estimate(8, 3, 1.0, 0.0) == 8 / 3
+        costs = [modeled_micros(8, n, 10.0, 1.0) for n in (1, 3)]
+        assert speedup_estimate(8, 3, 10.0, 1.0) == costs[0] / costs[1]
+        plan = ReusePlan(n_layers=8, n_reuse=3)
+        assert sum(plan.anchor(l) == l for l in range(8)) == 3
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
