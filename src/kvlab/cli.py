@@ -23,19 +23,17 @@ from .experiments import (
 )
 
 
-def _add_config_args(p: argparse.ArgumentParser):
-    p.add_argument("--config", required=True, help="path to the JSON experiment config")
-    p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
-    p.add_argument("--seed", type=int, default=None, help="override the prompt seed")
-    p.add_argument("--workers", type=int, default=1, help="parallel sweep workers")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kvlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     for name in ("simulate", "sweep", "similarity", "needle", "reuse-bench"):
-        _add_config_args(sub.add_parser(name))
+        p = sub.add_parser(name)
+        p.add_argument("--config", required=True, help="path to the JSON experiment config")
+        p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
+        p.add_argument("--seed", type=int, default=None, help="override the prompt seed")
+        if name == "sweep":
+            p.add_argument("--workers", type=int, default=1, help="worker processes, one per seed")
 
     mem = sub.add_parser("memory", help="decode-stage KV cache byte count")
     mem.add_argument("--batch", type=int, required=True)
@@ -75,6 +73,8 @@ def main(argv=None) -> int:
             print(f"{total} bytes ({total / 2**30:.2f} GiB)")
             return 0
 
+        if args.command == "sweep" and args.workers < 1:
+            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg, out_dir = _load(args)
         if args.command == "simulate":
             path = cmd_simulate(cfg, out_dir)

@@ -15,9 +15,9 @@ import json
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Union, get_args, get_origin, get_type_hints
+from typing import Any, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -293,24 +293,6 @@ def prompt_tokens(cfg: ExperimentConfig) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# synthetic needle scores
-
-
-def needle_source(cfg: ExperimentConfig) -> ScoreMatrices:
-    """Layer-varying synthetic scores of the config's needle case, one per layer."""
-    case = cfg.prompt.needle
-    return ScoreMatrices(
-        tuple(
-            make_needle_case(
-                replace(case, seed=(case.seed * 1000003 + l) % 2**128),
-                observe_rows=cfg.prompt.observe_rows,
-            )
-            for l in range(cfg.model.n_layers)
-        )
-    )
-
-
-# ---------------------------------------------------------------------------
 # deterministic cost model (report-safe stand-in for wall-clock timing)
 
 
@@ -337,9 +319,16 @@ def _observe_rows(cfg: ExperimentConfig) -> int:
 
 
 def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:
-    """What the policies read: a needle prompt's synthetic scores, or the prompt's prefill."""
-    if cfg.prompt.kind == "needle":
-        return needle_source(cfg)
+    """What the policies read: the prompt's prefill, or a needle prompt's synthetic scores.
+
+    A needle prompt gives one matrix per layer, each drawn from its own seed.
+    """
+    case, rows = cfg.prompt.needle, cfg.prompt.observe_rows
+    if case is not None:
+        return ScoreMatrices(tuple(
+            make_needle_case(replace(case, seed=(case.seed * 1000003 + l) % 2**128), rows)
+            for l in range(cfg.model.n_layers)
+        ))
     return prefill(init_model(cfg.model), prompt_tokens(cfg), observe_rows=_observe_rows(cfg))
 
 
@@ -366,57 +355,90 @@ def _fidelity(
     return l1s, coss
 
 
-def _policy_report(
-    cfg: ExperimentConfig,
-    fidelity: Optional[tuple[list[float], list[float]]],
-    spec: PolicySpec,
-    kept: list[list[KeptIndices]],
-    t_k: int,
-) -> dict:
-    n_layers = len(kept)
-    layers = []
-    for l in range(n_layers):
-        heads = []
-        for k in kept[l]:
-            heads.append(
-                {
-                    "retained": len(k),
-                    "ratio": round(len(k) / t_k, 6),
-                    "digest": _digest(k),
-                }
-            )
-        layers.append({"heads": heads})
+@dataclass(frozen=True)
+class _Measured:
+    """One policy's kept sets under a reuse plan, and what they measure, unrounded.
 
-    head0 = [kept[l][0] for l in range(n_layers)]
-    sim = similarity_matrix(head0)
+    The only numbers about kept sets that `simulate`, `sweep` and `needle` write.
+    """
+
+    spec: PolicySpec
+    kept: list[list[KeptIndices]]  # [layer][head]; synthetic scores have one head
+    adjacent_jaccard: Optional[float]  # head 0; None below two layers
+    fidelity: Optional[tuple[list[float], list[float]]]  # per-layer kv_l1, attn_cos (traces)
+    needle: Optional[list[tuple[float, bool]]]  # per-layer head-0 retention (needle prompts)
+    select_s: float
+    fidelity_s: float
+
+    def needle_summary(self) -> tuple[float, bool]:
+        """Mean retained fraction over layers, and whether every layer kept the span."""
+        return float(np.mean([f for f, _ in self.needle])), all(i for _, i in self.needle)
+
+
+def _measure(
+    cfg: ExperimentConfig, source: PrefillTrace | ScoreMatrices, specs: Sequence, n_reuse: int
+) -> list[_Measured]:
+    """Each spec's `run_with_reuse` kept sets on `_source(cfg)` under n_reuse, and their metrics."""
+    trace = source if isinstance(source, PrefillTrace) else None
+    case = cfg.prompt.needle
+    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
+    out = []
+    for spec in specs:
+        t0 = time.perf_counter()
+        kept = run_with_reuse(source, spec, plan)
+        t1 = time.perf_counter()
+        fidelity = _fidelity(trace, kept) if trace is not None else None
+        t2 = time.perf_counter()
+        head0 = [heads[0] for heads in kept]
+        out.append(_Measured(
+            spec,
+            kept,
+            adjacent_similarity(head0) if len(head0) >= 2 else None,
+            fidelity,
+            [needle_retention(k, case) for k in head0] if case is not None else None,
+            select_s=t1 - t0,
+            fidelity_s=t2 - t1,
+        ))
+    return out
+
+
+def _n_reuse(cfg: ExperimentConfig) -> int:
+    return cfg.reuse.n_reuse if cfg.reuse else 1
+
+
+def _policy_report(cfg: ExperimentConfig, m: _Measured, t_k: int) -> dict:
+    layers = []
+    for heads in m.kept:
+        if len(heads) == 1:  # synthetic scores have one head; report it for every head
+            heads = heads * cfg.model.n_heads
+        layers.append({"heads": [
+            {"retained": len(k), "ratio": round(len(k) / t_k, 6), "digest": _digest(k)}
+            for k in heads
+        ]})
+    sim = similarity_matrix([heads[0] for heads in m.kept])
     rep: dict[str, Any] = {
-        "policy": spec.name,
+        "policy": m.spec.name,
         "layers": layers,
         "similarity_matrix": [[round(v, 6) for v in row] for row in sim],
-        "adjacent_jaccard": round(adjacent_similarity(head0), 6) if n_layers >= 2 else None,
+        "adjacent_jaccard": None if m.adjacent_jaccard is None else round(m.adjacent_jaccard, 6),
     }
-
-    if fidelity is not None:
-        l1s, coss = fidelity
+    if m.fidelity is not None:
+        l1s, coss = m.fidelity
         rep["fidelity"] = {
             "kv_l1": round(float(np.mean(l1s)), 6),
             "attn_cos": round(float(np.mean(coss)), 6),
             "per_layer_l1": [round(x, 6) for x in l1s],
             "per_layer_cos": [round(x, 6) for x in coss],
         }
-    if cfg.prompt.needle is not None:
-        fracs, intacts = [], []
-        for l in range(n_layers):
-            frac, intact = needle_retention(kept[l][0], cfg.prompt.needle)
-            fracs.append(frac)
-            intacts.append(intact)
+    if m.needle is not None:
+        frac, intact = m.needle_summary()
         rep["needle"] = {
-            "fraction": round(float(np.mean(fracs)), 6),
-            "intact_all_layers": all(intacts),
-            "per_layer_fraction": [round(f, 6) for f in fracs],
+            "fraction": round(frac, 6),
+            "intact_all_layers": intact,
+            "per_layer_fraction": [round(f, 6) for f, _ in m.needle],
         }
     if cfg.reuse is not None:
-        t_c, t_s = modeled_layer_costs(t_k, cfg.model.n_heads, spec.budget.w)
+        t_c, t_s = modeled_layer_costs(t_k, cfg.model.n_heads, m.spec.budget.w)
         rep["speedup_estimate"] = round(
             speedup_estimate(cfg.model.n_layers, cfg.reuse.n_reuse, t_c, t_s), 6
         )
@@ -430,30 +452,18 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     with one entry per policy, in report order: its name, select_s (the reuse
     loop's kept sets) and fidelity_s (the fidelity metrics on them).
     """
-    timings: dict[str, Any] = {"policies": []}
+    timings: dict[str, Any] = {}
 
     t0 = time.perf_counter()
     source = _source(cfg)
-    trace = source if isinstance(source, PrefillTrace) else None
-    if trace is not None:
+    if isinstance(source, PrefillTrace):
         timings["prefill_s"] = time.perf_counter() - t0
     t_k = source.seq_len
-    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=cfg.reuse.n_reuse if cfg.reuse else 1)
-
-    policy_reports = []
-    for spec in cfg.policies:
-        t0 = time.perf_counter()
-        kept = run_with_reuse(source, spec, plan)
-        t1 = time.perf_counter()
-        fidelity = _fidelity(trace, kept) if trace is not None else None
-        timings["policies"].append({
-            "policy": spec.name,
-            "select_s": t1 - t0,
-            "fidelity_s": time.perf_counter() - t1,
-        })
-        if trace is None:  # synthetic scores have one head; report it for every head
-            kept = [heads * cfg.model.n_heads for heads in kept]
-        policy_reports.append(_policy_report(cfg, fidelity, spec, kept, t_k))
+    measured = _measure(cfg, source, cfg.policies, _n_reuse(cfg))
+    timings["policies"] = [
+        {"policy": m.spec.name, "select_s": m.select_s, "fidelity_s": m.fidelity_s}
+        for m in measured
+    ]
 
     config_echo = dict(cfg.raw or {})
     config_echo.pop("out_dir", None)  # output location is not experiment content
@@ -473,7 +483,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
                 )
             )
         },
-        "policies": policy_reports,
+        "policies": [_policy_report(cfg, m, t_k) for m in measured],
     }
     return report, timings
 
@@ -538,47 +548,41 @@ def run_sweep_cell(
     n_reuse: int,
     seed: int,
 ) -> list[dict]:
-    """One sweep cell: every policy at (c, ratio, n_reuse) on seed's source."""
-    trace = source if isinstance(source, PrefillTrace) else None
-    t_k = source.seq_len
-    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
-    # score-level needle diagnostic for this cell's budget, outside the reuse
-    # loop; its case depends only on (c, seed), so every policy shares it
-    case = _auto_needle(cfg, c, seed) if trace is not None else cfg.prompt.needle
-    scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
-    needle_scores = ScoreMatrices((scores,) * cfg.model.n_layers)
+    """One sweep cell: every policy at (c, ratio, n_reuse) on seed's source.
 
+    The needle columns are a needle prompt's retention as `simulate` reports
+    it.  On a trace they are a synthetic score-level diagnostic: layer 0 of a
+    chunk-aligned needle that depends only on (c, seed), outside the reuse loop.
+    """
+    if cfg.prompt.needle is None:
+        case = _auto_needle(cfg, c, seed)
+        scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
+        needle_scores = ScoreMatrices((scores,) * cfg.model.n_layers)
+
+    cells = [_cell_spec(spec, c, ratio) for spec in cfg.policies]
     rows = []
-    for spec in cfg.policies:
-        cell = _cell_spec(spec, c, ratio)
-        row: dict[str, Any] = {
-            "policy": cell.name,
+    for m in _measure(cfg, source, cells, n_reuse):
+        if m.needle is not None:
+            frac, intact = m.needle_summary()
+        else:
+            frac, intact = needle_retention(compress_layer(needle_scores, 0, m.spec)[0], case)
+        kv_l1 = attn_cos = ""
+        if m.fidelity is not None:
+            kv_l1, attn_cos = (round(float(np.mean(x)), 6) for x in m.fidelity)
+        t_c, t_s = modeled_layer_costs(source.seq_len, cfg.model.n_heads, m.spec.budget.w)
+        rows.append({
+            "policy": m.spec.name,
             "c": c,
             "ratio": ratio,
             "n_reuse": n_reuse,
             "seed": seed,
-        }
-        kept = run_with_reuse(source, cell, plan)
-        head0 = [heads[0] for heads in kept]
-        row["adjacent_jaccard"] = (
-            round(adjacent_similarity(head0), 6) if cfg.model.n_layers >= 2 else ""
-        )
-        if trace is not None:
-            l1s, coss = _fidelity(trace, kept)
-            row["kv_l1"] = round(float(np.mean(l1s)), 6)
-            row["attn_cos"] = round(float(np.mean(coss)), 6)
-        else:
-            row["kv_l1"] = ""
-            row["attn_cos"] = ""
-
-        kept0 = compress_layer(needle_scores, 0, cell)[0]
-        frac, intact = needle_retention(kept0, case)
-        row["needle_fraction"] = round(frac, 6)
-        row["needle_intact"] = str(intact).lower()
-
-        t_c, t_s = modeled_layer_costs(t_k, cfg.model.n_heads, cell.budget.w)
-        row["micros_compress"] = round(modeled_micros(cfg.model.n_layers, n_reuse, t_c, t_s), 3)
-        rows.append(row)
+            "adjacent_jaccard": "" if m.adjacent_jaccard is None else round(m.adjacent_jaccard, 6),
+            "kv_l1": kv_l1,
+            "attn_cos": attn_cos,
+            "needle_fraction": round(frac, 6),
+            "needle_intact": str(intact).lower(),
+            "micros_compress": round(modeled_micros(cfg.model.n_layers, n_reuse, t_c, t_s), 3),
+        })
     return rows
 
 
@@ -588,7 +592,7 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[int, float, int, int]]:
     sw = cfg.sweep
     cs = sw.get("c", [cfg.policies[0].budget.c])
     ratios = sw.get("ratio", [cfg.policies[0].budget.ratio or 0.1])
-    reuses = sw.get("n_reuse", [cfg.reuse.n_reuse if cfg.reuse else 1])
+    reuses = sw.get("n_reuse", [_n_reuse(cfg)])
     seeds = sw.get("seeds", [cfg.prompt.seed])
     return [
         (int(c), float(r), int(n), int(s))
@@ -607,6 +611,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> Path:
     cells = _sweep_cells(cfg)
     seeds = list(dict.fromkeys(cell[3] for cell in cells))
     groups = [(s, [cell for cell in cells if cell[3] == s]) for s in seeds]
+    workers = min(workers, len(groups))  # a pool starts all its processes at once
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_seed_rows, [cfg] * len(groups), *zip(*groups)))
@@ -663,32 +668,24 @@ def cmd_similarity(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    """needle.json: each policy's per-layer needle retention under the config's reuse plan."""
     if cfg.prompt.needle is None:
         raise ConfigError("needle command requires a needle prompt")
-    case = cfg.prompt.needle
-    out: dict[str, Any] = {"case": {
-        "seq_len": case.seq_len,
-        "span_start": case.span_start,
-        "span_len": case.span_len,
-        "signal": case.signal,
-        "seed": case.seed,
-        "weak_offset": case.weak_offset,
-    }, "policies": []}
-    source = needle_source(cfg)
-    fresh = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=1)
-    for spec in cfg.policies:
-        per_layer = []
-        for l, heads in enumerate(run_with_reuse(source, spec, fresh)):
-            frac, intact = needle_retention(heads[0], case)
-            per_layer.append({"layer": l, "fraction": round(frac, 6), "intact": intact})
-        out["policies"].append({
-            "policy": spec.name,
-            "mean_fraction": round(float(np.mean([p["fraction"] for p in per_layer])), 6),
-            "intact_all_layers": all(p["intact"] for p in per_layer),
-            "per_layer": per_layer,
+    policies = []
+    for m in _measure(cfg, _source(cfg), cfg.policies, _n_reuse(cfg)):
+        frac, intact = m.needle_summary()
+        policies.append({
+            "policy": m.spec.name,
+            "mean_fraction": round(frac, 6),
+            "intact_all_layers": intact,
+            "per_layer": [
+                {"layer": l, "fraction": round(f, 6), "intact": i}
+                for l, (f, i) in enumerate(m.needle)
+            ],
         })
+    case = {k: v for k, v in asdict(cfg.prompt.needle).items() if k != "noise"}
     path = out_dir / "needle.json"
-    write_json(path, out)
+    write_json(path, {"case": case, "policies": policies})
     return path
 
 

@@ -110,6 +110,7 @@ def chunk_scores(a: TensorView, c: int) -> np.ndarray:
     if c < 1:
         raise ValueError("chunk size must be >= 1")
     col_sums = a.data.sum(axis=0, dtype=np.float64)
+    c = min(c, a.cols) or 1  # a chunk wider than the prompt is the whole prompt
     return np.add.reduceat(col_sums, np.arange(0, a.cols, c)) if a.cols else np.zeros(0)
 
 
@@ -196,10 +197,10 @@ def max_pool_1d(x: np.ndarray, width: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if width == 1 or x.size == 0:
         return x
-    half = width // 2
+    half = min(width // 2, len(x) - 1)  # a wider window covers no other position
     padded = np.full(len(x) + 2 * half, -np.inf)
     padded[half : half + len(x)] = x
-    return np.lib.stride_tricks.sliding_window_view(padded, width).max(axis=1)
+    return np.lib.stride_tricks.sliding_window_view(padded, 2 * half + 1).max(axis=1)
 
 
 def pyramid_budgets(

@@ -198,6 +198,45 @@ class TestSweep:
         par = (tmp_path / "out_par" / "sweep.csv").read_bytes()
         assert seq == par
 
+    @pytest.mark.parametrize(
+        "seeds, pools", [([0, 1], [2]), ([0], [])], ids=["two-seeds", "one-seed"]
+    )
+    def test_pool_is_sized_by_seed_groups(self, tmp_path, monkeypatch, seeds, pools):
+        import kvlab.experiments
+
+        sizes = []
+
+        class InlinePool:  # records the size it was asked for and starts no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(kvlab.experiments, "ProcessPoolExecutor", InlinePool)
+        cfg = base_config(tmp_path / "out", sweep={"c": [3, 5], "seeds": seeds})
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--workers", "64"]) == 0
+        assert sizes == pools
+
+    @pytest.mark.parametrize("workers", ["0", "-1"])
+    def test_workers_below_1_exit_2(self, tmp_path, capsys, workers):
+        cfg = base_config(tmp_path / "out", sweep={"c": [3, 5]})
+        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--workers", workers]) == 2
+        assert f"error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "similarity", "needle", "reuse-bench"])
+    def test_workers_is_a_sweep_flag(self, tmp_path, command):
+        path = write_config(tmp_path, base_config(tmp_path / "out"))
+        with pytest.raises(SystemExit) as e:
+            main([command, "--config", path, "--workers", "2"])
+        assert e.value.code == 2
+
     def test_needle_sweep_follows_seeds_axis(self, tmp_path):
         weak = {**NEEDLE_PROMPT, "signal": 0.3}  # retention then depends on the noise draw
         cfg = base_config(tmp_path / "out", prompt=weak, sweep={"c": [3, 5], "seeds": [1, 2]})
@@ -611,6 +650,27 @@ class TestRangeErrorsBeforePrefill:
         cfg = write_config(tmp_path, base_config(tmp_path / "out", prompt=prompt))
         assert main(["simulate", "--config", cfg]) == 0
 
+    @pytest.mark.parametrize(
+        "huge, wide",
+        [
+            # a chunk wider than the prompt is one chunk
+            ({"kind": "ChunkKV", "budget": {"max_len": 20, "w": 4, "c": 10**400}},
+             {"kind": "ChunkKV", "budget": {"max_len": 20, "w": 4, "c": 48}}),
+            # a pool window reaching past both ends of the prompt covers all of it
+            ({"kind": "SnapKVStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "pool_width": 10**400 + 1},
+             {"kind": "SnapKVStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "pool_width": 2 * 48 - 1}),
+        ],
+        ids=["chunk-size", "pool-width"],
+    )
+    def test_widths_above_the_prompt_run_as_the_whole_prompt(self, tmp_path, huge, wide):
+        kept = []
+        for name, policy in (("huge", huge), ("wide", wide)):
+            cfg = base_config(tmp_path / name, policies=[policy])
+            assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            kept.append(report["policies"][0]["layers"])
+        assert kept[0] == kept[1]
+
     def test_valid_edges_still_run(self, tmp_path):
         # a sink equal to the budget, and a skew whose last layer gets exactly w + c
         cfg = base_config(tmp_path / "out", policies=[
@@ -671,6 +731,60 @@ class TestNeedleCommand:
     def test_requires_needle_prompt(self, tmp_path):
         cfg = base_config(tmp_path / "out")
         assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 2
+
+
+class TestOneNeedleAnswer:
+    """simulate, needle and sweep read needle retention off the same kept sets."""
+
+    # signal 0.3 over uniform noise: retention depends on the draw and on reuse
+    WEAK = {**NEEDLE_PROMPT, "signal": 0.3, "seed": 2, "observe_rows": 4}
+    POLICIES = [
+        {"kind": "ChunkKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}},
+        {"kind": "SnapKVStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "pool_width": 3},
+        {"kind": "H2OStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}},
+        {"kind": "PyramidStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "skew": 0.2},
+    ]
+
+    @pytest.mark.parametrize("n_reuse", [1, 2])
+    def test_needle_json_matches_report(self, tmp_path, n_reuse):
+        cfg = base_config(
+            tmp_path / "out", prompt=self.WEAK, policies=self.POLICIES, reuse={"n_reuse": n_reuse}
+        )
+        path = write_config(tmp_path, cfg)
+        assert main(["simulate", "--config", path]) == 0
+        assert main(["needle", "--config", path]) == 0
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        needle = json.loads((tmp_path / "out" / "needle.json").read_text())
+        for rep, got in zip(report["policies"], needle["policies"], strict=True):
+            assert got["policy"] == rep["policy"]
+            assert [p["fraction"] for p in got["per_layer"]] == rep["needle"]["per_layer_fraction"]
+            assert got["mean_fraction"] == rep["needle"]["fraction"]
+            assert got["intact_all_layers"] == rep["needle"]["intact_all_layers"]
+
+    def test_sweep_rows_match_simulate(self, tmp_path):
+        sweep = {"c": [3, 5], "ratio": [0.25, 0.4], "n_reuse": [1, 2], "seeds": [1, 2]}
+        cfg = base_config(tmp_path / "out", prompt=self.WEAK, policies=self.POLICIES, sweep=sweep)
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        with (tmp_path / "out" / "sweep.csv").open() as f:
+            rows = list(csv.DictReader(f))
+        cells = {}
+        for r in rows:
+            cells.setdefault((r["c"], r["ratio"], r["n_reuse"], r["seed"]), []).append(r)
+        assert len(cells) == 16
+        for i, ((c, ratio, n_reuse, seed), got) in enumerate(cells.items()):
+            budget = {"ratio": float(ratio), "w": 4, "c": int(c)}
+            cell = base_config(
+                tmp_path / f"cell{i}",
+                prompt={**self.WEAK, "seed": int(seed)},
+                policies=[{**p, "budget": budget} for p in self.POLICIES],
+                reuse={"n_reuse": int(n_reuse)},
+            )
+            assert main(["simulate", "--config", write_config(tmp_path, cell)]) == 0
+            report = json.loads((tmp_path / f"cell{i}" / "report.json").read_text())
+            for row, rep in zip(got, report["policies"], strict=True):
+                assert row["policy"] == rep["policy"]
+                assert float(row["needle_fraction"]) == rep["needle"]["fraction"]
+                assert row["needle_intact"] == str(rep["needle"]["intact_all_layers"]).lower()
 
 
 class TestReuseBench:

@@ -5,7 +5,9 @@ to what a policy keeps, or to how reports are written, shows up here.  The
 config stays clear of PyramidStyle with pool_width > 1 on needle scores and
 of sweeps, whose needle-prompt behaviour changed on purpose.  The sweep.csv
 digests were recorded before a sweep prefilled each prompt seed once and
-H2OStyle read its column mass from prefill.
+H2OStyle read its column mass from prefill.  simulate, needle and sweep read
+a needle prompt's retention off the same kept sets under the same reuse plan
+(`tests/test_cli.py::TestOneNeedleAnswer`).
 """
 
 import hashlib
@@ -50,7 +52,9 @@ DIGESTS = {
     ("simulate", "random", 2): "a5e60fddd364f969748b0e1872b75bd16a27652f58c04a65753bf2d0f4c6289a",
     ("simulate", "needle", 1): "367de4c8edec4ea06374e5ca475cd20fe4ea728cbb210f037f9dd64cb8553b2e",
     ("simulate", "needle", 2): "07daa6385c96adee9de0ec60fb57513ea2be7ef89788cbeea6309acf5a2bec8e",
-    # the needle command scores every layer fresh whatever the reuse plan
+    # needle.json reads the kept sets report.json does, under the same reuse
+    # plan; at signal 60 every layer keeps the same share of the span whether
+    # it is compressed or copied, so n_reuse 2 writes the bytes of n_reuse 1
     ("needle", "needle", 1): "b2eb1b7d89f0fa30b0f3dd98e1db46d5b592b853d5ece047f80d7b5f179de0e9",
     ("needle", "needle", 2): "b2eb1b7d89f0fa30b0f3dd98e1db46d5b592b853d5ece047f80d7b5f179de0e9",
 }
@@ -88,7 +92,9 @@ SWEEP_POLICIES = [
 # prompt -> sha256 of sweep.csv over c x ratio x n_reuse x two seeds.  The
 # needle digest was recorded when each seed group started to build its needle
 # scores at that seed; it equals the rows of two one-seed sweeps run with
-# --seed 1 and --seed 2 before that change.
+# --seed 1 and --seed 2 before that change.  It held when the needle columns
+# moved from a separate layer-0 draw to the cell's own kept sets: at signal 60
+# both keep the same share of the span.
 SWEEP_DIGESTS = {
     "random": "b2db089142e5ce5104cc4df078624d9181054605c22cd2250544a10a5a89b01e",
     "needle": "0a9e77cf9f9bec76090afe28490a564d8893b9f7887fa6ae84acbdd5c14ff9a4",

@@ -86,6 +86,11 @@ class TestChunkScores:
         for i, (start, end) in enumerate([(0, 10), (10, 20), (20, 25)]):
             assert scores[i] == pytest.approx(a.data[:, start:end].sum(dtype=np.float64))
 
+    def test_chunk_wider_than_the_scores_is_one_chunk(self):
+        a = random_scores(2, 12, 0)
+        assert chunk_scores(a, 10**400).tolist() == chunk_scores(a, 12).tolist()
+        assert len(chunk_scores(a, 10**400)) == 1
+
     def test_all_ones_uniform(self):
         scores = chunk_scores(TensorView(np.ones((2, 6), dtype=np.float32)), c=2)
         assert scores.tolist() == [4.0, 4.0, 4.0]
@@ -287,6 +292,12 @@ class TestSnapKV:
     def test_even_pool_width_rejected(self):
         with pytest.raises(ValueError):
             max_pool_1d(np.ones(4), 2)
+
+    def test_width_above_the_input_pools_over_all_of_it(self):
+        x = np.array([0.5, -1.0, 3.0, 0.0, 2.0])
+        assert max_pool_1d(x, 10**400 + 1).tolist() == [3.0] * 5
+        assert max_pool_1d(x, 10**400 + 1).tolist() == max_pool_1d(x, 2 * len(x) - 1).tolist()
+        assert max_pool_1d(x[:1], 10**400 + 1).tolist() == [0.5]
 
     @settings(max_examples=150, deadline=None)
     @given(
