@@ -50,9 +50,6 @@ class ConfigError(ValueError):
 
 SCHEMA_VERSION = 1
 
-# sweep axis -> the JSON type of its values
-SWEEP_AXES = {"c": int, "ratio": float, "n_reuse": int, "seeds": int}
-
 # prompt kind -> the PromptSpec fields its JSON object sets; a needle prompt's
 # other keys are NeedleCase fields
 PROMPT_KEYS = {
@@ -87,21 +84,32 @@ class ReuseSpec:
 
 
 @dataclass(frozen=True)
+class SweepSpec:
+    """Sweep axes; an axis left out takes the config's own value."""
+
+    c: Optional[tuple[int, ...]] = None
+    ratio: Optional[tuple[float, ...]] = None
+    n_reuse: Optional[tuple[int, ...]] = None
+    seeds: Optional[tuple[int, ...]] = None
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """A parsed config document.
 
-    With the dataclasses its fields hold (ModelConfig, PromptSpec,
-    PolicySpec, BudgetSpec, NeedleCase, ReuseSpec) this is the JSON schema:
+    With the dataclasses its fields hold (ModelConfig, PromptSpec, PolicySpec,
+    BudgetSpec, NeedleCase, ReuseSpec, SweepSpec) this is the JSON schema:
     every key is a field, every JSON type a field annotation and every
     default a field default.  The document's `schema` key is checked before
-    the build; `raw` keeps the document as written.
+    the build; `raw` keeps the document as written, and a `sweep` that sets
+    no axis is stored as None.
     """
 
     model: ModelConfig
     prompt: PromptSpec
     policies: tuple[PolicySpec, ...]
     reuse: Optional[ReuseSpec] = None
-    sweep: Optional[dict] = None
+    sweep: Optional[SweepSpec] = None
     out_dir: str = "out"
     raw: Optional[dict] = None
 
@@ -204,18 +212,21 @@ def parse_config(doc) -> ExperimentConfig:
         )
     if cfg.reuse is not None:
         _require(1 <= cfg.reuse.n_reuse <= n_layers, "reuse.n_reuse outside [1, n_layers]")
-    for axis, values in (cfg.sweep or {}).items():
-        _require(axis in SWEEP_AXES, f"unknown field sweep.{axis}")
-        values = _value(tuple[SWEEP_AXES[axis], ...], values, f"sweep.{axis}")
-        _require(len(values) >= 1, f"sweep.{axis} must be a non-empty list")
-        for i, v in enumerate(values):
-            if axis == "n_reuse":
-                _require(1 <= v <= n_layers, f"sweep.n_reuse[{i}] outside [1, n_layers]")
-            elif axis == "seeds":
-                try:
-                    check_seed(v)
-                except ValueError as e:
-                    raise ConfigError(f"sweep.seeds[{i}]: {e}") from e
+    for i, t in enumerate(cfg.prompt.tokens):
+        _require(0 <= t < cfg.model.vocab_size, f"prompt.tokens[{i}] outside [0, model.vocab_size)")
+    sw = cfg.sweep
+    if sw is not None:
+        for f in fields(sw):
+            _require(getattr(sw, f.name) != (), f"sweep.{f.name} must be a non-empty list")
+        for i, v in enumerate(sw.n_reuse or ()):
+            _require(1 <= v <= n_layers, f"sweep.n_reuse[{i}] outside [1, n_layers]")
+        for i, v in enumerate(sw.seeds or ()):
+            try:
+                check_seed(v)
+            except ValueError as e:
+                raise ConfigError(f"sweep.seeds[{i}]: {e}") from e
+        if sw == SweepSpec():  # no axes: `sweep` refuses it, every other command ignores it
+            cfg = replace(cfg, sweep=None)
     _check_budgets(cfg)
     return cfg
 
@@ -223,44 +234,24 @@ def parse_config(doc) -> ExperimentConfig:
 def _check_budgets(cfg: ExperimentConfig):
     """Budget range errors a policy would raise only once it runs, raised now.
 
-    Every policy, every Hybrid inner policy and every sweep (c, ratio) cell
-    is checked at the prompt length, so a bad config exits before prefill.
+    Every policy and every sweep (c, ratio) cell is resolved at the prompt
+    length, so a bad config exits before prefill.
     """
     runs = [("", cfg.policies)]
-    if cfg.sweep:
+    if cfg.sweep is not None:
         for c, r in dict.fromkeys((c, r) for c, r, _, _ in _sweep_cells(cfg)):
             try:
                 cells = [_cell_spec(spec, c, r) for spec in cfg.policies]
             except ValueError as e:
                 raise ConfigError(f"invalid sweep cell c={c}, ratio={r}: {e}") from e
             runs.append((f" in sweep cell c={c}, ratio={r}", cells))
-    for at, specs in runs:
-        for i, spec in enumerate(specs):
-            _check_policy_budget(spec, f"policies[{i}]", at, cfg)
-
-
-def _check_policy_budget(spec: PolicySpec, field: str, at: str, cfg: ExperimentConfig):
     t_k = cfg.prompt.length
-    if spec.kind == "Hybrid":
-        _check_policy_budget(spec.inner_a, f"{field}.inner_a", at, cfg)
-        _check_policy_budget(spec.inner_b, f"{field}.inner_b", at, cfg)
-        return
-    try:
-        budget = spec.budget.resolve(t_k)
-    except OverflowError as e:  # a ratio of a prompt length too large for a float
-        raise ConfigError(f"{field}.budget: {e} at seq_len {t_k}{at}") from e
-    if spec.kind == "PyramidStyle":
-        try:
-            resolved_layer_budgets(spec, cfg.model.n_layers, t_k)
-        except OverflowError as e:  # a budget too large for the float skew arithmetic
-            raise ConfigError(f"{field}.budget: {e} at seq_len {t_k}{at}") from e
-        except ValueError as e:
-            raise ConfigError(f"{field}.skew {spec.skew}: {e} at seq_len {t_k}{at}") from e
-    elif spec.kind == "StreamingStyle":
-        _require(
-            spec.sink <= budget,
-            f"{field}.sink {spec.sink} exceeds the budget {budget} resolved at seq_len {t_k}{at}",
-        )
+    for cell, specs in runs:
+        for i, spec in enumerate(specs):
+            try:
+                resolved_layer_budgets(spec, cfg.model.n_layers, t_k)
+            except ValueError as e:
+                raise ConfigError(f"policies[{i}].{e} at seq_len {t_k}{cell}") from e
 
 
 def load_config(path) -> ExperimentConfig:
@@ -529,15 +520,11 @@ def _auto_needle(cfg: ExperimentConfig, c: int, seed: int) -> NeedleCase:
 
 
 def _cell_spec(spec: PolicySpec, c: int, ratio: float) -> PolicySpec:
-    budget = BudgetSpec(ratio=ratio, w=spec.budget.w, c=c)
-    out = replace(spec, budget=budget)
+    """spec, and a Hybrid's inner policies, at chunk size c and retention ratio."""
+    inner = {}
     if spec.kind == "Hybrid":
-        out = replace(
-            out,
-            inner_a=_cell_spec(spec.inner_a, c, ratio),
-            inner_b=_cell_spec(spec.inner_b, c, ratio),
-        )
-    return out
+        inner = {k: _cell_spec(getattr(spec, k), c, ratio) for k in ("inner_a", "inner_b")}
+    return replace(spec, budget=BudgetSpec(ratio=ratio, w=spec.budget.w, c=c), **inner)
 
 
 def run_sweep_cell(
@@ -587,17 +574,15 @@ def run_sweep_cell(
 
 
 def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[int, float, int, int]]:
-    if not cfg.sweep:
-        raise ConfigError("sweep requires a 'sweep' section with axes")
     sw = cfg.sweep
-    cs = sw.get("c", [cfg.policies[0].budget.c])
-    ratios = sw.get("ratio", [cfg.policies[0].budget.ratio or 0.1])
-    reuses = sw.get("n_reuse", [_n_reuse(cfg)])
-    seeds = sw.get("seeds", [cfg.prompt.seed])
-    return [
-        (int(c), float(r), int(n), int(s))
-        for c, r, n, s in itertools.product(cs, ratios, reuses, seeds)
-    ]
+    if sw is None:
+        raise ConfigError("sweep requires a 'sweep' section with axes")
+    return list(itertools.product(
+        sw.c or (cfg.policies[0].budget.c,),
+        sw.ratio or (cfg.policies[0].budget.ratio or 0.1,),
+        sw.n_reuse or (_n_reuse(cfg),),
+        sw.seeds or (cfg.prompt.seed,),
+    ))
 
 
 def _seed_rows(cfg: ExperimentConfig, seed: int, cells: list) -> list[list[dict]]:
@@ -683,9 +668,8 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> Path:
                 for l, (f, i) in enumerate(m.needle)
             ],
         })
-    case = {k: v for k, v in asdict(cfg.prompt.needle).items() if k != "noise"}
     path = out_dir / "needle.json"
-    write_json(path, {"case": case, "policies": policies})
+    write_json(path, {"case": asdict(cfg.prompt.needle), "policies": policies})
     return path
 
 
@@ -693,15 +677,16 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> Path:
 # reuse benchmark
 
 
-def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) -> Path:
-    if cfg.reuse is None and not (cfg.sweep and cfg.sweep.get("n_reuse")):
+def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    reuses = (cfg.sweep and cfg.sweep.n_reuse) or (cfg.reuse and (cfg.reuse.n_reuse,))
+    if not reuses:
         raise ConfigError("reuse-bench requires a reuse plan or an n_reuse sweep axis")
     source = _source(cfg)
     spec = cfg.policies[0]
 
     def median_time(fn) -> float:
         samples = []
-        for _ in range(max(repetitions, 5)):
+        for _ in range(5):
             t0 = time.perf_counter()
             fn()
             samples.append(time.perf_counter() - t0)
@@ -711,8 +696,6 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) 
     anchor = compress_layer(source, 0, spec)
     t_select = median_time(lambda: list(anchor))
 
-    reuses = cfg.sweep.get("n_reuse") if cfg.sweep else None
-    reuses = [int(n) for n in (reuses or [cfg.reuse.n_reuse])]
     fresh = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=1)
     rows = []
     for n_reuse in reuses:
@@ -721,12 +704,11 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path, repetitions: int = 5) 
         t_reuse = median_time(lambda: run_with_reuse(source, spec, plan))
         rows.append({
             "n_reuse": n_reuse,
-            "analytic_speedup": round(speedup_estimate(cfg.model.n_layers, n_reuse, t_compress, max(t_select, 0.0)), 6),
+            "analytic_speedup": round(speedup_estimate(cfg.model.n_layers, n_reuse, t_compress, t_select), 6),
             "measured_speedup": round(t_full / t_reuse, 6) if t_reuse > 0 else None,
             "t_compress_s": t_compress,
             "t_select_s": t_select,
         })
-    out = {"policy": spec.name, "n_layers": cfg.model.n_layers, "results": rows}
     path = out_dir / "reuse_bench.json"
-    write_json(path, out)
+    write_json(path, {"policy": spec.name, "n_layers": cfg.model.n_layers, "results": rows})
     return path

@@ -42,6 +42,9 @@ class NeedleCase:
             raise ValueError("noise must be 'uniform' or 'gaussian'")
         if self.weak_offset is not None and not (0 <= self.weak_offset < self.span_len):
             raise ValueError("weak_offset must index into the span")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.float32(self.signal)):  # the scores are float32
+                raise ValueError(f"signal must be finite in float32, got {self.signal!r}")
         check_seed(self.seed)
 
     @property

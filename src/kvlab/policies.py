@@ -149,14 +149,9 @@ def topk_from_scores(
     return _with_recent(_top_k_stable(col_scores, max_len - w).tolist(), w, t_k)
 
 
-def streaming_compress(t_k: int, spec: PolicySpec) -> KeptIndices:
-    """Sink tokens plus a recent window, no scores consulted."""
-    max_len = spec.budget.resolve(t_k)
-    if spec.sink > max_len:
-        raise ValueError("sink count exceeds budget")
-    if t_k <= max_len:
-        return KeptIndices.from_iterable(range(t_k))
-    return _with_recent(range(spec.sink), max_len - spec.sink, t_k)
+def streaming_compress(t_k: int, sink: int, max_len: int) -> KeptIndices:
+    """The first sink positions plus the most recent max_len - sink, no scores consulted."""
+    return _with_recent(range(sink), max_len - sink, t_k)
 
 
 def positional_exposure(t_k: int) -> np.ndarray:
@@ -241,16 +236,34 @@ def pyramid_budgets(
 def resolved_layer_budgets(
     spec: PolicySpec, n_layers: int, t_k: int
 ) -> list[int]:
-    """Per-layer budgets after ratio resolution and pyramid skew."""
+    """Per-layer budgets after ratio resolution and pyramid skew: the one budget rule.
+
+    A range error is a ValueError that starts with the PolicySpec field at
+    fault (`budget`, `skew` or `sink`), behind `inner_a.` or `inner_b.` for
+    a Hybrid's inner policy.
+    """
     if spec.kind == "Hybrid":
-        a = resolved_layer_budgets(spec.inner_a, n_layers, t_k)
-        b = resolved_layer_budgets(spec.inner_b, n_layers, t_k)
-        return a[: spec.split] + b[spec.split :]
-    base = spec.budget.resolve(t_k)
-    if spec.kind == "PyramidStyle":
-        return pyramid_budgets(
-            base, n_layers, spec.skew, min_budget=spec.budget.w + spec.budget.c
-        )
+        inner = []
+        for field in ("inner_a", "inner_b"):
+            try:
+                inner.append(resolved_layer_budgets(getattr(spec, field), n_layers, t_k))
+            except ValueError as e:
+                raise ValueError(f"{field}.{e}") from e
+        return inner[0][: spec.split] + inner[1][spec.split :]
+    floor = spec.budget.w + spec.budget.c
+    try:
+        base = spec.budget.resolve(t_k)
+        if spec.kind == "PyramidStyle" and base >= floor:
+            try:
+                return pyramid_budgets(base, n_layers, spec.skew, min_budget=floor)
+            except ValueError as e:
+                raise ValueError(f"skew {spec.skew}: {e}") from e
+    except OverflowError as e:  # a prompt length or budget too large for float arithmetic
+        raise ValueError(f"budget: {e}") from e
+    if spec.kind == "PyramidStyle":  # below w + c before any skew: a max_len, never a ratio
+        raise ValueError(f"budget: max_len {base} is below the minimum budget w + c = {floor}")
+    if spec.kind == "StreamingStyle" and spec.sink > base:
+        raise ValueError(f"sink {spec.sink} exceeds the budget {base} resolved")
     return [base] * n_layers
 
 
@@ -284,11 +297,11 @@ def compress_layer(
         inner = spec.inner_a if layer < spec.split else spec.inner_b
         return compress_layer(source, layer, inner)
     t_k, heads = source.seq_len, range(source.n_heads)
-    if spec.kind == "StreamingStyle":
-        return [streaming_compress(t_k, spec)] * len(heads)
     max_len = resolved_layer_budgets(spec, source.n_layers, t_k)[layer]
     if spec.kind == "FullKV" or max_len >= t_k:
         return [KeptIndices.from_iterable(range(t_k))] * len(heads)
+    if spec.kind == "StreamingStyle":
+        return [streaming_compress(t_k, spec.sink, max_len)] * len(heads)
     b = spec.budget
     if spec.kind == "H2OStyle":
         if isinstance(source, ScoreMatrices):

@@ -595,6 +595,25 @@ class TestRangeErrorsBeforePrefill:
                 "prompt: seed",
             ),
             (lambda out: base_config(out, sweep={"seeds": [0, -1]}), "sweep.seeds[1]"),
+            # no skew can lift a max_len below w + c = 9
+            (
+                lambda out: base_config(out, policies=[{
+                    "kind": "PyramidStyle", "budget": {"max_len": 6, "w": 4, "c": 5}, "skew": 0.0,
+                }]),
+                "policies[0].budget: max_len 6 is below the minimum budget w + c = 9",
+            ),
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "signal": 1e39}),
+                "prompt: signal",
+            ),
+            (
+                lambda out: base_config(out, prompt={"kind": "tokens", "tokens": [1, 99, 2]}),
+                "prompt.tokens[1]",
+            ),
+            (
+                lambda out: base_config(out, prompt={"kind": "tokens", "tokens": [1, 2, -1]}),
+                "prompt.tokens[2]",
+            ),
         ],
         ids=[
             "skew-above-1", "skew-negative", "skew-below-w-plus-c", "sink-above-budget",
@@ -602,7 +621,8 @@ class TestRangeErrorsBeforePrefill:
             "sweep-ratio-above-1", "sweep-n-reuse", "needle-observe-rows-zero",
             "streaming-ratio-huge-length", "model-seed-negative", "model-seed-huge",
             "prompt-seed-negative", "prompt-seed-2-to-128", "needle-seed-negative",
-            "sweep-seed-negative",
+            "sweep-seed-negative", "pyramid-max-len-below-w-plus-c", "needle-signal-float32-inf",
+            "token-above-vocab", "token-negative",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -671,6 +691,18 @@ class TestRangeErrorsBeforePrefill:
             kept.append(report["policies"][0]["layers"])
         assert kept[0] == kept[1]
 
+    def test_signal_at_the_float32_limit_runs(self, tmp_path, capsys):
+        cfg = base_config(tmp_path / "out", prompt={**NEEDLE_PROMPT, "signal": 3.4e38})
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert capsys.readouterr().err == ""
+
+    def test_sweep_without_axes(self, tmp_path, capsys):
+        # simulate ignores an empty sweep section; sweep refuses it
+        cfg = write_config(tmp_path, base_config(tmp_path / "out", sweep={}))
+        assert main(["simulate", "--config", cfg]) == 0
+        assert main(["sweep", "--config", cfg]) == 2
+        assert "error: sweep requires a 'sweep' section with axes" in capsys.readouterr().err
+
     def test_valid_edges_still_run(self, tmp_path):
         # a sink equal to the budget, and a skew whose last layer gets exactly w + c
         cfg = base_config(tmp_path / "out", policies=[
@@ -727,6 +759,16 @@ class TestNeedleCommand:
         out = json.loads((tmp_path / "out" / "needle.json").read_text())
         chunk = next(p for p in out["policies"] if p["policy"] == "ChunkKV")
         assert chunk["intact_all_layers"] is True
+
+    def test_case_block_records_noise(self, tmp_path):
+        weak = {**NEEDLE_PROMPT, "signal": 0.3, "seed": 2, "observe_rows": 4}
+        outs = []
+        for noise in ("uniform", "gaussian"):
+            cfg = base_config(tmp_path / noise, prompt={**weak, "noise": noise})
+            assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 0
+            outs.append((tmp_path / noise / "needle.json").read_text())
+            assert json.loads(outs[-1])["case"]["noise"] == noise
+        assert outs[0] != outs[1]
 
     def test_requires_needle_prompt(self, tmp_path):
         cfg = base_config(tmp_path / "out")

@@ -1,4 +1,8 @@
-"""parse_config against arbitrary JSON, and against the benchmark's own configs."""
+"""parse_config against arbitrary JSON, and against the benchmark's own configs.
+
+Whatever budget parse_config accepts must run: every policy and every sweep
+cell, over a score source of the prompt's length.
+"""
 
 import copy
 import importlib.util
@@ -6,27 +10,35 @@ import sys
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvlab.cache import BudgetSpec
 from kvlab.experiments import (
-    SWEEP_AXES,
     ConfigError,
     ExperimentConfig,
     PromptSpec,
     ReuseSpec,
+    SweepSpec,
+    _cell_spec,
+    _sweep_cells,
     parse_config,
 )
 from kvlab.metrics import NeedleCase
 from kvlab.model import ModelConfig
-from kvlab.policies import POLICY_KINDS, PolicySpec
+from kvlab.numerics import TensorView
+from kvlab.policies import POLICY_KINDS, PolicySpec, ScoreMatrices
+from kvlab.reuse import ReusePlan, run_with_reuse
 
 ROOT = Path(__file__).resolve().parents[1]
 
-SCHEMA = (ExperimentConfig, ModelConfig, PromptSpec, PolicySpec, BudgetSpec, NeedleCase, ReuseSpec)
-KEYS = sorted({f.name for cls in SCHEMA for f in fields(cls)} | set(SWEEP_AXES) | {"schema"})
+SCHEMA = (
+    ExperimentConfig, ModelConfig, PromptSpec, PolicySpec, BudgetSpec, NeedleCase, ReuseSpec,
+    SweepSpec,
+)
+KEYS = sorted({f.name for cls in SCHEMA for f in fields(cls)} | {"schema"})
 WORDS = [
     *POLICY_KINDS, "random", "tokens", "needle", "raw", "softmax", "exposure", "none",
     "uniform", "gaussian",
@@ -160,3 +172,76 @@ WORKLOADS = _load_workloads()
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_benchmark_configs_parse(name, seed):
     assert isinstance(parse_config(WORKLOADS[name].config(seed)), ExperimentConfig)
+
+
+# Budget fields near their edges: a max_len below w, a sink or skew above
+# what the budget allows and a split past the last layer all occur, so
+# parse_config rejects some drafts and the rest must run.
+BUDGETS = st.one_of(
+    st.fixed_dictionaries({"max_len": st.integers(0, 80)}, optional={
+        "w": st.integers(0, 6), "c": st.integers(1, 10),
+    }),
+    st.fixed_dictionaries({"ratio": st.floats(0.0, 1.0, exclude_min=True)}, optional={
+        "w": st.integers(0, 6), "c": st.integers(1, 10),
+    }),
+)
+PLAIN_KINDS = [k for k in POLICY_KINDS if k != "Hybrid"]
+
+
+def _policies(kinds):
+    return st.fixed_dictionaries({"kind": st.sampled_from(kinds), "budget": BUDGETS}, optional={
+        "sink": st.integers(0, 20),
+        "skew": st.floats(0.0, 0.95),
+        "pool_width": st.sampled_from([1, 3, 7]),
+        "head_pool": st.booleans(),
+    })
+
+
+POLICIES = st.one_of(
+    _policies(PLAIN_KINDS),
+    st.fixed_dictionaries({
+        "kind": st.just("Hybrid"),
+        "budget": BUDGETS,
+        "split": st.integers(1, 4),
+        "inner_a": _policies(PLAIN_KINDS),
+        "inner_b": _policies(PLAIN_KINDS),
+    }),
+)
+SWEEPS = st.fixed_dictionaries({}, optional={
+    "c": st.lists(st.integers(1, 10), min_size=1, max_size=2),
+    "ratio": st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2),
+    "n_reuse": st.lists(st.integers(1, 4), min_size=1, max_size=2),
+})
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n_layers=st.integers(1, 6),
+    seq_len=st.integers(1, 64),
+    policies=st.lists(POLICIES, min_size=1, max_size=2),
+    sweep=st.none() | SWEEPS,
+)
+def test_every_accepted_budget_runs(n_layers, seq_len, policies, sweep):
+    doc = {
+        "schema": 1,
+        "model": {"n_layers": n_layers, "n_heads": 1, "head_dim": 4, "vocab_size": 16},
+        "prompt": {"kind": "random", "length": seq_len},
+        "policies": policies,
+        "sweep": sweep,
+    }
+    try:
+        cfg = parse_config(doc)
+    except ConfigError:
+        return
+    rng = np.random.Generator(np.random.Philox(key=seq_len))
+    source = ScoreMatrices(tuple(
+        TensorView(rng.uniform(0, 1, size=(4, seq_len)).astype(np.float32))
+        for _ in range(n_layers)
+    ))
+    runs = [(spec, 1) for spec in cfg.policies]
+    if cfg.sweep is not None:
+        cells = _sweep_cells(cfg)
+        runs += [(_cell_spec(spec, c, r), n) for c, r, n, _ in cells for spec in cfg.policies]
+    for spec, n_reuse in runs:
+        kept = run_with_reuse(source, spec, ReusePlan(n_layers, n_reuse))
+        assert all(p < seq_len for heads in kept for k in heads for p in k)

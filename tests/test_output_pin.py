@@ -54,9 +54,11 @@ DIGESTS = {
     ("simulate", "needle", 2): "07daa6385c96adee9de0ec60fb57513ea2be7ef89788cbeea6309acf5a2bec8e",
     # needle.json reads the kept sets report.json does, under the same reuse
     # plan; at signal 60 every layer keeps the same share of the span whether
-    # it is compressed or copied, so n_reuse 2 writes the bytes of n_reuse 1
-    ("needle", "needle", 1): "b2eb1b7d89f0fa30b0f3dd98e1db46d5b592b853d5ece047f80d7b5f179de0e9",
-    ("needle", "needle", 2): "b2eb1b7d89f0fa30b0f3dd98e1db46d5b592b853d5ece047f80d7b5f179de0e9",
+    # it is compressed or copied, so n_reuse 2 writes the bytes of n_reuse 1.
+    # Re-recorded when the `case` block gained the needle's `noise` field;
+    # the `policies` block kept every byte.
+    ("needle", "needle", 1): "fd49cd9f7ecd1720dac3a11ab4200305b15acefe2da17fb2c0d92c5bb32ee072",
+    ("needle", "needle", 2): "fd49cd9f7ecd1720dac3a11ab4200305b15acefe2da17fb2c0d92c5bb32ee072",
 }
 
 OUTPUT = {"simulate": "report.json", "needle": "needle.json"}

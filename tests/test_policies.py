@@ -21,6 +21,7 @@ from kvlab.policies import (
     h2o_scores,
     max_pool_1d,
     pyramid_budgets,
+    resolved_layer_budgets,
     streaming_compress,
     topk_from_scores,
 )
@@ -223,21 +224,62 @@ class TestChunkKV:
 
 class TestStreaming:
     def test_example(self):
-        spec = PolicySpec("StreamingStyle", BudgetSpec(max_len=4, w=0), sink=2)
-        assert streaming_compress(6, spec).positions == (0, 1, 4, 5)
+        assert streaming_compress(6, sink=2, max_len=4).positions == (0, 1, 4, 5)
 
     def test_pure_recent(self):
-        spec = PolicySpec("StreamingStyle", BudgetSpec(max_len=3, w=0), sink=0)
-        assert streaming_compress(6, spec).positions == (3, 4, 5)
+        assert streaming_compress(6, sink=0, max_len=3).positions == (3, 4, 5)
 
     def test_identity(self):
+        assert streaming_compress(5, sink=2, max_len=8).positions == tuple(range(5))
+
+    def test_budget_covers_all(self):
         spec = PolicySpec("StreamingStyle", BudgetSpec(max_len=8, w=0), sink=2)
-        assert streaming_compress(5, spec).positions == tuple(range(5))
+        source = ScoreMatrices((random_scores(1, 5, 0),))
+        assert compress_layer(source, 0, spec)[0].positions == tuple(range(5))
+
+
+class TestResolvedLayerBudgets:
+    """The one budget rule: each range error starts with the PolicySpec field at fault."""
 
     def test_sink_exceeds_budget(self):
         spec = PolicySpec("StreamingStyle", BudgetSpec(max_len=3, w=0), sink=4)
-        with pytest.raises(ValueError):
-            streaming_compress(10, spec)
+        with pytest.raises(ValueError, match=r"^sink 4 exceeds the budget 3 resolved$"):
+            resolved_layer_budgets(spec, 2, 10)
+        with pytest.raises(ValueError, match="^sink 4"):
+            compress_layer(ScoreMatrices((random_scores(1, 10, 0),)), 0, spec)
+
+    def test_pyramid_max_len_below_w_plus_c_blames_budget(self):
+        spec = PolicySpec("PyramidStyle", BudgetSpec(max_len=6, w=4, c=5), skew=0.0)
+        with pytest.raises(ValueError, match=r"^budget: max_len 6 is below the minimum budget"):
+            resolved_layer_budgets(spec, 4, 48)
+
+    @pytest.mark.parametrize("skew", [0.5, 1.5])
+    def test_pyramid_skew_rules_blame_skew(self, skew):
+        spec = PolicySpec("PyramidStyle", BudgetSpec(ratio=0.25, w=4, c=5), skew=skew)
+        with pytest.raises(ValueError, match=rf"^skew {skew}: "):
+            resolved_layer_budgets(spec, 4, 48)
+
+    @pytest.mark.parametrize(
+        "spec, t_k",
+        [
+            (PolicySpec("SnapKVStyle", BudgetSpec(ratio=0.5)), 10**400),
+            (PolicySpec("PyramidStyle", BudgetSpec(max_len=10**400), skew=0.2), 48),
+        ],
+        ids=["ratio-of-huge-length", "pyramid-huge-max-len"],
+    )
+    def test_float_overflow_blames_budget(self, spec, t_k):
+        with pytest.raises(ValueError, match="^budget: "):
+            resolved_layer_budgets(spec, 4, t_k)
+
+    def test_hybrid_prefixes_its_inner_field(self):
+        budget = BudgetSpec(ratio=0.25, w=4, c=5)
+        spec = PolicySpec(
+            "Hybrid", budget, split=2,
+            inner_a=PolicySpec("ChunkKV", budget),
+            inner_b=PolicySpec("StreamingStyle", budget, sink=13),
+        )
+        with pytest.raises(ValueError, match=r"^inner_b\.sink 13 exceeds the budget 12"):
+            resolved_layer_budgets(spec, 4, 48)
 
 
 class TestH2O:
@@ -510,7 +552,7 @@ def test_score_source_matches_selection_primitives(kind, head_pool):
         elif k == "H2OStyle":
             want = topk_from_scores(col, w, max_len, t).positions
         else:
-            want = streaming_compress(t, spec).positions
+            want = streaming_compress(t, 2, max_len).positions
         got = compress_layer(ScoreMatrices(mats), l, spec)
         assert [kept.positions for kept in got] == [want]
 
