@@ -304,9 +304,13 @@ def _digest(kept: KeptIndices) -> str:
 
 
 def _observe_rows(cfg: ExperimentConfig) -> int:
-    """Observe rows prefill keeps: the widest w of any policy or Hybrid inner policy."""
-    specs = [s for p in cfg.policies for s in (p, p.inner_a, p.inner_b) if s is not None]
-    return max(1, *(s.budget.w for s in specs))
+    """Observe rows prefill keeps: the widest w of any policy that selects.
+
+    A Hybrid selects through its inner policies, so its own budget's w counts
+    for nothing.
+    """
+    selecting = ((p.inner_a, p.inner_b) if p.kind == "Hybrid" else (p,) for p in cfg.policies)
+    return max(1, *(s.budget.w for specs in selecting for s in specs))
 
 
 def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:

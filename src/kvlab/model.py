@@ -175,7 +175,8 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
             v_all = np.concatenate([vs[h], v[:, sl]], axis=0) if p else v[:, sl]
             mass = np.zeros(t, dtype=np.float64)
             for r0, r1 in blocks:
-                scores = _mm_t(q[r0:r1, sl], k_all[: p + r1]) * scale
+                scores = _mm_t(q[r0:r1, sl], k_all[: p + r1])
+                scores *= scale
                 # the tail block's QK^T and rows are kept: fresh per head
                 block = rows[: r1 - r0, :t] if r1 <= tail else np.empty((r1 - r0, t), np.float32)
                 _causal_softmax(scores, query_offset=p + r0, out=block)

@@ -5,14 +5,27 @@ left-to-right over the inner dimension), so results are bit-identical
 across runs and match a naive triple-loop reference exactly.  BLAS is not
 used: its blocked accumulation rounds differently.
 
-Products are formed by ``np.einsum`` without a summed index ("i,j->ij",
-"kd,ki->kdi"): each output is one float32 product, the same bits as a
-broadcast multiply, except that a zero product may come out +0 where the
-multiply gives -0.  Every sum starts at +0, and a float32 sum is -0 only if
-both addends are, so a sum never becomes -0 and the sign of a zero addend
-never shows.  einsum writes these products up to twice as fast as numpy's
-broadcast multiply (0.3-0.6 against 0.5-1.2 ns per element on a 2-core
-Xeon).
+Every product sum is one ``np.einsum("ki,kj->ij", xt, yt)`` on k-major
+operands (``_contract``), with einsum's default ``optimize=False``, so numpy
+runs its own loops and never reaches BLAS.  The output has stride 0 along
+the summed index k, and xt and yt are each contiguous along their output
+axis, so numpy's iterator orders the loops k outermost and j innermost:
+the inner loop is ``out[i, :] += xt[k, i] * yt[k, :]``, and each output
+element adds its products in increasing k, one float32 product and one
+float32 add at a time, as the triple loop does.  A one-entry output is the
+exception: with i and j both of length 1, k is the only loop left, and
+einsum sums along it in SIMD partial sums, so ``_contract`` gives that shape
+an explicit loop over k.  Every sum starts at +0, and a float32 sum is -0
+only if both addends are, so a sum never becomes -0 and the sign of a zero
+product never shows.
+
+Precondition: these bits hold only where numpy's einsum inner loop
+multiplies and then adds, rounding twice.  A numpy built with fused
+multiply-add into its einsum loops (an x86-64-v3 baseline, say) rounds once
+and gives other bits.  numpy 2.4.6 built for x86-64 with ``__cpu_baseline__``
+X86_V2, which has no FMA, meets it.  On a build that fuses,
+``test_contraction_does_not_fuse_multiply_add`` in ``tests/test_numerics.py``
+fails by name.
 
 Causal attention runs in row blocks (``model._forward``; offsets below are
 for prefill's empty cache, and P cached keys shift them by P): query rows
@@ -23,10 +36,9 @@ written into a row buffer T columns wide whose tail is zero, and the row sum
 spans all T columns.  numpy sums a row pairwise, and the pairwise tree
 depends on the row length, so a sum over the r1 trimmed entries would round
 differently.  P.V (``_causal_pv``) runs on one block's rows right after
-their softmax, over keys [0, r1) in tiles of KEY_TILE.  Within a tile it
-adds the masked terms too: they are exact zeros, and by the rule above
-adding +-0 leaves every sum unchanged, so one tile serves all rows of the
-block.
+their softmax, as one contraction over keys [0, r1).  It adds the masked
+terms too: they are exact zeros, and by the rule above adding +-0 leaves
+every sum unchanged, so one contraction serves all rows of the block.
 
 The last row block is the observe tail, the last n query rows: its r1 is T,
 so its QK^T covers every key and prefill keeps its raw and softmax rows as
@@ -44,10 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-# Keys per tile of P.V (``_causal_pv``): each tile's products are formed in
-# one einsum and added in key order by one reduce.
-KEY_TILE = 32
 
 
 @dataclass(frozen=True)
@@ -84,25 +92,29 @@ def check_seed(seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
 
 
+def _contract(xt: np.ndarray, yt: np.ndarray) -> np.ndarray:
+    """out[i, j] = sum of xt[k, i] * yt[k, j] over k, added in increasing k.
+
+    One einsum for every output of two or more entries (the module docstring
+    says why k is its outermost loop); a one-entry output runs its own loop,
+    since einsum would sum it along k in SIMD partial sums.
+    """
+    if xt.shape[1] * yt.shape[1] > 1:
+        return np.einsum("ki,kj->ij", xt, yt)
+    out = np.zeros((1, 1), dtype=np.float32)
+    for x, y in zip(xt, yt):
+        out += x * y
+    return out
+
+
 def _mm_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """a @ b.T with float32 accumulation in fixed left-to-right inner order.
 
     Each output element accumulates products in increasing k, exactly like
-    the scalar triple loop; the vectorization is over (i, j) only, which
-    does not change per-element rounding.  a and b are transposed once so
-    that each k reads two contiguous rows, whose rank-1 products one einsum
-    writes into a product buffer that serves every k.
+    the scalar triple loop.  a and b are transposed once into k-major
+    contiguous copies, so that each k reads two contiguous rows.
     """
-    m, d = a.shape
-    n = b.shape[0]
-    at = np.ascontiguousarray(a.T)
-    bt = np.ascontiguousarray(b.T)
-    out = np.zeros((m, n), dtype=np.float32)
-    prod = np.empty_like(out)
-    for k in range(d):
-        np.einsum("i,j->ij", at[k], bt[k], out=prod)
-        out += prod
-    return out
+    return _contract(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
 
 
 def _causal_softmax(
@@ -112,24 +124,23 @@ def _causal_softmax(
 
     ``out``, if given, is a float32 w x T row buffer with T >= t: the
     probabilities go into its first t columns, the rest are zeroed, and each
-    row sum spans all T columns (see the module docstring).
+    row sum spans all T columns (see the module docstring).  ``scores`` is
+    only read.
     """
     w, t = scores.shape
     if query_offset < 0:
         raise ValueError("query_offset must be non-negative")
     if t == 0 or query_offset >= t + w:
         raise ValueError("mask leaves an empty row")
-    cols = np.arange(t)[None, :]
-    rows = np.arange(w)[:, None]
-    allowed = cols <= query_offset + rows
-    if not allowed.any(axis=1).all():
-        raise ValueError("mask leaves an empty row")
     if out is None:
         out = np.empty((w, t), dtype=np.float32)
-    x = np.where(allowed, scores, -np.inf).astype(np.float32, copy=False)
-    x -= x.max(axis=1, keepdims=True)
     probs = out[:, :t]
-    np.exp(x, out=probs)  # masked entries: exp(-inf) is exactly +0
+    probs[...] = scores
+    # row i sees keys [0, query_offset + i]; row by row, no mask is allocated
+    for i in range(min(w, t - query_offset - 1)):
+        probs[i, query_offset + 1 + i :] = -np.inf
+    probs -= probs.max(axis=1, keepdims=True)
+    np.exp(probs, out=probs)  # masked entries: exp(-inf) is exactly +0
     out[:, t:] = 0.0
     probs /= out.sum(axis=1, keepdims=True)
     return probs
@@ -139,30 +150,14 @@ def _causal_pv(probs: np.ndarray, v: np.ndarray, query_offset: int) -> np.ndarra
     """probs @ v for causal probabilities (row i is zero past query_offset + i).
 
     Each output element accumulates probs[i, k] * v[k] in increasing k, as
-    ``_mm_t(probs, v.T)`` does, up to the block's last visible key.  Keys go
-    in tiles of KEY_TILE: slot 0 of a (tile + 1, d, w) buffer holds the
-    running sum, one einsum writes the tile's products into the other slots,
-    and one reduce over slot order adds them key by key.  The products of
-    masked entries are exact zeros (see the module docstring).
+    ``_mm_t(probs, v.T)`` does, up to the block's last visible key.  The
+    products of masked entries are exact zeros (see the module docstring),
+    so one contraction serves every row of the block.  v's visible rows go
+    in as one C-ordered array (a copy when v is not one): for a one-row
+    block, v's own strides order the loops, and a column-major v would put
+    k innermost.
     """
     w, t = probs.shape
-    d = v.shape[1]
     kend = min(t, query_offset + w)
-    if w * d == 1:
-        # A (tile + 1, 1, 1) buffer reduces along its one contiguous axis,
-        # which numpy sums pairwise: keep the per-key loop for this shape
-        # (head_dim 1 with a one-row block, or decode at head_dim 1).
-        out = np.zeros((1, 1), dtype=np.float32)
-        for k in range(kend):
-            out += probs[:, k : k + 1] * v[k]
-        return out
-    pt = np.ascontiguousarray(probs[:, :kend].T)
-    buf = np.zeros((KEY_TILE + 1, d, w), dtype=np.float32)
-    acc = np.zeros((d, w), dtype=np.float32)
-    for k0 in range(0, kend, KEY_TILE):
-        k1 = min(k0 + KEY_TILE, kend)
-        tile = buf[: k1 - k0 + 1]
-        np.einsum("kd,ki->kdi", v[k0:k1], pt[k0:k1], out=tile[1:])
-        np.add.reduce(tile, axis=0, out=acc)
-        buf[0] = acc
-    return acc.T
+    vt = np.ascontiguousarray(v[:kend])
+    return _contract(vt, np.ascontiguousarray(probs[:, :kend].T)).T

@@ -407,6 +407,31 @@ class TestHybridSplit:
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert "split" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("outer_w", [4, 40])
+    def test_observe_rows_come_from_inner_policies(self, tmp_path, monkeypatch, outer_w):
+        # the Hybrid's own budget selects nothing, so its w keeps no observe rows
+        import kvlab.experiments
+
+        rows = []
+        real = kvlab.experiments.prefill
+
+        def counting(model, tokens, observe_rows=1):
+            rows.append(observe_rows)
+            return real(model, tokens, observe_rows=observe_rows)
+
+        monkeypatch.setattr(kvlab.experiments, "prefill", counting)
+        inner = {"kind": "ChunkKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}}
+        hybrid = {
+            "kind": "Hybrid",
+            "split": 2,
+            "budget": {"ratio": 0.25, "w": outer_w, "c": 5},
+            "inner_a": inner,
+            "inner_b": {**inner, "budget": {"ratio": 0.25, "w": 3, "c": 5}},
+        }
+        cfg = base_config(tmp_path / "out", policies=[hybrid])
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert rows == [4]
+
 
 def _with_budget(out_dir, **budget):
     cfg = base_config(out_dir)

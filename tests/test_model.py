@@ -12,6 +12,7 @@ from kvlab.model import (
     CacheSet,
     ModelConfig,
     ToyModel,
+    _forward,
     decode_step,
     init_model,
     prefill,
@@ -131,9 +132,9 @@ def test_decode_full_cache_equals_fullkv_logits(small_model, small_trace):
 
 
 # SHA-256 over the logits bytes of four decode_step calls on a FullKV cache
-# from a T=300 prefill, recorded before P.V ran per row block on key tiles.
-# The head_dim-1 model takes the w*d == 1 path of _causal_pv in decode and in
-# prefill's one-row observe tail.
+# from a T=300 prefill, recorded before P.V ran per row block.  The
+# head_dim-1 model takes the one-entry loop of numerics._contract in decode's
+# P.V and in prefill's one-row observe tail.
 DECODE_DIGESTS = {
     (8, 4, 16, 256, 0): "ee17aaaab14b143f75b25742d0b644b119b9c554ead321ba03cefd5aad77a0e5",
     (2, 3, 1, 64, 5): "68f95e4e3037785b23bdf4f168f5be1e11a86644c0031ea204d633139c5fda32",
@@ -178,6 +179,37 @@ def test_compressed_decode_logits_digest(shape):
         logits, cache = decode_step(model, cache, token)
         h.update(logits.data.tobytes())
     assert h.hexdigest() == COMPRESSED_DECODE_DIGESTS[shape]
+
+
+@pytest.mark.parametrize("n", [4, ROW_BLOCK + 2])
+def test_forward_of_n_tokens_over_a_filled_cache(roadmap_model, n):
+    # teacher forcing: n new tokens in one _forward over a T=300 FullKV cache,
+    # in row blocks whose queries start past the cached keys
+    p, d = 300, roadmap_model.config.head_dim
+    tokens = random_tokens(256, p + n, seed=n)
+    cache = CacheSet.from_trace(prefill(roadmap_model, tokens[:p]))
+    hidden, _, ks, vs, *_ = _forward(roadmap_model, tokens[p:], cache.keys, cache.values, 1)
+    for l in range(roadmap_model.config.n_layers):
+        for h in range(roadmap_model.config.n_heads):
+            for new, cached in ((ks[l][h], cache.keys[l][h]), (vs[l][h], cache.values[l][h])):
+                assert new.shape == (p + n, d)
+                assert np.array_equal(new[:p], cached)
+
+    # layer 0's keys and values read only the embeddings: bit-equal to prefill's
+    full = prefill(roadmap_model, tokens)
+    for h in range(roadmap_model.config.n_heads):
+        assert np.array_equal(ks[0][h], full.k[0][h].data)
+        assert np.array_equal(vs[0][h], full.v[0][h].data)
+
+    # n decode steps differ in the last bits only: each softmax row sum spans
+    # the widest row of its pass (P + n here, P + i + 1 for step i)
+    stepped = []
+    for token in tokens[p:]:
+        logits, cache = decode_step(roadmap_model, cache, token)
+        stepped.append(logits.data[0])
+    forced = _mm_t(hidden[-1], roadmap_model.embed)
+    assert forced.shape == (n, roadmap_model.config.vocab_size)
+    assert np.abs(forced - np.array(stepped)).max() <= 1e-6
 
 
 def _cache_of(config):

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvlab.model import ROW_BLOCK
-from kvlab.numerics import KEY_TILE, TensorView, _causal_pv, _causal_softmax, _mm_t
+from kvlab.numerics import TensorView, _causal_pv, _causal_softmax, _mm_t
 
 
 def naive_matmul_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -242,32 +242,68 @@ def _entries(rng, shape, scale) -> np.ndarray:
     return x
 
 
+def _layout(a: np.ndarray, layout: str) -> np.ndarray:
+    """a as a C-ordered or Fortran-ordered array, or as a view into a wider one.
+
+    "slice" is a block of contiguous columns, as prefill passes each head's
+    columns of the Q/K/V projections; "strided" is every third column.
+    """
+    if layout in ("slice", "strided"):
+        wide = np.zeros((a.shape[0], 3 * a.shape[1]), dtype=a.dtype)
+        cols = np.s_[:, a.shape[1] : 2 * a.shape[1]] if layout == "slice" else np.s_[:, 1::3]
+        wide[cols] = a
+        return wide[cols]
+    return np.asfortranarray(a) if layout == "fortran" else a
+
+
+LAYOUTS = st.sampled_from(["c", "slice", "strided", "fortran"])
+
+
 # p_scale 1e-30 against v_scale 1e-20 underflows products to +-0
 @settings(max_examples=200, deadline=None)
 @given(
     d=st.one_of(st.just(1), st.integers(min_value=1, max_value=64)),
     w=st.one_of(st.just(1), st.integers(min_value=1, max_value=ROW_BLOCK + 5)),
-    query_offset=st.integers(min_value=0, max_value=400),
+    query_offset=st.integers(min_value=0, max_value=1100),
     extra=st.integers(min_value=-ROW_BLOCK - 5, max_value=40),
     p_scale=st.sampled_from([1e-30, 1e-20, 1e-3, 1.0]),
     v_scale=st.sampled_from([1e-20, 1e-6, 1.0, 1e20]),
+    v_layout=LAYOUTS,
     seed=st.integers(min_value=0, max_value=1000),
 )
-# decode at head_dim 1: the w * d == 1 loop, over keys that cross tile edges
-@example(d=1, w=1, query_offset=300, extra=0, p_scale=1.0, v_scale=1.0, seed=1)
-@example(d=1, w=1, query_offset=2 * KEY_TILE, extra=0, p_scale=1.0, v_scale=1e20, seed=2)
-# the last visible key just before, at and just past a tile edge
-@example(d=16, w=1, query_offset=KEY_TILE - 2, extra=0, p_scale=1.0, v_scale=1.0, seed=3)
-@example(d=16, w=1, query_offset=KEY_TILE - 1, extra=0, p_scale=1.0, v_scale=1.0, seed=4)
-@example(d=16, w=ROW_BLOCK, query_offset=KEY_TILE + 1, extra=0, p_scale=1.0, v_scale=1.0, seed=5)
-@example(d=1, w=2, query_offset=0, extra=0, p_scale=1.0, v_scale=1.0, seed=6)
-def test_causal_pv_bytes_match_per_key_loop(d, w, query_offset, extra, p_scale, v_scale, seed):
+# decode at head_dim 1: the one-entry loop, over a few hundred keys
+@example(d=1, w=1, query_offset=300, extra=0, p_scale=1.0, v_scale=1.0, v_layout="c", seed=1)
+@example(d=1, w=1, query_offset=64, extra=0, p_scale=1.0, v_scale=1e20, v_layout="c", seed=2)
+# the last visible key around 32, where P.V once split its keys into tiles
+@example(d=16, w=1, query_offset=30, extra=0, p_scale=1.0, v_scale=1.0, v_layout="c", seed=3)
+@example(d=16, w=1, query_offset=31, extra=0, p_scale=1.0, v_scale=1.0, v_layout="c", seed=4)
+@example(
+    d=16, w=ROW_BLOCK, query_offset=33, extra=0, p_scale=1.0, v_scale=1.0, v_layout="c", seed=5
+)
+@example(d=1, w=2, query_offset=0, extra=0, p_scale=1.0, v_scale=1.0, v_layout="c", seed=6)
+# decode over a T=1024 cache, and a one-row block over a column-major v
+@example(d=16, w=1, query_offset=1023, extra=0, p_scale=1.0, v_scale=1.0, v_layout="c", seed=7)
+@example(d=16, w=1, query_offset=500, extra=0, p_scale=1.0, v_scale=1.0, v_layout="fortran", seed=8)
+# a prefill row block at T=1024, as _forward passes its per-head V slice
+@example(
+    d=16, w=ROW_BLOCK, query_offset=1024 - ROW_BLOCK, extra=0, p_scale=1.0, v_scale=1.0,
+    v_layout="slice", seed=9,
+)
+# a block of 9000 rows over 40 keys: each inner loop of the contraction runs
+# along the rows, past numpy's 8192-element iterator buffer
+@example(
+    d=3, w=9000, query_offset=0, extra=40 - 9000, p_scale=1.0, v_scale=1.0, v_layout="c",
+    seed=10,
+)
+def test_causal_pv_bytes_match_per_key_loop(
+    d, w, query_offset, extra, p_scale, v_scale, v_layout, seed
+):
     t = max(query_offset + 1, query_offset + w + extra)  # every row sees key 0
     rng = np.random.Generator(np.random.Philox(key=seed))
     probs = np.abs(_entries(rng, (w, t), p_scale))
     probs[rng.random((w, t)) < 0.05] = -0.0
     probs[np.arange(t)[None, :] > query_offset + np.arange(w)[:, None]] = 0.0  # the mask
-    v = _entries(rng, (t, d), v_scale)
+    v = _layout(_entries(rng, (t, d), v_scale), v_layout)
     got = _causal_pv(probs, v, query_offset)
     assert got.shape == (w, d)
     assert got.tobytes() == _loop_causal_pv(probs, v, query_offset).tobytes()
@@ -275,16 +311,55 @@ def test_causal_pv_bytes_match_per_key_loop(d, w, query_offset, extra, p_scale, 
 
 @settings(max_examples=100, deadline=None)
 @given(
-    m=st.integers(min_value=1, max_value=40),
-    n=st.integers(min_value=1, max_value=40),
+    m=st.one_of(st.just(1), st.integers(min_value=1, max_value=40)),
+    n=st.one_of(st.just(1), st.integers(min_value=1, max_value=1100)),
     d=st.integers(min_value=1, max_value=64),
     a_scale=st.sampled_from([1e-30, 1e-20, 1.0]),
     b_scale=st.sampled_from([1e-20, 1.0, 1e20]),
+    a_layout=LAYOUTS,
+    b_layout=LAYOUTS,
     seed=st.integers(min_value=0, max_value=1000),
 )
-def test_mm_t_bytes_match_broadcast_loop(m, n, d, a_scale, b_scale, seed):
-    # strided views, as prefill passes per-head column slices
+# one output entry: the one-entry loop
+@example(m=1, n=1, d=16, a_scale=1.0, b_scale=1.0, a_layout="c", b_layout="c", seed=1)
+@example(m=1, n=1, d=64, a_scale=1.0, b_scale=1e20, a_layout="fortran", b_layout="strided", seed=2)
+# decode's logits (one row against a 256-token vocabulary), a projection,
+# and QK^T at T=1024 on prefill's per-head column slices
+@example(m=1, n=256, d=64, a_scale=1.0, b_scale=1.0, a_layout="c", b_layout="c", seed=3)
+@example(m=40, n=64, d=64, a_scale=1.0, b_scale=1.0, a_layout="c", b_layout="c", seed=4)
+@example(
+    m=ROW_BLOCK, n=1024, d=16, a_scale=1.0, b_scale=1.0, a_layout="slice", b_layout="slice",
+    seed=5,
+)
+# a row longer than numpy's 8192-element iterator buffer
+@example(m=3, n=9000, d=16, a_scale=1.0, b_scale=1.0, a_layout="c", b_layout="c", seed=6)
+@example(
+    m=1, n=9000, d=16, a_scale=1.0, b_scale=1.0, a_layout="fortran", b_layout="fortran", seed=7
+)
+def test_mm_t_bytes_match_broadcast_loop(m, n, d, a_scale, b_scale, a_layout, b_layout, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    a = _entries(rng, (m, 2 * d), a_scale)[:, d:]
-    b = _entries(rng, (n, 3 * d), b_scale)[:, ::3]
+    a = _layout(_entries(rng, (m, d), a_scale), a_layout)
+    b = _layout(_entries(rng, (n, d), b_scale), b_layout)
     assert _mm_t(a, b).tobytes() == _loop_mm_t(a, b).tobytes()
+
+
+# e * e = 1 + 2**-11 + 2**-24 rounds to 1 + 2**-11 (a tie, to even), so each
+# entry, -(1 + 2**-11) + e * e, is exactly 0 when the product is rounded
+# before the add, and 2**-24 when a fused multiply-add rounds only once.
+E = 1 + 2.0**-12
+FMA_MESSAGE = "this numpy build fuses multiply-add in einsum, so kernel bits differ"
+
+
+def test_contraction_does_not_fuse_multiply_add():
+    a = np.array([[1.0, E]] * 3, dtype=np.float32)
+    b = np.array([[-(1 + 2.0**-11), E]] * 70, dtype=np.float32)
+    got = _mm_t(a, b)
+    assert got.shape == (3, 70)
+    assert not got.any(), f"_mm_t: {FMA_MESSAGE}"
+
+    # the same sums through P.V: 70 rows see keys 0 and 1
+    probs = np.array([[1.0, E]] * 70, dtype=np.float32)
+    v = np.array([[-(1 + 2.0**-11)] * 3, [E] * 3], dtype=np.float32)
+    got = _causal_pv(probs, v, query_offset=1)
+    assert got.shape == (70, 3)
+    assert not got.any(), f"_causal_pv: {FMA_MESSAGE}"
