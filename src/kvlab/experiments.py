@@ -33,7 +33,9 @@ from .metrics import (
 )
 from .model import ModelConfig, PrefillTrace, init_model, prefill
 from .numerics import TensorView, check_seed
-from .policies import PolicySpec, ScoreMatrices, compress_layer, resolved_layer_budgets
+from .policies import (
+    PolicySpec, ScoreMatrices, compress_layer, observe_rows, resolved_layer_budgets
+)
 from .reuse import (
     ReusePlan,
     adjacent_similarity,
@@ -303,20 +305,11 @@ def _digest(kept: KeptIndices) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _observe_rows(cfg: ExperimentConfig) -> int:
-    """Observe rows prefill keeps: the widest w of any policy that selects.
-
-    A Hybrid selects through its inner policies, so its own budget's w counts
-    for nothing.
-    """
-    selecting = ((p.inner_a, p.inner_b) if p.kind == "Hybrid" else (p,) for p in cfg.policies)
-    return max(1, *(s.budget.w for specs in selecting for s in specs))
-
-
 def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:
     """What the policies read: the prompt's prefill, or a needle prompt's synthetic scores.
 
     A needle prompt gives one matrix per layer, each drawn from its own seed.
+    Prefill keeps the observe rows the policies read, and the final row `_fidelity` reads.
     """
     case, rows = cfg.prompt.needle, cfg.prompt.observe_rows
     if case is not None:
@@ -324,7 +317,7 @@ def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:
             make_needle_case(replace(case, seed=(case.seed * 1000003 + l) % 2**128), rows)
             for l in range(cfg.model.n_layers)
         ))
-    return prefill(init_model(cfg.model), prompt_tokens(cfg), observe_rows=_observe_rows(cfg))
+    return prefill(init_model(cfg.model), prompt_tokens(cfg), max(1, observe_rows(cfg.policies)))
 
 
 def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> TensorView:
@@ -633,13 +626,16 @@ def write_pgm(path: Path, matrix: list[list[float]], max_level: int = 255):
 
 
 def cmd_similarity(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+    """similarity_<name>.csv/.pgm per policy; policies that share a name add _<report index>."""
     if cfg.model.n_layers < 2:
         raise ConfigError("similarity requires at least 2 layers")
     report, _ = run_simulate(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
+    names = [p["policy"] for p in report["policies"]]
     written = []
-    for prep in report["policies"]:
-        name = prep["policy"].replace("|", "_").replace("[", "_").replace("]", "").replace("@", "_")
+    for i, (prep, name) in enumerate(zip(report["policies"], names)):
+        suffix = f"_{i}" if names.count(name) > 1 else ""
+        name = name.replace("|", "_").replace("[", "_").replace("]", "").replace("@", "_") + suffix
         matrix = prep["similarity_matrix"]
         csv_path = out_dir / f"similarity_{name}.csv"
         with csv_path.open("w", newline="") as f:
@@ -701,10 +697,10 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:
     t_select = median_time(lambda: list(anchor))
 
     fresh = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=1)
+    t_full = median_time(lambda: run_with_reuse(source, spec, fresh))
     rows = []
     for n_reuse in reuses:
         plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
-        t_full = median_time(lambda: run_with_reuse(source, spec, fresh))
         t_reuse = median_time(lambda: run_with_reuse(source, spec, plan))
         rows.append({
             "n_reuse": n_reuse,

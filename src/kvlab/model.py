@@ -61,21 +61,20 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class PrefillTrace:
-    """Per (layer, head) Q/K/V plus per-layer hidden states for one prompt.
+    """Per (layer, head) K/V plus per-layer hidden states for one prompt.
 
     Every attention score downstream code reads comes from prefill's own
-    QK^T and causal softmax; nothing recomputes them.  Per (layer, head):
-    ``col_mass``, the float64 column sums of the T x T softmax (H2OStyle's
-    cumulative attention), and the observe rows, the last n = min(observe_rows,
-    T) queries against all T keys: ``observe_raw``, their scaled QK^T rows
-    (upper triangle included), and ``observe_probs``, their causal softmax
-    rows.  Policies read the last w of these rows as their observe window,
-    and the fidelity metric reads the final softmax row.
+    QK^T and causal softmax; nothing recomputes them, and Q is not kept.
+    Per (layer, head): ``col_mass``, the float64 column sums of the T x T
+    softmax (H2OStyle's cumulative attention), and the observe rows, the last
+    n = min(observe_rows, T) queries against all T keys: ``observe_raw``, their
+    scaled QK^T rows (upper triangle included), and ``observe_probs``, their
+    causal softmax rows.  Row readers (``policies.observe_rows``) read the last
+    w of these rows, and the fidelity metric reads the final softmax row.
     """
 
     config: ModelConfig
     tokens: tuple[int, ...]
-    q: tuple[tuple[TensorView, ...], ...]
     k: tuple[tuple[TensorView, ...], ...]
     v: tuple[tuple[TensorView, ...], ...]
     hidden: tuple[TensorView, ...]
@@ -145,8 +144,8 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
     New row i is query P + i.  Row block [r0, r1) has query offset P + r0,
     reads keys [0, P + r1) and writes its softmax rows into a buffer T = P + n
     wide; the last block is the observe tail, the last min(observe_rows, n)
-    rows.  Returns hidden per layer, then q (new rows), k and v (all P + n
-    rows), col_mass, observe_raw and observe_probs per layer and head.
+    rows.  Returns hidden per layer, then k and v (all P + n rows), col_mass,
+    observe_raw and observe_probs per layer and head; Q is not returned.
     """
     cfg = model.config
     if any(t < 0 or t >= cfg.vocab_size for t in tokens):
@@ -183,11 +182,11 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
                 ctx[r0:r1, sl] = _causal_pv(block, v_all, query_offset=p + r0)
                 _add_rows(mass, block, mass_buf[:, :t])
             mass.flags.writeable = False
-            heads.append((q[:, sl], k_all, v_all, mass, scores, block))
+            heads.append((k_all, v_all, mass, scores, block))
         x = x + _mm_t(ctx, lw.wo)
         x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
         hiddens.append(x)
-        # With no cached keys, q/k/v are views of the projections until here:
+        # With no cached keys, k/v are views of the projections until here:
         # copied last, they reuse the layer's freed temporaries (a cold T=1024
         # prefill then takes half the page faults of copying them first).
         per_layer.append([[np.ascontiguousarray(a) for a in f] for f in zip(*heads)])
@@ -195,7 +194,7 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
 
 
 def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
-    """Full causal forward pass capturing Q/K/V per head and hidden states.
+    """Full causal forward pass capturing K/V per head and hidden states.
 
     ``_forward`` over an empty cache: the observe tail's QK^T spans all T keys.
     """
@@ -207,7 +206,7 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
         raise ValueError(f"observe_rows must be >= 1, got {observe_rows}")
 
     empty = [[np.empty((0, cfg.head_dim), dtype=np.float32)] * cfg.n_heads] * cfg.n_layers
-    hidden, q, k, v, col_mass, raw, probs = _forward(model, tokens, empty, empty, observe_rows)
+    hidden, k, v, col_mass, raw, probs = _forward(model, tokens, empty, empty, observe_rows)
 
     def views(per_layer) -> tuple[tuple[TensorView, ...], ...]:
         return tuple(tuple(map(TensorView, heads)) for heads in per_layer)
@@ -215,7 +214,6 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
     return PrefillTrace(
         config=cfg,
         tokens=tokens,
-        q=views(q),
         k=views(k),
         v=views(v),
         hidden=tuple(map(TensorView, hidden)),
@@ -278,5 +276,5 @@ def decode_step(model: ToyModel, cache: CacheSet, next_token: int):
                 )
 
     past = cache.keys, cache.values
-    hidden, _, cache.keys, cache.values, *_ = _forward(model, [next_token], *past, 1)
+    hidden, cache.keys, cache.values, *_ = _forward(model, [next_token], *past, 1)
     return TensorView(_mm_t(hidden[-1], model.embed)), cache

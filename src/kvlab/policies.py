@@ -125,9 +125,7 @@ def _with_recent(picked, recent: int, t_k: int) -> KeptIndices:
     return KeptIndices.from_iterable([*picked, *range(max(t_k - recent, 0), t_k)])
 
 
-def chunkkv_from_scores(
-    a: TensorView, c: int, w: int, max_len: int, t_k: int
-) -> KeptIndices:
+def chunkkv_from_scores(a: TensorView, c: int, w: int, max_len: int, t_k: int) -> KeptIndices:
     """Mask-based chunk compression over a precomputed score matrix."""
     if w > max_len:
         raise ValueError("observe window exceeds budget")
@@ -138,9 +136,7 @@ def chunkkv_from_scores(
     return _with_recent(picked, w, t_k)
 
 
-def topk_from_scores(
-    col_scores: np.ndarray, w: int, max_len: int, t_k: int
-) -> KeptIndices:
+def topk_from_scores(col_scores: np.ndarray, w: int, max_len: int, t_k: int) -> KeptIndices:
     """Token-level top-k over per-position scores, unioned with the last w."""
     if w > max_len:
         raise ValueError("observe window exceeds budget")
@@ -233,9 +229,7 @@ def pyramid_budgets(
     return budgets
 
 
-def resolved_layer_budgets(
-    spec: PolicySpec, n_layers: int, t_k: int
-) -> list[int]:
+def resolved_layer_budgets(spec: PolicySpec, n_layers: int, t_k: int) -> list[int]:
     """Per-layer budgets after ratio resolution and pyramid skew: the one budget rule.
 
     A range error is a ValueError that starts with the PolicySpec field at
@@ -267,17 +261,26 @@ def resolved_layer_budgets(
     return [base] * n_layers
 
 
+def observe_rows(specs) -> int:
+    """Observe rows the specs read from a trace: the widest w of a row reader, else 0.
+
+    ChunkKV, SnapKVStyle and PyramidStyle read rows, also as a Hybrid's inner
+    policy (the Hybrid's own w counts for nothing); the other kinds read none.
+    """
+    flat = [s for p in specs for s in ((p.inner_a, p.inner_b) if p.kind == "Hybrid" else (p,))]
+    readers = ("ChunkKV", "SnapKVStyle", "PyramidStyle")
+    return max((s.budget.w for s in flat if s.kind in readers), default=0)
+
+
 def _scores(
     source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int, mode: str
 ) -> TensorView:
     """The score rows a policy reads for one (layer, head) of a source.
 
-    A trace gives the last w of the observe rows prefill kept, raw or softmax.
+    A trace gives the last w (none at w = 0) of the raw or softmax observe rows it kept.
     """
     if isinstance(source, ScoreMatrices):
         return source.mats[layer]
-    if w == 0:
-        return TensorView(np.zeros((1, source.seq_len), dtype=np.float32))
     rows = (source.observe_raw if mode == "raw" else source.observe_probs)[layer][head]
     if w > rows.rows:
         raise ValueError(f"observe window w={w} exceeds the {rows.rows} observe rows prefill kept")

@@ -2,11 +2,26 @@ import numpy as np
 import pytest
 
 from kvlab.model import ModelConfig, init_model, prefill
+from kvlab.numerics import _mm_t
 
 
 def random_tokens(vocab: int, n: int, seed: int):
     rng = np.random.Generator(np.random.Philox(key=seed))
     return tuple(int(t) for t in rng.integers(0, vocab, size=n))
+
+
+def head_q(model, trace, layer: int, head: int) -> np.ndarray:
+    """Q of one (layer, head) of a prefill trace, recomputed bit for bit.
+
+    Prefill keeps no Q: it projects the layer's input, the token embeddings at
+    layer 0 and the previous layer's hidden state after that, with _mm_t.
+    """
+    if layer == 0:
+        x = model.embed[np.asarray(trace.tokens, dtype=np.intp)]
+    else:
+        x = trace.hidden[layer - 1].data
+    d = model.config.head_dim
+    return np.ascontiguousarray(_mm_t(x, model.layers[layer].wq)[:, head * d : (head + 1) * d])
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 """Oracle for the observe rows prefill keeps.
 
-``observe_scores`` is a verbatim copy of the function policies used to
-recompute their observe-window rows from a trace's Q and K, with the two
-numerics wrappers it called, from before prefill kept those rows itself.
+``observe_scores`` is a copy of the function policies used to recompute
+their observe-window rows from a trace's Q and K, with the two numerics
+wrappers it called, from before prefill kept those rows itself.  Prefill no
+longer keeps Q, so the oracle takes the model and recomputes it (``head_q``).
 """
 
 import math
@@ -10,6 +11,8 @@ import math
 import numpy as np
 
 from kvlab.numerics import TensorView, _causal_softmax, _mm_t
+
+from conftest import head_q
 
 
 def matmul_transposed(a: TensorView, b: TensorView) -> TensorView:
@@ -31,13 +34,13 @@ def causal_softmax_rows(scores: TensorView, query_offset: int) -> TensorView:
 
 
 def observe_scores(
-    trace, layer: int, head: int, w: int, mode: str = "softmax"
+    model, trace, layer: int, head: int, w: int, mode: str = "softmax"
 ) -> TensorView:
     """Scaled attention scores of the last w queries against all keys."""
     t_q = trace.seq_len
     if w < 1 or w > t_q:
         raise ValueError(f"observe window w={w} outside [1, {t_q}]")
-    q = trace.q[layer][head]
+    q = TensorView(head_q(model, trace, layer, head))
     k = trace.k[layer][head]
     scale = np.float32(1.0 / math.sqrt(trace.config.head_dim))
     raw = TensorView(matmul_transposed(TensorView(q.data[t_q - w :]), k).data * scale)

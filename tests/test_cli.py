@@ -386,6 +386,30 @@ class TestSimilarity:
         lines = (tmp_path / "out" / "similarity_StreamingStyle.pgm").read_text().splitlines()
         assert all(px == "255" for row in lines[3:] for px in row.split())
 
+    def test_shared_names_get_their_report_index(self, tmp_path):
+        # three ChunkKV and one SnapKVStyle: each policy writes its own pair
+        budget = {"ratio": 0.25, "w": 4, "c": 5}
+        policies = [
+            {"kind": "ChunkKV", "budget": budget},
+            {"kind": "SnapKVStyle", "budget": budget},
+            {"kind": "ChunkKV", "budget": {**budget, "c": 2}},
+            {"kind": "ChunkKV", "budget": budget, "head_pool": True},
+        ]
+        cfg = base_config(tmp_path / "out", policies=policies)
+        assert main(["similarity", "--config", write_config(tmp_path, cfg)]) == 0
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        out = tmp_path / "out"
+        stems = ["ChunkKV_0", "SnapKVStyle", "ChunkKV_2", "ChunkKV_3"]
+        assert sorted(p.name for p in out.glob("similarity_*")) == sorted(
+            f"similarity_{stem}.{ext}" for stem in stems for ext in ("csv", "pgm")
+        )
+        report = json.loads((out / "report.json").read_text())
+        matrices = [p["similarity_matrix"] for p in report["policies"]]
+        assert matrices[0] != matrices[2]  # the files can tell the policies apart
+        for stem, matrix in zip(stems, matrices, strict=True):
+            with (out / f"similarity_{stem}.csv").open() as f:
+                assert list(csv.reader(f)) == [[f"{v:.3f}" for v in row] for row in matrix]
+
 
 class TestHybridSplit:
     @pytest.mark.parametrize("split", [0, 9])
@@ -407,9 +431,9 @@ class TestHybridSplit:
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert "split" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("outer_w", [4, 40])
-    def test_observe_rows_come_from_inner_policies(self, tmp_path, monkeypatch, outer_w):
-        # the Hybrid's own budget selects nothing, so its w keeps no observe rows
+    @pytest.fixture
+    def prefill_rows(self, monkeypatch):
+        """The observe_rows of every prefill the CLI runs."""
         import kvlab.experiments
 
         rows = []
@@ -420,6 +444,11 @@ class TestHybridSplit:
             return real(model, tokens, observe_rows=observe_rows)
 
         monkeypatch.setattr(kvlab.experiments, "prefill", counting)
+        return rows
+
+    @pytest.mark.parametrize("outer_w", [4, 40])
+    def test_observe_rows_come_from_inner_policies(self, tmp_path, prefill_rows, outer_w):
+        # the Hybrid's own budget selects nothing, so its w keeps no observe rows
         inner = {"kind": "ChunkKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}}
         hybrid = {
             "kind": "Hybrid",
@@ -430,7 +459,27 @@ class TestHybridSplit:
         }
         cfg = base_config(tmp_path / "out", policies=[hybrid])
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
-        assert rows == [4]
+        assert prefill_rows == [4]
+
+    @pytest.mark.parametrize(
+        "readers, rows",
+        [([{"kind": "ChunkKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}}], 4), ([], 1)],
+        ids=["chunkkv-w4", "no-reader"],
+    )
+    def test_observe_rows_come_from_row_readers(self, tmp_path, prefill_rows, readers, rows):
+        # H2OStyle ranks col_mass and StreamingStyle reads no scores: their w
+        # keeps no observe rows, and prefill always keeps the final row
+        non_readers = [
+            {"kind": "H2OStyle", "budget": {"max_len": 100, "w": 64}},
+            {"kind": "StreamingStyle", "budget": {"max_len": 60, "w": 40}, "sink": 4},
+        ]
+        cfg = base_config(
+            tmp_path / "out",
+            prompt={"kind": "random", "length": 200, "seed": 1},
+            policies=[*non_readers, *readers],
+        )
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert prefill_rows == [rows]
 
 
 def _with_budget(out_dir, **budget):
@@ -868,6 +917,24 @@ class TestReuseBench:
         assert by_reuse[1]["analytic_speedup"] == pytest.approx(1.0)
         for r in out["results"]:
             assert "measured_speedup" in r and "analytic_speedup" in r
+
+    def test_baseline_timed_once(self, tmp_path, monkeypatch):
+        # five samples of the n_reuse = 1 baseline, then five per n_reuse value
+        import kvlab.experiments
+
+        plans = []
+        real = kvlab.experiments.run_with_reuse
+        monkeypatch.setattr(
+            kvlab.experiments,
+            "run_with_reuse",
+            lambda source, spec, plan: plans.append(plan.n_reuse) or real(source, spec, plan),
+        )
+        cfg = base_config(tmp_path / "out", sweep={"n_reuse": [1, 2, 4]})
+        assert main(["reuse-bench", "--config", write_config(tmp_path, cfg)]) == 0
+        assert plans == [1] * 5 + [1] * 5 + [2] * 5 + [4] * 5
+        out = json.loads((tmp_path / "out" / "reuse_bench.json").read_text())
+        keys = {"n_reuse", "analytic_speedup", "measured_speedup", "t_compress_s", "t_select_s"}
+        assert [set(r) for r in out["results"]] == [keys] * 3
 
     def test_needle_prompt_times_needle_scores(self, tmp_path, monkeypatch):
         import kvlab.experiments

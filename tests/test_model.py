@@ -22,7 +22,7 @@ from kvlab.numerics import _mm_t
 from kvlab.policies import PolicySpec
 from kvlab.reuse import ReusePlan, run_with_reuse
 
-from conftest import random_tokens
+from conftest import head_q, random_tokens
 from observe_reference import observe_scores
 
 def test_init_rejects_zero_dims():
@@ -188,7 +188,7 @@ def test_forward_of_n_tokens_over_a_filled_cache(roadmap_model, n):
     p, d = 300, roadmap_model.config.head_dim
     tokens = random_tokens(256, p + n, seed=n)
     cache = CacheSet.from_trace(prefill(roadmap_model, tokens[:p]))
-    hidden, _, ks, vs, *_ = _forward(roadmap_model, tokens[p:], cache.keys, cache.values, 1)
+    hidden, ks, vs, *_ = _forward(roadmap_model, tokens[p:], cache.keys, cache.values, 1)
     for l in range(roadmap_model.config.n_layers):
         for h in range(roadmap_model.config.n_heads):
             for new, cached in ((ks[l][h], cache.keys[l][h]), (vs[l][h], cache.values[l][h])):
@@ -243,7 +243,8 @@ def test_decode_rejects_keys_and_values_of_different_lengths(small_model, part):
 
 
 # SHA-256 over the q/k/v bytes of every (layer, head) and each layer's hidden
-# state, recorded before prefill attention was computed in causal row blocks.
+# state, recorded before prefill attention was computed in causal row blocks
+# (q, which prefill no longer keeps, is recomputed by head_q).
 # T = 127, 128, 129 straddle the first row-block edge; 300 spans three blocks.
 GOLDEN_TRACE_DIGESTS = {
     1: "985d4817288d27144e268962d9fc021d8916dad2e2e660fbdeef883e47827aa1",
@@ -254,11 +255,12 @@ GOLDEN_TRACE_DIGESTS = {
 }
 
 
-def _trace_digest(trace) -> str:
+def _trace_digest(model, trace) -> str:
     h = hashlib.sha256()
     for l in range(trace.n_layers):
         for hd in range(trace.n_heads):
-            for m in (trace.q, trace.k, trace.v):
+            h.update(head_q(model, trace, l, hd).tobytes())
+            for m in (trace.k, trace.v):
                 h.update(m[l][hd].data.tobytes())
         h.update(trace.hidden[l].data.tobytes())
     return h.hexdigest()
@@ -272,14 +274,14 @@ def roadmap_model():
 @pytest.mark.parametrize("t", sorted(GOLDEN_TRACE_DIGESTS))
 def test_golden_trace_digest(roadmap_model, t):
     trace = prefill(roadmap_model, random_tokens(256, t, seed=t))
-    assert _trace_digest(trace) == GOLDEN_TRACE_DIGESTS[t]
+    assert _trace_digest(roadmap_model, trace) == GOLDEN_TRACE_DIGESTS[t]
 
 
 @pytest.mark.parametrize("t", [127, 128, 129, 300])
 def test_observe_rows_leave_trace_bits(roadmap_model, t):
     # a 129-row observe tail moves every row-block edge but no bit of the trace
     trace = prefill(roadmap_model, random_tokens(256, t, seed=t), observe_rows=129)
-    assert _trace_digest(trace) == GOLDEN_TRACE_DIGESTS[t]
+    assert _trace_digest(roadmap_model, trace) == GOLDEN_TRACE_DIGESTS[t]
 
 
 @pytest.mark.parametrize("t", sorted(GOLDEN_TRACE_DIGESTS))
@@ -295,15 +297,15 @@ def test_attention_statistics_match_observe_oracle(roadmap_model, t):
                     got = rows[l][h].data
                     assert got.shape == (kept, t)
                     for w in sorted({1, kept}):
-                        want = observe_scores(trace, l, h, w, mode).data
+                        want = observe_scores(roadmap_model, trace, l, h, w, mode).data
                         assert got[kept - w :].tobytes() == want.tobytes()
-                full = observe_scores(trace, l, h, t, "softmax").data
+                full = observe_scores(roadmap_model, trace, l, h, t, "softmax").data
                 mass = trace.col_mass[l][h]
                 assert mass.dtype == np.float64 and mass.shape == (t,)
                 assert mass.tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
                 row = _final_row_attention(trace, l, h).data
                 assert row.shape == (1, t)
-                assert row.tobytes() == observe_scores(trace, l, h, 1, "softmax").data.tobytes()
+                assert row.tobytes() == observe_scores(roadmap_model, trace, l, h, 1, "softmax").data.tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -326,7 +328,7 @@ def test_col_mass_is_the_row_order_sum_of_the_full_softmax(t, observe_rows, head
     model = ToyModel(cfg, base.embed * s, layers)
     trace = prefill(model, random_tokens(32, t, seed=seed), observe_rows=observe_rows)
     for h in range(trace.n_heads):
-        full = observe_scores(trace, 0, h, t, "softmax").data
+        full = observe_scores(model, trace, 0, h, t, "softmax").data
         assert trace.col_mass[0][h].tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
         kept = trace.observe_probs[0][h].data
         assert kept.tobytes() == full[t - min(observe_rows, t) :].tobytes()

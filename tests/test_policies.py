@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from kvlab.metrics import NeedleCase, make_needle_case
 from kvlab.model import prefill
 from kvlab.numerics import TensorView
 from kvlab.policies import (
+    POLICY_KINDS,
+    SCORE_MODES,
     PolicySpec,
     ScoreMatrices,
     _scores,
@@ -20,6 +23,7 @@ from kvlab.policies import (
     compress_layer,
     h2o_scores,
     max_pool_1d,
+    observe_rows,
     pyramid_budgets,
     resolved_layer_budgets,
     streaming_compress,
@@ -27,7 +31,7 @@ from kvlab.policies import (
 )
 from kvlab.reuse import ReusePlan, run_with_reuse
 
-from conftest import random_tokens
+from conftest import head_q, random_tokens
 from observe_reference import causal_softmax_rows, observe_scores
 from test_numerics import naive_matmul_transposed
 
@@ -52,11 +56,11 @@ def exhaustive_best_chunks(scores, k):
 class TestObserveScores:
     """The observe rows prefill keeps (small_trace keeps all T) as policies read them."""
 
-    def test_full_window_raw_is_scaled_gram(self, small_trace):
+    def test_full_window_raw_is_scaled_gram(self, small_model, small_trace):
         t = small_trace.seq_len
         d = small_trace.config.head_dim
         a = _scores(small_trace, 0, 0, w=t, mode="raw")
-        q = small_trace.q[0][0].data
+        q = head_q(small_model, small_trace, 0, 0)
         k = small_trace.k[0][0].data
         want = naive_matmul_transposed(q, k) * np.float32(1 / math.sqrt(d))
         assert np.array_equal(small_trace.observe_raw[0][0].data, want)
@@ -158,6 +162,17 @@ class TestChunkKV:
     def test_w_exceeding_budget_raises(self):
         with pytest.raises(ValueError):
             chunkkv_from_scores(random_scores(2, 10, 0), c=2, w=5, max_len=4, t_k=10)
+
+    @pytest.mark.parametrize("head_pool", [False, True])
+    @pytest.mark.parametrize("mode", SCORE_MODES)
+    def test_zero_window_keeps_the_earliest_chunks(self, small_trace, mode, head_pool):
+        # w = 0 reads no observe rows: every chunk scores +0.0, and stable
+        # ties keep the first max_len // c chunks
+        assert _scores(small_trace, 0, 0, w=0, mode=mode).data.shape == (0, small_trace.seq_len)
+        spec = PolicySpec("ChunkKV", BudgetSpec(max_len=12, w=0, c=5), mode, head_pool=head_pool)
+        for l in range(small_trace.n_layers):
+            for kept in compress_layer(small_trace, l, spec):
+                assert kept.positions == tuple(range(12 // 5 * 5))
 
     def test_trace_compress_budget_and_recency(self, small_trace):
         spec = PolicySpec("ChunkKV", BudgetSpec(max_len=14, w=4, c=5))
@@ -298,14 +313,14 @@ class TestH2O:
             kept = topk_from_scores(col, w=2, max_len=4, t_k=t)
             assert 5 in kept.as_set()
 
-    def test_sort_based_oracle(self, small_trace):
+    def test_sort_based_oracle(self, small_model, small_trace):
         w, max_len = 3, 10
         t = small_trace.seq_len
         spec = PolicySpec("H2OStyle", BudgetSpec(max_len=max_len, w=w))
         kept = compress_layer(small_trace, 1, spec)[1]
 
         # independent path: explicit python-loop scores + sorted() selection
-        probs = observe_scores(small_trace, 1, 1, w=t, mode="softmax").data
+        probs = observe_scores(small_model, small_trace, 1, 1, w=t, mode="softmax").data
         exposure = [sum(1.0 / (i + 1) for i in range(j, t)) for j in range(t)]
         scores = [sum(float(probs[i][j]) for i in range(t)) / exposure[j] for j in range(t)]
         order = sorted(range(t), key=lambda j: (-scores[j], j))
@@ -314,10 +329,10 @@ class TestH2O:
 
 
 class TestSnapKV:
-    def test_p1_reduces_to_plain_topk(self, small_trace):
+    def test_p1_reduces_to_plain_topk(self, small_model, small_trace):
         spec = PolicySpec("SnapKVStyle", BudgetSpec(max_len=12, w=4), pool_width=1)
         kept = compress_layer(small_trace, 0, spec)[0]
-        a = observe_scores(small_trace, 0, 0, 4, "softmax")
+        a = observe_scores(small_model, small_trace, 0, 0, 4, "softmax")
         want = topk_from_scores(a.data.sum(axis=0, dtype=np.float64), 4, 12, small_trace.seq_len)
         assert kept.positions == want.positions
 
@@ -486,6 +501,31 @@ def test_budget_and_recency_law(kind, small_trace):
                 assert set(range(t - w, t)) <= ks.as_set()
                 pos = ks.positions
                 assert all(pos[i] < pos[i + 1] for i in range(len(pos) - 1))
+
+
+@pytest.mark.parametrize("mode", SCORE_MODES)
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_observe_rows_are_the_rows_compress_layer_reads(small_model, kind, mode):
+    # a trace with observe_rows(specs) rows (prefill keeps at least 1) runs
+    # every layer; one row fewer is too few for a row reader
+    budget = BudgetSpec(max_len=12, w=6, c=3)
+    if kind == "Hybrid":  # its own w (9) counts for nothing; inner_b reads 5 rows
+        inner_b = PolicySpec("ChunkKV", replace(budget, w=5), mode)
+        spec = PolicySpec(kind, replace(budget, w=9), split=1,
+                          inner_a=PolicySpec("H2OStyle", budget), inner_b=inner_b)
+    else:
+        spec = PolicySpec(kind, budget, mode)
+    n = observe_rows([spec])
+    assert n == {"ChunkKV": 6, "SnapKVStyle": 6, "PyramidStyle": 6, "Hybrid": 5}.get(kind, 0)
+    tokens = random_tokens(64, 40, seed=5)
+    trace = prefill(small_model, tokens, observe_rows=max(1, n))
+    for l in range(trace.n_layers):
+        assert len(compress_layer(trace, l, spec)) == trace.n_heads
+    if n:
+        fewer = prefill(small_model, tokens, observe_rows=n - 1)
+        with pytest.raises(ValueError, match=f"w={n} exceeds the {n - 1} observe rows"):
+            for l in range(fewer.n_layers):
+                compress_layer(fewer, l, spec)
 
 
 def test_needle_preservation_vs_token_policy():
