@@ -70,7 +70,11 @@ def main(argv=None) -> int:
                 bytes_per_scalar=args.precision_bytes,
             )
             total = memory_bytes(p)
-            print(f"{total} bytes ({total / 2**30:.2f} GiB)")
+            # integer quotient, so no total is too large, rounded half-even as
+            # float formatting rounds
+            cents, rest = divmod(100 * total, 2**30)
+            cents += 2 * rest > 2**30 or (2 * rest == 2**30 and cents % 2)
+            print(f"{total} bytes ({cents // 100}.{cents % 100:02d} GiB)")
             return 0
 
         if args.command == "sweep" and args.workers < 1:
@@ -95,6 +99,10 @@ def main(argv=None) -> int:
         return 0
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
+        return 2
+    except MemoryError as e:
+        msg = f"the config's sizes need more memory than can be allocated: {e}"
+        print(f"error: {msg}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary
         print(f"internal error: {e}", file=sys.stderr)

@@ -87,7 +87,12 @@ class ReuseSpec:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """Sweep axes; an axis left out takes the config's own value."""
+    """Sweep axes; an axis left out keeps the config's own value.
+
+    Without `c` or `ratio` each policy keeps its own budget's, a Hybrid's
+    inner policies theirs; without `n_reuse` the `reuse` plan's (1 if none);
+    without `seeds` the prompt seed.
+    """
 
     c: Optional[tuple[int, ...]] = None
     ratio: Optional[tuple[float, ...]] = None
@@ -242,11 +247,12 @@ def _check_budgets(cfg: ExperimentConfig):
     runs = [("", cfg.policies)]
     if cfg.sweep is not None:
         for c, r in dict.fromkeys((c, r) for c, r, _, _ in _sweep_cells(cfg)):
+            cell = ", ".join(f"{k}={v}" for k, v in (("c", c), ("ratio", r)) if v is not None)
             try:
                 cells = [_cell_spec(spec, c, r) for spec in cfg.policies]
             except ValueError as e:
-                raise ConfigError(f"invalid sweep cell c={c}, ratio={r}: {e}") from e
-            runs.append((f" in sweep cell c={c}, ratio={r}", cells))
+                raise ConfigError(f"invalid sweep cell {cell}: {e}") from e
+            runs.append((f" in sweep cell {cell}", cells))
     t_k = cfg.prompt.length
     for cell, specs in runs:
         for i, spec in enumerate(specs):
@@ -516,39 +522,53 @@ def _auto_needle(cfg: ExperimentConfig, c: int, seed: int) -> NeedleCase:
     return NeedleCase(seq_len=t, span_start=start, span_len=span, signal=float(t), seed=seed)
 
 
-def _cell_spec(spec: PolicySpec, c: int, ratio: float) -> PolicySpec:
-    """spec, and a Hybrid's inner policies, at chunk size c and retention ratio."""
+def _cell_spec(spec: PolicySpec, c: Optional[int], ratio: Optional[float]) -> PolicySpec:
+    """spec, and a Hybrid's inner policies, at chunk size c and retention ratio.
+
+    An axis that is None keeps each budget's own value: without a ratio, a
+    max_len budget stays a max_len budget.
+    """
     inner = {}
     if spec.kind == "Hybrid":
         inner = {k: _cell_spec(getattr(spec, k), c, ratio) for k in ("inner_a", "inner_b")}
-    return replace(spec, budget=BudgetSpec(ratio=ratio, w=spec.budget.w, c=c), **inner)
+    b = spec.budget
+    c = b.c if c is None else c
+    budget = replace(b, c=c) if ratio is None else BudgetSpec(ratio=ratio, w=b.w, c=c)
+    return replace(spec, budget=budget, **inner)
 
 
 def run_sweep_cell(
     cfg: ExperimentConfig,
     source: PrefillTrace | ScoreMatrices,
-    c: int,
-    ratio: float,
+    c: Optional[int],
+    ratio: Optional[float],
     n_reuse: int,
     seed: int,
 ) -> list[dict]:
     """One sweep cell: every policy at (c, ratio, n_reuse) on seed's source.
 
+    A c or ratio of None keeps each policy's own (`_cell_spec`); a row's c and
+    ratio are those of the budget it ran with (ratio empty for a max_len).
     The needle columns are a needle prompt's retention as `simulate` reports
     it.  On a trace they are a synthetic score-level diagnostic: layer 0 of a
-    chunk-aligned needle that depends only on (c, seed), outside the reuse loop.
+    chunk-aligned needle that depends only on the policy's c and the seed,
+    outside the reuse loop, built once per c in the cell.
     """
-    if cfg.prompt.needle is None:
+
+    @functools.cache
+    def auto_needle(c: int) -> tuple[NeedleCase, ScoreMatrices]:
         case = _auto_needle(cfg, c, seed)
         scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
-        needle_scores = ScoreMatrices((scores,) * cfg.model.n_layers)
+        return case, ScoreMatrices((scores,) * cfg.model.n_layers)
 
     cells = [_cell_spec(spec, c, ratio) for spec in cfg.policies]
     rows = []
     for m in _measure(cfg, source, cells, n_reuse):
+        b = m.spec.budget
         if m.needle is not None:
             frac, intact = m.needle_summary()
         else:
+            case, needle_scores = auto_needle(b.c)
             frac, intact = needle_retention(compress_layer(needle_scores, 0, m.spec)[0], case)
         kv_l1 = attn_cos = ""
         if m.fidelity is not None:
@@ -556,8 +576,8 @@ def run_sweep_cell(
         t_c, t_s = modeled_layer_costs(source.seq_len, cfg.model.n_heads, m.spec.budget.w)
         rows.append({
             "policy": m.spec.name,
-            "c": c,
-            "ratio": ratio,
+            "c": b.c,
+            "ratio": "" if b.ratio is None else b.ratio,
             "n_reuse": n_reuse,
             "seed": seed,
             "adjacent_jaccard": "" if m.adjacent_jaccard is None else round(m.adjacent_jaccard, 6),
@@ -570,13 +590,14 @@ def run_sweep_cell(
     return rows
 
 
-def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[int, float, int, int]]:
+def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[Optional[int], Optional[float], int, int]]:
+    """(c, ratio, n_reuse, seed) per cell; a budget axis left out is None."""
     sw = cfg.sweep
     if sw is None:
         raise ConfigError("sweep requires a 'sweep' section with axes")
     return list(itertools.product(
-        sw.c or (cfg.policies[0].budget.c,),
-        sw.ratio or (cfg.policies[0].budget.ratio or 0.1,),
+        sw.c or (None,),
+        sw.ratio or (None,),
         sw.n_reuse or (_n_reuse(cfg),),
         sw.seeds or (cfg.prompt.seed,),
     ))

@@ -66,11 +66,10 @@ class PrefillTrace:
     Every attention score downstream code reads comes from prefill's own
     QK^T and causal softmax; nothing recomputes them, and Q is not kept.
     Per (layer, head): ``col_mass``, the float64 column sums of the T x T
-    softmax (H2OStyle's cumulative attention), and the observe rows, the last
-    n = min(observe_rows, T) queries against all T keys: ``observe_raw``, their
-    scaled QK^T rows (upper triangle included), and ``observe_probs``, their
-    causal softmax rows.  Row readers (``policies.observe_rows``) read the last
-    w of these rows, and the fidelity metric reads the final softmax row.
+    softmax (H2OStyle's cumulative attention), and ``observe_probs``, the causal
+    softmax rows of the last n = min(observe_rows, T) queries against all T
+    keys.  Row readers (``policies.observe_rows``) read the last w of these
+    rows, and the fidelity metric reads the final row.
     """
 
     config: ModelConfig
@@ -79,7 +78,6 @@ class PrefillTrace:
     v: tuple[tuple[TensorView, ...], ...]
     hidden: tuple[TensorView, ...]
     col_mass: tuple[tuple[np.ndarray, ...], ...]
-    observe_raw: tuple[tuple[TensorView, ...], ...]
     observe_probs: tuple[tuple[TensorView, ...], ...]
 
     @property
@@ -144,8 +142,9 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
     New row i is query P + i.  Row block [r0, r1) has query offset P + r0,
     reads keys [0, P + r1) and writes its softmax rows into a buffer T = P + n
     wide; the last block is the observe tail, the last min(observe_rows, n)
-    rows.  Returns hidden per layer, then k and v (all P + n rows), col_mass,
-    observe_raw and observe_probs per layer and head; Q is not returned.
+    rows.  Returns hidden per layer, then k and v (all P + n rows), col_mass
+    and observe_probs (the tail block's softmax rows) per layer and head; Q
+    and the QK^T scores are not returned.
     """
     cfg = model.config
     if any(t < 0 or t >= cfg.vocab_size for t in tokens):
@@ -176,13 +175,13 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
             for r0, r1 in blocks:
                 scores = _mm_t(q[r0:r1, sl], k_all[: p + r1])
                 scores *= scale
-                # the tail block's QK^T and rows are kept: fresh per head
+                # the tail block's softmax rows are kept: fresh per head
                 block = rows[: r1 - r0, :t] if r1 <= tail else np.empty((r1 - r0, t), np.float32)
                 _causal_softmax(scores, query_offset=p + r0, out=block)
                 ctx[r0:r1, sl] = _causal_pv(block, v_all, query_offset=p + r0)
                 _add_rows(mass, block, mass_buf[:, :t])
             mass.flags.writeable = False
-            heads.append((k_all, v_all, mass, scores, block))
+            heads.append((k_all, v_all, mass, block))
         x = x + _mm_t(ctx, lw.wo)
         x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
         hiddens.append(x)
@@ -206,7 +205,7 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
         raise ValueError(f"observe_rows must be >= 1, got {observe_rows}")
 
     empty = [[np.empty((0, cfg.head_dim), dtype=np.float32)] * cfg.n_heads] * cfg.n_layers
-    hidden, k, v, col_mass, raw, probs = _forward(model, tokens, empty, empty, observe_rows)
+    hidden, k, v, col_mass, probs = _forward(model, tokens, empty, empty, observe_rows)
 
     def views(per_layer) -> tuple[tuple[TensorView, ...], ...]:
         return tuple(tuple(map(TensorView, heads)) for heads in per_layer)
@@ -218,7 +217,6 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
         v=views(v),
         hidden=tuple(map(TensorView, hidden)),
         col_mass=tuple(map(tuple, col_mass)),
-        observe_raw=views(raw),
         observe_probs=views(probs),
     )
 

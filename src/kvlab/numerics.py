@@ -41,8 +41,8 @@ terms too: they are exact zeros, and by the rule above adding +-0 leaves
 every sum unchanged, so one contraction serves all rows of the block.
 
 The last row block is the observe tail, the last n query rows: its r1 is T,
-so its QK^T covers every key and prefill keeps its raw and softmax rows as
-the policies' observe-window scores.  ``model._forward`` is the one layer
+so its QK^T covers every key and prefill keeps its softmax rows as the
+policies' observe-window scores.  ``model._forward`` is the one layer
 routine: prefill and decode_step both run it, and nothing else computes
 QK^T or softmax.
 

@@ -2,9 +2,9 @@
 
 `compress_layer(source, layer, spec)` is the only place a policy kind picks
 its scoring rule.  A source is either a `PrefillTrace`, whose scores are the
-observe-window attention rows of each (layer, head), or `ScoreMatrices`, a
-synthetic one-head source (needle prompts) that hands every policy the same
-matrix per layer.
+causal softmax rows of each (layer, head)'s observe window, or
+`ScoreMatrices`, a synthetic one-head source (needle prompts) that hands
+every policy the same matrix per layer.
 
 Chunk-based compression keeps whole contiguous chunks scored by summed
 observe-window attention, always unioned with the most recent w positions
@@ -37,8 +37,6 @@ POLICY_KINDS = (
     "Hybrid",
 )
 
-SCORE_MODES = ("raw", "softmax")
-
 
 @dataclass(frozen=True)
 class PolicySpec:
@@ -46,7 +44,6 @@ class PolicySpec:
 
     kind: str
     budget: BudgetSpec
-    score_mode: str = "softmax"
     pool_width: int = 1          # SnapKVStyle: odd 1-D max-pool width
     sink: int = 4                # StreamingStyle: initial tokens always kept
     skew: float = 0.0            # PyramidStyle: top/bottom budget skew in [0, 1)
@@ -59,8 +56,6 @@ class PolicySpec:
     def __post_init__(self):
         if self.kind not in POLICY_KINDS:
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if self.score_mode not in SCORE_MODES:
-            raise ValueError(f"unknown score mode {self.score_mode!r}")
         if self.h2o_normalize not in ("exposure", "none"):
             raise ValueError(f"unknown h2o_normalize {self.h2o_normalize!r}")
         width = self.pool_width
@@ -90,7 +85,7 @@ class PolicySpec:
 class ScoreMatrices:
     """Synthetic one-head score source (needle prompts): a matrix per layer.
 
-    Every observe window and score mode reads the layer's matrix as given.
+    Every observe window reads the layer's matrix as given.
     """
 
     mats: tuple[TensorView, ...]
@@ -272,16 +267,14 @@ def observe_rows(specs) -> int:
     return max((s.budget.w for s in flat if s.kind in readers), default=0)
 
 
-def _scores(
-    source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int, mode: str
-) -> TensorView:
+def _scores(source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int) -> TensorView:
     """The score rows a policy reads for one (layer, head) of a source.
 
-    A trace gives the last w (none at w = 0) of the raw or softmax observe rows it kept.
+    A trace gives the last w (none at w = 0) of the softmax observe rows it kept.
     """
     if isinstance(source, ScoreMatrices):
         return source.mats[layer]
-    rows = (source.observe_raw if mode == "raw" else source.observe_probs)[layer][head]
+    rows = source.observe_probs[layer][head]
     if w > rows.rows:
         raise ValueError(f"observe window w={w} exceeds the {rows.rows} observe rows prefill kept")
     return TensorView(rows.data[rows.rows - w :])
@@ -315,7 +308,7 @@ def compress_layer(
             scores = h2o_scores(np.stack(source.col_mass[layer]), spec.h2o_normalize)
         select = lambda col: topk_from_scores(col, b.w, max_len, t_k)
     else:
-        mats = [_scores(source, layer, h, b.w, spec.score_mode).data for h in heads]
+        mats = [_scores(source, layer, h, b.w).data for h in heads]
         if spec.kind == "ChunkKV":
             scores = mats
             select = lambda a: chunkkv_from_scores(TensorView(a), b.c, b.w, max_len, t_k)

@@ -67,6 +67,20 @@ class TestMemoryCommand:
             main(["memory", "--batch", "1"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("seq, gib", [(256, "0.12"), (768, "0.38"), (1280, "0.62")])
+    def test_ties_round_half_even(self, capsys, seq, gib):
+        # 2**19 bytes per position: 0.125, 0.375 and 0.625 GiB are exact ties
+        argv = f"memory --batch 1 --seq {seq} --layers 32 --heads 32 --head-dim 128".split()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == f"{seq * 2**19} bytes ({gib} GiB)\n"
+
+    def test_total_past_float_range(self, capsys):
+        batch = 10**320
+        argv = f"memory --batch {batch} --seq 1 --layers 1 --heads 1 --head-dim 1".split()
+        assert main(argv) == 0
+        total = 4 * batch  # a multiple of 2**30
+        assert capsys.readouterr().out == f"{total} bytes ({total // 2**30}.00 GiB)\n"
+
 
 class TestSimulate:
     def test_fullkv_ratio_one_everywhere(self, tmp_path):
@@ -102,6 +116,35 @@ class TestSimulate:
         assert main(["simulate", "--config", str(p)]) == 2
         err = capsys.readouterr().err
         assert f"error: cannot read config {p}: " in err
+        assert "internal error" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity"])
+    def test_config_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        import kvlab.experiments
+
+        def no_memory(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(kvlab.experiments, "init_model", no_memory)
+        cfg = _with_model(tmp_path / "out", vocab_size=10**12)
+        cfg["sweep"] = {"n_reuse": [1]}
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the config's sizes need more memory than can be allocated")
+        assert "internal error" not in err
+
+    def test_prompt_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
+        # a random prompt's tokens are drawn after the model is built
+        import kvlab.experiments
+
+        def no_memory(config):
+            raise MemoryError("Unable to allocate 7.28 TiB for an array")
+
+        monkeypatch.setattr(kvlab.experiments, "prompt_tokens", no_memory)
+        cfg = base_config(tmp_path / "out", prompt={"kind": "random", "length": 10**12, "seed": 1})
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the config's sizes need more memory than can be allocated")
         assert "internal error" not in err
 
     def test_timings_isolated(self, tmp_path):
@@ -253,6 +296,33 @@ class TestSweep:
                 want += csv.DictReader(f)
         cell = lambda row: (row["c"], row["seed"], row["policy"])
         assert sorted(got, key=cell) == sorted(want, key=cell)
+
+    def test_axis_left_out_keeps_each_policy_budget(self, tmp_path):
+        # no c or ratio axis: a max_len budget stays one, and a Hybrid's inner
+        # policies keep theirs, so n_reuse 1 rows are what simulate reports
+        policies = [
+            {"kind": "ChunkKV", "budget": {"max_len": 100, "w": 4, "c": 5}},
+            {"kind": "SnapKVStyle", "budget": {"ratio": 0.5, "w": 4, "c": 20}, "pool_width": 3},
+            {
+                "kind": "Hybrid", "budget": {"ratio": 0.3, "w": 4, "c": 7}, "split": 2,
+                "inner_a": {"kind": "ChunkKV", "budget": {"max_len": 60, "w": 4, "c": 3}},
+                "inner_b": {"kind": "SnapKVStyle", "budget": {"ratio": 0.4, "w": 6, "c": 10}},
+            },
+        ]
+        prompt = {"kind": "random", "length": 200, "seed": 1}
+        cfg = base_config(tmp_path / "out", prompt=prompt, policies=policies,
+                          sweep={"n_reuse": [1, 2]})
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        with (tmp_path / "out" / "sweep.csv").open() as f:
+            rows = [r for r in csv.DictReader(f) if r["n_reuse"] == "1"]
+        sim = base_config(tmp_path / "sim", prompt=prompt, policies=policies)
+        assert main(["simulate", "--config", write_config(tmp_path, sim)]) == 0
+        report = json.loads((tmp_path / "sim" / "report.json").read_text())
+        assert [(r["c"], r["ratio"]) for r in rows] == [("5", ""), ("20", "0.5"), ("7", "0.3")]
+        for row, rep in zip(rows, report["policies"], strict=True):
+            assert row["policy"] == rep["policy"]
+            assert float(row["kv_l1"]) == rep["fidelity"]["kv_l1"]
+            assert float(row["attn_cos"]) == rep["fidelity"]["attn_cos"]
 
     def test_needle_matrix_built_once_per_cell(self, tmp_path, monkeypatch):
         import kvlab.experiments
@@ -808,10 +878,23 @@ class TestUnknownKeys:
             ),
             (lambda out: _with_budget(out, W=12), "policies[0].budget.W"),
             (lambda out: base_config(out, reuse={"nreuse": 4}), "reuse.nreuse"),
+            # not a field: every policy reads the softmax observe rows
+            (
+                lambda out: _with_policy(out, "ChunkKV", score_mode="raw"),
+                "policies[0].score_mode",
+            ),
+            (
+                lambda out: _with_policy(
+                    out, "Hybrid", split=2,
+                    inner_a={"kind": "ChunkKV", "budget": {"ratio": 0.25}, "score_mode": "softmax"},
+                    inner_b={"kind": "H2OStyle", "budget": {"ratio": 0.25}},
+                ),
+                "policies[0].inner_a.score_mode",
+            ),
         ],
         ids=[
             "top-level", "model", "random-prompt", "tokens-prompt", "needle-prompt",
-            "policy", "hybrid-inner-b", "budget", "reuse",
+            "policy", "hybrid-inner-b", "budget", "reuse", "score-mode", "hybrid-inner-a-score-mode",
         ],
     )
     def test_misspelled_key_exits_2_naming_its_path(self, tmp_path, capsys, make_cfg, path):

@@ -40,7 +40,7 @@ SCHEMA = (
 )
 KEYS = sorted({f.name for cls in SCHEMA for f in fields(cls)} | {"schema"})
 WORDS = [
-    *POLICY_KINDS, "random", "tokens", "needle", "raw", "softmax", "exposure", "none",
+    *POLICY_KINDS, "random", "tokens", "needle", "exposure", "none",
     "uniform", "gaussian",
 ]
 

@@ -293,12 +293,11 @@ def test_attention_statistics_match_observe_oracle(roadmap_model, t):
         kept = min(observe_rows, t)
         for l in range(trace.n_layers):
             for h in range(trace.n_heads):
-                for mode, rows in (("raw", trace.observe_raw), ("softmax", trace.observe_probs)):
-                    got = rows[l][h].data
-                    assert got.shape == (kept, t)
-                    for w in sorted({1, kept}):
-                        want = observe_scores(roadmap_model, trace, l, h, w, mode).data
-                        assert got[kept - w :].tobytes() == want.tobytes()
+                got = trace.observe_probs[l][h].data
+                assert got.shape == (kept, t)
+                for w in sorted({1, kept}):
+                    want = observe_scores(roadmap_model, trace, l, h, w, "softmax").data
+                    assert got[kept - w :].tobytes() == want.tobytes()
                 full = observe_scores(roadmap_model, trace, l, h, t, "softmax").data
                 mass = trace.col_mass[l][h]
                 assert mass.dtype == np.float64 and mass.shape == (t,)

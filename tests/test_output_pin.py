@@ -7,7 +7,10 @@ of sweeps, whose needle-prompt behaviour changed on purpose.  The sweep.csv
 digests were recorded before a sweep prefilled each prompt seed once and
 H2OStyle read its column mass from prefill.  simulate, needle and sweep read
 a needle prompt's retention off the same kept sets under the same reuse plan
-(`tests/test_cli.py::TestOneNeedleAnswer`).
+(`tests/test_cli.py::TestOneNeedleAnswer`).  The `DIGESTS` were re-recorded
+on the code before raw observe scores were removed, with the one policy that
+read them (a ChunkKV with `score_mode` "raw") taken out of `POLICIES`; the
+code without raw scores writes the same bytes.
 """
 
 import hashlib
@@ -26,7 +29,6 @@ POLICIES = [
     _policy("FullKV"),
     _policy("ChunkKV"),
     _policy("ChunkKV", head_pool=True),
-    _policy("ChunkKV", score_mode="raw"),
     _policy("SnapKVStyle", pool_width=3),
     _policy("SnapKVStyle", pool_width=3, head_pool=True),
     _policy("H2OStyle"),
@@ -48,17 +50,17 @@ PROMPTS = {
 
 # (command, prompt, n_reuse) -> sha256 of the written file
 DIGESTS = {
-    ("simulate", "random", 1): "fba6337e857080f7492645c449da4aea692d31076afdb326f7f4238db0bc9178",
-    ("simulate", "random", 2): "a5e60fddd364f969748b0e1872b75bd16a27652f58c04a65753bf2d0f4c6289a",
-    ("simulate", "needle", 1): "367de4c8edec4ea06374e5ca475cd20fe4ea728cbb210f037f9dd64cb8553b2e",
-    ("simulate", "needle", 2): "07daa6385c96adee9de0ec60fb57513ea2be7ef89788cbeea6309acf5a2bec8e",
+    ("simulate", "random", 1): "809d01d284dc5c71cab55a33efbd72f320cb76d43cf149311824551337045ed0",
+    ("simulate", "random", 2): "285a64bad04cece0c43d770b4d6aa8b6224ed020722931d4fabcfd442bbdd3ac",
+    ("simulate", "needle", 1): "8ca65d3efa5c3dd9ee3f267e07f591581734384cb32d90f847660657c041a9c8",
+    ("simulate", "needle", 2): "9b2c31bf0228d218cb9010a42def0e94eb00697be97c5c18518c3d4f424489a2",
     # needle.json reads the kept sets report.json does, under the same reuse
     # plan; at signal 60 every layer keeps the same share of the span whether
     # it is compressed or copied, so n_reuse 2 writes the bytes of n_reuse 1.
     # Re-recorded when the `case` block gained the needle's `noise` field;
     # the `policies` block kept every byte.
-    ("needle", "needle", 1): "fd49cd9f7ecd1720dac3a11ab4200305b15acefe2da17fb2c0d92c5bb32ee072",
-    ("needle", "needle", 2): "fd49cd9f7ecd1720dac3a11ab4200305b15acefe2da17fb2c0d92c5bb32ee072",
+    ("needle", "needle", 1): "d9b9d11acc66f9e77f953e42bded647627b6c24f5d36297a83e8d2cff8ca926f",
+    ("needle", "needle", 2): "d9b9d11acc66f9e77f953e42bded647627b6c24f5d36297a83e8d2cff8ca926f",
 }
 
 OUTPUT = {"simulate": "report.json", "needle": "needle.json"}

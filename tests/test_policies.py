@@ -1,5 +1,4 @@
 import itertools
-import math
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +12,6 @@ from kvlab.model import prefill
 from kvlab.numerics import TensorView
 from kvlab.policies import (
     POLICY_KINDS,
-    SCORE_MODES,
     PolicySpec,
     ScoreMatrices,
     _scores,
@@ -31,9 +29,8 @@ from kvlab.policies import (
 )
 from kvlab.reuse import ReusePlan, run_with_reuse
 
-from conftest import head_q, random_tokens
+from conftest import random_tokens
 from observe_reference import causal_softmax_rows, observe_scores
-from test_numerics import naive_matmul_transposed
 
 
 def random_scores(w, t, seed):
@@ -56,25 +53,15 @@ def exhaustive_best_chunks(scores, k):
 class TestObserveScores:
     """The observe rows prefill keeps (small_trace keeps all T) as policies read them."""
 
-    def test_full_window_raw_is_scaled_gram(self, small_model, small_trace):
-        t = small_trace.seq_len
-        d = small_trace.config.head_dim
-        a = _scores(small_trace, 0, 0, w=t, mode="raw")
-        q = head_q(small_model, small_trace, 0, 0)
-        k = small_trace.k[0][0].data
-        want = naive_matmul_transposed(q, k) * np.float32(1 / math.sqrt(d))
-        assert np.array_equal(small_trace.observe_raw[0][0].data, want)
-        assert np.array_equal(a.data, want)
-
     def test_softmax_rows_sum_to_one(self, small_trace):
-        a = _scores(small_trace, 1, 0, w=4, mode="softmax")
+        a = _scores(small_trace, 1, 0, w=4)
         assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-5)
         assert np.allclose(small_trace.observe_probs[1][0].data.sum(axis=1), 1.0, atol=1e-5)
 
     def test_w_too_large_raises(self, small_model):
         trace = prefill(small_model, random_tokens(64, 40, seed=5), observe_rows=4)
         with pytest.raises(ValueError, match="w=5 exceeds the 4 observe rows"):
-            _scores(trace, 0, 0, w=5, mode="softmax")
+            _scores(trace, 0, 0, w=5)
 
 
 def top_chunks(scores, k):
@@ -164,12 +151,11 @@ class TestChunkKV:
             chunkkv_from_scores(random_scores(2, 10, 0), c=2, w=5, max_len=4, t_k=10)
 
     @pytest.mark.parametrize("head_pool", [False, True])
-    @pytest.mark.parametrize("mode", SCORE_MODES)
-    def test_zero_window_keeps_the_earliest_chunks(self, small_trace, mode, head_pool):
+    def test_zero_window_keeps_the_earliest_chunks(self, small_trace, head_pool):
         # w = 0 reads no observe rows: every chunk scores +0.0, and stable
         # ties keep the first max_len // c chunks
-        assert _scores(small_trace, 0, 0, w=0, mode=mode).data.shape == (0, small_trace.seq_len)
-        spec = PolicySpec("ChunkKV", BudgetSpec(max_len=12, w=0, c=5), mode, head_pool=head_pool)
+        assert _scores(small_trace, 0, 0, w=0).data.shape == (0, small_trace.seq_len)
+        spec = PolicySpec("ChunkKV", BudgetSpec(max_len=12, w=0, c=5), head_pool=head_pool)
         for l in range(small_trace.n_layers):
             for kept in compress_layer(small_trace, l, spec):
                 assert kept.positions == tuple(range(12 // 5 * 5))
@@ -503,18 +489,17 @@ def test_budget_and_recency_law(kind, small_trace):
                 assert all(pos[i] < pos[i + 1] for i in range(len(pos) - 1))
 
 
-@pytest.mark.parametrize("mode", SCORE_MODES)
 @pytest.mark.parametrize("kind", POLICY_KINDS)
-def test_observe_rows_are_the_rows_compress_layer_reads(small_model, kind, mode):
+def test_observe_rows_are_the_rows_compress_layer_reads(small_model, kind):
     # a trace with observe_rows(specs) rows (prefill keeps at least 1) runs
     # every layer; one row fewer is too few for a row reader
     budget = BudgetSpec(max_len=12, w=6, c=3)
     if kind == "Hybrid":  # its own w (9) counts for nothing; inner_b reads 5 rows
-        inner_b = PolicySpec("ChunkKV", replace(budget, w=5), mode)
+        inner_b = PolicySpec("ChunkKV", replace(budget, w=5))
         spec = PolicySpec(kind, replace(budget, w=9), split=1,
                           inner_a=PolicySpec("H2OStyle", budget), inner_b=inner_b)
     else:
-        spec = PolicySpec(kind, budget, mode)
+        spec = PolicySpec(kind, budget)
     n = observe_rows([spec])
     assert n == {"ChunkKV": 6, "SnapKVStyle": 6, "PyramidStyle": 6, "Hybrid": 5}.get(kind, 0)
     tokens = random_tokens(64, 40, seed=5)
