@@ -23,6 +23,10 @@ from .experiments import (
 )
 
 
+# the memory flags' dests, in MemoryParams field order
+MEMORY_DESTS = ("batch", "seq", "layers", "heads", "head_dim", "precision_bytes")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kvlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -61,20 +65,22 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "memory":
-            p = MemoryParams(
-                batch=args.batch,
-                seq_len=args.seq,
-                layers=args.layers,
-                heads=args.heads,
-                head_dim=args.head_dim,
-                bytes_per_scalar=args.precision_bytes,
-            )
-            total = memory_bytes(p)
+            flags = {"--" + d.replace("_", "-"): getattr(args, d) for d in MEMORY_DESTS}
+            for flag, value in flags.items():
+                if value < 1:
+                    raise ValueError(f"{flag} must be >= 1, got {value}")
+            total = memory_bytes(MemoryParams(*flags.values()))
             # integer quotient, so no total is too large, rounded half-even as
             # float formatting rounds
             cents, rest = divmod(100 * total, 2**30)
             cents += 2 * rest > 2**30 or (2 * rest == 2**30 and cents % 2)
-            print(f"{total} bytes ({cents // 100}.{cents % 100:02d} GiB)")
+            try:
+                text = f"{total} bytes ({cents // 100}.{cents % 100:02d} GiB)"
+            except ValueError as e:  # more digits than int-to-str conversion allows
+                product = " * ".join(["2", *flags])
+                limit = sys.get_int_max_str_digits()
+                raise ValueError(f"the byte count {product} has over {limit} digits") from e
+            print(text)
             return 0
 
         if args.command == "sweep" and args.workers < 1:

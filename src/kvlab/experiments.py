@@ -32,7 +32,7 @@ from .metrics import (
     needle_retention,
 )
 from .model import ModelConfig, PrefillTrace, init_model, prefill
-from .numerics import TensorView, check_seed
+from .numerics import check_seed
 from .policies import (
     PolicySpec, ScoreMatrices, compress_layer, observe_rows, resolved_layer_budgets
 )
@@ -326,8 +326,8 @@ def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:
     return prefill(init_model(cfg.model), prompt_tokens(cfg), max(1, observe_rows(cfg.policies)))
 
 
-def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> TensorView:
-    return TensorView(trace.observe_probs[layer][head].data[-1:])
+def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> np.ndarray:
+    return trace.observe_probs[layer][head][-1:]
 
 
 def _fidelity(

@@ -14,7 +14,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .cache import KeptIndices
-from .numerics import TensorView, check_seed
+from .numerics import _frozen, check_seed
 
 
 @dataclass(frozen=True)
@@ -52,9 +52,9 @@ class NeedleCase:
         return range(self.span_start, self.span_start + self.span_len)
 
 
-def kv_magnitudes(keys: Sequence[TensorView], values: Sequence[TensorView]) -> np.ndarray:
+def kv_magnitudes(keys: Sequence[np.ndarray], values: Sequence[np.ndarray]) -> np.ndarray:
     """|K| and |V| of every head of one layer, stacked K0, V0, K1, V1, ... (2H x T x D)."""
-    return np.abs(np.stack([m.data for kv in zip(keys, values) for m in kv]))
+    return np.abs(np.stack([m for kv in zip(keys, values) for m in kv]))
 
 
 def kv_l1_loss(mags: np.ndarray, kept: KeptIndices) -> float:
@@ -80,12 +80,14 @@ def kv_l1_loss(mags: np.ndarray, kept: KeptIndices) -> float:
     return lost / mags.size
 
 
-def attention_cosine(full_attn_row: TensorView, kept: KeptIndices) -> float:
-    """Cosine between a distribution and its zero-masked restriction."""
-    p = full_attn_row.data.reshape(-1).astype(np.float64)
+def attention_cosine(full_attn_row: np.ndarray, kept: KeptIndices) -> float:
+    """Cosine between a distribution and its zero-masked restriction.
+
+    A kept index past the row's end fails the gather (IndexError).
+    """
+    p = full_attn_row.reshape(-1).astype(np.float64)
     masked = np.zeros_like(p)
     idx = np.asarray(kept.positions, dtype=np.intp)
-    idx = idx[idx < len(p)]
     masked[idx] = p[idx]
     norm = np.linalg.norm(p) * np.linalg.norm(masked)
     if norm == 0:
@@ -93,11 +95,12 @@ def attention_cosine(full_attn_row: TensorView, kept: KeptIndices) -> float:
     return float(np.dot(p, masked) / norm)
 
 
-def make_needle_case(case: NeedleCase, observe_rows: int = 1) -> TensorView:
+def make_needle_case(case: NeedleCase, observe_rows: int = 1) -> np.ndarray:
     """Synthetic observe-window score matrix realizing a needle regime.
 
     Columns inside the span get signal added on top of noise; a weak_offset
-    column is forced to zero.  Deterministic in the seed.
+    column is forced to zero.  Deterministic in the seed; the float32
+    observe_rows x seq_len matrix is read-only.
     """
     rng = np.random.Generator(np.random.Philox(key=case.seed))
     if case.noise == "uniform":
@@ -107,7 +110,7 @@ def make_needle_case(case: NeedleCase, observe_rows: int = 1) -> TensorView:
     scores[:, case.span_start : case.span_start + case.span_len] += case.signal
     if case.weak_offset is not None:
         scores[:, case.span_start + case.weak_offset] = 0.0
-    return TensorView(scores.astype(np.float32))
+    return _frozen(scores.astype(np.float32))
 
 
 def needle_retention(kept: KeptIndices, case: NeedleCase) -> tuple[float, bool]:

@@ -6,6 +6,9 @@ tiny: causal multi-head attention with residual, a two-layer ReLU
 feedforward block, tied embedding logits, no positional encodings and no
 normalization layers.  One layer routine, ``_forward``, holds all of it:
 prefill runs it over an empty cache, decode_step over the cached keys.
+
+Weights, trace arrays and logits are plain float32 ndarrays (float64 for
+``col_mass``), each marked read-only by ``_frozen`` where it is made.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import TensorView, _causal_pv, _causal_softmax, _mm_t, check_seed
+from .numerics import _causal_pv, _causal_softmax, _frozen, _mm_t, check_seed
 
 # Query rows per block of causal prefill attention.  Each block's QK^T and
 # softmax stop at its last row's column; per-head cost is flat within 10%
@@ -63,6 +66,8 @@ class ToyModel:
 class PrefillTrace:
     """Per (layer, head) K/V plus per-layer hidden states for one prompt.
 
+    Every array is a read-only ndarray: ``k`` and ``v`` are float32
+    T x head_dim per (layer, head), ``hidden`` float32 T x hidden per layer.
     Every attention score downstream code reads comes from prefill's own
     QK^T and causal softmax; nothing recomputes them, and Q is not kept.
     Per (layer, head): ``col_mass``, the float64 column sums of the T x T
@@ -74,11 +79,11 @@ class PrefillTrace:
 
     config: ModelConfig
     tokens: tuple[int, ...]
-    k: tuple[tuple[TensorView, ...], ...]
-    v: tuple[tuple[TensorView, ...], ...]
-    hidden: tuple[TensorView, ...]
+    k: tuple[tuple[np.ndarray, ...], ...]
+    v: tuple[tuple[np.ndarray, ...], ...]
+    hidden: tuple[np.ndarray, ...]
     col_mass: tuple[tuple[np.ndarray, ...], ...]
-    observe_probs: tuple[tuple[TensorView, ...], ...]
+    observe_probs: tuple[tuple[np.ndarray, ...], ...]
 
     @property
     def seq_len(self) -> int:
@@ -101,9 +106,7 @@ def init_model(config: ModelConfig) -> ToyModel:
     rng = np.random.Generator(np.random.Philox(key=config.seed))
 
     def draw(rows: int, cols: int) -> np.ndarray:
-        w = rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32)
-        w.flags.writeable = False
-        return w
+        return _frozen(rng.uniform(-bound, bound, size=(rows, cols)).astype(np.float32))
 
     embed = draw(config.vocab_size, h)
     layers = tuple(
@@ -143,8 +146,8 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
     reads keys [0, P + r1) and writes its softmax rows into a buffer T = P + n
     wide; the last block is the observe tail, the last min(observe_rows, n)
     rows.  Returns hidden per layer, then k and v (all P + n rows), col_mass
-    and observe_probs (the tail block's softmax rows) per layer and head; Q
-    and the QK^T scores are not returned.
+    and observe_probs (the tail block's softmax rows) per layer and head, all
+    read-only; Q and the QK^T scores are not returned.
     """
     cfg = model.config
     if any(t < 0 or t >= cfg.vocab_size for t in tokens):
@@ -180,15 +183,14 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
                 _causal_softmax(scores, query_offset=p + r0, out=block)
                 ctx[r0:r1, sl] = _causal_pv(block, v_all, query_offset=p + r0)
                 _add_rows(mass, block, mass_buf[:, :t])
-            mass.flags.writeable = False
             heads.append((k_all, v_all, mass, block))
         x = x + _mm_t(ctx, lw.wo)
         x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
-        hiddens.append(x)
+        hiddens.append(_frozen(x))
         # With no cached keys, k/v are views of the projections until here:
         # copied last, they reuse the layer's freed temporaries (a cold T=1024
         # prefill then takes half the page faults of copying them first).
-        per_layer.append([[np.ascontiguousarray(a) for a in f] for f in zip(*heads)])
+        per_layer.append([[_frozen(a) for a in f] for f in zip(*heads)])
     return (hiddens, *map(list, zip(*per_layer)))
 
 
@@ -206,26 +208,21 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
 
     empty = [[np.empty((0, cfg.head_dim), dtype=np.float32)] * cfg.n_heads] * cfg.n_layers
     hidden, k, v, col_mass, probs = _forward(model, tokens, empty, empty, observe_rows)
-
-    def views(per_layer) -> tuple[tuple[TensorView, ...], ...]:
-        return tuple(tuple(map(TensorView, heads)) for heads in per_layer)
-
     return PrefillTrace(
         config=cfg,
         tokens=tokens,
-        k=views(k),
-        v=views(v),
-        hidden=tuple(map(TensorView, hidden)),
+        k=tuple(map(tuple, k)),
+        v=tuple(map(tuple, v)),
+        hidden=tuple(hidden),
         col_mass=tuple(map(tuple, col_mass)),
-        observe_probs=views(probs),
+        observe_probs=tuple(map(tuple, probs)),
     )
 
 
 @dataclass
 class CacheSet:
-    """Mutable per-layer, per-head K/V store consumed by decode_step."""
+    """Per-layer, per-head K/V lists; decode_step replaces their arrays."""
 
-    config: ModelConfig
     keys: list[list[np.ndarray]] = field(default_factory=list)
     values: list[list[np.ndarray]] = field(default_factory=list)
 
@@ -236,23 +233,20 @@ class CacheSet:
         kept_per_layer: per-layer list of per-head KeptIndices, or None for
         the uncompressed FullKV cache.
         """
-        cs = cls(config=trace.config)
+        cs = cls()
         heads = range(trace.n_heads)
         for l in range(trace.n_layers):
             if kept_per_layer is None:
                 rows = [slice(None)] * len(heads)
             else:
                 rows = [np.asarray(kept_per_layer[l][h].positions, dtype=np.intp) for h in heads]
-            cs.keys.append([np.array(trace.k[l][h].data[rows[h]]) for h in heads])
-            cs.values.append([np.array(trace.v[l][h].data[rows[h]]) for h in heads])
+            cs.keys.append([trace.k[l][h][rows[h]] for h in heads])
+            cs.values.append([trace.v[l][h][rows[h]] for h in heads])
         return cs
-
-    def seq_len(self, layer: int, head: int = 0) -> int:
-        return self.keys[layer][head].shape[0]
 
 
 def decode_step(model: ToyModel, cache: CacheSet, next_token: int):
-    """Append one token: returns (logits as 1 x vocab TensorView, cache).
+    """Append one token: returns (logits as a read-only 1 x vocab ndarray, cache).
 
     ``_forward`` of the token over the cache appends one K and one V row per
     (layer, head); the new query attends over the retained cache and itself.
@@ -275,4 +269,4 @@ def decode_step(model: ToyModel, cache: CacheSet, next_token: int):
 
     past = cache.keys, cache.values
     hidden, cache.keys, cache.values, *_ = _forward(model, [next_token], *past, 1)
-    return TensorView(_mm_t(hidden[-1], model.embed)), cache
+    return _frozen(_mm_t(hidden[-1], model.embed)), cache

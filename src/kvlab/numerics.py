@@ -3,7 +3,9 @@
 Everything is float32 and accumulation order is fixed (row-major,
 left-to-right over the inner dimension), so results are bit-identical
 across runs and match a naive triple-loop reference exactly.  BLAS is not
-used: its blocked accumulation rounds differently.
+used: its blocked accumulation rounds differently.  The kernels take and
+return plain 2-D ndarrays; every array kvlab passes between modules is one,
+marked read-only (``flags.writeable = False``) by ``_frozen`` where it is made.
 
 Every product sum is one ``np.einsum("ki,kj->ij", xt, yt)`` on k-major
 operands (``_contract``), with einsum's default ``optimize=False``, so numpy
@@ -53,43 +55,20 @@ of prefill of tokens (hidden states from layer 0, Q/K/V from layer 1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass(frozen=True)
-class TensorView:
-    """Immutable row-major 2-D float32 matrix."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        arr = np.ascontiguousarray(self.data, dtype=np.float32)
-        if arr.ndim != 2:
-            raise ValueError(f"TensorView requires a 2-D array, got ndim={arr.ndim}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("TensorView entries must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "data", arr)
-
-    @property
-    def rows(self) -> int:
-        return self.data.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.data.shape[1]
-
-    @classmethod
-    def from_rows(cls, rows) -> "TensorView":
-        return cls(np.asarray(rows, dtype=np.float32).reshape(len(rows), -1))
 
 
 def check_seed(seed: int) -> None:
     """Raise ValueError unless seed is a Philox key, an integer in [0, 2**128)."""
     if not 0 <= seed < 2**128:
         raise ValueError(f"seed must be in [0, 2**128), got {seed}")
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a as a C-contiguous array (a copy only if it is not one), marked read-only."""
+    a = np.ascontiguousarray(a)
+    a.flags.writeable = False
+    return a
 
 
 def _contract(xt: np.ndarray, yt: np.ndarray) -> np.ndarray:

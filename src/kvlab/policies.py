@@ -25,7 +25,6 @@ import numpy as np
 
 from .cache import BudgetSpec, KeptIndices
 from .model import PrefillTrace
-from .numerics import TensorView
 
 POLICY_KINDS = (
     "FullKV",
@@ -85,10 +84,11 @@ class PolicySpec:
 class ScoreMatrices:
     """Synthetic one-head score source (needle prompts): a matrix per layer.
 
-    Every observe window reads the layer's matrix as given.
+    Every observe window reads the layer's matrix, a read-only float32
+    ndarray, as given.
     """
 
-    mats: tuple[TensorView, ...]
+    mats: tuple[np.ndarray, ...]
     n_heads: ClassVar[int] = 1
 
     @property
@@ -97,16 +97,17 @@ class ScoreMatrices:
 
     @property
     def seq_len(self) -> int:
-        return self.mats[0].cols
+        return self.mats[0].shape[1]
 
 
-def chunk_scores(a: TensorView, c: int) -> np.ndarray:
+def chunk_scores(a: np.ndarray, c: int) -> np.ndarray:
     """Float64 sums of all observe rows' scores over chunk i = [i*c, min(i*c + c, T))."""
     if c < 1:
         raise ValueError("chunk size must be >= 1")
-    col_sums = a.data.sum(axis=0, dtype=np.float64)
-    c = min(c, a.cols) or 1  # a chunk wider than the prompt is the whole prompt
-    return np.add.reduceat(col_sums, np.arange(0, a.cols, c)) if a.cols else np.zeros(0)
+    t = a.shape[1]
+    col_sums = a.sum(axis=0, dtype=np.float64)
+    c = min(c, t) or 1  # a chunk wider than the prompt is the whole prompt
+    return np.add.reduceat(col_sums, np.arange(0, t, c)) if t else np.zeros(0)
 
 
 def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
@@ -120,7 +121,7 @@ def _with_recent(picked, recent: int, t_k: int) -> KeptIndices:
     return KeptIndices.from_iterable([*picked, *range(max(t_k - recent, 0), t_k)])
 
 
-def chunkkv_from_scores(a: TensorView, c: int, w: int, max_len: int, t_k: int) -> KeptIndices:
+def chunkkv_from_scores(a: np.ndarray, c: int, w: int, max_len: int, t_k: int) -> KeptIndices:
     """Mask-based chunk compression over a precomputed score matrix."""
     if w > max_len:
         raise ValueError("observe window exceeds budget")
@@ -267,7 +268,7 @@ def observe_rows(specs) -> int:
     return max((s.budget.w for s in flat if s.kind in readers), default=0)
 
 
-def _scores(source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int) -> TensorView:
+def _scores(source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int) -> np.ndarray:
     """The score rows a policy reads for one (layer, head) of a source.
 
     A trace gives the last w (none at w = 0) of the softmax observe rows it kept.
@@ -275,9 +276,9 @@ def _scores(source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int)
     if isinstance(source, ScoreMatrices):
         return source.mats[layer]
     rows = source.observe_probs[layer][head]
-    if w > rows.rows:
-        raise ValueError(f"observe window w={w} exceeds the {rows.rows} observe rows prefill kept")
-    return TensorView(rows.data[rows.rows - w :])
+    if w > len(rows):
+        raise ValueError(f"observe window w={w} exceeds the {len(rows)} observe rows prefill kept")
+    return rows[len(rows) - w :]
 
 
 def compress_layer(
@@ -303,15 +304,15 @@ def compress_layer(
         if isinstance(source, ScoreMatrices):
             # no causal mask shaped synthetic scores: every position is
             # equally exposed, so they rank by plain column sums
-            scores = source.mats[layer].data.sum(axis=0, dtype=np.float64)[None]
+            scores = source.mats[layer].sum(axis=0, dtype=np.float64)[None]
         else:
             scores = h2o_scores(np.stack(source.col_mass[layer]), spec.h2o_normalize)
         select = lambda col: topk_from_scores(col, b.w, max_len, t_k)
     else:
-        mats = [_scores(source, layer, h, b.w).data for h in heads]
+        mats = [_scores(source, layer, h, b.w) for h in heads]
         if spec.kind == "ChunkKV":
             scores = mats
-            select = lambda a: chunkkv_from_scores(TensorView(a), b.c, b.w, max_len, t_k)
+            select = lambda a: chunkkv_from_scores(a, b.c, b.w, max_len, t_k)
         else:  # SnapKVStyle, PyramidStyle: max-pooled observe-window column mass
             scores = [m.sum(axis=0, dtype=np.float64) for m in mats]
             select = lambda col: topk_from_scores(

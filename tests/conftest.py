@@ -19,7 +19,7 @@ def head_q(model, trace, layer: int, head: int) -> np.ndarray:
     if layer == 0:
         x = model.embed[np.asarray(trace.tokens, dtype=np.intp)]
     else:
-        x = trace.hidden[layer - 1].data
+        x = trace.hidden[layer - 1]
     d = model.config.head_dim
     return np.ascontiguousarray(_mm_t(x, model.layers[layer].wq)[:, head * d : (head + 1) * d])
 

@@ -10,40 +10,38 @@ import math
 
 import numpy as np
 
-from kvlab.numerics import TensorView, _causal_softmax, _mm_t
+from kvlab.numerics import _causal_softmax, _mm_t
 
 from conftest import head_q
 
 
-def matmul_transposed(a: TensorView, b: TensorView) -> TensorView:
+def matmul_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Compute a @ b.T for a: m x d, b: n x d."""
-    if a.cols != b.cols:
-        raise ValueError(
-            f"inner dimension mismatch: {a.rows}x{a.cols} vs {b.rows}x{b.cols}"
-        )
-    return TensorView(_mm_t(a.data, b.data))
+    if a.shape[1] != b.shape[1]:
+        raise ValueError(f"inner dimension mismatch: {a.shape} vs {b.shape}")
+    return _mm_t(a, b)
 
 
-def causal_softmax_rows(scores: TensorView, query_offset: int) -> TensorView:
+def causal_softmax_rows(scores: np.ndarray, query_offset: int) -> np.ndarray:
     """Row-wise softmax where row i may attend to columns <= query_offset + i.
 
     Masked entries become exactly zero; each row is max-stabilized and sums
     to 1 up to float32 rounding.
     """
-    return TensorView(_causal_softmax(scores.data, query_offset))
+    return _causal_softmax(scores, query_offset)
 
 
 def observe_scores(
     model, trace, layer: int, head: int, w: int, mode: str = "softmax"
-) -> TensorView:
+) -> np.ndarray:
     """Scaled attention scores of the last w queries against all keys."""
     t_q = trace.seq_len
     if w < 1 or w > t_q:
         raise ValueError(f"observe window w={w} outside [1, {t_q}]")
-    q = TensorView(head_q(model, trace, layer, head))
+    q = head_q(model, trace, layer, head)
     k = trace.k[layer][head]
     scale = np.float32(1.0 / math.sqrt(trace.config.head_dim))
-    raw = TensorView(matmul_transposed(TensorView(q.data[t_q - w :]), k).data * scale)
+    raw = matmul_transposed(q[t_q - w :], k) * scale
     if mode == "raw":
         return raw
     if mode == "softmax":

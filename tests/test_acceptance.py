@@ -21,7 +21,6 @@ from kvlab.metrics import (
     needle_retention,
 )
 from kvlab.model import ModelConfig, init_model, prefill
-from kvlab.numerics import TensorView
 from kvlab.policies import PolicySpec, chunkkv_from_scores, topk_from_scores
 from kvlab.reuse import ReusePlan, adjacent_similarity, run_with_reuse, speedup_estimate
 
@@ -81,7 +80,7 @@ def test_criterion_3_chunkkv_oracle_equivalence():
         w = int(rng.choice([0, 1, 2]))
         max_len = int(rng.integers(max(w, 1), t_k + 1))
         a = rng.uniform(0, 1, size=(max(w, 1), t_k)).astype(np.float32)
-        got = chunkkv_from_scores(TensorView(a), c, w, max_len, t_k).as_set()
+        got = chunkkv_from_scores(a, c, w, max_len, t_k).as_set()
         if max_len >= t_k:
             want = set(range(t_k))
         else:
@@ -149,7 +148,7 @@ def test_criterion_5_chunk_integrity():
         w = int(rng.integers(0, 4))
         max_len = int(rng.integers(max(w, 1), t_k))
         a = rng.uniform(0, 1, size=(max(w, 1), t_k)).astype(np.float32)
-        kept = chunkkv_from_scores(TensorView(a), c, w, max_len, t_k)
+        kept = chunkkv_from_scores(a, c, w, max_len, t_k)
         recent = set(range(t_k - w, t_k))
         kept_set = kept.as_set()
         for pos in kept_set - recent:
@@ -214,7 +213,7 @@ def test_criterion_8_needle_intactness():
             seq_len=t, span_start=20, span_len=c, signal=float(t), seed=seed, weak_offset=2
         )
         aw = make_needle_case(weak, observe_rows=w)
-        col = aw.data.sum(axis=0, dtype=np.float64)
+        col = aw.sum(axis=0, dtype=np.float64)
         kept_tok = topk_from_scores(col, w, token_budget, t)
         _, intact_tok = needle_retention(kept_tok, weak)
         assert not intact_tok
@@ -227,7 +226,7 @@ def test_criterion_9_fidelity_monotonicity():
     for seed in range(50):
         mags = kv_magnitudes(*make_layer_kv(seq_len=12, heads=2, dim=4, seed=seed))
         p = rng.uniform(0.01, 1, size=12)
-        row = TensorView((p / p.sum()).astype(np.float32).reshape(1, -1))
+        row = (p / p.sum()).astype(np.float32).reshape(1, -1)
         positions = list(rng.permutation(12))
         chain = [KeptIndices.from_iterable(positions[:n]) for n in range(0, 13, 3)]
         for smaller, bigger in zip(chain, chain[1:]):

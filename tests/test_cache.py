@@ -9,14 +9,13 @@ from kvlab.cache import (
     MemoryParams,
     memory_bytes,
 )
-from kvlab.numerics import TensorView
 
 
 def make_layer_kv(seq_len=6, heads=2, dim=3, seed=0):
-    """One layer's per-head K and V, as (keys, values) tuples of seq_len x dim views."""
+    """One layer's per-head K and V, as (keys, values) tuples of seq_len x dim float32 arrays."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    ks = tuple(TensorView(rng.normal(size=(seq_len, dim)).astype(np.float32)) for _ in range(heads))
-    vs = tuple(TensorView(rng.normal(size=(seq_len, dim)).astype(np.float32)) for _ in range(heads))
+    ks = tuple(rng.normal(size=(seq_len, dim)).astype(np.float32) for _ in range(heads))
+    vs = tuple(rng.normal(size=(seq_len, dim)).astype(np.float32) for _ in range(heads))
     return ks, vs
 
 

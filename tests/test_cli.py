@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 
 import pytest
 
@@ -73,6 +74,29 @@ class TestMemoryCommand:
         argv = f"memory --batch 1 --seq {seq} --layers 32 --heads 32 --head-dim 128".split()
         assert main(argv) == 0
         assert capsys.readouterr().out == f"{seq * 2**19} bytes ({gib} GiB)\n"
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            *(
+                ([flag, "0"], f"error: {flag} must be >= 1, got 0\n")
+                for flag in ("--batch", "--seq", "--layers", "--heads", "--head-dim", "--precision-bytes")
+            ),
+            # three 1500-digit factors: a total of over 4300 digits, more than str() converts
+            (
+                ["--batch", "9" * 1500, "--seq", "9" * 1500, "--layers", "9" * 1500],
+                "error: the byte count 2 * --batch * --seq * --layers * --heads * --head-dim"
+                " * --precision-bytes has over 4300 digits\n",
+            ),
+        ],
+        ids=["batch", "seq", "layers", "heads", "head-dim", "precision-bytes", "1500-digits"],
+    )
+    def test_error_names_the_flag(self, capsys, flags, message):
+        argv = "memory --batch 1 --seq 1 --layers 1 --heads 1 --head-dim 1".split() + flags
+        limit = sys.get_int_max_str_digits()
+        assert main(argv) == 2
+        assert capsys.readouterr().err == message
+        assert sys.get_int_max_str_digits() == limit  # the interpreter's limit is not raised
 
     def test_total_past_float_range(self, capsys):
         batch = 10**320

@@ -28,7 +28,6 @@ from kvlab.experiments import (
 )
 from kvlab.metrics import NeedleCase
 from kvlab.model import ModelConfig
-from kvlab.numerics import TensorView
 from kvlab.policies import POLICY_KINDS, PolicySpec, ScoreMatrices
 from kvlab.reuse import ReusePlan, run_with_reuse
 
@@ -235,7 +234,7 @@ def test_every_accepted_budget_runs(n_layers, seq_len, policies, sweep):
         return
     rng = np.random.Generator(np.random.Philox(key=seq_len))
     source = ScoreMatrices(tuple(
-        TensorView(rng.uniform(0, 1, size=(4, seq_len)).astype(np.float32))
+        rng.uniform(0, 1, size=(4, seq_len)).astype(np.float32)
         for _ in range(n_layers)
     ))
     runs = [(spec, 1) for spec in cfg.policies]

@@ -14,7 +14,6 @@ from kvlab.metrics import (
     make_needle_case,
     needle_retention,
 )
-from kvlab.numerics import TensorView
 
 from test_cache import make_layer_kv
 
@@ -30,14 +29,14 @@ def kv_l1(kv, kept):
 def kv_l1_loss_loop_oracle(kv, kept):
     """The per-head gather/abs/sum loop kv_l1_loss used to run, verbatim."""
     keys, values = kv
-    evicted = np.ones(keys[0].rows, dtype=bool)
+    evicted = np.ones(len(keys[0]), dtype=bool)
     evicted[np.asarray(kept.positions, dtype=np.intp)] = False
     total_entries = 0
     lost = 0.0
     for k, v in zip(keys, values):
-        total_entries += k.data.size + v.data.size
-        lost += float(np.abs(k.data[evicted]).sum(dtype=np.float64))
-        lost += float(np.abs(v.data[evicted]).sum(dtype=np.float64))
+        total_entries += k.size + v.size
+        lost += float(np.abs(k[evicted]).sum(dtype=np.float64))
+        lost += float(np.abs(v[evicted]).sum(dtype=np.float64))
     return lost / total_entries
 
 
@@ -47,7 +46,7 @@ class TestKvL1Loss:
         assert kv_l1(kv, ki(range(6))) == 0.0
 
     def test_evict_all_ones_is_one(self):
-        ones = TensorView(np.ones((4, 3), dtype=np.float32))
+        ones = np.ones((4, 3), dtype=np.float32)
         assert kv_l1(((ones,), (ones,)), KeptIndices(())) == 1.0
 
     def test_masked_sum_oracle(self):
@@ -56,7 +55,7 @@ class TestKvL1Loss:
         # elementwise oracle over python loops
         lost, total = 0.0, 0
         for h in range(2):
-            for mat in (keys[h].data, values[h].data):
+            for mat in (keys[h], values[h]):
                 for t in range(6):
                     for x in mat[t]:
                         total += 1
@@ -105,27 +104,31 @@ class TestKvL1Loss:
 
 class TestAttentionCosine:
     def test_keep_all_is_one(self):
-        row = TensorView.from_rows([[0.1, 0.2, 0.3, 0.4]])
+        row = np.array([[0.1, 0.2, 0.3, 0.4]], dtype=np.float32)
         assert attention_cosine(row, ki(range(4))) == pytest.approx(1.0)
 
     def test_mass_on_kept_position(self):
-        row = TensorView.from_rows([[0.0, 1.0, 0.0]])
+        row = np.array([[0.0, 1.0, 0.0]], dtype=np.float32)
         assert attention_cosine(row, ki([1])) == pytest.approx(1.0)
 
     def test_uniform_half_kept(self):
-        row = TensorView.from_rows([[0.25, 0.25, 0.25, 0.25]])
+        row = np.array([[0.25, 0.25, 0.25, 0.25]], dtype=np.float32)
         assert attention_cosine(row, ki([0, 2])) == pytest.approx(1 / math.sqrt(2))
 
     def test_zero_after_masking(self):
-        row = TensorView.from_rows([[0.0, 1.0]])
+        row = np.array([[0.0, 1.0]], dtype=np.float32)
         assert attention_cosine(row, ki([0])) == 0.0
+
+    def test_kept_index_past_the_row_raises(self):
+        with pytest.raises(IndexError):
+            attention_cosine(np.array([[0.5, 0.5]], dtype=np.float32), ki([0, 2]))
 
     @settings(max_examples=40)
     @given(st.integers(0, 10_000), st.data())
     def test_monotone_in_kept(self, seed, data):
         rng = np.random.Generator(np.random.Philox(key=seed))
         p = rng.uniform(0.01, 1.0, size=8)
-        row = TensorView((p / p.sum()).astype(np.float32).reshape(1, -1))
+        row = (p / p.sum()).astype(np.float32).reshape(1, -1)
         small = data.draw(st.frozensets(st.integers(0, 7), max_size=6))
         extra = data.draw(st.frozensets(st.integers(0, 7), max_size=6))
         bigger = small | extra
@@ -141,22 +144,22 @@ class TestNeedleCase:
 
     def test_null_signal_indistinguishable(self):
         case = NeedleCase(seq_len=50, span_start=10, span_len=5, signal=0.0, seed=1)
-        scores = make_needle_case(case).data[0]
+        scores = make_needle_case(case)[0]
         assert scores.max() <= 1.0  # nothing rises above the noise ceiling
 
     def test_dominant_signal_tops_columns(self):
         case = NeedleCase(seq_len=40, span_start=8, span_len=4, signal=40.0, seed=2)
-        scores = make_needle_case(case).data[0]
+        scores = make_needle_case(case)[0]
         top4 = set(np.argsort(-scores)[:4])
         assert top4 == set(range(8, 12))
 
     def test_deterministic(self):
         case = NeedleCase(seq_len=30, span_start=5, span_len=3, signal=2.0, seed=7)
-        assert np.array_equal(make_needle_case(case).data, make_needle_case(case).data)
+        assert np.array_equal(make_needle_case(case), make_needle_case(case))
 
     def test_weak_offset_column_zeroed(self):
         case = NeedleCase(seq_len=30, span_start=5, span_len=3, signal=30.0, seed=7, weak_offset=1)
-        scores = make_needle_case(case).data
+        scores = make_needle_case(case)
         assert np.all(scores[:, 6] == 0.0)
 
 

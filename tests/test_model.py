@@ -18,6 +18,7 @@ from kvlab.model import (
     prefill,
 )
 from kvlab.experiments import _final_row_attention
+from kvlab.metrics import NeedleCase, make_needle_case
 from kvlab.numerics import _mm_t
 from kvlab.policies import PolicySpec
 from kvlab.reuse import ReusePlan, run_with_reuse
@@ -56,7 +57,7 @@ def test_prefill_shapes_t1(small_model):
     tr = prefill(small_model, [3])
     for l in range(tr.n_layers):
         for h in range(tr.n_heads):
-            assert tr.k[l][h].data.shape == (1, small_model.config.head_dim)
+            assert tr.k[l][h].shape == (1, small_model.config.head_dim)
 
 
 def test_prefill_rejects_bad_tokens(small_model):
@@ -74,7 +75,7 @@ def test_prefill_rejects_nonpositive_observe_rows(small_model):
 def test_token_permutation_changes_keys(small_model):
     t1 = prefill(small_model, [1, 2, 3, 4])
     t2 = prefill(small_model, [2, 1, 3, 4])
-    assert not np.array_equal(t1.k[0][0].data, t2.k[0][0].data)
+    assert not np.array_equal(t1.k[0][0], t2.k[0][0])
 
 
 def test_prefill_deterministic(small_model):
@@ -82,9 +83,9 @@ def test_prefill_deterministic(small_model):
     t1 = prefill(small_model, toks)
     t2 = prefill(small_model, toks)
     for l in range(t1.n_layers):
-        assert np.array_equal(t1.hidden[l].data, t2.hidden[l].data)
+        assert np.array_equal(t1.hidden[l], t2.hidden[l])
         for h in range(t1.n_heads):
-            assert np.array_equal(t1.k[l][h].data, t2.k[l][h].data)
+            assert np.array_equal(t1.k[l][h], t2.k[l][h])
 
 
 def test_causality(small_model):
@@ -92,13 +93,26 @@ def test_causality(small_model):
     t1 = prefill(small_model, toks)
     toks[8] = (toks[8] + 1) % 64
     t2 = prefill(small_model, toks)
-    assert np.array_equal(t1.hidden[-1].data[:8], t2.hidden[-1].data[:8])
-    assert not np.array_equal(t1.hidden[-1].data[8:], t2.hidden[-1].data[8:])
+    assert np.array_equal(t1.hidden[-1][:8], t2.hidden[-1][:8])
+    assert not np.array_equal(t1.hidden[-1][8:], t2.hidden[-1][8:])
+
+
+def test_arrays_passed_between_modules_are_read_only(small_model, small_trace):
+    trace = small_trace
+    arrays = list(trace.hidden)
+    for per_layer in (trace.k, trace.v, trace.col_mass, trace.observe_probs):
+        arrays += [a for heads in per_layer for a in heads]
+    arrays.append(make_needle_case(NeedleCase(seq_len=8, span_start=2, span_len=2, signal=5.0)))
+    arrays += [small_model.embed, small_model.layers[0].w1]
+    arrays.append(decode_step(small_model, CacheSet.from_trace(trace), next_token=1)[0])
+    for a in arrays:
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def test_decode_appends_one_row(small_model, small_trace):
     cache = CacheSet.from_trace(small_trace)
-    before = cache.seq_len(0)
+    before = cache.keys[0][0].shape[0]
     _, cache = decode_step(small_model, cache, next_token=1)
     for l in range(small_trace.n_layers):
         for h in range(small_trace.n_heads):
@@ -113,8 +127,8 @@ def test_decode_matches_prefill(small_model):
     logits, _ = decode_step(small_model, cache, toks[-1])
 
     full = prefill(small_model, toks)
-    want = _mm_t(full.hidden[-1].data[-1:], small_model.embed)
-    assert np.allclose(logits.data, want, atol=1e-4)
+    want = _mm_t(full.hidden[-1][-1:], small_model.embed)
+    assert np.allclose(logits, want, atol=1e-4)
 
 
 def test_decode_full_cache_equals_fullkv_logits(small_model, small_trace):
@@ -128,7 +142,7 @@ def test_decode_full_cache_equals_fullkv_logits(small_model, small_trace):
     c_identity = CacheSet.from_trace(small_trace, kept_per_layer=all_kept)
     l1, _ = decode_step(small_model, c_full, 2)
     l2, _ = decode_step(small_model, c_identity, 2)
-    assert np.array_equal(l1.data, l2.data)
+    assert np.array_equal(l1, l2)
 
 
 # SHA-256 over the logits bytes of four decode_step calls on a FullKV cache
@@ -150,7 +164,7 @@ def test_decode_logits_digest(shape):
     h = hashlib.sha256()
     for token in random_tokens(model.config.vocab_size, 4, seed=t + 1):
         logits, cache = decode_step(model, cache, token)
-        h.update(logits.data.tobytes())
+        h.update(logits.tobytes())
     assert h.hexdigest() == DECODE_DIGESTS[shape]
 
 
@@ -177,7 +191,7 @@ def test_compressed_decode_logits_digest(shape):
     h = hashlib.sha256()
     for token in random_tokens(model.config.vocab_size, 4, seed=t + 1):
         logits, cache = decode_step(model, cache, token)
-        h.update(logits.data.tobytes())
+        h.update(logits.tobytes())
     assert h.hexdigest() == COMPRESSED_DECODE_DIGESTS[shape]
 
 
@@ -198,15 +212,15 @@ def test_forward_of_n_tokens_over_a_filled_cache(roadmap_model, n):
     # layer 0's keys and values read only the embeddings: bit-equal to prefill's
     full = prefill(roadmap_model, tokens)
     for h in range(roadmap_model.config.n_heads):
-        assert np.array_equal(ks[0][h], full.k[0][h].data)
-        assert np.array_equal(vs[0][h], full.v[0][h].data)
+        assert np.array_equal(ks[0][h], full.k[0][h])
+        assert np.array_equal(vs[0][h], full.v[0][h])
 
     # n decode steps differ in the last bits only: each softmax row sum spans
     # the widest row of its pass (P + n here, P + i + 1 for step i)
     stepped = []
     for token in tokens[p:]:
         logits, cache = decode_step(roadmap_model, cache, token)
-        stepped.append(logits.data[0])
+        stepped.append(logits[0])
     forced = _mm_t(hidden[-1], roadmap_model.embed)
     assert forced.shape == (n, roadmap_model.config.vocab_size)
     assert np.abs(forced - np.array(stepped)).max() <= 1e-6
@@ -261,8 +275,8 @@ def _trace_digest(model, trace) -> str:
         for hd in range(trace.n_heads):
             h.update(head_q(model, trace, l, hd).tobytes())
             for m in (trace.k, trace.v):
-                h.update(m[l][hd].data.tobytes())
-        h.update(trace.hidden[l].data.tobytes())
+                h.update(m[l][hd].tobytes())
+        h.update(trace.hidden[l].tobytes())
     return h.hexdigest()
 
 
@@ -293,18 +307,18 @@ def test_attention_statistics_match_observe_oracle(roadmap_model, t):
         kept = min(observe_rows, t)
         for l in range(trace.n_layers):
             for h in range(trace.n_heads):
-                got = trace.observe_probs[l][h].data
+                got = trace.observe_probs[l][h]
                 assert got.shape == (kept, t)
                 for w in sorted({1, kept}):
-                    want = observe_scores(roadmap_model, trace, l, h, w, "softmax").data
+                    want = observe_scores(roadmap_model, trace, l, h, w, "softmax")
                     assert got[kept - w :].tobytes() == want.tobytes()
-                full = observe_scores(roadmap_model, trace, l, h, t, "softmax").data
+                full = observe_scores(roadmap_model, trace, l, h, t, "softmax")
                 mass = trace.col_mass[l][h]
                 assert mass.dtype == np.float64 and mass.shape == (t,)
                 assert mass.tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
-                row = _final_row_attention(trace, l, h).data
+                row = _final_row_attention(trace, l, h)
                 assert row.shape == (1, t)
-                assert row.tobytes() == observe_scores(roadmap_model, trace, l, h, 1, "softmax").data.tobytes()
+                assert row.tobytes() == observe_scores(roadmap_model, trace, l, h, 1, "softmax").tobytes()
 
 
 @settings(max_examples=25, deadline=None)
@@ -327,7 +341,7 @@ def test_col_mass_is_the_row_order_sum_of_the_full_softmax(t, observe_rows, head
     model = ToyModel(cfg, base.embed * s, layers)
     trace = prefill(model, random_tokens(32, t, seed=seed), observe_rows=observe_rows)
     for h in range(trace.n_heads):
-        full = observe_scores(model, trace, 0, h, t, "softmax").data
+        full = observe_scores(model, trace, 0, h, t, "softmax")
         assert trace.col_mass[0][h].tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
-        kept = trace.observe_probs[0][h].data
+        kept = trace.observe_probs[0][h]
         assert kept.tobytes() == full[t - min(observe_rows, t) :].tobytes()

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvlab.model import ROW_BLOCK
-from kvlab.numerics import TensorView, _causal_pv, _causal_softmax, _mm_t
+from kvlab.numerics import _causal_pv, _causal_softmax, _mm_t
 
 
 def naive_matmul_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -24,14 +24,14 @@ def naive_matmul_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def test_identity_rows_select_columns():
-    a = TensorView.from_rows([[1, 0], [0, 1]])
-    b = TensorView.from_rows([[3, 4], [5, 6]])
-    out = _mm_t(a.data, b.data)
+    a = np.array([[1, 0], [0, 1]], dtype=np.float32)
+    b = np.array([[3, 4], [5, 6]], dtype=np.float32)
+    out = _mm_t(a, b)
     assert out.tolist() == [[3.0, 5.0], [4.0, 6.0]]
 
 
 def test_scalar_product():
-    out = _mm_t(TensorView.from_rows([[2]]).data, TensorView.from_rows([[3]]).data)
+    out = _mm_t(np.array([[2]], dtype=np.float32), np.array([[3]], dtype=np.float32))
     assert out.tolist() == [[6.0]]
 
 
@@ -59,12 +59,12 @@ def test_bilinear_power_of_two_scaling(exp, seed):
 
 
 def test_softmax_uniform_row():
-    out = _causal_softmax(TensorView.from_rows([[0, 0, 0]]).data, query_offset=2)
+    out = _causal_softmax(np.array([[0, 0, 0]], dtype=np.float32), query_offset=2)
     assert np.allclose(out, [[1 / 3, 1 / 3, 1 / 3]], atol=1e-6)
 
 
 def test_softmax_single_unmasked_entry():
-    out = _causal_softmax(TensorView.from_rows([[5.0, 99.0]]).data, query_offset=0)
+    out = _causal_softmax(np.array([[5.0, 99.0]], dtype=np.float32), query_offset=0)
     assert out.tolist() == [[1.0, 0.0]]
 
 
@@ -73,20 +73,20 @@ def test_softmax_exp_normalize_values():
     xs = [1.0, 2.0, 3.0]
     es = [math.exp(x - max(xs)) for x in xs]
     want = [e / sum(es) for e in es]
-    out = _causal_softmax(TensorView.from_rows([xs]).data, query_offset=2)
+    out = _causal_softmax(np.array([xs], dtype=np.float32), query_offset=2)
     assert np.allclose(out[0], want, atol=1e-4)
     assert np.allclose(out[0], [0.09003, 0.24473, 0.66524], atol=1e-4)
 
 
 def test_softmax_causal_masking_zeroes_future():
-    out = _causal_softmax(TensorView.from_rows([[1, 2, 3], [1, 2, 3]]).data, query_offset=1)
+    out = _causal_softmax(np.array([[1, 2, 3], [1, 2, 3]], dtype=np.float32), query_offset=1)
     assert out[0, 2] == 0.0
     assert out[1, 2] > 0.0
 
 
 def test_softmax_empty_row_raises():
     with pytest.raises(ValueError):
-        _causal_softmax(TensorView.from_rows([[1.0]]).data, query_offset=-1)
+        _causal_softmax(np.array([[1.0]], dtype=np.float32), query_offset=-1)
 
 
 @settings(max_examples=50)
@@ -97,8 +97,8 @@ def test_softmax_empty_row_raises():
 def test_softmax_rows_sum_to_one(w, seed):
     t = w + 3
     rng = np.random.Generator(np.random.Philox(key=seed))
-    scores = TensorView(rng.normal(size=(w, t)).astype(np.float32) * 3)
-    out = _causal_softmax(scores.data, query_offset=t - w)
+    scores = rng.normal(size=(w, t)).astype(np.float32) * 3
+    out = _causal_softmax(scores, query_offset=t - w)
     assert np.all(out >= 0.0) and np.all(out <= 1.0)
     assert np.allclose(out.sum(axis=1), 1.0, atol=1e-5)
 
@@ -110,13 +110,6 @@ def test_determinism_bit_identical():
     r1 = _mm_t(a, b)
     r2 = _mm_t(a.copy(), b.copy())
     assert np.array_equal(r1, r2)
-
-
-def test_tensorview_rejects_nonfinite_and_bad_shape():
-    with pytest.raises(ValueError):
-        TensorView(np.array([[np.nan]], dtype=np.float32))
-    with pytest.raises(ValueError):
-        TensorView(np.zeros(3, dtype=np.float32))
 
 
 # Oracles: the unblocked kernels as they were before prefill attention moved

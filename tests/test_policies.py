@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from kvlab.cache import BudgetSpec
 from kvlab.metrics import NeedleCase, make_needle_case
 from kvlab.model import prefill
-from kvlab.numerics import TensorView
 from kvlab.policies import (
     POLICY_KINDS,
     PolicySpec,
@@ -35,7 +34,7 @@ from observe_reference import causal_softmax_rows, observe_scores
 
 def random_scores(w, t, seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return TensorView(rng.uniform(0, 1, size=(max(w, 1), t)).astype(np.float32))
+    return rng.uniform(0, 1, size=(max(w, 1), t)).astype(np.float32)
 
 
 def exhaustive_best_chunks(scores, k):
@@ -55,8 +54,8 @@ class TestObserveScores:
 
     def test_softmax_rows_sum_to_one(self, small_trace):
         a = _scores(small_trace, 1, 0, w=4)
-        assert np.allclose(a.data.sum(axis=1), 1.0, atol=1e-5)
-        assert np.allclose(small_trace.observe_probs[1][0].data.sum(axis=1), 1.0, atol=1e-5)
+        assert np.allclose(a.sum(axis=1), 1.0, atol=1e-5)
+        assert np.allclose(small_trace.observe_probs[1][0].sum(axis=1), 1.0, atol=1e-5)
 
     def test_w_too_large_raises(self, small_model):
         trace = prefill(small_model, random_tokens(64, 40, seed=5), observe_rows=4)
@@ -76,7 +75,7 @@ class TestChunkScores:
         assert scores.dtype == np.float64
         assert len(scores) == 3
         for i, (start, end) in enumerate([(0, 10), (10, 20), (20, 25)]):
-            assert scores[i] == pytest.approx(a.data[:, start:end].sum(dtype=np.float64))
+            assert scores[i] == pytest.approx(a[:, start:end].sum(dtype=np.float64))
 
     def test_chunk_wider_than_the_scores_is_one_chunk(self):
         a = random_scores(2, 12, 0)
@@ -84,12 +83,12 @@ class TestChunkScores:
         assert len(chunk_scores(a, 10**400)) == 1
 
     def test_all_ones_uniform(self):
-        scores = chunk_scores(TensorView(np.ones((2, 6), dtype=np.float32)), c=2)
+        scores = chunk_scores(np.ones((2, 6), dtype=np.float32), c=2)
         assert scores.tolist() == [4.0, 4.0, 4.0]
 
     def test_column_sum_oracle(self):
         cols = [0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]
-        scores = chunk_scores(TensorView.from_rows([cols]), c=2)
+        scores = chunk_scores(np.array([cols], dtype=np.float32), c=2)
         want = [cols[i] + cols[i + 1] for i in range(0, 8, 2)]
         assert np.allclose(scores, want, atol=1e-6)
         assert np.allclose(scores, [0.2, 0.9, 0.1, 1.8], atol=1e-6)
@@ -98,7 +97,7 @@ class TestChunkScores:
 class TestSelectChunks:
     def test_example(self):
         scores = chunk_scores(
-            TensorView.from_rows([[0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]]), c=2
+            np.array([[0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]], dtype=np.float32), c=2
         )
         assert top_chunks(scores, 2) == (1, 3)
 
@@ -126,13 +125,13 @@ class TestSelectChunks:
         assert top_chunks(scores, k) == exhaustive_best_chunks(scores.tolist(), k)
 
     def test_tie_break_earlier(self):
-        scores = chunk_scores(TensorView(np.ones((1, 9), dtype=np.float32)), c=3)
+        scores = chunk_scores(np.ones((1, 9), dtype=np.float32), c=3)
         assert top_chunks(scores, 2) == (0, 1)
 
 
 class TestChunkKV:
     def test_worked_example(self):
-        a = TensorView.from_rows([[0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]])
+        a = np.array([[0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]], dtype=np.float32)
         kept = chunkkv_from_scores(a, c=2, w=2, max_len=6, t_k=8)
         assert kept.positions == (2, 3, 6, 7)
 
@@ -142,7 +141,7 @@ class TestChunkKV:
         assert kept.positions == tuple(range(10))
 
     def test_uniform_tie_break(self):
-        a = TensorView(np.ones((1, 9), dtype=np.float32))
+        a = np.ones((1, 9), dtype=np.float32)
         kept = chunkkv_from_scores(a, c=3, w=0, max_len=6, t_k=9)
         assert kept.positions == tuple(range(6))
 
@@ -154,7 +153,7 @@ class TestChunkKV:
     def test_zero_window_keeps_the_earliest_chunks(self, small_trace, head_pool):
         # w = 0 reads no observe rows: every chunk scores +0.0, and stable
         # ties keep the first max_len // c chunks
-        assert _scores(small_trace, 0, 0, w=0).data.shape == (0, small_trace.seq_len)
+        assert _scores(small_trace, 0, 0, w=0).shape == (0, small_trace.seq_len)
         spec = PolicySpec("ChunkKV", BudgetSpec(max_len=12, w=0, c=5), head_pool=head_pool)
         for l in range(small_trace.n_layers):
             for kept in compress_layer(small_trace, l, spec):
@@ -208,17 +207,17 @@ class TestChunkKV:
     def test_score_shift_invariant_with_equal_chunks(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         base = rng.uniform(0, 1, size=(2, 12)).astype(np.float32)
-        k1 = chunkkv_from_scores(TensorView(base), c=3, w=0, max_len=6, t_k=12)
-        k2 = chunkkv_from_scores(TensorView(base + np.float32(5.0)), c=3, w=0, max_len=6, t_k=12)
+        k1 = chunkkv_from_scores(base, c=3, w=0, max_len=6, t_k=12)
+        k2 = chunkkv_from_scores(base + np.float32(5.0), c=3, w=0, max_len=6, t_k=12)
         assert k1.positions == k2.positions
 
     def test_score_shift_can_flip_with_short_final_chunk(self):
         # chunks (0,2),(2,4),(4,5): the short chunk wins raw sums but loses
         # once a constant inflates the full-length chunks
-        a = TensorView.from_rows([[0.0, 0.0, 0.0, 0.0, 0.9]])
+        a = np.array([[0.0, 0.0, 0.0, 0.0, 0.9]], dtype=np.float32)
         k1 = chunkkv_from_scores(a, c=2, w=0, max_len=2, t_k=5)
         assert k1.positions == (4,)
-        shifted = TensorView.from_rows([[1.0, 1.0, 1.0, 1.0, 1.9]])
+        shifted = np.array([[1.0, 1.0, 1.0, 1.0, 1.9]], dtype=np.float32)
         k2 = chunkkv_from_scores(shifted, c=2, w=0, max_len=2, t_k=5)
         assert k2.positions == (0, 1)
 
@@ -293,9 +292,9 @@ class TestH2O:
         t = 12
         raw = np.zeros((t, t), dtype=np.float32)
         raw[:, 5] = 50.0
-        probs = causal_softmax_rows(TensorView(raw), query_offset=0)
+        probs = causal_softmax_rows(raw, query_offset=0)
         for normalize in ("exposure", "none"):
-            col = h2o_scores(probs.data.sum(axis=0, dtype=np.float64), normalize)
+            col = h2o_scores(probs.sum(axis=0, dtype=np.float64), normalize)
             kept = topk_from_scores(col, w=2, max_len=4, t_k=t)
             assert 5 in kept.as_set()
 
@@ -306,7 +305,7 @@ class TestH2O:
         kept = compress_layer(small_trace, 1, spec)[1]
 
         # independent path: explicit python-loop scores + sorted() selection
-        probs = observe_scores(small_model, small_trace, 1, 1, w=t, mode="softmax").data
+        probs = observe_scores(small_model, small_trace, 1, 1, w=t, mode="softmax")
         exposure = [sum(1.0 / (i + 1) for i in range(j, t)) for j in range(t)]
         scores = [sum(float(probs[i][j]) for i in range(t)) / exposure[j] for j in range(t)]
         order = sorted(range(t), key=lambda j: (-scores[j], j))
@@ -319,7 +318,7 @@ class TestSnapKV:
         spec = PolicySpec("SnapKVStyle", BudgetSpec(max_len=12, w=4), pool_width=1)
         kept = compress_layer(small_trace, 0, spec)[0]
         a = observe_scores(small_model, small_trace, 0, 0, 4, "softmax")
-        want = topk_from_scores(a.data.sum(axis=0, dtype=np.float64), 4, 12, small_trace.seq_len)
+        want = topk_from_scores(a.sum(axis=0, dtype=np.float64), 4, 12, small_trace.seq_len)
         assert kept.positions == want.positions
 
     def test_budget_covers_all(self, small_trace):
@@ -522,13 +521,12 @@ def test_needle_preservation_vs_token_policy():
     span = range(10, 15)
     scores = noise.copy()
     scores[:, 10:15] += np.float32(t)
-    a = TensorView(scores)
 
-    kept_chunk = chunkkv_from_scores(a, c, w, max_len=w + c, t_k=t)
+    kept_chunk = chunkkv_from_scores(scores, c, w, max_len=w + c, t_k=t)
     assert set(span) <= kept_chunk.as_set()
 
     budget = w + len(span) - 1  # strictly between w and span + w
-    col = a.data.sum(axis=0, dtype=np.float64)
+    col = scores.sum(axis=0, dtype=np.float64)
     kept_token = topk_from_scores(col, w, budget, t)
     assert not set(span) <= kept_token.as_set()
     assert len(set(span) & kept_token.as_set()) > 0
@@ -565,7 +563,7 @@ def test_score_source_matches_selection_primitives(kind, head_pool):
     for l in range(n_layers):
         k = kind if kind != "Hybrid" else ("H2OStyle" if l < 1 else "PyramidStyle")
         a = mats[l]
-        col = a.data.sum(axis=0, dtype=np.float64)
+        col = a.sum(axis=0, dtype=np.float64)
         if k == "FullKV":
             want = tuple(range(t))
         elif k == "ChunkKV":
