@@ -34,7 +34,7 @@ from .metrics import (
 from .model import ModelConfig, PrefillTrace, init_model, prefill
 from .numerics import check_seed
 from .policies import (
-    PolicySpec, ScoreMatrices, compress_layer, observe_rows, resolved_layer_budgets
+    PolicySpec, ScoreMatrices, compress_layer, observe_rows, reads_col_mass, resolved_layer_budgets
 )
 from .reuse import (
     ReusePlan,
@@ -210,6 +210,8 @@ def parse_config(doc) -> ExperimentConfig:
     _require("prompt" in doc, "missing field prompt")
     body = {k: v for k, v in doc.items() if k not in ("schema", "prompt")}
     cfg = _build(ExperimentConfig, body, "", prompt=parse_prompt(doc["prompt"]), raw=doc)
+    for name in ("n_layers", "n_heads", "head_dim", "vocab_size"):
+        _require_dim(f"model.{name}", getattr(cfg.model, name))
     n_layers = cfg.model.n_layers
     _require(len(cfg.policies) >= 1, "config requires at least one policy")
     for i, spec in enumerate(cfg.policies):
@@ -235,7 +237,13 @@ def parse_config(doc) -> ExperimentConfig:
         if sw == SweepSpec():  # no axes: `sweep` refuses it, every other command ignores it
             cfg = replace(cfg, sweep=None)
     _check_budgets(cfg)
+    _require_dim("prompt.seq_len" if cfg.prompt.needle else "prompt.length", cfg.prompt.length)
     return cfg
+
+
+def _require_dim(name: str, n: int):
+    """A size must fit numpy's index-sized integers, or an array of it cannot be made."""
+    _require(n <= sys.maxsize, f"{name} {n} exceeds the largest array dimension {sys.maxsize}")
 
 
 def _check_budgets(cfg: ExperimentConfig):
@@ -315,7 +323,8 @@ def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:
     """What the policies read: the prompt's prefill, or a needle prompt's synthetic scores.
 
     A needle prompt gives one matrix per layer, each drawn from its own seed.
-    Prefill keeps the observe rows the policies read, and the final row `_fidelity` reads.
+    Prefill keeps the observe rows the policies read, and the final row `_fidelity` reads,
+    and builds col_mass only if a policy reads it.
     """
     case, rows = cfg.prompt.needle, cfg.prompt.observe_rows
     if case is not None:
@@ -323,7 +332,8 @@ def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:
             make_needle_case(replace(case, seed=(case.seed * 1000003 + l) % 2**128), rows)
             for l in range(cfg.model.n_layers)
         ))
-    return prefill(init_model(cfg.model), prompt_tokens(cfg), max(1, observe_rows(cfg.policies)))
+    rows = max(1, observe_rows(cfg.policies))
+    return prefill(init_model(cfg.model), prompt_tokens(cfg), rows, reads_col_mass(cfg.policies))
 
 
 def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> np.ndarray:

@@ -8,7 +8,8 @@ normalization layers.  One layer routine, ``_forward``, holds all of it:
 prefill runs it over an empty cache, decode_step over the cached keys.
 
 Weights, trace arrays and logits are plain float32 ndarrays (float64 for
-``col_mass``), each marked read-only by ``_frozen`` where it is made.
+``col_mass``, None when prefill skips it), each marked read-only by
+``_frozen`` where it is made.
 """
 
 from __future__ import annotations
@@ -18,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import _causal_pv, _causal_softmax, _frozen, _mm_t, check_seed
+from .numerics import _causal_pv, _causal_softmax, _contract, _frozen, _mm_t, check_seed
 
 # Query rows per block of causal prefill attention.  Each block's QK^T and
-# softmax stop at its last row's column; per-head cost is flat within 10%
-# for blocks of 64, 128 and 256 rows at T=1024.
+# softmax stop at its last row's column; at T=1024 a prefill with blocks of
+# 64 rows costs what 128 do (within 3%), and 256 rows cost about 10% more.
 ROW_BLOCK = 128
 
 
@@ -46,7 +47,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class LayerWeights:
-    # projections stored as (out, in) so forward passes are a @ W.T
+    # projections stored as (out, in); _forward contracts W.T with (features, tokens)
     wq: np.ndarray
     wk: np.ndarray
     wv: np.ndarray
@@ -71,7 +72,8 @@ class PrefillTrace:
     Every attention score downstream code reads comes from prefill's own
     QK^T and causal softmax; nothing recomputes them, and Q is not kept.
     Per (layer, head): ``col_mass``, the float64 column sums of the T x T
-    softmax (H2OStyle's cumulative attention), and ``observe_probs``, the causal
+    softmax (H2OStyle's cumulative attention; None if prefill skipped it, as
+    experiments do unless an H2OStyle runs), and ``observe_probs``, the causal
     softmax rows of the last n = min(observe_rows, T) queries against all T
     keys.  Row readers (``policies.observe_rows``) read the last w of these
     rows, and the fidelity metric reads the final row.
@@ -82,7 +84,7 @@ class PrefillTrace:
     k: tuple[tuple[np.ndarray, ...], ...]
     v: tuple[tuple[np.ndarray, ...], ...]
     hidden: tuple[np.ndarray, ...]
-    col_mass: tuple[tuple[np.ndarray, ...], ...]
+    col_mass: tuple[tuple[np.ndarray, ...], ...] | None
     observe_probs: tuple[tuple[np.ndarray, ...], ...]
 
     @property
@@ -139,22 +141,23 @@ def _add_rows(mass: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
         np.add.reduce(buf[: len(part) + 1], axis=0, out=mass)
 
 
-def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
+def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int, col_mass: bool = False):
     """Run n new tokens through every layer over P cached keys per (layer, head).
 
     New row i is query P + i.  Row block [r0, r1) has query offset P + r0,
     reads keys [0, P + r1) and writes its softmax rows into a buffer T = P + n
     wide; the last block is the observe tail, the last min(observe_rows, n)
-    rows.  Returns hidden per layer, then k and v (all P + n rows), col_mass
-    and observe_probs (the tail block's softmax rows) per layer and head, all
-    read-only; Q and the QK^T scores are not returned.
+    rows.  Activations are (features, tokens), so each product's inner loop
+    runs over tokens.  Returns hidden per layer, then k, v (all P + n rows),
+    observe_probs (the tail block's softmax rows) and, if ``col_mass``,
+    col_mass per layer and head: read-only, token-major, and no Q or scores.
     """
     cfg = model.config
     if any(t < 0 or t >= cfg.vocab_size for t in tokens):
         raise ValueError("token id out of vocabulary range")
     d = cfg.head_dim
     scale = np.float32(1.0 / math.sqrt(d))
-    x = model.embed[np.asarray(tokens, dtype=np.intp)]
+    xT = np.ascontiguousarray(model.embed[np.asarray(tokens, dtype=np.intp)].T)
     n = len(tokens)
     tail = n - min(observe_rows, n)
     blocks = [(r0, min(r0 + ROW_BLOCK, tail)) for r0 in range(0, tail, ROW_BLOCK)]
@@ -162,31 +165,33 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
 
     width = n + max(len(k) for ks in past_k for k in ks)  # the widest T
     rows = np.empty((min(ROW_BLOCK, tail), width), dtype=np.float32)  # one block's rows
-    mass_buf = np.empty((min(ROW_BLOCK, n) + 1, width), dtype=np.float64)
+    mass_buf = np.empty((min(ROW_BLOCK, n) + 1, width), np.float64) if col_mass else None
     hiddens, per_layer = [], []
     for lw, ks, vs in zip(model.layers, past_k, past_v, strict=True):
-        q, k, v = (_mm_t(x, w) for w in (lw.wq, lw.wk, lw.wv))
-        ctx = np.empty((n, cfg.hidden_dim), dtype=np.float32)
+        qT, kT, vT = (_contract(w.T, xT) for w in (lw.wq, lw.wk, lw.wv))
+        ctxT = np.empty((cfg.hidden_dim, n), dtype=np.float32)
         heads = []
         for h in range(cfg.n_heads):
             sl = slice(h * d, (h + 1) * d)
             p = len(ks[h])
             t = p + n
-            k_all = np.concatenate([ks[h], k[:, sl]], axis=0) if p else k[:, sl]
-            v_all = np.concatenate([vs[h], v[:, sl]], axis=0) if p else v[:, sl]
-            mass = np.zeros(t, dtype=np.float64)
+            k_all = np.concatenate([ks[h], kT[sl].T]) if p else kT[sl].T
+            v_all = np.concatenate([vs[h], vT[sl].T]) if p else vT[sl].T
+            kt = np.ascontiguousarray(k_all.T)  # C-ordered K^T: a copy only over a cache
+            mass = np.zeros(t, dtype=np.float64) if col_mass else None
             for r0, r1 in blocks:
-                scores = _mm_t(q[r0:r1, sl], k_all[: p + r1])
+                scores = _contract(qT[sl, r0:r1], kt[:, : p + r1])
                 scores *= scale
                 # the tail block's softmax rows are kept: fresh per head
                 block = rows[: r1 - r0, :t] if r1 <= tail else np.empty((r1 - r0, t), np.float32)
                 _causal_softmax(scores, query_offset=p + r0, out=block)
-                ctx[r0:r1, sl] = _causal_pv(block, v_all, query_offset=p + r0)
-                _add_rows(mass, block, mass_buf[:, :t])
-            heads.append((k_all, v_all, mass, block))
-        x = x + _mm_t(ctx, lw.wo)
-        x = x + _mm_t(np.maximum(_mm_t(x, lw.w1), np.float32(0.0)), lw.w2)
-        hiddens.append(_frozen(x))
+                ctxT[sl, r0:r1] = _causal_pv(block, v_all, query_offset=p + r0).T
+                if col_mass:
+                    _add_rows(mass, block, mass_buf[:, :t])
+            heads.append((k_all, v_all, block, mass) if col_mass else (k_all, v_all, block))
+        xT = xT + _contract(lw.wo.T, ctxT)
+        xT = xT + _contract(lw.w2.T, np.maximum(_contract(lw.w1.T, xT), np.float32(0.0)))
+        hiddens.append(_frozen(xT.T))
         # With no cached keys, k/v are views of the projections until here:
         # copied last, they reuse the layer's freed temporaries (a cold T=1024
         # prefill then takes half the page faults of copying them first).
@@ -194,10 +199,11 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int):
     return (hiddens, *map(list, zip(*per_layer)))
 
 
-def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
+def prefill(model: ToyModel, tokens, observe_rows: int = 1, col_mass: bool = True) -> PrefillTrace:
     """Full causal forward pass capturing K/V per head and hidden states.
 
     ``_forward`` over an empty cache: the observe tail's QK^T spans all T keys.
+    ``col_mass=False`` leaves ``col_mass`` None and every other bit as it is.
     """
     cfg = model.config
     tokens = tuple(int(t) for t in tokens)
@@ -207,14 +213,14 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1) -> PrefillTrace:
         raise ValueError(f"observe_rows must be >= 1, got {observe_rows}")
 
     empty = [[np.empty((0, cfg.head_dim), dtype=np.float32)] * cfg.n_heads] * cfg.n_layers
-    hidden, k, v, col_mass, probs = _forward(model, tokens, empty, empty, observe_rows)
+    hidden, k, v, probs, *mass = _forward(model, tokens, empty, empty, observe_rows, col_mass)
     return PrefillTrace(
         config=cfg,
         tokens=tokens,
         k=tuple(map(tuple, k)),
         v=tuple(map(tuple, v)),
         hidden=tuple(hidden),
-        col_mass=tuple(map(tuple, col_mass)),
+        col_mass=tuple(map(tuple, mass[0])) if col_mass else None,
         observe_probs=tuple(map(tuple, probs)),
     )
 
@@ -268,5 +274,5 @@ def decode_step(model: ToyModel, cache: CacheSet, next_token: int):
                 )
 
     past = cache.keys, cache.values
-    hidden, cache.keys, cache.values, *_ = _forward(model, [next_token], *past, 1)
+    hidden, cache.keys, cache.values, _ = _forward(model, [next_token], *past, 1)
     return _frozen(_mm_t(hidden[-1], model.embed)), cache

@@ -10,16 +10,16 @@ marked read-only (``flags.writeable = False``) by ``_frozen`` where it is made.
 Every product sum is one ``np.einsum("ki,kj->ij", xt, yt)`` on k-major
 operands (``_contract``), with einsum's default ``optimize=False``, so numpy
 runs its own loops and never reaches BLAS.  The output has stride 0 along
-the summed index k, and xt and yt are each contiguous along their output
-axis, so numpy's iterator orders the loops k outermost and j innermost:
-the inner loop is ``out[i, :] += xt[k, i] * yt[k, :]``, and each output
-element adds its products in increasing k, one float32 product and one
-float32 add at a time, as the triple loop does.  A one-entry output is the
-exception: with i and j both of length 1, k is the only loop left, and
-einsum sums along it in SIMD partial sums, so ``_contract`` gives that shape
-an explicit loop over k.  Every sum starts at +0, and a float32 sum is -0
-only if both addends are, so a sum never becomes -0 and the sign of a zero
-product never shows.
+the summed index k, and it and yt are C-ordered, so numpy's iterator puts j
+innermost: the inner loop is ``out[i, :] += xt[k, i] * yt[k, :]``, and each
+output element adds its products in increasing k, one float32 product and
+one float32 add at a time, as the triple loop does, whichever way round xt
+is (``model._forward`` passes ``W.T`` of an (out, in) weight; x * w == w * x
+exactly).  With one output column, a C-ordered xt puts i innermost; a
+one-entry output, whose only loop einsum would sum in SIMD partial sums,
+gets an explicit loop over k.  Every sum starts at +0, and a float32 sum is
+-0 only if both addends are, so a sum never becomes -0 and the sign of a
+zero product never shows.
 
 Precondition: these bits hold only where numpy's einsum inner loop
 multiplies and then adds, rounding twice.  A numpy built with fused
@@ -32,10 +32,11 @@ fails by name.
 Causal attention runs in row blocks (``model._forward``; offsets below are
 for prefill's empty cache, and P cached keys shift them by P): query rows
 [r0, r1) see keys [0, r1) only, so a block's QK^T and softmax stop at
-column r1 and the masked upper triangle is never computed.  The bits stay
-those of the full T x T computation under one rule: each block's softmax is
-written into a row buffer T columns wide whose tail is zero, and the row sum
-spans all T columns.  numpy sums a row pairwise, and the pairwise tree
+column r1 and the masked upper triangle is never computed (one ``np.copyto``
+masks the block's own).  The bits stay those of the full T x T computation
+under one rule: each block's softmax is written into a row buffer T columns
+wide whose tail is zero, and the row sum spans all T columns.  numpy sums a
+row pairwise, and the pairwise tree
 depends on the row length, so a sum over the r1 trimmed entries would round
 differently.  P.V (``_causal_pv``) runs on one block's rows right after
 their softmax, as one contraction over keys [0, r1).  It adds the masked
@@ -74,12 +75,15 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 def _contract(xt: np.ndarray, yt: np.ndarray) -> np.ndarray:
     """out[i, j] = sum of xt[k, i] * yt[k, j] over k, added in increasing k.
 
-    One einsum for every output of two or more entries (the module docstring
-    says why k is its outermost loop); a one-entry output runs its own loop,
-    since einsum would sum it along k in SIMD partial sums.
+    Precondition: yt is C-ordered, so j is einsum's inner loop (the module
+    docstring says why); an F-ordered yt, as ``np.concatenate`` of transposed
+    arrays returns, moves k inward.  One output column runs on a C-ordered
+    xt, and one output entry on its own loop over k.
     """
-    if xt.shape[1] * yt.shape[1] > 1:
+    if yt.shape[1] > 1:
         return np.einsum("ki,kj->ij", xt, yt)
+    if xt.shape[1] > 1:
+        return np.einsum("ki,kj->ij", np.ascontiguousarray(xt), yt)
     out = np.zeros((1, 1), dtype=np.float32)
     for x, y in zip(xt, yt):
         out += x * y
@@ -115,9 +119,9 @@ def _causal_softmax(
         out = np.empty((w, t), dtype=np.float32)
     probs = out[:, :t]
     probs[...] = scores
-    # row i sees keys [0, query_offset + i]; row by row, no mask is allocated
-    for i in range(min(w, t - query_offset - 1)):
-        probs[i, query_offset + 1 + i :] = -np.inf
+    # row i sees keys [0, query_offset + i]: -inf over the strictly upper triangle
+    upper = probs[:, query_offset + 1 :]
+    np.copyto(upper, -np.inf, where=np.arange(upper.shape[1]) >= np.arange(w)[:, None])
     probs -= probs.max(axis=1, keepdims=True)
     np.exp(probs, out=probs)  # masked entries: exp(-inf) is exactly +0
     out[:, t:] = 0.0
@@ -131,12 +135,9 @@ def _causal_pv(probs: np.ndarray, v: np.ndarray, query_offset: int) -> np.ndarra
     Each output element accumulates probs[i, k] * v[k] in increasing k, as
     ``_mm_t(probs, v.T)`` does, up to the block's last visible key.  The
     products of masked entries are exact zeros (see the module docstring),
-    so one contraction serves every row of the block.  v's visible rows go
-    in as one C-ordered array (a copy when v is not one): for a one-row
-    block, v's own strides order the loops, and a column-major v would put
-    k innermost.
+    so one contraction serves every row of the block.  Returns the transpose
+    of a C-ordered (head_dim, rows) array.
     """
     w, t = probs.shape
     kend = min(t, query_offset + w)
-    vt = np.ascontiguousarray(v[:kend])
-    return _contract(vt, np.ascontiguousarray(probs[:, :kend].T)).T
+    return _contract(v[:kend], np.ascontiguousarray(probs[:, :kend].T)).T

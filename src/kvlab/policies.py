@@ -257,15 +257,24 @@ def resolved_layer_budgets(spec: PolicySpec, n_layers: int, t_k: int) -> list[in
     return [base] * n_layers
 
 
+def _selecting(specs) -> list[PolicySpec]:
+    """The specs that select: each spec, or a Hybrid's two inner policies."""
+    return [s for p in specs for s in ((p.inner_a, p.inner_b) if p.kind == "Hybrid" else (p,))]
+
+
 def observe_rows(specs) -> int:
     """Observe rows the specs read from a trace: the widest w of a row reader, else 0.
 
     ChunkKV, SnapKVStyle and PyramidStyle read rows, also as a Hybrid's inner
     policy (the Hybrid's own w counts for nothing); the other kinds read none.
     """
-    flat = [s for p in specs for s in ((p.inner_a, p.inner_b) if p.kind == "Hybrid" else (p,))]
     readers = ("ChunkKV", "SnapKVStyle", "PyramidStyle")
-    return max((s.budget.w for s in flat if s.kind in readers), default=0)
+    return max((s.budget.w for s in _selecting(specs) if s.kind in readers), default=0)
+
+
+def reads_col_mass(specs) -> bool:
+    """Whether the specs read a trace's col_mass: an H2OStyle, also as a Hybrid's inner policy."""
+    return any(s.kind == "H2OStyle" for s in _selecting(specs))
 
 
 def _scores(source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int) -> np.ndarray:
@@ -305,6 +314,8 @@ def compress_layer(
             # no causal mask shaped synthetic scores: every position is
             # equally exposed, so they rank by plain column sums
             scores = source.mats[layer].sum(axis=0, dtype=np.float64)[None]
+        elif source.col_mass is None:
+            raise ValueError("H2OStyle reads col_mass, which this trace was prefilled without")
         else:
             scores = h2o_scores(np.stack(source.col_mass[layer]), spec.h2o_normalize)
         select = lambda col: topk_from_scores(col, b.w, max_len, t_k)

@@ -526,22 +526,22 @@ class TestHybridSplit:
         assert "split" in capsys.readouterr().err
 
     @pytest.fixture
-    def prefill_rows(self, monkeypatch):
-        """The observe_rows of every prefill the CLI runs."""
+    def prefill_calls(self, monkeypatch):
+        """The (observe_rows, col_mass) of every prefill the CLI runs."""
         import kvlab.experiments
 
-        rows = []
+        calls = []
         real = kvlab.experiments.prefill
 
-        def counting(model, tokens, observe_rows=1):
-            rows.append(observe_rows)
-            return real(model, tokens, observe_rows=observe_rows)
+        def recording(model, tokens, observe_rows=1, col_mass=True):
+            calls.append((observe_rows, col_mass))
+            return real(model, tokens, observe_rows=observe_rows, col_mass=col_mass)
 
-        monkeypatch.setattr(kvlab.experiments, "prefill", counting)
-        return rows
+        monkeypatch.setattr(kvlab.experiments, "prefill", recording)
+        return calls
 
     @pytest.mark.parametrize("outer_w", [4, 40])
-    def test_observe_rows_come_from_inner_policies(self, tmp_path, prefill_rows, outer_w):
+    def test_observe_rows_come_from_inner_policies(self, tmp_path, prefill_calls, outer_w):
         # the Hybrid's own budget selects nothing, so its w keeps no observe rows
         inner = {"kind": "ChunkKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}}
         hybrid = {
@@ -553,14 +553,14 @@ class TestHybridSplit:
         }
         cfg = base_config(tmp_path / "out", policies=[hybrid])
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
-        assert prefill_rows == [4]
+        assert prefill_calls == [(4, False)]
 
     @pytest.mark.parametrize(
         "readers, rows",
         [([{"kind": "ChunkKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}}], 4), ([], 1)],
         ids=["chunkkv-w4", "no-reader"],
     )
-    def test_observe_rows_come_from_row_readers(self, tmp_path, prefill_rows, readers, rows):
+    def test_observe_rows_come_from_row_readers(self, tmp_path, prefill_calls, readers, rows):
         # H2OStyle ranks col_mass and StreamingStyle reads no scores: their w
         # keeps no observe rows, and prefill always keeps the final row
         non_readers = [
@@ -573,7 +573,36 @@ class TestHybridSplit:
             policies=[*non_readers, *readers],
         )
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
-        assert prefill_rows == [rows]
+        assert prefill_calls == [(rows, True)]
+
+    @pytest.mark.parametrize(
+        "policies, col_mass",
+        [
+            (["ChunkKV", "SnapKVStyle", "PyramidStyle", "StreamingStyle", "FullKV"], False),
+            (["H2OStyle"], True),
+            (["ChunkKV", "H2OStyle"], True),
+            ([("ChunkKV", "StreamingStyle")], False),
+            ([("H2OStyle", "ChunkKV")], True),
+            ([("ChunkKV", "H2OStyle")], True),
+        ],
+        ids=["no-h2o", "h2o", "h2o-beside-chunkkv", "hybrid", "hybrid-h2o-a", "hybrid-h2o-b"],
+    )
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_col_mass_is_built_exactly_when_an_h2o_runs(
+        self, tmp_path, prefill_calls, policies, col_mass, command
+    ):
+        budget = {"ratio": 0.25, "w": 4, "c": 5}
+
+        def spec(kind):
+            if isinstance(kind, tuple):
+                a, b = map(spec, kind)
+                return {"kind": "Hybrid", "split": 2, "budget": budget, "inner_a": a, "inner_b": b}
+            return {"kind": kind, "budget": budget}
+
+        specs = [spec(kind) for kind in policies]
+        cfg = base_config(tmp_path / "out", policies=specs, sweep={"c": [5]})
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
+        assert prefill_calls and {c for _, c in prefill_calls} == {col_mass}
 
 
 def _with_budget(out_dir, **budget):
@@ -782,6 +811,19 @@ class TestRangeErrorsBeforePrefill:
                 lambda out: base_config(out, prompt={"kind": "tokens", "tokens": [1, 2, -1]}),
                 "prompt.tokens[2]",
             ),
+            # sizes past numpy's index-sized integers: no array of them can be made
+            (lambda out: _with_model(out, n_layers=2**70), "model.n_layers"),
+            (lambda out: _with_model(out, n_heads=2**70), "model.n_heads"),
+            (lambda out: _with_model(out, head_dim=2**70), "model.head_dim"),
+            (lambda out: _with_model(out, vocab_size=2**70), "model.vocab_size"),
+            (
+                lambda out: base_config(out, prompt={"kind": "random", "length": 2**70, "seed": 1}),
+                "prompt.length",
+            ),
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": 2**70}),
+                "prompt.seq_len",
+            ),
         ],
         ids=[
             "skew-above-1", "skew-negative", "skew-below-w-plus-c", "sink-above-budget",
@@ -790,7 +832,8 @@ class TestRangeErrorsBeforePrefill:
             "streaming-ratio-huge-length", "model-seed-negative", "model-seed-huge",
             "prompt-seed-negative", "prompt-seed-2-to-128", "needle-seed-negative",
             "sweep-seed-negative", "pyramid-max-len-below-w-plus-c", "needle-signal-float32-inf",
-            "token-above-vocab", "token-negative",
+            "token-above-vocab", "token-negative", "n-layers-2-to-70", "n-heads-2-to-70",
+            "head-dim-2-to-70", "vocab-size-2-to-70", "length-2-to-70", "seq-len-2-to-70",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -110,6 +110,18 @@ def test_arrays_passed_between_modules_are_read_only(small_model, small_trace):
             a[0] = 0
 
 
+@pytest.mark.parametrize("t, observe_rows", [(1, 1), (40, 1), (40, 8), (2 * ROW_BLOCK + 3, 129)])
+def test_prefill_without_col_mass_keeps_every_other_bit(small_model, t, observe_rows):
+    tokens = random_tokens(64, t, seed=t)
+    full = prefill(small_model, tokens, observe_rows=observe_rows)
+    bare = prefill(small_model, tokens, observe_rows=observe_rows, col_mass=False)
+    assert full.col_mass is not None and bare.col_mass is None
+    for name in ("k", "v", "observe_probs"):
+        want, got = getattr(full, name), getattr(bare, name)
+        assert [a.tobytes() for hs in got for a in hs] == [a.tobytes() for hs in want for a in hs]
+    assert [a.tobytes() for a in bare.hidden] == [a.tobytes() for a in full.hidden]
+
+
 def test_decode_appends_one_row(small_model, small_trace):
     cache = CacheSet.from_trace(small_trace)
     before = cache.keys[0][0].shape[0]

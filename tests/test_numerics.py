@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvlab.model import ROW_BLOCK
-from kvlab.numerics import _causal_pv, _causal_softmax, _mm_t
+from kvlab.numerics import _causal_pv, _causal_softmax, _contract, _mm_t
 
 
 def naive_matmul_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -334,6 +334,28 @@ def test_mm_t_bytes_match_broadcast_loop(m, n, d, a_scale, b_scale, a_layout, b_
     a = _layout(_entries(rng, (m, d), a_scale), a_layout)
     b = _layout(_entries(rng, (n, d), b_scale), b_layout)
     assert _mm_t(a, b).tobytes() == _loop_mm_t(a, b).tobytes()
+
+
+# model._forward projects feature-major, _contract(W.T, X^T) over an (out, in)
+# weight and C-ordered activations X^T, with the token axis as einsum's inner
+# loop.  At n = 1 there is no token loop (a one-column output), and one output
+# entry (a decode step of a model with one head of head_dim 1) takes the
+# one-entry loop.
+@pytest.mark.parametrize(
+    "n, d_in, d_out",
+    [(1, 64, 64), (1, 64, 128), (1, 128, 64), (7, 64, 64), (ROW_BLOCK + 3, 64, 128),
+     (3, 16, 1), (1, 16, 1), (1, 1, 1)],
+    ids=["n1", "n1-wide", "n1-ffn2", "n7", "block", "one-feature", "one-entry", "head-dim-1"],
+)
+@pytest.mark.parametrize("scale", [1.0, 1e20])
+def test_feature_major_contract_matches_mm_t_bits(n, d_in, d_out, scale):
+    rng = np.random.Generator(np.random.Philox(key=n * 1000 + d_in + d_out))
+    x = _entries(rng, (n, d_in), 1.0)
+    w = _entries(rng, (d_out, d_in), scale)
+    got = _contract(w.T, np.ascontiguousarray(x.T))
+    assert got.shape == (d_out, n)
+    assert got.tobytes() == np.ascontiguousarray(_mm_t(x, w).T).tobytes()
+    assert got.tobytes() == np.ascontiguousarray(_loop_mm_t(x, w).T).tobytes()
 
 
 # e * e = 1 + 2**-11 + 2**-24 rounds to 1 + 2**-11 (a tie, to even), so each

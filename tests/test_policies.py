@@ -22,6 +22,7 @@ from kvlab.policies import (
     max_pool_1d,
     observe_rows,
     pyramid_budgets,
+    reads_col_mass,
     resolved_layer_budgets,
     streaming_compress,
     topk_from_scores,
@@ -510,6 +511,30 @@ def test_observe_rows_are_the_rows_compress_layer_reads(small_model, kind):
         with pytest.raises(ValueError, match=f"w={n} exceeds the {n - 1} observe rows"):
             for l in range(fewer.n_layers):
                 compress_layer(fewer, l, spec)
+
+
+@pytest.mark.parametrize("kind", POLICY_KINDS)
+def test_col_mass_is_built_for_the_policies_that_read_it(small_model, kind):
+    # H2OStyle ranks col_mass, also as a Hybrid's inner policy; on a trace
+    # prefilled without it, compress_layer raises a ValueError that names it
+    budget = BudgetSpec(max_len=12, w=6, c=3)
+    if kind == "Hybrid":
+        spec = PolicySpec(kind, budget, split=1, inner_a=PolicySpec("ChunkKV", budget),
+                          inner_b=PolicySpec("H2OStyle", budget))
+    else:
+        spec = PolicySpec(kind, budget)
+    reads = reads_col_mass([spec])
+    assert reads == (kind in ("H2OStyle", "Hybrid"))
+    tokens = random_tokens(64, 40, seed=5)
+    trace = prefill(small_model, tokens, observe_rows=6, col_mass=reads)
+    assert (trace.col_mass is None) == (not reads)
+    for l in range(trace.n_layers):
+        assert len(compress_layer(trace, l, spec)) == trace.n_heads
+    if reads:
+        bare = prefill(small_model, tokens, observe_rows=6, col_mass=False)
+        with pytest.raises(ValueError, match="H2OStyle reads col_mass"):
+            for l in range(bare.n_layers):
+                compress_layer(bare, l, spec)
 
 
 def test_needle_preservation_vs_token_policy():
