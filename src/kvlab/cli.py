@@ -36,8 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the prompt seed")
-        if name == "sweep":
-            p.add_argument("--workers", type=int, default=1, help="worker processes, one per seed")
 
     mem = sub.add_parser("memory", help="decode-stage KV cache byte count")
     mem.add_argument("--batch", type=int, required=True)
@@ -52,6 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _load(args):
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.command == "sweep" and cfg.sweep is not None and cfg.sweep.seeds:
+            raise ConfigError(f"--seed {args.seed} would be ignored: sweep.seeds sets every seed")
         try:
             cfg = override_seed(cfg, args.seed)
         except ValueError as e:
@@ -83,13 +83,11 @@ def main(argv=None) -> int:
             print(text)
             return 0
 
-        if args.command == "sweep" and args.workers < 1:
-            raise ConfigError(f"--workers must be >= 1, got {args.workers}")
         cfg, out_dir = _load(args)
         if args.command == "simulate":
             path = cmd_simulate(cfg, out_dir)
         elif args.command == "sweep":
-            path = cmd_sweep(cfg, out_dir, workers=args.workers)
+            path = cmd_sweep(cfg, out_dir)
         elif args.command == "similarity":
             paths = cmd_similarity(cfg, out_dir)
             for p in paths:
@@ -106,8 +104,8 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except MemoryError as e:
-        msg = f"the config's sizes need more memory than can be allocated: {e}"
+    except MemoryError as e:  # `[x] * n` raises one with no message
+        msg = "the config's sizes need more memory than can be allocated" + (str(e) and f": {e}")
         print(f"error: {msg}", file=sys.stderr)
         return 2
     except Exception as e:  # noqa: BLE001 - CLI boundary

@@ -14,7 +14,6 @@ import itertools
 import json
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Any, Optional, Sequence, Union, get_args, get_origin, get_type_hints
@@ -210,9 +209,10 @@ def parse_config(doc) -> ExperimentConfig:
     _require("prompt" in doc, "missing field prompt")
     body = {k: v for k, v in doc.items() if k not in ("schema", "prompt")}
     cfg = _build(ExperimentConfig, body, "", prompt=parse_prompt(doc["prompt"]), raw=doc)
-    for name in ("n_layers", "n_heads", "head_dim", "vocab_size"):
-        _require_dim(f"model.{name}", getattr(cfg.model, name))
-    n_layers = cfg.model.n_layers
+    vocab, h, n_layers = cfg.model.vocab_size, cfg.model.hidden_dim, cfg.model.n_layers
+    _require_bytes("model.n_heads * model.head_dim", 16 * h * h)  # a float64 feed-forward draw
+    _require_bytes("model.vocab_size", 8 * vocab * h)  # the float64 embedding draw
+    _require_bytes("model.n_layers", 4 * (vocab * h + 8 * n_layers * h * h))  # all float32 weights
     _require(len(cfg.policies) >= 1, "config requires at least one policy")
     for i, spec in enumerate(cfg.policies):
         _require(
@@ -237,13 +237,14 @@ def parse_config(doc) -> ExperimentConfig:
         if sw == SweepSpec():  # no axes: `sweep` refuses it, every other command ignores it
             cfg = replace(cfg, sweep=None)
     _check_budgets(cfg)
-    _require_dim("prompt.seq_len" if cfg.prompt.needle else "prompt.length", cfg.prompt.length)
+    name = "prompt.seq_len" if cfg.prompt.needle else "prompt.length"
+    _require_bytes(name, 8 * cfg.prompt.length)  # int64 tokens, or a needle's float64 score rows
     return cfg
 
 
-def _require_dim(name: str, n: int):
-    """A size must fit numpy's index-sized integers, or an array of it cannot be made."""
-    _require(n <= sys.maxsize, f"{name} {n} exceeds the largest array dimension {sys.maxsize}")
+def _require_bytes(name: str, nbytes: int):
+    """Arrays of nbytes must fit numpy's index-sized integers, or they cannot be made."""
+    _require(nbytes <= sys.maxsize, f"{name}: its arrays need {nbytes} bytes, past {sys.maxsize}")
 
 
 def _check_budgets(cfg: ExperimentConfig):
@@ -620,26 +621,17 @@ def _seed_rows(cfg: ExperimentConfig, seed: int, cells: list) -> list[list[dict]
     return [run_sweep_cell(cfg, source, c, r, n, seed) for c, r, n, _ in cells]
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int = 1) -> Path:
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
     cells = _sweep_cells(cfg)
-    seeds = list(dict.fromkeys(cell[3] for cell in cells))
-    groups = [(s, [cell for cell in cells if cell[3] == s]) for s in seeds]
-    workers = min(workers, len(groups))  # a pool starts all its processes at once
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_seed_rows, [cfg] * len(groups), *zip(*groups)))
-    else:
-        done = [_seed_rows(cfg, *g) for g in groups]
-    pending = {s: iter(rows) for s, rows in zip(seeds, done)}
-    results = [next(pending[cell[3]]) for cell in cells]  # back in cell order
-
+    seeds = dict.fromkeys(c[3] for c in cells)
+    pending = {s: iter(_seed_rows(cfg, s, [c for c in cells if c[3] == s])) for s in seeds}
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"
     with out_path.open("w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        for rows in results:
-            for row in rows:
+        for cell in cells:  # back in cell order
+            for row in next(pending[cell[3]]):
                 writer.writerow(row)
     return out_path
 

@@ -1,6 +1,9 @@
 import csv
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -157,6 +160,17 @@ class TestSimulate:
         assert err.startswith("error: the config's sizes need more memory than can be allocated")
         assert "internal error" not in err
 
+    def test_memory_error_without_a_reason_ends_the_sentence(self, tmp_path, capsys, monkeypatch):
+        import kvlab.experiments
+
+        def no_memory(config):
+            raise MemoryError  # as `[x] * n` raises it, with no message
+
+        monkeypatch.setattr(kvlab.experiments, "init_model", no_memory)
+        assert main(["simulate", "--config", write_config(tmp_path, base_config(tmp_path / "out"))]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: the config's sizes need more memory than can be allocated\n"
+
     def test_prompt_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
         # a random prompt's tokens are drawn after the model is built
         import kvlab.experiments
@@ -254,55 +268,27 @@ class TestSweep:
             (c, n, s) for c in "35" for n in "12" for s in "010"
         ]
 
-    def test_workers_match_sequential(self, tmp_path):
-        cfg = base_config(
-            tmp_path / "out_seq", sweep={"c": [3, 5], "seeds": [0, 1]}
+    def test_no_process_pool_is_loaded(self, tmp_path):
+        # a process pool's modules cost every command about 30 ms of imports
+        path = write_config(tmp_path, base_config(tmp_path / "out", sweep={"seeds": [0, 1]}))
+        code = (
+            "import sys, kvlab.cli\n"
+            f"kvlab.cli.load_config({path!r})\n"
+            f"assert kvlab.cli.main(['sweep', '--config', {path!r}]) == 0\n"
+            "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
         )
-        main(["sweep", "--config", write_config(tmp_path, cfg)])
-        seq = (tmp_path / "out_seq" / "sweep.csv").read_bytes()
-        cfg["out_dir"] = str(tmp_path / "out_par")
-        main(["sweep", "--config", write_config(tmp_path, cfg), "--workers", "2"])
-        par = (tmp_path / "out_par" / "sweep.csv").read_bytes()
-        assert seq == par
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines()[-1] == "[]"  # after the path sweep prints
 
-    @pytest.mark.parametrize(
-        "seeds, pools", [([0, 1], [2]), ([0], [])], ids=["two-seeds", "one-seed"]
-    )
-    def test_pool_is_sized_by_seed_groups(self, tmp_path, monkeypatch, seeds, pools):
-        import kvlab.experiments
-
-        sizes = []
-
-        class InlinePool:  # records the size it was asked for and starts no process
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(kvlab.experiments, "ProcessPoolExecutor", InlinePool)
-        cfg = base_config(tmp_path / "out", sweep={"c": [3, 5], "seeds": seeds})
-        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--workers", "64"]) == 0
-        assert sizes == pools
-
-    @pytest.mark.parametrize("workers", ["0", "-1"])
-    def test_workers_below_1_exit_2(self, tmp_path, capsys, workers):
-        cfg = base_config(tmp_path / "out", sweep={"c": [3, 5]})
-        assert main(["sweep", "--config", write_config(tmp_path, cfg), "--workers", workers]) == 2
-        assert f"error: --workers must be >= 1, got {workers}" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("command", ["simulate", "similarity", "needle", "reuse-bench"])
-    def test_workers_is_a_sweep_flag(self, tmp_path, command):
-        path = write_config(tmp_path, base_config(tmp_path / "out"))
+    def test_workers_is_no_flag(self, tmp_path, capsys):
+        path = write_config(tmp_path, base_config(tmp_path / "out", sweep={"c": [3, 5]}))
         with pytest.raises(SystemExit) as e:
-            main([command, "--config", path, "--workers", "2"])
+            main(["sweep", "--config", path, "--workers", "2"])
         assert e.value.code == 2
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_needle_sweep_follows_seeds_axis(self, tmp_path):
         weak = {**NEEDLE_PROMPT, "signal": 0.3}  # retention then depends on the noise draw
@@ -399,30 +385,37 @@ class TestSeedOverride:
             tmp_path / "out" / "report.json"
         ).read_bytes()
 
-    def test_needle_sweep_workers_follow_seed(self, tmp_path):
+    def test_needle_sweep_follows_seed(self, tmp_path):
         weak = {**NEEDLE_PROMPT, "signal": 0.3}
         cfg = base_config(tmp_path / "out", prompt=weak, sweep={"c": [3, 5]})
         path = write_config(tmp_path, cfg)
-        for name, workers in (("seq", "1"), ("par", "2")):
-            out = str(tmp_path / name)
-            assert main(["sweep", "--config", path, "--out", out, "--seed", "7", "--workers", workers]) == 0
+        assert main(["sweep", "--config", path, "--seed", "7"]) == 0
         in_file = {**cfg, "prompt": {**weak, "seed": 7}, "out_dir": str(tmp_path / "f7")}
         assert main(["sweep", "--config", write_config(tmp_path, in_file)]) == 0
         want = (tmp_path / "f7" / "sweep.csv").read_bytes()
-        assert (tmp_path / "seq" / "sweep.csv").read_bytes() == want
-        assert (tmp_path / "par" / "sweep.csv").read_bytes() == want
+        assert (tmp_path / "out" / "sweep.csv").read_bytes() == want
 
-
-    def test_tokens_sweep_seed_workers_match(self, tmp_path):
+    def test_tokens_sweep_keeps_its_rows_under_seed(self, tmp_path):
+        # a tokens prompt draws nothing, so --seed changes no measured value
         cfg = base_config(tmp_path / "out", prompt=TOKENS_PROMPT, sweep={"c": [3, 5]})
         path = write_config(tmp_path, cfg)
         outs = []
-        for workers in ("1", "2"):
-            out = tmp_path / f"w{workers}"
-            args = ["--out", str(out), "--seed", "5", "--workers", workers]
-            assert main(["sweep", "--config", path, *args]) == 0
-            outs.append((out / "sweep.csv").read_bytes())
-        assert outs[0] == outs[1]
+        for name, seed in (("plain", []), ("seeded", ["--seed", "5"])):
+            out = tmp_path / name
+            assert main(["sweep", "--config", path, "--out", str(out), *seed]) == 0
+            with (out / "sweep.csv").open() as f:
+                outs.append([{k: v for k, v in r.items() if k != "seed"} for r in csv.DictReader(f)])
+        assert outs[0] == outs[1] and len(outs[0]) == 2 * len(cfg["policies"])
+
+    def test_seed_flag_with_sweep_seeds_exits_2(self, tmp_path, capsys):
+        # the seeds axis sets every prompt seed, so a --seed would be dropped unseen
+        cfg = base_config(tmp_path / "out", sweep={"c": [3, 5], "seeds": [3]})
+        path = write_config(tmp_path, cfg)
+        assert main(["sweep", "--config", path, "--seed", "9"]) == 2
+        err = capsys.readouterr().err
+        assert "--seed 9" in err and "sweep.seeds" in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+        assert main(["simulate", "--config", path, "--seed", "9"]) == 0  # simulate has no seeds axis
 
     @pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["file-seed", "cli-seed"])
     @pytest.mark.parametrize(
@@ -816,12 +809,26 @@ class TestRangeErrorsBeforePrefill:
             (lambda out: _with_model(out, n_heads=2**70), "model.n_heads"),
             (lambda out: _with_model(out, head_dim=2**70), "model.head_dim"),
             (lambda out: _with_model(out, vocab_size=2**70), "model.vocab_size"),
+            # sizes numpy can index whose weights it cannot: refused before init_model
+            (lambda out: _with_model(out, n_layers=2**62), "model.n_layers"),
+            (lambda out: _with_model(out, n_heads=2**62), "model.n_heads"),
+            (lambda out: _with_model(out, head_dim=2**62), "model.head_dim"),
+            (lambda out: _with_model(out, vocab_size=2**62), "model.vocab_size"),
             (
                 lambda out: base_config(out, prompt={"kind": "random", "length": 2**70, "seed": 1}),
                 "prompt.length",
             ),
             (
                 lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": 2**70}),
+                "prompt.seq_len",
+            ),
+            # a prompt numpy can index whose first array it cannot
+            (
+                lambda out: base_config(out, prompt={"kind": "random", "length": 2**62, "seed": 1}),
+                "prompt.length",
+            ),
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": 2**62}),
                 "prompt.seq_len",
             ),
         ],
@@ -833,7 +840,9 @@ class TestRangeErrorsBeforePrefill:
             "prompt-seed-negative", "prompt-seed-2-to-128", "needle-seed-negative",
             "sweep-seed-negative", "pyramid-max-len-below-w-plus-c", "needle-signal-float32-inf",
             "token-above-vocab", "token-negative", "n-layers-2-to-70", "n-heads-2-to-70",
-            "head-dim-2-to-70", "vocab-size-2-to-70", "length-2-to-70", "seq-len-2-to-70",
+            "head-dim-2-to-70", "vocab-size-2-to-70", "n-layers-2-to-62", "n-heads-2-to-62",
+            "head-dim-2-to-62", "vocab-size-2-to-62", "length-2-to-70", "seq-len-2-to-70",
+            "length-2-to-62", "seq-len-2-to-62",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -105,9 +105,8 @@ SWEEP_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("prompt", sorted(SWEEP_DIGESTS))
-def test_sweep_digest(tmp_path, prompt, workers):
+def test_sweep_digest(tmp_path, prompt):
     cfg = {
         "schema": 1,
         "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
@@ -117,8 +116,7 @@ def test_sweep_digest(tmp_path, prompt, workers):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    argv = ["sweep", "--config", str(path), "--out", str(tmp_path / "out")]
-    assert main([*argv, "--workers", str(workers)]) == 0
+    assert main(["sweep", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
     digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
     assert digest == SWEEP_DIGESTS[prompt]
 

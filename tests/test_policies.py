@@ -616,3 +616,24 @@ def test_pyramid_zero_skew_equals_snapkv_on_scores():
         kept = compress_layer(source, l, pyramid)[0]
         assert kept.positions == compress_layer(source, l, snap)[0].positions
         assert 54 in kept.as_set()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from([97, 256, 512]),
+    st.integers(min_value=0, max_value=10_000),
+    st.floats(min_value=0.01, max_value=1.0),
+    st.integers(min_value=0, max_value=16),
+)
+def test_chunkkv_one_token_chunks_equal_snapkv_top_k(small_model, t, seed, ratio, w):
+    # ChunkKV with one-token chunks is SnapKV's token top-k (pool width 1).
+    # Per head only: head pooling averages float32 matrices in ChunkKV and
+    # float64 column sums in SnapKVStyle, so pooled ties may break apart.
+    budget = BudgetSpec(ratio=ratio, w=w, c=1)
+    trace = prefill(small_model, random_tokens(64, t, seed), observe_rows=max(w, 1))
+    chunk = PolicySpec("ChunkKV", budget)
+    snap = PolicySpec("SnapKVStyle", budget, pool_width=1)
+    for l in range(trace.n_layers):
+        got = compress_layer(trace, l, chunk)
+        want = compress_layer(trace, l, snap)
+        assert [k.positions for k in got] == [k.positions for k in want]
