@@ -282,13 +282,15 @@ def load_config(path) -> ExperimentConfig:
 def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     """cfg with its prompt seed replaced, needle case and echoed config included.
 
-    A tokens prompt has no seed key, so its echoed config stays as written.
+    A tokens prompt draws nothing from a seed: once the seed is checked, cfg
+    is returned as it is, so a sweep's rows and echo do not move with it.
     """
+    check_seed(seed)
     p = cfg.prompt
+    if p.kind == "tokens":
+        return cfg
     needle = replace(p.needle, seed=seed) if p.needle is not None else None
-    raw = cfg.raw
-    if p.kind != "tokens":
-        raw = {**raw, "prompt": {**raw["prompt"], "seed": seed}}
+    raw = {**cfg.raw, "prompt": {**cfg.raw["prompt"], "seed": seed}}
     return replace(cfg, prompt=replace(p, seed=seed, needle=needle), raw=raw)
 
 

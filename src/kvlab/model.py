@@ -65,12 +65,13 @@ class ToyModel:
 
 @dataclass(frozen=True)
 class PrefillTrace:
-    """Per (layer, head) K/V plus per-layer hidden states for one prompt.
+    """Per (layer, head) K/V and attention scores for one prompt.
 
     Every array is a read-only ndarray: ``k`` and ``v`` are float32
-    T x head_dim per (layer, head), ``hidden`` float32 T x hidden per layer.
-    Every attention score downstream code reads comes from prefill's own
-    QK^T and causal softmax; nothing recomputes them, and Q is not kept.
+    T x head_dim per (layer, head).  Every attention score downstream code
+    reads comes from prefill's own QK^T and causal softmax; nothing
+    recomputes them.  Q and hidden states are not kept: prefill's last layer
+    stops at its K, V and kept softmax rows.
     Per (layer, head): ``col_mass``, the float64 column sums of the T x T
     softmax (H2OStyle's cumulative attention; None if prefill skipped it, as
     experiments do unless an H2OStyle runs), and ``observe_probs``, the causal
@@ -83,7 +84,6 @@ class PrefillTrace:
     tokens: tuple[int, ...]
     k: tuple[tuple[np.ndarray, ...], ...]
     v: tuple[tuple[np.ndarray, ...], ...]
-    hidden: tuple[np.ndarray, ...]
     col_mass: tuple[tuple[np.ndarray, ...], ...] | None
     observe_probs: tuple[tuple[np.ndarray, ...], ...]
 
@@ -141,16 +141,22 @@ def _add_rows(mass: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
         np.add.reduce(buf[: len(part) + 1], axis=0, out=mass)
 
 
-def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int, col_mass: bool = False):
+def _forward(
+    model: ToyModel, tokens, past_k, past_v, observe_rows: int, col_mass: bool = False,
+    hidden: bool = True,
+):
     """Run n new tokens through every layer over P cached keys per (layer, head).
 
-    New row i is query P + i.  Row block [r0, r1) has query offset P + r0,
-    reads keys [0, P + r1) and writes its softmax rows into a buffer T = P + n
-    wide; the last block is the observe tail, the last min(observe_rows, n)
-    rows.  Activations are (features, tokens), so each product's inner loop
-    runs over tokens.  Returns hidden per layer, then k, v (all P + n rows),
-    observe_probs (the tail block's softmax rows) and, if ``col_mass``,
-    col_mass per layer and head: read-only, token-major, and no Q or scores.
+    New row i is query P + i.  Row block [r0, r1) has query offset P + r0 and
+    reads keys [0, P + r1); the last block is the observe tail, the last
+    min(observe_rows, n) rows.  Activations are (features, tokens), so each
+    product's inner loop runs over tokens.  Returns the hidden state per
+    layer (None if not ``hidden``), then per layer and head k, v (all P + n
+    rows), observe_probs (the tail block's softmax rows) and, if
+    ``col_mass``, col_mass: read-only, token-major, and no Q or scores.
+    With ``hidden=False`` the last layer stops at what it returns: it
+    projects Q only for the rows whose softmax is kept (the tail; every row
+    for ``col_mass``) and runs no P.V, output projection or feed-forward block.
     """
     cfg = model.config
     if any(t < 0 or t >= cfg.vocab_size for t in tokens):
@@ -164,12 +170,16 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int, col_mas
     blocks.append((tail, n))
 
     width = n + max(len(k) for ks in past_k for k in ks)  # the widest T
-    rows = np.empty((min(ROW_BLOCK, tail), width), dtype=np.float32)  # one block's rows
+    rows = np.empty((min(ROW_BLOCK, tail), width), dtype=np.float32)  # for T-wide row sums
     mass_buf = np.empty((min(ROW_BLOCK, n) + 1, width), np.float64) if col_mass else None
     hiddens, per_layer = [], []
-    for lw, ks, vs in zip(model.layers, past_k, past_v, strict=True):
-        qT, kT, vT = (_contract(w.T, xT) for w in (lw.wq, lw.wk, lw.wv))
-        ctxT = np.empty((cfg.hidden_dim, n), dtype=np.float32)
+    for l, (lw, ks, vs) in enumerate(zip(model.layers, past_k, past_v, strict=True)):
+        last = not hidden and l == cfg.n_layers - 1  # stops at K, V and the kept rows
+        todo = blocks[-1:] if last and not col_mass else blocks
+        q0 = todo[0][0]  # the first query row projected
+        kT, vT = _contract(lw.wk.T, xT), _contract(lw.wv.T, xT)
+        qT = _contract(lw.wq.T, xT[:, q0:])
+        ctxT = None if last else np.empty((cfg.hidden_dim, n), dtype=np.float32)
         heads = []
         for h in range(cfg.n_heads):
             sl = slice(h * d, (h + 1) * d)
@@ -179,31 +189,37 @@ def _forward(model: ToyModel, tokens, past_k, past_v, observe_rows: int, col_mas
             v_all = np.concatenate([vs[h], vT[sl].T]) if p else vT[sl].T
             kt = np.ascontiguousarray(k_all.T)  # C-ordered K^T: a copy only over a cache
             mass = np.zeros(t, dtype=np.float64) if col_mass else None
-            for r0, r1 in blocks:
-                scores = _contract(qT[sl, r0:r1], kt[:, : p + r1])
+            for r0, r1 in todo:
+                scores = _contract(qT[sl, r0 - q0 : r1 - q0], kt[:, : p + r1])
                 scores *= scale
-                # the tail block's softmax rows are kept: fresh per head
-                block = rows[: r1 - r0, :t] if r1 <= tail else np.empty((r1 - r0, t), np.float32)
-                _causal_softmax(scores, query_offset=p + r0, out=block)
-                ctxT[sl, r0:r1] = _causal_pv(block, v_all, query_offset=p + r0).T
-                if col_mass:
-                    _add_rows(mass, block, mass_buf[:, :t])
-            heads.append((k_all, v_all, block, mass) if col_mass else (k_all, v_all, block))
-        xT = xT + _contract(lw.wo.T, ctxT)
-        xT = xT + _contract(lw.w2.T, np.maximum(_contract(lw.w1.T, xT), np.float32(0.0)))
-        hiddens.append(_frozen(xT.T))
+                # a block short of the tail sums its rows over T columns in the
+                # row buffer; the tail block spans all T keys and is kept as is
+                out = rows[: r1 - r0, :t] if r1 < n else None
+                probs = _causal_softmax(scores, query_offset=p + r0, out=out)
+                if not last:
+                    ctxT[sl, r0:r1] = _causal_pv(probs, v_all, query_offset=p + r0).T
+                if col_mass:  # the columns past the block's keys would add exact zeros
+                    _add_rows(mass[: p + r1], probs, mass_buf[:, : p + r1])
+            heads.append((k_all, v_all, probs, mass) if col_mass else (k_all, v_all, probs))
+        if not last:
+            xT = xT + _contract(lw.wo.T, ctxT)
+            xT = xT + _contract(lw.w2.T, np.maximum(_contract(lw.w1.T, xT), np.float32(0.0)))
+            if hidden:
+                hiddens.append(_frozen(xT.T))
         # With no cached keys, k/v are views of the projections until here:
         # copied last, they reuse the layer's freed temporaries (a cold T=1024
         # prefill then takes half the page faults of copying them first).
         per_layer.append([[_frozen(a) for a in f] for f in zip(*heads)])
-    return (hiddens, *map(list, zip(*per_layer)))
+    return (hiddens if hidden else None, *map(list, zip(*per_layer)))
 
 
 def prefill(model: ToyModel, tokens, observe_rows: int = 1, col_mass: bool = True) -> PrefillTrace:
-    """Full causal forward pass capturing K/V per head and hidden states.
+    """Causal prefill of a prompt: K/V per (layer, head) and the scores read downstream.
 
-    ``_forward`` over an empty cache: the observe tail's QK^T spans all T keys.
-    ``col_mass=False`` leaves ``col_mass`` None and every other bit as it is.
+    ``_forward`` over an empty cache, stopped where the last layer's K, V
+    and kept softmax rows are made (no hidden states are kept); the observe
+    tail's QK^T spans all T keys.  ``col_mass=False`` leaves ``col_mass``
+    None and every other bit as it is.
     """
     cfg = model.config
     tokens = tuple(int(t) for t in tokens)
@@ -213,13 +229,14 @@ def prefill(model: ToyModel, tokens, observe_rows: int = 1, col_mass: bool = Tru
         raise ValueError(f"observe_rows must be >= 1, got {observe_rows}")
 
     empty = [[np.empty((0, cfg.head_dim), dtype=np.float32)] * cfg.n_heads] * cfg.n_layers
-    hidden, k, v, probs, *mass = _forward(model, tokens, empty, empty, observe_rows, col_mass)
+    _, k, v, probs, *mass = _forward(
+        model, tokens, empty, empty, observe_rows, col_mass, hidden=False
+    )
     return PrefillTrace(
         config=cfg,
         tokens=tokens,
         k=tuple(map(tuple, k)),
         v=tuple(map(tuple, v)),
-        hidden=tuple(hidden),
         col_mass=tuple(map(tuple, mass[0])) if col_mass else None,
         observe_probs=tuple(map(tuple, probs)),
     )

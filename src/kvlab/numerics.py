@@ -32,22 +32,28 @@ fails by name.
 Causal attention runs in row blocks (``model._forward``; offsets below are
 for prefill's empty cache, and P cached keys shift them by P): query rows
 [r0, r1) see keys [0, r1) only, so a block's QK^T and softmax stop at
-column r1 and the masked upper triangle is never computed (one ``np.copyto``
-masks the block's own).  The bits stay those of the full T x T computation
-under one rule: each block's softmax is written into a row buffer T columns
-wide whose tail is zero, and the row sum spans all T columns.  numpy sums a
-row pairwise, and the pairwise tree
-depends on the row length, so a sum over the r1 trimmed entries would round
-differently.  P.V (``_causal_pv``) runs on one block's rows right after
-their softmax, as one contraction over keys [0, r1).  It adds the masked
-terms too: they are exact zeros, and by the rule above adding +-0 leaves
-every sum unchanged, so one contraction serves all rows of the block.
+column r1 and the masked upper triangle is never computed.  The softmax
+runs in place on the C-ordered r1-wide score block ``_contract`` returns:
+the mask (one ``np.copyto`` through a cached read-only triangle), the max,
+the subtract, the exp and the divide.  The bits stay those of the full
+T x T computation under one rule: each row sum spans T columns.  The
+block's exponentials are copied into a T-wide row buffer whose last T - r1
+columns are zero, and the rows are summed there.  numpy sums a row
+pairwise, and the pairwise tree depends on the row length, so a sum over
+the r1 trimmed entries would round differently.  P.V (``_causal_pv``) runs
+on one block's rows right after their softmax, as one contraction over
+keys [0, r1).  It adds the masked terms too: they are exact zeros, and by
+the rule above adding +-0 leaves every sum unchanged, so one contraction
+serves all rows of the block.
 
 The last row block is the observe tail, the last n query rows: its r1 is T,
-so its QK^T covers every key and prefill keeps its softmax rows as the
-policies' observe-window scores.  ``model._forward`` is the one layer
-routine: prefill and decode_step both run it, and nothing else computes
-QK^T or softmax.
+so its QK^T covers every key, its row sums need no buffer, and prefill
+keeps its softmax rows as the policies' observe-window scores.
+``model._forward`` is the one layer routine: prefill and decode_step both
+run it, and nothing else computes QK^T or softmax.  Prefill stops its last
+layer there: that layer's K, V and kept softmax rows are all it keeps, so
+it runs no P.V, output projection or feed-forward block, and keeps no
+hidden states.
 
 Because the sum spans T, an attention row depends on the prompt length in
 its last bit: prefill of tokens[:-1] is not bit-equal to the first T-1 rows
@@ -55,6 +61,8 @@ of prefill of tokens (hidden states from layer 0, Q/K/V from layer 1).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -100,33 +108,42 @@ def _mm_t(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _contract(np.ascontiguousarray(a.T), np.ascontiguousarray(b.T))
 
 
+@functools.lru_cache(maxsize=8)
+def _upper_triangle(w: int, m: int) -> np.ndarray:
+    """Read-only w x m mask, True where column j >= row i."""
+    return _frozen(np.arange(m) >= np.arange(w)[:, None])
+
+
 def _causal_softmax(
     scores: np.ndarray, query_offset: int, out: np.ndarray | None = None
 ) -> np.ndarray:
-    """Causal row softmax of a w x t score block; returns the w x t probabilities.
+    """Causal row softmax of a w x t score block, in place; returns ``scores``.
 
-    ``out``, if given, is a float32 w x T row buffer with T >= t: the
-    probabilities go into its first t columns, the rest are zeroed, and each
-    row sum spans all T columns (see the module docstring).  ``scores`` is
-    only read.
+    The mask, max, subtract, exp and divide all run on ``scores`` itself, C
+    ordered as ``_contract`` returns it (numpy runs them about twice as fast
+    there as on a strided view).  ``out``, if given, is a float32 w x T row
+    buffer with T >= t: the exponentials are copied into its first t columns
+    and the rest are zeroed, so that each row sum spans all T columns (see
+    the module docstring); it holds no probabilities afterwards.
     """
     w, t = scores.shape
     if query_offset < 0:
         raise ValueError("query_offset must be non-negative")
     if t == 0 or query_offset >= t + w:
         raise ValueError("mask leaves an empty row")
-    if out is None:
-        out = np.empty((w, t), dtype=np.float32)
-    probs = out[:, :t]
-    probs[...] = scores
     # row i sees keys [0, query_offset + i]: -inf over the strictly upper triangle
-    upper = probs[:, query_offset + 1 :]
-    np.copyto(upper, -np.inf, where=np.arange(upper.shape[1]) >= np.arange(w)[:, None])
-    probs -= probs.max(axis=1, keepdims=True)
-    np.exp(probs, out=probs)  # masked entries: exp(-inf) is exactly +0
-    out[:, t:] = 0.0
-    probs /= out.sum(axis=1, keepdims=True)
-    return probs
+    upper = scores[:, query_offset + 1 :]
+    np.copyto(upper, -np.inf, where=_upper_triangle(*upper.shape))
+    scores -= scores.max(axis=1, keepdims=True)
+    np.exp(scores, out=scores)  # masked entries: exp(-inf) is exactly +0
+    if out is None:
+        sums = scores.sum(axis=1, keepdims=True)
+    else:
+        out[:, :t] = scores
+        out[:, t:] = 0.0
+        sums = out.sum(axis=1, keepdims=True)
+    scores /= sums
+    return scores
 
 
 def _causal_pv(probs: np.ndarray, v: np.ndarray, query_offset: int) -> np.ndarray:

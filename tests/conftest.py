@@ -1,13 +1,26 @@
 import numpy as np
 import pytest
 
-from kvlab.model import ModelConfig, init_model, prefill
+from kvlab.model import ModelConfig, _forward, init_model, prefill
 from kvlab.numerics import _mm_t
 
 
 def random_tokens(vocab: int, n: int, seed: int):
     rng = np.random.Generator(np.random.Philox(key=seed))
     return tuple(int(t) for t in rng.integers(0, vocab, size=n))
+
+
+def hidden_states(model, tokens) -> list:
+    """Each layer's hidden state for a prompt, from _forward over an empty cache.
+
+    Prefill keeps no hidden states; the full forward pass still makes them.
+    """
+    cfg = model.config
+    empty = [[np.empty((0, cfg.head_dim), dtype=np.float32)] * cfg.n_heads] * cfg.n_layers
+    return _forward(model, tuple(tokens), empty, empty, 1)[0]
+
+
+_latest = []  # [model, tokens, hidden states] of head_q's latest prompt
 
 
 def head_q(model, trace, layer: int, head: int) -> np.ndarray:
@@ -19,7 +32,9 @@ def head_q(model, trace, layer: int, head: int) -> np.ndarray:
     if layer == 0:
         x = model.embed[np.asarray(trace.tokens, dtype=np.intp)]
     else:
-        x = trace.hidden[layer - 1]
+        if not (_latest and _latest[0] is model and _latest[1] == trace.tokens):
+            _latest[:] = [model, trace.tokens, hidden_states(model, trace.tokens)]
+        x = _latest[2][layer - 1]
     d = model.config.head_dim
     return np.ascontiguousarray(_mm_t(x, model.layers[layer].wq)[:, head * d : (head + 1) * d])
 

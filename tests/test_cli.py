@@ -396,7 +396,7 @@ class TestSeedOverride:
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == want
 
     def test_tokens_sweep_keeps_its_rows_under_seed(self, tmp_path):
-        # a tokens prompt draws nothing, so --seed changes no measured value
+        # a tokens prompt draws nothing, so --seed changes no value, seed included
         cfg = base_config(tmp_path / "out", prompt=TOKENS_PROMPT, sweep={"c": [3, 5]})
         path = write_config(tmp_path, cfg)
         outs = []
@@ -404,8 +404,9 @@ class TestSeedOverride:
             out = tmp_path / name
             assert main(["sweep", "--config", path, "--out", str(out), *seed]) == 0
             with (out / "sweep.csv").open() as f:
-                outs.append([{k: v for k, v in r.items() if k != "seed"} for r in csv.DictReader(f)])
+                outs.append(list(csv.DictReader(f)))
         assert outs[0] == outs[1] and len(outs[0]) == 2 * len(cfg["policies"])
+        assert {r["seed"] for r in outs[1]} == {"0"}
 
     def test_seed_flag_with_sweep_seeds_exits_2(self, tmp_path, capsys):
         # the seeds axis sets every prompt seed, so a --seed would be dropped unseen

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kvlab.cache import BudgetSpec
+from kvlab.cache import BudgetSpec, KeptIndices
 from kvlab.model import (
     ROW_BLOCK,
     CacheSet,
@@ -23,7 +23,7 @@ from kvlab.numerics import _mm_t
 from kvlab.policies import PolicySpec
 from kvlab.reuse import ReusePlan, run_with_reuse
 
-from conftest import head_q, random_tokens
+from conftest import head_q, hidden_states, random_tokens
 from observe_reference import observe_scores
 
 def test_init_rejects_zero_dims():
@@ -82,24 +82,25 @@ def test_prefill_deterministic(small_model):
     toks = random_tokens(64, 20, seed=9)
     t1 = prefill(small_model, toks)
     t2 = prefill(small_model, toks)
+    h1, h2 = hidden_states(small_model, toks), hidden_states(small_model, toks)
     for l in range(t1.n_layers):
-        assert np.array_equal(t1.hidden[l], t2.hidden[l])
+        assert np.array_equal(h1[l], h2[l])
         for h in range(t1.n_heads):
             assert np.array_equal(t1.k[l][h], t2.k[l][h])
 
 
 def test_causality(small_model):
     toks = list(random_tokens(64, 12, seed=3))
-    t1 = prefill(small_model, toks)
+    t1 = hidden_states(small_model, toks)
     toks[8] = (toks[8] + 1) % 64
-    t2 = prefill(small_model, toks)
-    assert np.array_equal(t1.hidden[-1][:8], t2.hidden[-1][:8])
-    assert not np.array_equal(t1.hidden[-1][8:], t2.hidden[-1][8:])
+    t2 = hidden_states(small_model, toks)
+    assert np.array_equal(t1[-1][:8], t2[-1][:8])
+    assert not np.array_equal(t1[-1][8:], t2[-1][8:])
 
 
 def test_arrays_passed_between_modules_are_read_only(small_model, small_trace):
     trace = small_trace
-    arrays = list(trace.hidden)
+    arrays = list(hidden_states(small_model, trace.tokens))
     for per_layer in (trace.k, trace.v, trace.col_mass, trace.observe_probs):
         arrays += [a for heads in per_layer for a in heads]
     arrays.append(make_needle_case(NeedleCase(seq_len=8, span_start=2, span_len=2, signal=5.0)))
@@ -119,7 +120,6 @@ def test_prefill_without_col_mass_keeps_every_other_bit(small_model, t, observe_
     for name in ("k", "v", "observe_probs"):
         want, got = getattr(full, name), getattr(bare, name)
         assert [a.tobytes() for hs in got for a in hs] == [a.tobytes() for hs in want for a in hs]
-    assert [a.tobytes() for a in bare.hidden] == [a.tobytes() for a in full.hidden]
 
 
 def test_decode_appends_one_row(small_model, small_trace):
@@ -138,14 +138,11 @@ def test_decode_matches_prefill(small_model):
     cache = CacheSet.from_trace(trace)
     logits, _ = decode_step(small_model, cache, toks[-1])
 
-    full = prefill(small_model, toks)
-    want = _mm_t(full.hidden[-1][-1:], small_model.embed)
+    want = _mm_t(hidden_states(small_model, toks)[-1][-1:], small_model.embed)
     assert np.allclose(logits, want, atol=1e-4)
 
 
 def test_decode_full_cache_equals_fullkv_logits(small_model, small_trace):
-    from kvlab.cache import KeptIndices
-
     all_kept = [
         [KeptIndices.from_iterable(range(small_trace.seq_len))] * small_trace.n_heads
         for _ in range(small_trace.n_layers)
@@ -238,6 +235,42 @@ def test_forward_of_n_tokens_over_a_filled_cache(roadmap_model, n):
     assert np.abs(forced - np.array(stepped)).max() <= 1e-6
 
 
+# SHA-256 over a cache whose heads hold different numbers of keys: head h of
+# every layer keeps T - 7h rows of a T=300 prefill (it drops the 7h odd
+# positions from 3 on), so each head's softmax rows are narrower than the
+# widest head's.  Hashed: the K, V, observe rows and col_mass of one _forward
+# of ROW_BLOCK + 2 tokens over that cache (a full row block and a 2-row
+# tail), then the logits of four decode_step calls.  Recorded before the
+# softmax ran in place on the score block.
+RAGGED_CACHE_DIGESTS = {
+    (8, 4, 16, 256, 0): "c2e0f43f01ed167959e7ec40b2fb464e90faa53a511b0c55ca7590a151351a09",
+    (2, 3, 1, 64, 5): "bd80cba6822afea2b06f0c38bbb2dfc089ca199117421c2119117eb9fdac5f8a",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(RAGGED_CACHE_DIGESTS))
+def test_ragged_cache_digest(shape):
+    *dims, seed = shape
+    model = init_model(ModelConfig(*dims, seed=seed))
+    cfg, t = model.config, 300
+    trace = prefill(model, random_tokens(cfg.vocab_size, t, seed=t))
+    heads = range(cfg.n_heads)
+    kept = [KeptIndices.from_iterable(set(range(t)) - set(range(3, 3 + 14 * h, 2))) for h in heads]
+    cache = CacheSet.from_trace(trace, [kept] * cfg.n_layers)
+    assert [len(k) for k in cache.keys[-1]] == [t - 7 * h for h in heads]
+
+    digest = hashlib.sha256()
+    new = random_tokens(cfg.vocab_size, ROW_BLOCK + 2, seed=t + 2)
+    _, *fields = _forward(model, new, cache.keys, cache.values, 2, col_mass=True)
+    for field in fields:
+        for a in (a for per_head in field for a in per_head):
+            digest.update(a.tobytes())
+    for token in random_tokens(cfg.vocab_size, 4, seed=t + 1):
+        logits, cache = decode_step(model, cache, token)
+        digest.update(logits.tobytes())
+    assert digest.hexdigest() == RAGGED_CACHE_DIGESTS[shape]
+
+
 def _cache_of(config):
     return CacheSet.from_trace(prefill(init_model(config), [1, 2, 3]))
 
@@ -283,12 +316,13 @@ GOLDEN_TRACE_DIGESTS = {
 
 def _trace_digest(model, trace) -> str:
     h = hashlib.sha256()
+    hidden = hidden_states(model, trace.tokens)
     for l in range(trace.n_layers):
         for hd in range(trace.n_heads):
             h.update(head_q(model, trace, l, hd).tobytes())
             for m in (trace.k, trace.v):
                 h.update(m[l][hd].tobytes())
-        h.update(trace.hidden[l].tobytes())
+        h.update(hidden[l].tobytes())
     return h.hexdigest()
 
 
@@ -357,3 +391,28 @@ def test_col_mass_is_the_row_order_sum_of_the_full_softmax(t, observe_rows, head
         assert trace.col_mass[0][h].tobytes() == full.sum(axis=0, dtype=np.float64).tobytes()
         kept = trace.observe_probs[0][h]
         assert kept.tobytes() == full[t - min(observe_rows, t) :].tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    t=st.integers(min_value=1, max_value=2 * ROW_BLOCK + 5),
+    observe_rows=st.integers(min_value=1, max_value=2 * ROW_BLOCK + 5),
+    col_mass=st.booleans(),
+    heads=st.sampled_from([(1, 1), (2, 16)]),
+    seed=st.integers(min_value=0, max_value=1000),
+)
+def test_prefill_equals_the_full_forward_pass(t, observe_rows, col_mass, heads, seed):
+    # prefill's last layer projects Q on the kept rows only (the observe tail,
+    # or every row for col_mass) and runs a shorter block list with no P.V,
+    # output projection or feed-forward block; hidden=True runs it in full.
+    # One head of head_dim 1 takes _contract's one-entry loop for the tail's Q.
+    model = init_model(ModelConfig(2, *heads, 32, seed=seed))
+    tokens = random_tokens(32, t, seed=seed)
+    trace = prefill(model, tokens, observe_rows=observe_rows, col_mass=col_mass)
+    empty = [[np.empty((0, heads[1]), dtype=np.float32)] * heads[0]] * 2
+    hidden, *fields = _forward(model, tokens, empty, empty, observe_rows, col_mass, hidden=True)
+    assert len(hidden) == 2 and len(fields) == 3 + col_mass
+    assert (trace.col_mass is None) is not col_mass
+    for name, want in zip(("k", "v", "observe_probs", "col_mass"), fields):
+        got = getattr(trace, name)
+        assert [a.tobytes() for hs in got for a in hs] == [a.tobytes() for hs in want for a in hs]

@@ -156,32 +156,35 @@ def test_blocked_softmax_and_causal_pv_match_unblocked_oracle(head_dim, t, data,
     v = rng.normal(size=(t, head_dim)).astype(np.float32)
     want = _oracle_causal_softmax(scores, query_offset=0)
 
-    # one row block [r0, r1), written into a T-wide row buffer full of garbage
+    # one row block [r0, r1), its sums taken in a T-wide row buffer of NaNs:
+    # softmax runs in place on a copy of the block's scores, and a buffer tail
+    # left unzeroed would make every returned probability NaN
     r0 = data.draw(st.integers(min_value=0, max_value=t - 1), label="block start")
     r1 = min(r0 + ROW_BLOCK, t)
     buf = np.full((r1 - r0, t), np.nan, dtype=np.float32)
-    got = _causal_softmax(scores[r0:r1, :r1], query_offset=r0, out=buf)
+    got = _causal_softmax(scores[r0:r1, :r1].copy(), query_offset=r0, out=buf)
     assert np.array_equal(got, want[r0:r1, :r1])
-    assert np.array_equal(buf, want[r0:r1])
 
-    # every block, as prefill assembles them, then the triangular P.V
-    probs = np.empty((t, t), dtype=np.float32)
+    # every block, as prefill makes them, assembled, then the triangular P.V
+    probs = np.zeros((t, t), dtype=np.float32)
+    blocks = []
     for b0 in range(0, t, ROW_BLOCK):
         b1 = min(b0 + ROW_BLOCK, t)
-        _causal_softmax(scores[b0:b1, :b1], query_offset=b0, out=probs[b0:b1])
+        buf = np.full((b1 - b0, t), np.nan, dtype=np.float32)
+        blocks.append(_causal_softmax(scores[b0:b1, :b1].copy(), query_offset=b0, out=buf))
+        probs[b0:b1, :b1] = blocks[-1]
     assert np.array_equal(probs, want)
     want_pv = _oracle_mm_t(want, v.T)
     assert np.array_equal(_causal_pv(probs, v, query_offset=0), want_pv)
-    # P.V per row block, as prefill runs it right after each block's softmax
-    for b0 in range(0, t, ROW_BLOCK):
-        b1 = min(b0 + ROW_BLOCK, t)
-        got_pv = _causal_pv(probs[b0:b1], v, query_offset=b0)
-        assert got_pv.tobytes() == want_pv[b0:b1].tobytes()
+    # P.V per row block, as prefill runs it on each block's returned rows
+    for b0, block in zip(range(0, t, ROW_BLOCK), blocks):
+        got_pv = _causal_pv(block, v, query_offset=b0)
+        assert got_pv.tobytes() == want_pv[b0 : b0 + len(block)].tobytes()
 
     # the one-row decode case: the newest query sees every cached position
     row = scores[-1:]
     want_row = _oracle_causal_softmax(row, query_offset=t - 1)
-    got_row = _causal_softmax(row, query_offset=t - 1)
+    got_row = _causal_softmax(row.copy(), query_offset=t - 1)
     assert np.array_equal(got_row, want_row)
     assert np.array_equal(
         _causal_pv(got_row, v, query_offset=t - 1), _oracle_mm_t(want_row, v.T)
