@@ -1,4 +1,4 @@
-"""KV cache containers, the decode-stage memory model, and budget bookkeeping."""
+"""Kept-index sets, the decode-stage KV memory formula, and cache budgets."""
 
 from __future__ import annotations
 
@@ -35,26 +35,14 @@ class KeptIndices:
         return frozenset(self.positions)
 
 
-@dataclass(frozen=True)
-class MemoryParams:
-    """Inputs to the decode-stage KV memory cost formula."""
-
-    batch: int
-    seq_len: int
-    layers: int
-    heads: int
-    head_dim: int
-    bytes_per_scalar: int = 2
-
-    def __post_init__(self):
-        for name in ("batch", "seq_len", "layers", "heads", "head_dim", "bytes_per_scalar"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-
-
-def memory_bytes(p: MemoryParams) -> int:
-    """Exact KV cache byte count: 2 (K and V) * B * S * L * N * D * bytes."""
-    return 2 * p.batch * p.seq_len * p.layers * p.heads * p.head_dim * p.bytes_per_scalar
+def memory_bytes(
+    batch: int, seq: int, layers: int, heads: int, head_dim: int, precision_bytes: int = 2
+) -> int:
+    """Exact KV cache bytes, 2 (K and V) * B * S * L * N * D * bytes; ``kvlab memory``'s flags."""
+    for name, value in locals().items():  # the arguments, in order
+        if value < 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
+    return 2 * batch * seq * layers * heads * head_dim * precision_bytes
 
 
 @dataclass(frozen=True)

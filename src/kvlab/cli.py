@@ -10,7 +10,7 @@ import argparse
 import sys
 from pathlib import Path
 
-from .cache import MemoryParams, memory_bytes
+from .cache import memory_bytes
 from .experiments import (
     ConfigError,
     cmd_needle,
@@ -21,10 +21,6 @@ from .experiments import (
     load_config,
     override_seed,
 )
-
-
-# the memory flags' dests, in MemoryParams field order
-MEMORY_DESTS = ("batch", "seq", "layers", "heads", "head_dim", "precision_bytes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -65,11 +61,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "memory":
-            flags = {"--" + d.replace("_", "-"): getattr(args, d) for d in MEMORY_DESTS}
-            for flag, value in flags.items():
+            dests = {d: v for d, v in vars(args).items() if d != "command"}  # memory_bytes' names
+            flags = ["--" + d.replace("_", "-") for d in dests]  # in the parser's order
+            for flag, value in zip(flags, dests.values()):
                 if value < 1:
                     raise ValueError(f"{flag} must be >= 1, got {value}")
-            total = memory_bytes(MemoryParams(*flags.values()))
+            total = memory_bytes(**dests)
             # integer quotient, so no total is too large, rounded half-even as
             # float formatting rounds
             cents, rest = divmod(100 * total, 2**30)

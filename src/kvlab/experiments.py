@@ -21,7 +21,7 @@ from typing import Any, Optional, Sequence, Union, get_args, get_origin, get_typ
 import numpy as np
 
 from . import __version__
-from .cache import BudgetSpec, KeptIndices, MemoryParams, memory_bytes
+from .cache import BudgetSpec, KeptIndices, memory_bytes
 from .metrics import (
     NeedleCase,
     attention_cosine,
@@ -238,7 +238,10 @@ def parse_config(doc) -> ExperimentConfig:
             cfg = replace(cfg, sweep=None)
     _check_budgets(cfg)
     name = "prompt.seq_len" if cfg.prompt.needle else "prompt.length"
-    _require_bytes(name, 8 * cfg.prompt.length)  # int64 tokens, or a needle's float64 score rows
+    _require_bytes(name, 8 * cfg.prompt.length)  # int64 tokens, or a needle's float64 score row
+    if cfg.prompt.needle:  # the float64 score draw
+        size = 8 * cfg.prompt.observe_rows * cfg.prompt.length
+        _require_bytes("prompt.observe_rows * prompt.seq_len", size)
     return cfg
 
 
@@ -480,14 +483,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
         "seq_len": t_k,
         "memory": {
             "full_cache_bytes": memory_bytes(
-                MemoryParams(
-                    batch=1,
-                    seq_len=t_k,
-                    layers=cfg.model.n_layers,
-                    heads=cfg.model.n_heads,
-                    head_dim=cfg.model.head_dim,
-                    bytes_per_scalar=2,
-                )
+                1, t_k, cfg.model.n_layers, cfg.model.n_heads, cfg.model.head_dim
             )
         },
         "policies": [_policy_report(cfg, m, t_k) for m in measured],
@@ -616,25 +612,26 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[Optional[int], Optional[fl
     ))
 
 
-def _seed_rows(cfg: ExperimentConfig, seed: int, cells: list) -> list[list[dict]]:
-    """Every cell of one prompt seed, on one source built (prefilled) once."""
-    cfg = override_seed(cfg, seed)
-    source = _source(cfg)
-    return [run_sweep_cell(cfg, source, c, r, n, seed) for c, r, n, _ in cells]
-
-
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
+    """sweep.csv in cell order; one source per distinct seeded prompt, one alive at a time."""
     cells = _sweep_cells(cfg)
-    seeds = dict.fromkeys(c[3] for c in cells)
-    pending = {s: iter(_seed_rows(cfg, s, [c for c in cells if c[3] == s])) for s in seeds}
+    rows = [None] * len(cells)
+    prompt = source = None
+    for seed in dict.fromkeys(cell[3] for cell in cells):
+        seeded = override_seed(cfg, seed)
+        if seeded.prompt != prompt:
+            prompt, source = seeded.prompt, None  # drop the last source before building one
+            source = _source(seeded)
+        for i, (c, r, n, s) in enumerate(cells):
+            if s == seed:
+                rows[i] = run_sweep_cell(seeded, source, c, r, n, seed)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"
     with out_path.open("w", newline="") as f:
         writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
         writer.writeheader()
-        for cell in cells:  # back in cell order
-            for row in next(pending[cell[3]]):
-                writer.writerow(row)
+        for row in itertools.chain.from_iterable(rows):
+            writer.writerow(row)
     return out_path
 
 
@@ -709,24 +706,24 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:
     source = _source(cfg)
     spec = cfg.policies[0]
 
-    def median_time(fn) -> float:
+    def median_time(fn) -> tuple[float, Any]:  # of 5 calls, and the last call's result
         samples = []
         for _ in range(5):
             t0 = time.perf_counter()
-            fn()
+            out = fn()
             samples.append(time.perf_counter() - t0)
-        return float(np.median(samples))
+        return float(np.median(samples)), out
 
-    t_compress = median_time(lambda: compress_layer(source, 0, spec))
-    anchor = compress_layer(source, 0, spec)
-    t_select = median_time(lambda: list(anchor))
-
+    # the n_reuse 1 loop compresses every layer: its time per layer is the
+    # compress cost, and copying one of its kept lists is the select cost
     fresh = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=1)
-    t_full = median_time(lambda: run_with_reuse(source, spec, fresh))
+    t_full, kept = median_time(lambda: run_with_reuse(source, spec, fresh))
+    t_compress = t_full / cfg.model.n_layers
+    t_select, _ = median_time(lambda: list(kept[0]))
     rows = []
     for n_reuse in reuses:
         plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
-        t_reuse = median_time(lambda: run_with_reuse(source, spec, plan))
+        t_reuse, _ = median_time(lambda: run_with_reuse(source, spec, plan))
         rows.append({
             "n_reuse": n_reuse,
             "analytic_speedup": round(speedup_estimate(cfg.model.n_layers, n_reuse, t_compress, t_select), 6),

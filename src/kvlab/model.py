@@ -125,22 +125,6 @@ def init_model(config: ModelConfig) -> ToyModel:
     return ToyModel(config=config, embed=embed, layers=layers)
 
 
-def _add_rows(mass: np.ndarray, rows: np.ndarray, buf: np.ndarray) -> None:
-    """mass += rows[0], rows[1], ... in turn, in float64.
-
-    Bit-equal to summing the full T x T softmax over axis 0: each column is a
-    running sum in row order.  ``buf`` holds the running sum in row 0 and up
-    to len(buf) - 1 rows after it; one reduce adds them in row order.
-    (Adding a block's own column sums to ``mass`` would round differently.)
-    """
-    step = len(buf) - 1
-    for i in range(0, len(rows), step):
-        part = rows[i : i + step]
-        buf[0] = mass
-        buf[1 : len(part) + 1] = part
-        np.add.reduce(buf[: len(part) + 1], axis=0, out=mass)
-
-
 def _forward(
     model: ToyModel, tokens, past_k, past_v, observe_rows: int, col_mass: bool = False,
     hidden: bool = True,
@@ -154,6 +138,8 @@ def _forward(
     layer (None if not ``hidden``), then per layer and head k, v (all P + n
     rows), observe_probs (the tail block's softmax rows) and, if
     ``col_mass``, col_mass: read-only, token-major, and no Q or scores.
+    col_mass sums the softmax rows in row order in float64, one reduce down
+    (the sum so far, then the rows) per block: the bits of the T x T column sum.
     With ``hidden=False`` the last layer stops at what it returns: it
     projects Q only for the rows whose softmax is kept (the tail; every row
     for ``col_mass``) and runs no P.V, output projection or feed-forward block.
@@ -171,7 +157,6 @@ def _forward(
 
     width = n + max(len(k) for ks in past_k for k in ks)  # the widest T
     rows = np.empty((min(ROW_BLOCK, tail), width), dtype=np.float32)  # for T-wide row sums
-    mass_buf = np.empty((min(ROW_BLOCK, n) + 1, width), np.float64) if col_mass else None
     hiddens, per_layer = [], []
     for l, (lw, ks, vs) in enumerate(zip(model.layers, past_k, past_v, strict=True)):
         last = not hidden and l == cfg.n_layers - 1  # stops at K, V and the kept rows
@@ -198,8 +183,9 @@ def _forward(
                 probs = _causal_softmax(scores, query_offset=p + r0, out=out)
                 if not last:
                     ctxT[sl, r0:r1] = _causal_pv(probs, v_all, query_offset=p + r0).T
-                if col_mass:  # the columns past the block's keys would add exact zeros
-                    _add_rows(mass[: p + r1], probs, mass_buf[:, : p + r1])
+                if col_mass:  # columns past the block's keys would add exact zeros
+                    m = mass[: p + r1]
+                    np.add.reduce(np.concatenate((m[None], probs)), axis=0, out=m)
             heads.append((k_all, v_all, probs, mass) if col_mass else (k_all, v_all, probs))
         if not last:
             xT = xT + _contract(lw.wo.T, ctxT)

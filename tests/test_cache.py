@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from kvlab.cache import (
-    BudgetSpec,
-    KeptIndices,
-    MemoryParams,
-    memory_bytes,
-)
+from kvlab.cache import BudgetSpec, KeptIndices, memory_bytes
 
 
 def make_layer_kv(seq_len=6, heads=2, dim=3, seed=0):
@@ -21,17 +16,15 @@ def make_layer_kv(seq_len=6, heads=2, dim=3, seed=0):
 
 class TestMemoryBytes:
     def test_llama3_2048_is_one_gib(self):
-        p = MemoryParams(batch=1, seq_len=2048, layers=32, heads=32, head_dim=128)
-        assert memory_bytes(p) == 1_073_741_824
+        assert memory_bytes(batch=1, seq=2048, layers=32, heads=32, head_dim=128) == 1_073_741_824
 
     def test_base_case(self):
-        p = MemoryParams(1, 1, 1, 1, 1, bytes_per_scalar=1)
-        assert memory_bytes(p) == 2
+        assert memory_bytes(1, 1, 1, 1, 1, precision_bytes=1) == 2
 
     def test_batch_24_exceeds_rtx4090(self):
-        p = MemoryParams(batch=24, seq_len=2048, layers=32, heads=32, head_dim=128)
-        assert memory_bytes(p) == 25_769_803_776
-        assert memory_bytes(p) > 24 * 10**9  # over an RTX-4090-class 24 GB
+        total = memory_bytes(batch=24, seq=2048, layers=32, heads=32, head_dim=128)
+        assert total == 25_769_803_776
+        assert total > 24 * 10**9  # over an RTX-4090-class 24 GB
 
     @given(
         st.integers(1, 100),
@@ -41,16 +34,24 @@ class TestMemoryBytes:
         st.integers(1, 512),
     )
     def test_multiplicative_in_every_field(self, b, s, l, n, d):
-        base = memory_bytes(MemoryParams(b, s, l, n, d))
-        assert memory_bytes(MemoryParams(2 * b, s, l, n, d)) == 2 * base
-        assert memory_bytes(MemoryParams(b, 2 * s, l, n, d)) == 2 * base
-        assert memory_bytes(MemoryParams(b, s, 2 * l, n, d)) == 2 * base
-        assert memory_bytes(MemoryParams(b, s, l, 2 * n, d)) == 2 * base
-        assert memory_bytes(MemoryParams(b, s, l, n, 2 * d)) == 2 * base
+        base = memory_bytes(b, s, l, n, d)
+        assert memory_bytes(2 * b, s, l, n, d) == 2 * base
+        assert memory_bytes(b, 2 * s, l, n, d) == 2 * base
+        assert memory_bytes(b, s, 2 * l, n, d) == 2 * base
+        assert memory_bytes(b, s, l, 2 * n, d) == 2 * base
+        assert memory_bytes(b, s, l, n, 2 * d) == 2 * base
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
-            MemoryParams(0, 1, 1, 1, 1)
+            memory_bytes(0, 1, 1, 1, 1)
+
+    @pytest.mark.parametrize(
+        "name", ["batch", "seq", "layers", "heads", "head_dim", "precision_bytes"]
+    )
+    def test_rejection_names_the_argument(self, name):
+        args = dict(batch=1, seq=1, layers=1, heads=1, head_dim=1, precision_bytes=1)
+        with pytest.raises(ValueError, match=f"^{name} must be >= 1, got -3$"):
+            memory_bytes(**{**args, name: -3})
 
 
 class TestBudgetSpec:

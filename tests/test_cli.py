@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -36,6 +37,21 @@ NEEDLE_PROMPT = {
     "signal": 60.0,
     "seed": 4,
 }
+
+
+def _count_prefills(monkeypatch) -> list:
+    """The prompt length of every prefill the experiments module runs from now on."""
+    import kvlab.experiments
+
+    calls = []
+    real = kvlab.experiments.prefill
+
+    def counting(model, tokens, *args, **kwargs):
+        calls.append(len(tokens))
+        return real(model, tokens, *args, **kwargs)
+
+    monkeypatch.setattr(kvlab.experiments, "prefill", counting)
+    return calls
 
 
 def write_config(tmp_path, cfg):
@@ -245,16 +261,7 @@ class TestSweep:
         assert jaccard[1] < 1.0
 
     def test_prefill_once_per_seed_rows_in_cell_order(self, tmp_path, monkeypatch):
-        import kvlab.experiments
-
-        calls = []
-        real = kvlab.experiments.prefill
-
-        def counting(model, tokens, *args, **kwargs):
-            calls.append(len(tokens))
-            return real(model, tokens, *args, **kwargs)
-
-        monkeypatch.setattr(kvlab.experiments, "prefill", counting)
+        calls = _count_prefills(monkeypatch)
         cfg = base_config(
             tmp_path / "out",
             sweep={"c": [3, 5], "n_reuse": [1, 2], "seeds": [0, 1, 0]},
@@ -267,6 +274,16 @@ class TestSweep:
         assert cells == [
             (c, n, s) for c in "35" for n in "12" for s in "010"
         ]
+
+    def test_tokens_prompt_prefilled_once_for_all_seeds(self, tmp_path, monkeypatch):
+        # a tokens prompt draws nothing from the seed: one source serves every seed
+        calls = _count_prefills(monkeypatch)
+        cfg = base_config(tmp_path / "out", prompt=TOKENS_PROMPT, sweep={"seeds": [1, 2, 3]})
+        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
+        assert calls == [len(TOKENS_PROMPT["tokens"])]
+        digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
+        # recorded while the sweep still prefilled the prompt once per seed
+        assert digest == "67c54b39f63ea92f9ee3f564c89303bed72e0460dd5cc486f93284a648f55e9c"
 
     def test_no_process_pool_is_loaded(self, tmp_path):
         # a process pool's modules cost every command about 30 ms of imports
@@ -832,6 +849,13 @@ class TestRangeErrorsBeforePrefill:
                 lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": 2**62}),
                 "prompt.seq_len",
             ),
+            # a needle prompt whose float64 score draw, observe_rows x seq_len, numpy cannot index
+            (
+                lambda out: base_config(
+                    out, prompt={**NEEDLE_PROMPT, "seq_len": 64, "observe_rows": 2**62}
+                ),
+                "prompt.observe_rows * prompt.seq_len",
+            ),
         ],
         ids=[
             "skew-above-1", "skew-negative", "skew-below-w-plus-c", "sink-above-budget",
@@ -843,7 +867,7 @@ class TestRangeErrorsBeforePrefill:
             "token-above-vocab", "token-negative", "n-layers-2-to-70", "n-heads-2-to-70",
             "head-dim-2-to-70", "vocab-size-2-to-70", "n-layers-2-to-62", "n-heads-2-to-62",
             "head-dim-2-to-62", "vocab-size-2-to-62", "length-2-to-70", "seq-len-2-to-70",
-            "length-2-to-62", "seq-len-2-to-62",
+            "length-2-to-62", "seq-len-2-to-62", "observe-rows-times-seq-len-2-to-62",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -1079,19 +1103,27 @@ class TestReuseBench:
             assert "measured_speedup" in r and "analytic_speedup" in r
 
     def test_baseline_timed_once(self, tmp_path, monkeypatch):
-        # five samples of the n_reuse = 1 baseline, then five per n_reuse value
+        # five samples of the n_reuse = 1 baseline, then five per n_reuse value;
+        # the compress cost comes from the baseline, with no layer-0 timing of its own
         import kvlab.experiments
 
-        plans = []
+        plans, layers = [], []
         real = kvlab.experiments.run_with_reuse
         monkeypatch.setattr(
             kvlab.experiments,
             "run_with_reuse",
             lambda source, spec, plan: plans.append(plan.n_reuse) or real(source, spec, plan),
         )
+        real_compress = kvlab.experiments.compress_layer
+        monkeypatch.setattr(
+            kvlab.experiments,
+            "compress_layer",
+            lambda source, layer, spec: layers.append(layer) or real_compress(source, layer, spec),
+        )
         cfg = base_config(tmp_path / "out", sweep={"n_reuse": [1, 2, 4]})
         assert main(["reuse-bench", "--config", write_config(tmp_path, cfg)]) == 0
         assert plans == [1] * 5 + [1] * 5 + [2] * 5 + [4] * 5
+        assert layers == []
         out = json.loads((tmp_path / "out" / "reuse_bench.json").read_text())
         keys = {"n_reuse", "analytic_speedup", "measured_speedup", "t_compress_s", "t_select_s"}
         assert [set(r) for r in out["results"]] == [keys] * 3

@@ -1,13 +1,21 @@
-"""The kvlab names that perfbench/tracer.py wraps must keep resolving.
+"""The kvlab names that perfbench/tracer.py wraps must keep resolving and being called.
 
 The tracer reports a boundary whose name is gone as missing and its layer as
 unmeasured, without an error, so a refactor that deletes or renames a wrapped
-name would silently drop a layer from the per-layer table.
+name would silently drop a layer from the per-layer table.  A refactor that
+keeps the name but no longer calls through it (a direct import, or
+``writerows`` in place of ``csv.DictWriter.writerow``) zeroes the layer
+just as silently.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
+
+import pytest
+
+from kvlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -26,8 +34,24 @@ KNOWN_MISSING = {
     "kvlab.experiments.streaming_compress",
 }
 
+# Layers a simulate with reuse and a two-seed sweep must reach.  numerics.mm_t
+# is left out: it already reads 0 calls on every benchmark workload, as prefill
+# multiplies through numerics._contract, and of its two boundaries
+# kvlab.model._mm_t is called only by decode_step and
+# kvlab.policies.matmul_transposed is gone (KNOWN_MISSING).
+CALLED_LAYERS = (
+    "model.prefill",
+    "policies.compress",
+    "policies.select",
+    "reuse.run",
+    "metrics.fidelity",
+    "metrics.needle",
+    "experiments.write",
+)
 
-def test_tracer_boundaries_resolve(monkeypatch):
+
+@pytest.fixture
+def tracer_module(monkeypatch):
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ is only read
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
@@ -35,9 +59,44 @@ def test_tracer_boundaries_resolve(monkeypatch):
     module = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up here
     spec.loader.exec_module(module)
-    tracer = module.Tracer()
+    return module
+
+
+def test_tracer_boundaries_resolve(tracer_module):
+    tracer = tracer_module.Tracer()
     try:
         tracer.install()
     finally:
         tracer.uninstall()
     assert set(tracer.missing) <= KNOWN_MISSING
+
+
+def test_tracer_sees_every_layer_called(tracer_module, tmp_path, capsys):
+    budget = {"ratio": 0.25, "w": 4, "c": 5}
+    cfg = {
+        "schema": 1,
+        "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
+        "prompt": {"kind": "random", "length": 40, "seed": 1},
+        "policies": [{"kind": "ChunkKV", "budget": budget}, {"kind": "H2OStyle", "budget": budget}],
+        "reuse": {"n_reuse": 2},
+        "sweep": {"seeds": [0, 1]},
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        for command in ("simulate", "sweep"):
+            assert main([command, "--config", str(path), "--out", str(tmp_path / command)]) == 0
+    finally:
+        tracer.uninstall()
+    table = tracer_module.layer_table(tracer)
+    assert {layer: table[layer]["calls"] >= 1 for layer in CALLED_LAYERS} == dict.fromkeys(
+        CALLED_LAYERS, True
+    )
+    # every sweep row goes through the traced writerow (writerows would not;
+    # writeheader may or may not)
+    names = [span[0] for span in tracer.dump()]
+    rows = (tmp_path / "sweep" / "sweep.csv").read_text().count("\n") - 1
+    assert rows == 2 * 2  # two seeds of two policies
+    assert names.count("kvlab.experiments.csv.DictWriter.writerow") >= rows
