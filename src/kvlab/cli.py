@@ -53,7 +53,11 @@ def _load(args):
         except ValueError as e:
             raise ConfigError(f"--seed: {e}") from e
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way, at the path or above it
+        field = "--out" if args.out else "out_dir"
+        raise ConfigError(f"{field} {str(out_dir)!r} cannot be a directory: {e.strerror}") from e
     return cfg, out_dir
 
 

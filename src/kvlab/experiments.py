@@ -239,6 +239,9 @@ def parse_config(doc) -> ExperimentConfig:
     _check_budgets(cfg)
     name = "prompt.seq_len" if cfg.prompt.needle else "prompt.length"
     _require_bytes(name, 8 * cfg.prompt.length)  # int64 tokens, or a needle's float64 score row
+    for i, spec in enumerate(cfg.policies):  # bounds the modeled compress cost, a float
+        cost = n_layers * cfg.model.n_heads * spec.budget.w * cfg.prompt.length
+        _require(cost <= sys.float_info.max, f"policies[{i}].budget.w: its modeled cost overflows")
     if cfg.prompt.needle:  # the float64 score draw
         size = 8 * cfg.prompt.observe_rows * cfg.prompt.length
         _require_bytes("prompt.observe_rows * prompt.seq_len", size)
@@ -306,17 +309,6 @@ def prompt_tokens(cfg: ExperimentConfig) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# deterministic cost model (report-safe stand-in for wall-clock timing)
-
-
-def modeled_layer_costs(trace_like_t: int, n_heads: int, w: int) -> tuple[float, float]:
-    """(t_compress, t_select) in model micro-units per layer."""
-    t_compress = float(n_heads * max(w, 1) * trace_like_t)
-    t_select = float(n_heads)
-    return t_compress, t_select
-
-
-# ---------------------------------------------------------------------------
 # simulate
 
 
@@ -346,10 +338,9 @@ def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> np.ndarr
     return trace.observe_probs[layer][head][-1:]
 
 
-def _fidelity(
-    trace: PrefillTrace, kept: list[list[KeptIndices]]
-) -> tuple[list[float], list[float]]:
-    """Per-layer head means of the evicted KV L1 and the final-row attention cosine.
+def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]]) -> dict:
+    """report.json's fidelity block: per-layer head means of the evicted KV L1 and
+    the final-row attention cosine, and their layer means, rounded.
 
     Head h's kept set is charged against the |K| and |V| of every head of
     its layer, so a per-head policy's KV L1 is the head mean of "every head
@@ -362,27 +353,34 @@ def _fidelity(
         l1s.append(float(np.mean([kv_l1_loss(mags, kept[l][h]) for h in heads])))
         rows = [_final_row_attention(trace, l, h) for h in heads]
         coss.append(float(np.mean([attention_cosine(rows[h], kept[l][h]) for h in heads])))
-    return l1s, coss
+    return {
+        "kv_l1": round(float(np.mean(l1s)), 6),
+        "attn_cos": round(float(np.mean(coss)), 6),
+        "per_layer_l1": [round(x, 6) for x in l1s],
+        "per_layer_cos": [round(x, 6) for x in coss],
+    }
 
 
 @dataclass(frozen=True)
 class _Measured:
-    """One policy's kept sets under a reuse plan, and what they measure, unrounded.
+    """One policy's kept sets under a reuse plan, and what they measure, rounded as written.
 
-    The only numbers about kept sets that `simulate`, `sweep` and `needle` write.
+    `simulate`, `sweep` and `needle` copy these fields.  Only report.json's
+    kept-set digests and similarity matrix, and a trace sweep's synthetic
+    needle columns, are built from the kept sets elsewhere.
     """
 
     spec: PolicySpec
     kept: list[list[KeptIndices]]  # [layer][head]; synthetic scores have one head
     adjacent_jaccard: Optional[float]  # head 0; None below two layers
-    fidelity: Optional[tuple[list[float], list[float]]]  # per-layer kv_l1, attn_cos (traces)
-    needle: Optional[list[tuple[float, bool]]]  # per-layer head-0 retention (needle prompts)
+    fidelity: Optional[dict]  # report.json's fidelity block (traces)
+    # head-0 needle retention (needle prompts): the layer mean, whether every
+    # layer kept the whole span, and each layer's (fraction, intact)
+    needle: Optional[tuple[float, bool, list[tuple[float, bool]]]]
+    speedup_estimate: float  # the modeled compress cost at n_reuse 1 over that at n_reuse
+    micros_compress: float  # the modeled compress cost at n_reuse
     select_s: float
     fidelity_s: float
-
-    def needle_summary(self) -> tuple[float, bool]:
-        """Mean retained fraction over layers, and whether every layer kept the span."""
-        return float(np.mean([f for f, _ in self.needle])), all(i for _, i in self.needle)
 
 
 def _measure(
@@ -391,7 +389,8 @@ def _measure(
     """Each spec's `run_with_reuse` kept sets on `_source(cfg)` under n_reuse, and their metrics."""
     trace = source if isinstance(source, PrefillTrace) else None
     case = cfg.prompt.needle
-    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
+    n_layers, n_heads = cfg.model.n_layers, cfg.model.n_heads
+    plan = ReusePlan(n_layers=n_layers, n_reuse=n_reuse)
     out = []
     for spec in specs:
         t0 = time.perf_counter()
@@ -400,12 +399,21 @@ def _measure(
         fidelity = _fidelity(trace, kept) if trace is not None else None
         t2 = time.perf_counter()
         head0 = [heads[0] for heads in kept]
+        needle = None
+        if case is not None:
+            fracs, intact = zip(*(needle_retention(k, case) for k in head0))
+            per_layer = [(round(f, 6), i) for f, i in zip(fracs, intact)]
+            needle = round(float(np.mean(fracs)), 6), all(intact), per_layer
+        # modeled cost: n_heads * max(w, 1) * T per compressed layer, n_heads per copied one
+        cost = float(n_heads * max(spec.budget.w, 1) * source.seq_len), float(n_heads)
         out.append(_Measured(
             spec,
             kept,
-            adjacent_similarity(head0) if len(head0) >= 2 else None,
+            round(adjacent_similarity(head0), 6) if len(head0) >= 2 else None,
             fidelity,
-            [needle_retention(k, case) for k in head0] if case is not None else None,
+            needle,
+            round(speedup_estimate(n_layers, n_reuse, *cost), 6),
+            round(modeled_micros(n_layers, n_reuse, *cost), 3),
             select_s=t1 - t0,
             fidelity_s=t2 - t1,
         ))
@@ -430,28 +438,16 @@ def _policy_report(cfg: ExperimentConfig, m: _Measured, t_k: int) -> dict:
         "policy": m.spec.name,
         "layers": layers,
         "similarity_matrix": [[round(v, 6) for v in row] for row in sim],
-        "adjacent_jaccard": None if m.adjacent_jaccard is None else round(m.adjacent_jaccard, 6),
+        "adjacent_jaccard": m.adjacent_jaccard,
     }
     if m.fidelity is not None:
-        l1s, coss = m.fidelity
-        rep["fidelity"] = {
-            "kv_l1": round(float(np.mean(l1s)), 6),
-            "attn_cos": round(float(np.mean(coss)), 6),
-            "per_layer_l1": [round(x, 6) for x in l1s],
-            "per_layer_cos": [round(x, 6) for x in coss],
-        }
+        rep["fidelity"] = m.fidelity
     if m.needle is not None:
-        frac, intact = m.needle_summary()
-        rep["needle"] = {
-            "fraction": round(frac, 6),
-            "intact_all_layers": intact,
-            "per_layer_fraction": [round(f, 6) for f, _ in m.needle],
-        }
+        frac, intact, per_layer = m.needle
+        fracs = [f for f, _ in per_layer]
+        rep["needle"] = {"fraction": frac, "intact_all_layers": intact, "per_layer_fraction": fracs}
     if cfg.reuse is not None:
-        t_c, t_s = modeled_layer_costs(t_k, cfg.model.n_heads, m.spec.budget.w)
-        rep["speedup_estimate"] = round(
-            speedup_estimate(cfg.model.n_layers, cfg.reuse.n_reuse, t_c, t_s), 6
-        )
+        rep["speedup_estimate"] = m.speedup_estimate
     return rep
 
 
@@ -506,31 +502,6 @@ def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> Path:
 # ---------------------------------------------------------------------------
 # sweep
 
-SWEEP_COLUMNS = [
-    "policy",
-    "c",
-    "ratio",
-    "n_reuse",
-    "seed",
-    "adjacent_jaccard",
-    "kv_l1",
-    "attn_cos",
-    "needle_fraction",
-    "needle_intact",
-    "micros_compress",
-]
-
-
-def _auto_needle(cfg: ExperimentConfig, c: int, seed: int) -> NeedleCase:
-    """Chunk-aligned dominant needle derived from the cell seed."""
-    t = cfg.prompt.length
-    n_chunks = max(t // c, 1)
-    chunk = seed % n_chunks
-    start = chunk * c
-    span = min(c, t - start)
-    return NeedleCase(seq_len=t, span_start=start, span_len=span, signal=float(t), seed=seed)
-
-
 def _cell_spec(spec: PolicySpec, c: Optional[int], ratio: Optional[float]) -> PolicySpec:
     """spec, and a Hybrid's inner policies, at chunk size c and retention ratio.
 
@@ -566,7 +537,9 @@ def run_sweep_cell(
 
     @functools.cache
     def auto_needle(c: int) -> tuple[NeedleCase, ScoreMatrices]:
-        case = _auto_needle(cfg, c, seed)
+        t = cfg.prompt.length
+        start = seed % max(t // c, 1) * c  # the seed picks the chunk
+        case = NeedleCase(t, start, min(c, t - start), signal=float(t), seed=seed)
         scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
         return case, ScoreMatrices((scores,) * cfg.model.n_layers)
 
@@ -575,26 +548,24 @@ def run_sweep_cell(
     for m in _measure(cfg, source, cells, n_reuse):
         b = m.spec.budget
         if m.needle is not None:
-            frac, intact = m.needle_summary()
+            frac, intact, _ = m.needle
         else:
             case, needle_scores = auto_needle(b.c)
             frac, intact = needle_retention(compress_layer(needle_scores, 0, m.spec)[0], case)
-        kv_l1 = attn_cos = ""
-        if m.fidelity is not None:
-            kv_l1, attn_cos = (round(float(np.mean(x)), 6) for x in m.fidelity)
-        t_c, t_s = modeled_layer_costs(source.seq_len, cfg.model.n_heads, m.spec.budget.w)
+            frac = round(frac, 6)
+        fidelity = m.fidelity or {"kv_l1": "", "attn_cos": ""}
         rows.append({
             "policy": m.spec.name,
             "c": b.c,
             "ratio": "" if b.ratio is None else b.ratio,
             "n_reuse": n_reuse,
             "seed": seed,
-            "adjacent_jaccard": "" if m.adjacent_jaccard is None else round(m.adjacent_jaccard, 6),
-            "kv_l1": kv_l1,
-            "attn_cos": attn_cos,
-            "needle_fraction": round(frac, 6),
+            "adjacent_jaccard": "" if m.adjacent_jaccard is None else m.adjacent_jaccard,
+            "kv_l1": fidelity["kv_l1"],
+            "attn_cos": fidelity["attn_cos"],
+            "needle_fraction": frac,
             "needle_intact": str(intact).lower(),
-            "micros_compress": round(modeled_micros(cfg.model.n_layers, n_reuse, t_c, t_s), 3),
+            "micros_compress": m.micros_compress,
         })
     return rows
 
@@ -628,7 +599,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
     out_path = out_dir / "sweep.csv"
     with out_path.open("w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=SWEEP_COLUMNS)
+        writer = csv.DictWriter(f, fieldnames=list(rows[0][0]))  # run_sweep_cell's column order
         writer.writeheader()
         for row in itertools.chain.from_iterable(rows):
             writer.writerow(row)
@@ -637,14 +608,6 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 # ---------------------------------------------------------------------------
 # similarity heatmaps
-
-
-def write_pgm(path: Path, matrix: list[list[float]], max_level: int = 255):
-    n = len(matrix)
-    lines = ["P2", f"{n} {n}", str(max_level)]
-    for row in matrix:
-        lines.append(" ".join(str(int(round(v * max_level))) for v in row))
-    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_similarity(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
@@ -664,8 +627,10 @@ def cmd_similarity(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
             writer = csv.writer(f)
             for row in matrix:
                 writer.writerow([f"{v:.3f}" for v in row])
-        pgm_path = out_dir / f"similarity_{name}.pgm"
-        write_pgm(pgm_path, matrix)
+        pgm_path = out_dir / f"similarity_{name}.pgm"  # plain graymap, levels 0-255
+        n = len(matrix)
+        levels = (" ".join(str(int(round(v * 255))) for v in row) for row in matrix)
+        pgm_path.write_text("\n".join(["P2", f"{n} {n}", "255", *levels]) + "\n")
         written.extend([csv_path, pgm_path])
     return written
 
@@ -680,14 +645,13 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> Path:
         raise ConfigError("needle command requires a needle prompt")
     policies = []
     for m in _measure(cfg, _source(cfg), cfg.policies, _n_reuse(cfg)):
-        frac, intact = m.needle_summary()
+        frac, intact, per_layer = m.needle
         policies.append({
             "policy": m.spec.name,
-            "mean_fraction": round(frac, 6),
+            "mean_fraction": frac,
             "intact_all_layers": intact,
             "per_layer": [
-                {"layer": l, "fraction": round(f, 6), "intact": i}
-                for l, (f, i) in enumerate(m.needle)
+                {"layer": l, "fraction": f, "intact": i} for l, (f, i) in enumerate(per_layer)
             ],
         })
     path = out_dir / "needle.json"
@@ -714,23 +678,23 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:
             samples.append(time.perf_counter() - t0)
         return float(np.median(samples)), out
 
+    n_layers = cfg.model.n_layers
+    timed = {  # each distinct plan's median time and kept sets, the n_reuse 1 baseline first
+        n: median_time(functools.partial(run_with_reuse, source, spec, ReusePlan(n_layers, n)))
+        for n in dict.fromkeys((1, *reuses))
+    }
     # the n_reuse 1 loop compresses every layer: its time per layer is the
     # compress cost, and copying one of its kept lists is the select cost
-    fresh = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=1)
-    t_full, kept = median_time(lambda: run_with_reuse(source, spec, fresh))
-    t_compress = t_full / cfg.model.n_layers
+    t_full, kept = timed[1]
+    t_compress = t_full / n_layers
     t_select, _ = median_time(lambda: list(kept[0]))
-    rows = []
-    for n_reuse in reuses:
-        plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
-        t_reuse, _ = median_time(lambda: run_with_reuse(source, spec, plan))
-        rows.append({
-            "n_reuse": n_reuse,
-            "analytic_speedup": round(speedup_estimate(cfg.model.n_layers, n_reuse, t_compress, t_select), 6),
-            "measured_speedup": round(t_full / t_reuse, 6) if t_reuse > 0 else None,
-            "t_compress_s": t_compress,
-            "t_select_s": t_select,
-        })
+    rows = [{
+        "n_reuse": n,
+        "analytic_speedup": round(speedup_estimate(n_layers, n, t_compress, t_select), 6),
+        "measured_speedup": round(t_full / timed[n][0], 6) if timed[n][0] > 0 else None,
+        "t_compress_s": t_compress,
+        "t_select_s": t_select,
+    } for n in reuses]
     path = out_dir / "reuse_bench.json"
-    write_json(path, {"policy": spec.name, "n_layers": cfg.model.n_layers, "results": rows})
+    write_json(path, {"policy": spec.name, "n_layers": n_layers, "results": rows})
     return path

@@ -222,6 +222,22 @@ class TestSimulate:
         assert [p["policy"] for p in timings["policies"]] == ["H2OStyle", "H2OStyle"]
 
 
+class TestOutputPath:
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+    @pytest.mark.parametrize("via_flag", [True, False], ids=["flag", "config"])
+    def test_a_file_in_the_way_exits_2_naming_the_field(self, tmp_path, capsys, below, via_flag):
+        afile = tmp_path / "afile"
+        afile.write_text("kept")
+        out = afile / "sub" if below else afile
+        cfg = base_config(tmp_path / "unused" if via_flag else out)
+        argv = ["simulate", "--config", write_config(tmp_path, cfg)]
+        assert main(argv + ["--out", str(out)] if via_flag else argv) == 2
+        err = capsys.readouterr().err
+        field = "--out" if via_flag else "out_dir"
+        assert err.startswith(f"error: {field} {str(out)!r} cannot be a directory: ")
+        assert afile.read_text() == "kept"
+
+
 class TestSweep:
     def test_row_count_product(self, tmp_path):
         cfg = base_config(
@@ -856,6 +872,13 @@ class TestRangeErrorsBeforePrefill:
                 ),
                 "prompt.observe_rows * prompt.seq_len",
             ),
+            # the modeled compress cost, n_layers * n_heads * w * T, is a float
+            (
+                lambda out: base_config(out, policies=[
+                    {"kind": "StreamingStyle", "budget": {"max_len": 10**330, "w": 10**330}},
+                ]),
+                "policies[0].budget.w: its modeled cost overflows",
+            ),
         ],
         ids=[
             "skew-above-1", "skew-negative", "skew-below-w-plus-c", "sink-above-budget",
@@ -868,6 +891,7 @@ class TestRangeErrorsBeforePrefill:
             "head-dim-2-to-70", "vocab-size-2-to-70", "n-layers-2-to-62", "n-heads-2-to-62",
             "head-dim-2-to-62", "vocab-size-2-to-62", "length-2-to-70", "seq-len-2-to-70",
             "length-2-to-62", "seq-len-2-to-62", "observe-rows-times-seq-len-2-to-62",
+            "w-past-the-modeled-cost",
         ],
     )
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -1061,9 +1085,10 @@ class TestOneNeedleAnswer:
             assert got["mean_fraction"] == rep["needle"]["fraction"]
             assert got["intact_all_layers"] == rep["needle"]["intact_all_layers"]
 
-    def test_sweep_rows_match_simulate(self, tmp_path):
+    def _sweep_and_simulate(self, tmp_path, prompt):
+        """Each sweep cell's rows and the report of `simulate` on the same cell."""
         sweep = {"c": [3, 5], "ratio": [0.25, 0.4], "n_reuse": [1, 2], "seeds": [1, 2]}
-        cfg = base_config(tmp_path / "out", prompt=self.WEAK, policies=self.POLICIES, sweep=sweep)
+        cfg = base_config(tmp_path / "out", prompt=prompt, policies=self.POLICIES, sweep=sweep)
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
         with (tmp_path / "out" / "sweep.csv").open() as f:
             rows = list(csv.DictReader(f))
@@ -1075,16 +1100,33 @@ class TestOneNeedleAnswer:
             budget = {"ratio": float(ratio), "w": 4, "c": int(c)}
             cell = base_config(
                 tmp_path / f"cell{i}",
-                prompt={**self.WEAK, "seed": int(seed)},
+                prompt={**prompt, "seed": int(seed)},
                 policies=[{**p, "budget": budget} for p in self.POLICIES],
                 reuse={"n_reuse": int(n_reuse)},
             )
             assert main(["simulate", "--config", write_config(tmp_path, cell)]) == 0
             report = json.loads((tmp_path / f"cell{i}" / "report.json").read_text())
-            for row, rep in zip(got, report["policies"], strict=True):
+            yield got, report["policies"], cells[(c, ratio, "1", seed)]
+
+    def test_sweep_rows_match_simulate(self, tmp_path):
+        for got, reps, _ in self._sweep_and_simulate(tmp_path, self.WEAK):
+            for row, rep in zip(got, reps, strict=True):
                 assert row["policy"] == rep["policy"]
                 assert float(row["needle_fraction"]) == rep["needle"]["fraction"]
                 assert row["needle_intact"] == str(rep["needle"]["intact_all_layers"]).lower()
+
+    def test_trace_sweep_rows_match_simulate(self, tmp_path):
+        # a random prompt: Jaccard and fidelity are simulate's, and the modeled
+        # cost at n_reuse 1 over that at n_reuse n is simulate's speedup_estimate
+        prompt = {"kind": "random", "length": 48}
+        for got, reps, fresh in self._sweep_and_simulate(tmp_path, prompt):
+            for row, rep, base in zip(got, reps, fresh, strict=True):
+                assert row["policy"] == rep["policy"] == base["policy"]
+                assert float(row["adjacent_jaccard"]) == rep["adjacent_jaccard"]
+                assert float(row["kv_l1"]) == rep["fidelity"]["kv_l1"]
+                assert float(row["attn_cos"]) == rep["fidelity"]["attn_cos"]
+                ratio = float(base["micros_compress"]) / float(row["micros_compress"])
+                assert round(ratio, 6) == rep["speedup_estimate"]
 
 
 class TestReuseBench:
@@ -1103,8 +1145,9 @@ class TestReuseBench:
             assert "measured_speedup" in r and "analytic_speedup" in r
 
     def test_baseline_timed_once(self, tmp_path, monkeypatch):
-        # five samples of the n_reuse = 1 baseline, then five per n_reuse value;
-        # the compress cost comes from the baseline, with no layer-0 timing of its own
+        # five samples of each distinct plan, the n_reuse = 1 baseline first and
+        # never again; the compress cost comes from the baseline, with no layer-0
+        # timing of its own
         import kvlab.experiments
 
         plans, layers = [], []
@@ -1122,7 +1165,7 @@ class TestReuseBench:
         )
         cfg = base_config(tmp_path / "out", sweep={"n_reuse": [1, 2, 4]})
         assert main(["reuse-bench", "--config", write_config(tmp_path, cfg)]) == 0
-        assert plans == [1] * 5 + [1] * 5 + [2] * 5 + [4] * 5
+        assert plans == [1] * 5 + [2] * 5 + [4] * 5
         assert layers == []
         out = json.loads((tmp_path / "out" / "reuse_bench.json").read_text())
         keys = {"n_reuse", "analytic_speedup", "measured_speedup", "t_compress_s", "t_select_s"}

@@ -1,12 +1,17 @@
 """parse_config against arbitrary JSON, and against the benchmark's own configs.
 
 Whatever budget parse_config accepts must run: every policy and every sweep
-cell, over a score source of the prompt's length.
+cell, over a score source of the prompt's length.  Every command exits 0 or
+2 on a bounded config, whatever its output path.
 """
 
+import contextlib
 import copy
 import importlib.util
+import io
+import json
 import sys
+import tempfile
 from dataclasses import fields
 from pathlib import Path
 
@@ -16,6 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kvlab.cache import BudgetSpec
+from kvlab.cli import main
 from kvlab.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -187,8 +193,8 @@ BUDGETS = st.one_of(
 PLAIN_KINDS = [k for k in POLICY_KINDS if k != "Hybrid"]
 
 
-def _policies(kinds):
-    return st.fixed_dictionaries({"kind": st.sampled_from(kinds), "budget": BUDGETS}, optional={
+def _policies(kinds, budgets=BUDGETS):
+    return st.fixed_dictionaries({"kind": st.sampled_from(kinds), "budget": budgets}, optional={
         "sink": st.integers(0, 20),
         "skew": st.floats(0.0, 0.95),
         "pool_width": st.sampled_from([1, 3, 7]),
@@ -244,3 +250,104 @@ def test_every_accepted_budget_runs(n_layers, seq_len, policies, sweep):
     for spec, n_reuse in runs:
         kept = run_with_reuse(source, spec, ReusePlan(n_layers, n_reuse))
         assert all(p < seq_len for heads in kept for k in heads for p in k)
+
+
+# Every size stays small, so no draw reaches the allocator with a large
+# array: free JSON (near_valid) can ask for gigabytes.  The draws lean
+# towards configs that parse, so that most examples run their command.
+RUNNABLE_BUDGETS = st.one_of(
+    st.fixed_dictionaries({"max_len": st.integers(8, 80)}, optional={
+        "w": st.integers(0, 6), "c": st.integers(1, 10),
+    }),
+    st.fixed_dictionaries({"ratio": st.floats(0.05, 1.0)}, optional={
+        "w": st.integers(0, 6), "c": st.integers(1, 10),
+    }),
+)
+
+
+@st.composite
+def command_docs(draw):
+    """A bounded config document for every command, mostly one parse_config accepts."""
+    n_layers = draw(st.integers(1, 6))
+    length = draw(st.integers(1, 64))
+    span_len = draw(st.integers(1, min(length, 16)))
+    plain = _policies(PLAIN_KINDS, RUNNABLE_BUDGETS)
+    hybrid = st.fixed_dictionaries({
+        "kind": st.just("Hybrid"),
+        "budget": RUNNABLE_BUDGETS,
+        "split": st.integers(1, n_layers),
+        "inner_a": plain,
+        "inner_b": plain,
+    })
+    prompt = st.one_of(
+        st.fixed_dictionaries(
+            {"kind": st.just("random"), "length": st.just(length)},
+            optional={"seed": st.integers(0, 3)},
+        ),
+        st.fixed_dictionaries({
+            "kind": st.just("tokens"),
+            "tokens": st.lists(st.integers(0, 15), min_size=length, max_size=length),
+        }),
+        st.fixed_dictionaries({
+            "kind": st.just("needle"),
+            "seq_len": st.just(length),
+            "span_start": st.integers(0, length - span_len),
+            "span_len": st.just(span_len),
+            "signal": st.floats(0.0, 50.0),
+        }, optional={
+            "weak_offset": st.integers(0, span_len - 1),
+            "noise": st.sampled_from(["uniform", "gaussian"]),
+            "observe_rows": st.integers(1, 8),
+            "seed": st.integers(0, 3),
+        }),
+    )
+    doc = {
+        "schema": 1,
+        "model": {
+            "n_layers": n_layers, "n_heads": draw(st.integers(1, 2)), "head_dim": 4,
+            "vocab_size": 16,
+        },
+        "prompt": draw(prompt),
+        "policies": draw(st.lists(plain | hybrid, min_size=1, max_size=2)),
+    }
+    reuse = draw(st.none() | st.integers(1, n_layers))
+    if reuse is not None:
+        doc["reuse"] = {"n_reuse": reuse}
+    sweep = draw(st.none() | st.fixed_dictionaries({
+        "seeds": st.lists(st.integers(0, 3), min_size=1, max_size=2),
+    }, optional={
+        "c": st.lists(st.integers(1, 10), min_size=1, max_size=2),
+        "ratio": st.lists(st.floats(0.05, 1.0), min_size=1, max_size=2),
+        "n_reuse": st.lists(st.integers(1, n_layers), min_size=1, max_size=2),
+    }))
+    if sweep is not None:
+        doc["sweep"] = sweep
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(["simulate", "sweep", "needle", "similarity", "reuse-bench"]),
+    doc=command_docs(),
+    out=st.sampled_from(["fresh", "file", "below-file"]),
+    via_flag=st.booleans(),
+    seed=st.none() | st.integers(-1, 3),
+)
+def test_every_command_exits_0_or_2(command, doc, out, via_flag, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "afile").write_text("")
+        out_dir = {"fresh": tmp / "out", "file": tmp / "afile", "below-file": tmp / "afile" / "x"}[out]
+        argv = [command, "--config", str(tmp / "config.json")]
+        if via_flag:
+            argv += ["--out", str(out_dir)]
+        else:
+            doc = {**doc, "out_dir": str(out_dir)}
+        if seed is not None:
+            argv += ["--seed", str(seed)]
+        (tmp / "config.json").write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert out == "fresh" or code == 2, err.getvalue()

@@ -44,8 +44,10 @@ CALLED_LAYERS = (
     "policies.compress",
     "policies.select",
     "reuse.run",
+    "reuse.similarity",
     "metrics.fidelity",
     "metrics.needle",
+    "experiments",
     "experiments.write",
 )
 
