@@ -35,7 +35,8 @@ def main():
         "sweep": {"c": [3, 5, 10, 20, 30], "ratio": [0.1], "n_reuse": [1], "seeds": args.seeds},
     }
     out = Path(args.out)
-    path = cmd_sweep(parse_config(doc), out)
+    out.mkdir(parents=True, exist_ok=True)
+    [path] = cmd_sweep(parse_config(doc), out)
     print(f"wrote {path}")
 
     grouped = defaultdict(list)

@@ -30,16 +30,15 @@ def main():
     }
     cfg = parse_config(doc)
     out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
 
     report, _ = run_simulate(cfg)
     print(f"{'policy':<14} {'adjacent_jaccard':>18}")
     for prep in report["policies"]:
         print(f"{prep['policy']:<14} {prep['adjacent_jaccard']:>18.4f}")
 
-    for path in cmd_similarity(cfg, out):
+    for path in cmd_similarity(cfg, out) + cmd_reuse_bench(cfg, out):
         print(f"wrote {path}")
-    path = cmd_reuse_bench(cfg, out)
-    print(f"wrote {path}")
 
 
 if __name__ == "__main__":

@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: simulate | sweep | similarity | memory | needle | reuse-bench.
-Exit codes: 0 success, 1 internal error, 2 user/config error.
+Exit codes: 0 success, 1 internal error, 2 user/config error.  An output
+file kvlab cannot write (a directory in its place, say) exits 2 after the
+run, with a message naming the file.
 """
 
 from __future__ import annotations
@@ -27,11 +29,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="kvlab", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("simulate", "sweep", "similarity", "needle", "reuse-bench"):
+    # bound on each call, so that a wrapper installed on a cmd_* name (perfbench's tracer) runs
+    for name, run in zip(("simulate", "sweep", "similarity", "needle", "reuse-bench"),
+                         (cmd_simulate, cmd_sweep, cmd_similarity, cmd_needle, cmd_reuse_bench)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
         p.add_argument("--seed", type=int, default=None, help="override the prompt seed")
+        p.set_defaults(run=run)
 
     mem = sub.add_parser("memory", help="decode-stage KV cache byte count")
     mem.add_argument("--batch", type=int, required=True)
@@ -76,31 +81,14 @@ def main(argv=None) -> int:
             cents, rest = divmod(100 * total, 2**30)
             cents += 2 * rest > 2**30 or (2 * rest == 2**30 and cents % 2)
             try:
-                text = f"{total} bytes ({cents // 100}.{cents % 100:02d} GiB)"
+                lines = [f"{total} bytes ({cents // 100}.{cents % 100:02d} GiB)"]
             except ValueError as e:  # more digits than int-to-str conversion allows
                 product = " * ".join(["2", *flags])
                 limit = sys.get_int_max_str_digits()
                 raise ValueError(f"the byte count {product} has over {limit} digits") from e
-            print(text)
-            return 0
-
-        cfg, out_dir = _load(args)
-        if args.command == "simulate":
-            path = cmd_simulate(cfg, out_dir)
-        elif args.command == "sweep":
-            path = cmd_sweep(cfg, out_dir)
-        elif args.command == "similarity":
-            paths = cmd_similarity(cfg, out_dir)
-            for p in paths:
-                print(p)
-            return 0
-        elif args.command == "needle":
-            path = cmd_needle(cfg, out_dir)
-        elif args.command == "reuse-bench":
-            path = cmd_reuse_bench(cfg, out_dir)
-        else:  # pragma: no cover
-            raise ValueError(f"unknown command {args.command}")
-        print(path)
+        else:
+            lines = args.run(*_load(args))  # the paths written
+        print(*lines, sep="\n")
         return 0
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

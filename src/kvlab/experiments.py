@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import functools
 import hashlib
+import io
 import itertools
 import json
 import sys
@@ -487,16 +488,24 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     return report, timings
 
 
-def write_json(path: Path, obj: dict):
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _write(path: Path, text: str) -> Path:
+    """Every output file is written here: one the OS cannot write is a ConfigError naming it."""
+    try:
+        path.write_text(text, newline="")
+    except OSError as e:  # a failed write or close carries no filename
+        raise ConfigError(f"cannot write {path}: {e.strerror}") from e
+    return path
 
 
-def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> Path:
+def write_json(path: Path, obj: dict) -> Path:
+    return _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+
+
+def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+    """[report.json], written after timings.json into out_dir, which `cli._load` creates."""
     report, timings = run_simulate(cfg)
-    write_json(out_dir / "report.json", report)
     write_json(out_dir / "timings.json", timings)
-    return out_dir / "report.json"
+    return [write_json(out_dir / "report.json", report)]
 
 
 # ---------------------------------------------------------------------------
@@ -583,8 +592,8 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[Optional[int], Optional[fl
     ))
 
 
-def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    """sweep.csv in cell order; one source per distinct seeded prompt, one alive at a time."""
+def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+    """[sweep.csv] in cell order, into `cli._load`'s out_dir; one prompt's source alive at once."""
     cells = _sweep_cells(cfg)
     rows = [None] * len(cells)
     prompt = source = None
@@ -596,14 +605,12 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
         for i, (c, r, n, s) in enumerate(cells):
             if s == seed:
                 rows[i] = run_sweep_cell(seeded, source, c, r, n, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / "sweep.csv"
-    with out_path.open("w", newline="") as f:
-        writer = csv.DictWriter(f, fieldnames=list(rows[0][0]))  # run_sweep_cell's column order
-        writer.writeheader()
-        for row in itertools.chain.from_iterable(rows):
-            writer.writerow(row)
-    return out_path
+    text = io.StringIO()
+    writer = csv.DictWriter(text, fieldnames=list(rows[0][0]))  # run_sweep_cell's column order
+    writer.writeheader()
+    for row in itertools.chain.from_iterable(rows):
+        writer.writerow(row)
+    return [_write(out_dir / "sweep.csv", text.getvalue())]
 
 
 # ---------------------------------------------------------------------------
@@ -611,27 +618,22 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> Path:
 
 
 def cmd_similarity(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """similarity_<name>.csv/.pgm per policy; policies that share a name add _<report index>."""
+    """similarity_<name>.csv/.pgm into `cli._load`'s out_dir; a shared name adds _<report index>."""
     if cfg.model.n_layers < 2:
         raise ConfigError("similarity requires at least 2 layers")
     report, _ = run_simulate(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     names = [p["policy"] for p in report["policies"]]
     written = []
     for i, (prep, name) in enumerate(zip(report["policies"], names)):
         suffix = f"_{i}" if names.count(name) > 1 else ""
         name = name.replace("|", "_").replace("[", "_").replace("]", "").replace("@", "_") + suffix
-        matrix = prep["similarity_matrix"]
-        csv_path = out_dir / f"similarity_{name}.csv"
-        with csv_path.open("w", newline="") as f:
-            writer = csv.writer(f)
-            for row in matrix:
-                writer.writerow([f"{v:.3f}" for v in row])
-        pgm_path = out_dir / f"similarity_{name}.pgm"  # plain graymap, levels 0-255
+        matrix = prep["similarity_matrix"]  # CSV rows end in \r\n, as csv.writer ends them
+        table = "".join(",".join(f"{v:.3f}" for v in row) + "\r\n" for row in matrix)
         n = len(matrix)
         levels = (" ".join(str(int(round(v * 255))) for v in row) for row in matrix)
-        pgm_path.write_text("\n".join(["P2", f"{n} {n}", "255", *levels]) + "\n")
-        written.extend([csv_path, pgm_path])
+        pgm = "\n".join(["P2", f"{n} {n}", "255", *levels]) + "\n"  # plain graymap, levels 0-255
+        written += [_write(out_dir / f"similarity_{name}.csv", table),
+                    _write(out_dir / f"similarity_{name}.pgm", pgm)]
     return written
 
 
@@ -639,8 +641,8 @@ def cmd_similarity(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 # needle harness
 
 
-def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> Path:
-    """needle.json: each policy's per-layer needle retention under the config's reuse plan."""
+def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+    """[needle.json] in `cli._load`'s out_dir: per-layer needle retention under the reuse plan."""
     if cfg.prompt.needle is None:
         raise ConfigError("needle command requires a needle prompt")
     policies = []
@@ -654,16 +656,16 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> Path:
                 {"layer": l, "fraction": f, "intact": i} for l, (f, i) in enumerate(per_layer)
             ],
         })
-    path = out_dir / "needle.json"
-    write_json(path, {"case": asdict(cfg.prompt.needle), "policies": policies})
-    return path
+    doc = {"case": asdict(cfg.prompt.needle), "policies": policies}
+    return [write_json(out_dir / "needle.json", doc)]
 
 
 # ---------------------------------------------------------------------------
 # reuse benchmark
 
 
-def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:
+def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
+    """[reuse_bench.json], written into out_dir, which `cli._load` creates."""
     reuses = (cfg.sweep and cfg.sweep.n_reuse) or (cfg.reuse and (cfg.reuse.n_reuse,))
     if not reuses:
         raise ConfigError("reuse-bench requires a reuse plan or an n_reuse sweep axis")
@@ -695,6 +697,5 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> Path:
         "t_compress_s": t_compress,
         "t_select_s": t_select,
     } for n in reuses]
-    path = out_dir / "reuse_bench.json"
-    write_json(path, {"policy": spec.name, "n_layers": n_layers, "results": rows})
-    return path
+    doc = {"policy": spec.name, "n_layers": n_layers, "results": rows}
+    return [write_json(out_dir / "reuse_bench.json", doc)]

@@ -237,6 +237,42 @@ class TestOutputPath:
         assert err.startswith(f"error: {field} {str(out)!r} cannot be a directory: ")
         assert afile.read_text() == "kept"
 
+    @pytest.mark.parametrize(
+        "command, overrides, output",
+        [
+            ("simulate", {}, "report.json"),
+            ("simulate", {}, "timings.json"),
+            ("sweep", {"sweep": {"seeds": [0]}}, "sweep.csv"),
+            ("similarity", {}, "similarity_ChunkKV.csv"),
+            ("similarity", {}, "similarity_SnapKVStyle.pgm"),
+            ("needle", {"prompt": NEEDLE_PROMPT}, "needle.json"),
+            ("reuse-bench", {"reuse": {"n_reuse": 2}}, "reuse_bench.json"),
+        ],
+    )
+    def test_a_directory_at_an_output_file_exits_2_naming_it(
+        self, tmp_path, capsys, command, overrides, output
+    ):
+        out = tmp_path / "out"
+        (out / output).mkdir(parents=True)
+        cfg = base_config(out, **overrides)
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: cannot write {out / output}: ")
+        assert captured.out == ""
+        assert (out / output).is_dir()
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+    def test_a_failed_write_names_the_file_the_os_does_not(self, tmp_path, capsys):
+        # opening /dev/full succeeds, and the write fails with no filename on the error
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "report.json").symlink_to("/dev/full")
+        argv = ["simulate", "--config", write_config(tmp_path, base_config(out))]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: cannot write {out / 'report.json'}: {os.strerror(28)}\n"  # ENOSPC
+        assert (out / "timings.json").is_file()
+
 
 class TestSweep:
     def test_row_count_product(self, tmp_path):

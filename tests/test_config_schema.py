@@ -2,7 +2,8 @@
 
 Whatever budget parse_config accepts must run: every policy and every sweep
 cell, over a score source of the prompt's length.  Every command exits 0 or
-2 on a bounded config, whatever its output path.
+2 on a bounded config, whatever its output path, and on a valid config with
+one numeric field at an extreme value.
 """
 
 import contextlib
@@ -325,19 +326,36 @@ def command_docs(draw):
     return doc
 
 
+COMMANDS = ["simulate", "sweep", "needle", "similarity", "reuse-bench"]
+# the file each command writes whose name does not depend on the config
+OUTPUT_FILE = {
+    "simulate": "report.json", "sweep": "sweep.csv", "needle": "needle.json",
+    "reuse-bench": "reuse_bench.json",
+}
+
+
 @settings(max_examples=150, deadline=None)
 @given(
-    command=st.sampled_from(["simulate", "sweep", "needle", "similarity", "reuse-bench"]),
+    command_out=st.sampled_from([
+        (command, out) for command in COMMANDS
+        for out in ["fresh", "file", "below-file", "output-file"]
+        if out != "output-file" or command in OUTPUT_FILE
+    ]),
     doc=command_docs(),
-    out=st.sampled_from(["fresh", "file", "below-file"]),
     via_flag=st.booleans(),
     seed=st.none() | st.integers(-1, 3),
 )
-def test_every_command_exits_0_or_2(command, doc, out, via_flag, seed):
+def test_every_command_exits_0_or_2(command_out, doc, via_flag, seed):
+    command, out = command_out
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         (tmp / "afile").write_text("")
-        out_dir = {"fresh": tmp / "out", "file": tmp / "afile", "below-file": tmp / "afile" / "x"}[out]
+        if out == "output-file":  # a directory where the command's output file goes
+            (tmp / "out" / OUTPUT_FILE[command]).mkdir(parents=True)
+        out_dir = {
+            "fresh": tmp / "out", "output-file": tmp / "out",
+            "file": tmp / "afile", "below-file": tmp / "afile" / "x",
+        }[out]
         argv = [command, "--config", str(tmp / "config.json")]
         if via_flag:
             argv += ["--out", str(out_dir)]
@@ -351,3 +369,98 @@ def test_every_command_exits_0_or_2(command, doc, out, via_flag, seed):
             code = main(argv)
     assert code in (0, 2), err.getvalue()
     assert out == "fresh" or code == 2, err.getvalue()
+
+
+def _half():
+    return {"ratio": 0.5, "w": 2, "c": 3}  # a fresh dict each call: one edit changes one field
+
+
+# A valid config of every policy kind (a Hybrid among them), a reuse plan and
+# all four sweep axes, with a random or a needle prompt.
+_EXTREME_POLICIES = [
+    {"kind": "FullKV", "budget": {"ratio": 1.0, "w": 0, "c": 1}},
+    {"kind": "ChunkKV", "budget": _half(), "head_pool": True},
+    {"kind": "SnapKVStyle", "budget": _half(), "pool_width": 3},
+    {"kind": "H2OStyle", "budget": {"max_len": 12, "w": 2, "c": 3}},
+    {"kind": "StreamingStyle", "budget": _half(), "sink": 2},
+    {
+        "kind": "Hybrid", "split": 1, "budget": _half(),
+        "inner_a": {"kind": "PyramidStyle", "budget": _half(), "skew": 0.2},
+        "inner_b": {"kind": "ChunkKV", "budget": {"max_len": 10, "w": 1, "c": 2}},
+    },
+]
+EXTREME_BASES = [
+    {
+        "schema": 1,
+        "model": {"n_layers": 2, "n_heads": 1, "head_dim": 4, "vocab_size": 16, "seed": 1},
+        "prompt": prompt,
+        "policies": _EXTREME_POLICIES,
+        "reuse": {"n_reuse": 2},
+        "sweep": {"c": [3], "ratio": [0.5], "n_reuse": [2], "seeds": [1]},
+    }
+    for prompt in (
+        {"kind": "random", "length": 24, "seed": 2},
+        {
+            "kind": "needle", "seq_len": 24, "span_start": 6, "span_len": 3, "signal": 9.0,
+            "weak_offset": 1, "observe_rows": 2, "seed": 2,
+        },
+    )
+]
+# Fields that size arrays are left out: they can reach the allocator, and
+# the _require_bytes tests cover them.
+SIZE_FIELDS = {
+    ("model", "n_layers"), ("model", "n_heads"), ("model", "head_dim"), ("model", "vocab_size"),
+    ("prompt", "length"), ("prompt", "seq_len"), ("prompt", "observe_rows"),
+}
+
+
+def _node(doc, path):
+    for step in path:
+        doc = doc[step]
+    return doc
+
+
+# (base index, container path, key) of every numeric field but the sizes
+EXTREME_SLOTS = [
+    (i, path, key)
+    for i, doc in enumerate(EXTREME_BASES)
+    for path, key in _slots(doc)
+    if path[-1:] + (key,) not in SIZE_FIELDS and type(_node(doc, path)[key]) in (int, float)
+]
+EXTREMES = [
+    0, -1, 2**63, 2**64 + 1, 2**128, 10**400, -(10**400),
+    0.0, -0.0, 5e-324, 1e-300, 1.0000001, 1e308, -1e308, 1.7976931348623157e308, 3.5e38,
+]
+
+
+def _run(command, doc) -> tuple[int, str]:
+    """command's exit code on doc, with a fresh output directory, and its stderr."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = Path(tmp) / "config.json"
+        config.write_text(json.dumps(doc))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, "--config", str(config), "--out", str(Path(tmp) / "out")])
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("base", range(len(EXTREME_BASES)), ids=["random", "needle"])
+def test_extreme_bases_run(base, command):
+    needle_on_random = command == "needle" and base == 0
+    expected = (2, "error: needle command requires a needle prompt\n") if needle_on_random else (0, "")
+    assert _run(command, EXTREME_BASES[base]) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    slot=st.sampled_from(EXTREME_SLOTS),
+    value=st.sampled_from(EXTREMES),
+    command=st.sampled_from(COMMANDS),
+)
+def test_every_command_exits_0_or_2_at_the_extremes(slot, value, command):
+    base, path, key = slot
+    doc = copy.deepcopy(EXTREME_BASES[base])
+    _node(doc, path)[key] = value
+    code, err = _run(command, doc)
+    assert code in (0, 2), err

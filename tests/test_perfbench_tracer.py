@@ -40,7 +40,10 @@ KNOWN_MISSING = {
 # kvlab.model._mm_t is called only by decode_step and
 # kvlab.policies.matmul_transposed is gone (KNOWN_MISSING).
 CALLED_LAYERS = (
+    "numerics.softmax",
+    "model.init",
     "model.prefill",
+    "cache.kept",
     "policies.compress",
     "policies.select",
     "reuse.run",
@@ -73,18 +76,21 @@ def test_tracer_boundaries_resolve(tracer_module):
     assert set(tracer.missing) <= KNOWN_MISSING
 
 
+BUDGET = {"ratio": 0.25, "w": 4, "c": 5}
+CONFIG = {
+    "schema": 1,
+    "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
+    "prompt": {"kind": "random", "length": 40, "seed": 1},
+    "policies": [{"kind": "ChunkKV", "budget": BUDGET}, {"kind": "H2OStyle", "budget": BUDGET}],
+    "reuse": {"n_reuse": 2},
+    "sweep": {"seeds": [0, 1]},
+}
+NEEDLE_PROMPT = {"kind": "needle", "seq_len": 40, "span_start": 10, "span_len": 5, "signal": 40.0}
+
+
 def test_tracer_sees_every_layer_called(tracer_module, tmp_path, capsys):
-    budget = {"ratio": 0.25, "w": 4, "c": 5}
-    cfg = {
-        "schema": 1,
-        "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
-        "prompt": {"kind": "random", "length": 40, "seed": 1},
-        "policies": [{"kind": "ChunkKV", "budget": budget}, {"kind": "H2OStyle", "budget": budget}],
-        "reuse": {"n_reuse": 2},
-        "sweep": {"seeds": [0, 1]},
-    }
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(cfg))
+    path.write_text(json.dumps(CONFIG))
     tracer = tracer_module.Tracer()
     tracer.install()
     try:
@@ -102,3 +108,19 @@ def test_tracer_sees_every_layer_called(tracer_module, tmp_path, capsys):
     rows = (tmp_path / "sweep" / "sweep.csv").read_text().count("\n") - 1
     assert rows == 2 * 2  # two seeds of two policies
     assert names.count("kvlab.experiments.csv.DictWriter.writerow") >= rows
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "needle", "reuse-bench"])
+def test_tracer_sees_each_command(tracer_module, tmp_path, capsys, command):
+    """main runs the kvlab.cli.cmd_* the tracer installed, not one bound before it."""
+    prompt = NEEDLE_PROMPT if command == "needle" else CONFIG["prompt"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({**CONFIG, "prompt": prompt}))
+    tracer = tracer_module.Tracer()
+    tracer.install()
+    try:
+        assert main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 0
+    finally:
+        tracer.uninstall()
+    spans = [span[0] for span in tracer.dump() if span[0].startswith("kvlab.cli.")]
+    assert spans == ["kvlab.cli.cmd_" + command.replace("-", "_")]
