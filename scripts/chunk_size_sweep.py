@@ -2,10 +2,7 @@
 """Chunk-size ablation: sweep c over {3, 5, 10, 20, 30} at a 10% budget.
 
 Writes sweep.csv under --out and prints, for each policy and chunk size, the
-adjacent-layer index similarity and the synthetic needle diagnostic.  The
-prompt is random, so sweep.csv's needle_fraction is not retention measured on
-the trace: it is the share of a chunk-aligned span planted in a synthetic
-layer-0 score matrix that the policy keeps (see `run_sweep_cell`).
+adjacent-layer index similarity averaged over seeds.
 """
 
 import argparse
@@ -43,11 +40,10 @@ def main():
     with path.open() as f:
         for row in csv.DictReader(f):
             grouped[(row["policy"], int(row["c"]))].append(row)
-    print(f"{'policy':<14} {'c':>3} {'adj_jaccard':>12} {'synth_needle':>12}")
+    print(f"{'policy':<14} {'c':>3} {'adj_jaccard':>12}")
     for (policy, c), rows in sorted(grouped.items()):
         jac = sum(float(r["adjacent_jaccard"]) for r in rows) / len(rows)
-        frac = sum(float(r["needle_fraction"]) for r in rows) / len(rows)
-        print(f"{policy:<14} {c:>3} {jac:>12.4f} {frac:>12.4f}")
+        print(f"{policy:<14} {c:>3} {jac:>12.4f}")
 
 
 if __name__ == "__main__":

@@ -3,12 +3,13 @@
 Subcommands: simulate | sweep | similarity | memory | needle | reuse-bench.
 Exit codes: 0 success, 1 internal error, 2 user/config error.  An output
 file kvlab cannot write (a directory in its place, say) exits 2 after the
-run, with a message naming the file.
+run, with a message naming the file; a closed stdout exits 0 quietly.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -88,7 +89,10 @@ def main(argv=None) -> int:
                 raise ValueError(f"the byte count {product} has over {limit} digits") from e
         else:
             lines = args.run(*_load(args))  # the paths written
-        print(*lines, sep="\n")
+        print(*lines, sep="\n", flush=True)
+        return 0
+    except BrokenPipeError:  # a closed stdout; fd 1 on devnull, so no exit-time flush fails again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ConfigError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -56,25 +56,21 @@ SCHEMA_VERSION = 1
 # other keys are NeedleCase fields
 PROMPT_KEYS = {
     "random": ("kind", "length", "seed"),
-    "tokens": ("kind", "tokens"),
     "needle": ("kind", "observe_rows"),
 }
 
 
 @dataclass(frozen=True)
 class PromptSpec:
-    kind: str  # random | tokens | needle
+    kind: str  # random | needle: a seeded draw of tokens, or of a needle's scores
     length: int = 0
     seed: int = 0
-    tokens: tuple[int, ...] = ()
     needle: Optional[NeedleCase] = None
     observe_rows: int = 8
 
     def __post_init__(self):
         if self.kind == "random" and self.length < 1:
             raise ValueError("random prompt needs length >= 1")
-        if self.kind == "tokens" and not self.tokens:
-            raise ValueError("tokens prompt must be non-empty")
         if self.observe_rows < 1:
             raise ValueError(f"observe_rows must be >= 1, got {self.observe_rows}")
         check_seed(self.seed)
@@ -199,8 +195,7 @@ def parse_prompt(doc) -> PromptSpec:
         case = _build(NeedleCase, {k: v for k, v in doc.items() if k not in keys}, "prompt")
         own = {k: v for k, v in doc.items() if k in keys}
         return _build(PromptSpec, own, "prompt", length=case.seq_len, seed=case.seed, needle=case)
-    spec = _build(PromptSpec, doc, "prompt", keys)
-    return replace(spec, length=len(spec.tokens)) if kind == "tokens" else spec
+    return _build(PromptSpec, doc, "prompt", keys)
 
 
 def parse_config(doc) -> ExperimentConfig:
@@ -222,8 +217,6 @@ def parse_config(doc) -> ExperimentConfig:
         )
     if cfg.reuse is not None:
         _require(1 <= cfg.reuse.n_reuse <= n_layers, "reuse.n_reuse outside [1, n_layers]")
-    for i, t in enumerate(cfg.prompt.tokens):
-        _require(0 <= t < cfg.model.vocab_size, f"prompt.tokens[{i}] outside [0, model.vocab_size)")
     sw = cfg.sweep
     if sw is not None:
         for f in fields(sw):
@@ -289,13 +282,10 @@ def load_config(path) -> ExperimentConfig:
 def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
     """cfg with its prompt seed replaced, needle case and echoed config included.
 
-    A tokens prompt draws nothing from a seed: once the seed is checked, cfg
-    is returned as it is, so a sweep's rows and echo do not move with it.
+    The rebuilt PromptSpec and NeedleCase check the seed, so one outside
+    Philox's key range raises `check_seed`'s ValueError.
     """
-    check_seed(seed)
     p = cfg.prompt
-    if p.kind == "tokens":
-        return cfg
     needle = replace(p.needle, seed=seed) if p.needle is not None else None
     raw = {**cfg.raw, "prompt": {**cfg.raw["prompt"], "seed": seed}}
     return replace(cfg, prompt=replace(p, seed=seed, needle=needle), raw=raw)
@@ -303,8 +293,6 @@ def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
 
 def prompt_tokens(cfg: ExperimentConfig) -> tuple[int, ...]:
     p = cfg.prompt
-    if p.kind == "tokens":
-        return p.tokens
     rng = np.random.Generator(np.random.Philox(key=p.seed))
     return tuple(int(t) for t in rng.integers(0, cfg.model.vocab_size, size=p.length))
 
@@ -593,15 +581,12 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[Optional[int], Optional[fl
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """[sweep.csv] in cell order, into `cli._load`'s out_dir; one prompt's source alive at once."""
+    """[sweep.csv] in cell order, into `cli._load`'s out_dir; one seed's source alive at once."""
     cells = _sweep_cells(cfg)
     rows = [None] * len(cells)
-    prompt = source = None
     for seed in dict.fromkeys(cell[3] for cell in cells):
-        seeded = override_seed(cfg, seed)
-        if seeded.prompt != prompt:
-            prompt, source = seeded.prompt, None  # drop the last source before building one
-            source = _source(seeded)
+        seeded, source = override_seed(cfg, seed), None  # drop the last source before building one
+        source = _source(seeded)
         for i, (c, r, n, s) in enumerate(cells):
             if s == seed:
                 rows[i] = run_sweep_cell(seeded, source, c, r, n, seed)

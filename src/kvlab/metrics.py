@@ -30,7 +30,6 @@ class NeedleCase:
     span_len: int
     signal: float
     seed: int = 0
-    noise: str = "uniform"  # or "gaussian"
     weak_offset: Optional[int] = None
 
     def __post_init__(self):
@@ -38,8 +37,6 @@ class NeedleCase:
             raise ValueError("span must be non-empty and start at >= 0")
         if self.span_start + self.span_len > self.seq_len:
             raise ValueError("span must lie within [0, seq_len)")
-        if self.noise not in ("uniform", "gaussian"):
-            raise ValueError("noise must be 'uniform' or 'gaussian'")
         if self.weak_offset is not None and not (0 <= self.weak_offset < self.span_len):
             raise ValueError("weak_offset must index into the span")
         with np.errstate(over="ignore"):
@@ -103,10 +100,7 @@ def make_needle_case(case: NeedleCase, observe_rows: int = 1) -> np.ndarray:
     observe_rows x seq_len matrix is read-only.
     """
     rng = np.random.Generator(np.random.Philox(key=case.seed))
-    if case.noise == "uniform":
-        scores = rng.uniform(0.0, 1.0, size=(observe_rows, case.seq_len))
-    else:
-        scores = np.abs(rng.normal(0.0, 1.0, size=(observe_rows, case.seq_len)))
+    scores = rng.uniform(0.0, 1.0, size=(observe_rows, case.seq_len))
     scores[:, case.span_start : case.span_start + case.span_len] += case.signal
     if case.weak_offset is not None:
         scores[:, case.span_start + case.weak_offset] = 0.0

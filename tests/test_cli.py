@@ -1,5 +1,4 @@
 import csv
-import hashlib
 import json
 import os
 import subprocess
@@ -27,8 +26,6 @@ def base_config(out_dir, **overrides):
     return cfg
 
 
-TOKENS_PROMPT = {"kind": "tokens", "tokens": [(7 * i) % 64 for i in range(40)]}
-
 NEEDLE_PROMPT = {
     "kind": "needle",
     "seq_len": 60,
@@ -52,6 +49,13 @@ def _count_prefills(monkeypatch) -> list:
 
     monkeypatch.setattr(kvlab.experiments, "prefill", counting)
     return calls
+
+
+def _src_env() -> dict:
+    """os.environ with this checkout's src first on PYTHONPATH, for a kvlab subprocess."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 def write_config(tmp_path, cfg):
@@ -273,6 +277,22 @@ class TestOutputPath:
         assert err == f"error: cannot write {out / 'report.json'}: {os.strerror(28)}\n"  # ENOSPC
         assert (out / "timings.json").is_file()
 
+    @pytest.mark.parametrize("command", ["memory", "simulate"])
+    def test_a_closed_stdout_exits_0_quietly(self, tmp_path, command):
+        # the paths are printed after every output file is written
+        args = ["--batch", "1", "--seq", "8", "--layers", "1", "--heads", "1", "--head-dim", "1"]
+        if command == "simulate":
+            args = ["--config", write_config(tmp_path, base_config(tmp_path / "out"))]
+        read, write = os.pipe()
+        os.close(read)
+        with os.fdopen(write, "wb") as stdout:
+            proc = subprocess.run(
+                [sys.executable, "-m", "kvlab.cli", command, *args],
+                stdout=stdout, stderr=subprocess.PIPE, env=_src_env(), timeout=60,
+            )
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert command == "memory" or (tmp_path / "out" / "report.json").is_file()
+
 
 class TestSweep:
     def test_row_count_product(self, tmp_path):
@@ -327,16 +347,6 @@ class TestSweep:
             (c, n, s) for c in "35" for n in "12" for s in "010"
         ]
 
-    def test_tokens_prompt_prefilled_once_for_all_seeds(self, tmp_path, monkeypatch):
-        # a tokens prompt draws nothing from the seed: one source serves every seed
-        calls = _count_prefills(monkeypatch)
-        cfg = base_config(tmp_path / "out", prompt=TOKENS_PROMPT, sweep={"seeds": [1, 2, 3]})
-        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
-        assert calls == [len(TOKENS_PROMPT["tokens"])]
-        digest = hashlib.sha256((tmp_path / "out" / "sweep.csv").read_bytes()).hexdigest()
-        # recorded while the sweep still prefilled the prompt once per seed
-        assert digest == "67c54b39f63ea92f9ee3f564c89303bed72e0460dd5cc486f93284a648f55e9c"
-
     def test_no_process_pool_is_loaded(self, tmp_path):
         # a process pool's modules cost every command about 30 ms of imports
         path = write_config(tmp_path, base_config(tmp_path / "out", sweep={"seeds": [0, 1]}))
@@ -346,9 +356,9 @@ class TestSweep:
             f"assert kvlab.cli.main(['sweep', '--config', {path!r}]) == 0\n"
             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))\n"
         )
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60)
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=_src_env(), capture_output=True, text=True, timeout=60
+        )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.splitlines()[-1] == "[]"  # after the path sweep prints
 
@@ -464,19 +474,6 @@ class TestSeedOverride:
         want = (tmp_path / "f7" / "sweep.csv").read_bytes()
         assert (tmp_path / "out" / "sweep.csv").read_bytes() == want
 
-    def test_tokens_sweep_keeps_its_rows_under_seed(self, tmp_path):
-        # a tokens prompt draws nothing, so --seed changes no value, seed included
-        cfg = base_config(tmp_path / "out", prompt=TOKENS_PROMPT, sweep={"c": [3, 5]})
-        path = write_config(tmp_path, cfg)
-        outs = []
-        for name, seed in (("plain", []), ("seeded", ["--seed", "5"])):
-            out = tmp_path / name
-            assert main(["sweep", "--config", path, "--out", str(out), *seed]) == 0
-            with (out / "sweep.csv").open() as f:
-                outs.append(list(csv.DictReader(f)))
-        assert outs[0] == outs[1] and len(outs[0]) == 2 * len(cfg["policies"])
-        assert {r["seed"] for r in outs[1]} == {"0"}
-
     def test_seed_flag_with_sweep_seeds_exits_2(self, tmp_path, capsys):
         # the seeds axis sets every prompt seed, so a --seed would be dropped unseen
         cfg = base_config(tmp_path / "out", sweep={"c": [3, 5], "seeds": [3]})
@@ -490,15 +487,14 @@ class TestSeedOverride:
     @pytest.mark.parametrize("seed", [[], ["--seed", "5"]], ids=["file-seed", "cli-seed"])
     @pytest.mark.parametrize(
         "prompt",
-        [{"kind": "random", "length": 48, "seed": 1}, TOKENS_PROMPT, NEEDLE_PROMPT],
-        ids=["random", "tokens", "needle"],
+        [{"kind": "random", "length": 48, "seed": 1}, NEEDLE_PROMPT],
+        ids=["random", "needle"],
     )
     def test_echoed_config_parses_again(self, tmp_path, prompt, seed):
         cfg = base_config(tmp_path / "out", prompt=prompt)
         assert main(["simulate", "--config", write_config(tmp_path, cfg), *seed]) == 0
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
-        seeded = seed and prompt is not TOKENS_PROMPT  # a tokens prompt has no seed to echo
-        assert echo["prompt"] == ({**prompt, "seed": 5} if seeded else prompt)
+        assert echo["prompt"] == ({**prompt, "seed": 5} if seed else prompt)
         parse_config(echo)
 
 
@@ -717,10 +713,6 @@ class TestConfigTypes:
                 "prompt.length",
             ),
             (
-                lambda out: base_config(out, prompt={"kind": "tokens", "tokens": ["1", 2]}),
-                "prompt.tokens[0]",
-            ),
-            (
                 lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": []}),
                 "prompt.seq_len",
             ),
@@ -728,14 +720,20 @@ class TestConfigTypes:
                 lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "weak_offset": "2"}),
                 "prompt.weak_offset",
             ),
+            (lambda out: _with_seed(out, "prompt", "1"), "prompt.seed"),
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "signal": "60"}),
+                "prompt.signal",
+            ),
             (lambda out: {**base_config(out), "out_dir": 5}, "out_dir"),
         ],
         ids=[
             "ratio-string", "w-string", "c-float", "reuse-int", "budget-list",
             "policy-int", "policies-object", "model-list", "prompt-list",
             "sweep-list", "sink-string", "sink-null", "skew-string", "head-pool-string",
-            "n-layers-float", "model-seed-string", "sweep-c-float", "length-string", "token-string",
-            "seq-len-list", "weak-offset-string", "out-dir-int",
+            "n-layers-float", "model-seed-string", "sweep-c-float", "length-string",
+            "seq-len-list", "weak-offset-string", "prompt-seed-string", "signal-string",
+            "out-dir-int",
         ],
     )
     def test_wrong_type_exits_2_naming_field(self, tmp_path, capsys, make_cfg, field):
@@ -867,12 +865,17 @@ class TestRangeErrorsBeforePrefill:
                 "prompt: signal",
             ),
             (
-                lambda out: base_config(out, prompt={"kind": "tokens", "tokens": [1, 99, 2]}),
-                "prompt.tokens[1]",
+                lambda out: base_config(out, prompt={"kind": "random", "length": 0, "seed": 1}),
+                "prompt: random prompt needs length >= 1",
+            ),
+            # span 20..24 of a 60-token prompt, moved or widened past its end
+            (
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "span_start": 56}),
+                "prompt: span must lie within [0, seq_len)",
             ),
             (
-                lambda out: base_config(out, prompt={"kind": "tokens", "tokens": [1, 2, -1]}),
-                "prompt.tokens[2]",
+                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "weak_offset": 5}),
+                "prompt: weak_offset must index into the span",
             ),
             # sizes past numpy's index-sized integers: no array of them can be made
             (lambda out: _with_model(out, n_layers=2**70), "model.n_layers"),
@@ -923,7 +926,8 @@ class TestRangeErrorsBeforePrefill:
             "streaming-ratio-huge-length", "model-seed-negative", "model-seed-huge",
             "prompt-seed-negative", "prompt-seed-2-to-128", "needle-seed-negative",
             "sweep-seed-negative", "pyramid-max-len-below-w-plus-c", "needle-signal-float32-inf",
-            "token-above-vocab", "token-negative", "n-layers-2-to-70", "n-heads-2-to-70",
+            "random-length-zero", "needle-span-past-seq-len", "needle-weak-offset-past-span",
+            "n-layers-2-to-70", "n-heads-2-to-70",
             "head-dim-2-to-70", "vocab-size-2-to-70", "n-layers-2-to-62", "n-heads-2-to-62",
             "head-dim-2-to-62", "vocab-size-2-to-62", "length-2-to-70", "seq-len-2-to-70",
             "length-2-to-62", "seq-len-2-to-62", "observe-rows-times-seq-len-2-to-62",
@@ -1027,8 +1031,8 @@ class TestUnknownKeys:
                 lambda out: base_config(out, prompt={"kind": "random", "length": 48, "seeds": 7}),
                 "prompt.seeds",
             ),
-            (lambda out: base_config(out, prompt={**TOKENS_PROMPT, "seed": 7}), "prompt.seed"),
             (lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "sead": 7}), "prompt.sead"),
+            (lambda out: base_config(out, sweep={"seed": [1, 2]}), "sweep.seed"),
             (
                 lambda out: _with_policy(out, "SnapKVStyle", pool_widht=3),
                 "policies[0].pool_widht",
@@ -1054,7 +1058,7 @@ class TestUnknownKeys:
             ),
         ],
         ids=[
-            "top-level", "model", "random-prompt", "tokens-prompt", "needle-prompt",
+            "top-level", "model", "random-prompt", "needle-prompt", "sweep-axis",
             "policy", "hybrid-inner-b", "budget", "reuse", "score-mode", "hybrid-inner-a-score-mode",
         ],
     )
@@ -1064,6 +1068,25 @@ class TestUnknownKeys:
         err = capsys.readouterr().err
         assert f"error: unknown field {path}\n" in err
         assert "internal error" not in err
+
+    @pytest.mark.parametrize(
+        "prompt, message",
+        [
+            ({"kind": "tokens", "tokens": [1, 2, 3]}, "unknown prompt kind 'tokens'"),
+            ({**NEEDLE_PROMPT, "noise": "uniform"}, "unknown field prompt.noise"),
+        ],
+        ids=["tokens-kind", "needle-noise"],
+    )
+    def test_removed_prompt_inputs_exit_2_before_prefill(
+        self, tmp_path, capsys, monkeypatch, prompt, message
+    ):
+        # every prompt is a seeded draw, and a needle's noise is uniform
+        calls = _count_prefills(monkeypatch)
+        cfg = base_config(tmp_path / "out", prompt=prompt)
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestNeedleCommand:
@@ -1077,16 +1100,6 @@ class TestNeedleCommand:
         out = json.loads((tmp_path / "out" / "needle.json").read_text())
         chunk = next(p for p in out["policies"] if p["policy"] == "ChunkKV")
         assert chunk["intact_all_layers"] is True
-
-    def test_case_block_records_noise(self, tmp_path):
-        weak = {**NEEDLE_PROMPT, "signal": 0.3, "seed": 2, "observe_rows": 4}
-        outs = []
-        for noise in ("uniform", "gaussian"):
-            cfg = base_config(tmp_path / noise, prompt={**weak, "noise": noise})
-            assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 0
-            outs.append((tmp_path / noise / "needle.json").read_text())
-            assert json.loads(outs[-1])["case"]["noise"] == noise
-        assert outs[0] != outs[1]
 
     def test_requires_needle_prompt(self, tmp_path):
         cfg = base_config(tmp_path / "out")

@@ -96,14 +96,14 @@ VALID = [
         "model": {"n_layers": 2, "n_heads": 1, "head_dim": 4, "vocab_size": 16},
         "prompt": {
             "kind": "needle", "seq_len": 30, "span_start": 5, "span_len": 3, "signal": 9,
-            "weak_offset": 1, "noise": "gaussian", "observe_rows": 2,
+            "weak_offset": 1, "observe_rows": 2,
         },
         "policies": [{"kind": "H2OStyle", "budget": {"max_len": 12, "w": 2, "c": 3}}],
     },
     {
         "schema": 1,
         "model": {"n_layers": 2, "n_heads": 1, "head_dim": 4, "vocab_size": 16},
-        "prompt": {"kind": "tokens", "tokens": [1, 2, 3, 4, 5, 6, 7, 8]},
+        "prompt": {"kind": "random", "length": 8},
         "policies": [{"kind": "ChunkKV", "budget": _budget(), "head_pool": True}],
         "out_dir": "out",
     },
@@ -286,10 +286,6 @@ def command_docs(draw):
             optional={"seed": st.integers(0, 3)},
         ),
         st.fixed_dictionaries({
-            "kind": st.just("tokens"),
-            "tokens": st.lists(st.integers(0, 15), min_size=length, max_size=length),
-        }),
-        st.fixed_dictionaries({
             "kind": st.just("needle"),
             "seq_len": st.just(length),
             "span_start": st.integers(0, length - span_len),
@@ -297,7 +293,6 @@ def command_docs(draw):
             "signal": st.floats(0.0, 50.0),
         }, optional={
             "weak_offset": st.integers(0, span_len - 1),
-            "noise": st.sampled_from(["uniform", "gaussian"]),
             "observe_rows": st.integers(1, 8),
             "seed": st.integers(0, 3),
         }),

@@ -57,10 +57,10 @@ DIGESTS = {
     # needle.json reads the kept sets report.json does, under the same reuse
     # plan; at signal 60 every layer keeps the same share of the span whether
     # it is compressed or copied, so n_reuse 2 writes the bytes of n_reuse 1.
-    # Re-recorded when the `case` block gained the needle's `noise` field;
-    # the `policies` block kept every byte.
-    ("needle", "needle", 1): "d9b9d11acc66f9e77f953e42bded647627b6c24f5d36297a83e8d2cff8ca926f",
-    ("needle", "needle", 2): "d9b9d11acc66f9e77f953e42bded647627b6c24f5d36297a83e8d2cff8ca926f",
+    # Re-recorded when the `case` block lost the needle's `noise` field (the
+    # noise is always uniform); the `policies` block kept every byte.
+    ("needle", "needle", 1): "3efc76d2f746d3b388344fe51aec0b9f30edd42d6fde5fabe408a00a7ce753fc",
+    ("needle", "needle", 2): "3efc76d2f746d3b388344fe51aec0b9f30edd42d6fde5fabe408a00a7ce753fc",
 }
 
 OUTPUT = {"simulate": "report.json", "needle": "needle.json"}

@@ -21,7 +21,7 @@ ROOT = Path(__file__).resolve().parents[1]
 
 # Names gone before this test existed: earlier refactors deleted them and the
 # tracer still lists them.  The benchmark change that mends perfbench/ (ROADMAP
-# item 5) shrinks this list; no other change may grow it.
+# item 6) shrinks this list; no other change may grow it.
 KNOWN_MISSING = {
     "kvlab.policies.matmul_transposed",
     "kvlab.policies.causal_softmax_rows",
