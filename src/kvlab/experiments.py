@@ -233,7 +233,7 @@ def parse_config(doc) -> ExperimentConfig:
     _check_budgets(cfg)
     name = "prompt.seq_len" if cfg.prompt.needle else "prompt.length"
     _require_bytes(name, 8 * cfg.prompt.length)  # int64 tokens, or a needle's float64 score row
-    for i, spec in enumerate(cfg.policies):  # bounds the modeled compress cost, a float
+    for i, spec in enumerate(cfg.policies):  # bounds sweep.csv's micros_compress, a float
         cost = n_layers * cfg.model.n_heads * spec.budget.w * cfg.prompt.length
         _require(cost <= sys.float_info.max, f"policies[{i}].budget.w: its modeled cost overflows")
     if cfg.prompt.needle:  # the float64 score draw
@@ -352,11 +352,11 @@ def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]]) -> dict:
 
 @dataclass(frozen=True)
 class _Measured:
-    """One policy's kept sets under a reuse plan, and what they measure, rounded as written.
+    """One policy's kept sets under a reuse plan, what was measured on them, and their timings.
 
-    `simulate`, `sweep` and `needle` copy these fields.  Only report.json's
-    kept-set digests and similarity matrix, and a trace sweep's synthetic
-    needle columns, are built from the kept sets elsewhere.
+    `simulate`, `sweep` and `needle` copy these fields, rounded as written.
+    Only report.json's kept-set digests and similarity matrix, and a sweep's
+    synthetic needle and modeled cost columns, are built elsewhere.
     """
 
     spec: PolicySpec
@@ -366,8 +366,6 @@ class _Measured:
     # head-0 needle retention (needle prompts): the layer mean, whether every
     # layer kept the whole span, and each layer's (fraction, intact)
     needle: Optional[tuple[float, bool, list[tuple[float, bool]]]]
-    speedup_estimate: float  # the modeled compress cost at n_reuse 1 over that at n_reuse
-    micros_compress: float  # the modeled compress cost at n_reuse
     select_s: float
     fidelity_s: float
 
@@ -375,11 +373,10 @@ class _Measured:
 def _measure(
     cfg: ExperimentConfig, source: PrefillTrace | ScoreMatrices, specs: Sequence, n_reuse: int
 ) -> list[_Measured]:
-    """Each spec's `run_with_reuse` kept sets on `_source(cfg)` under n_reuse, and their metrics."""
+    """Each spec's `run_with_reuse` kept sets under n_reuse, what they measure and their timings."""
     trace = source if isinstance(source, PrefillTrace) else None
     case = cfg.prompt.needle
-    n_layers, n_heads = cfg.model.n_layers, cfg.model.n_heads
-    plan = ReusePlan(n_layers=n_layers, n_reuse=n_reuse)
+    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
     out = []
     for spec in specs:
         t0 = time.perf_counter()
@@ -393,16 +390,12 @@ def _measure(
             fracs, intact = zip(*(needle_retention(k, case) for k in head0))
             per_layer = [(round(f, 6), i) for f, i in zip(fracs, intact)]
             needle = round(float(np.mean(fracs)), 6), all(intact), per_layer
-        # modeled cost: n_heads * max(w, 1) * T per compressed layer, n_heads per copied one
-        cost = float(n_heads * max(spec.budget.w, 1) * source.seq_len), float(n_heads)
         out.append(_Measured(
             spec,
             kept,
             round(adjacent_similarity(head0), 6) if len(head0) >= 2 else None,
             fidelity,
             needle,
-            round(speedup_estimate(n_layers, n_reuse, *cost), 6),
-            round(modeled_micros(n_layers, n_reuse, *cost), 3),
             select_s=t1 - t0,
             fidelity_s=t2 - t1,
         ))
@@ -435,8 +428,6 @@ def _policy_report(cfg: ExperimentConfig, m: _Measured, t_k: int) -> dict:
         frac, intact, per_layer = m.needle
         fracs = [f for f, _ in per_layer]
         rep["needle"] = {"fraction": frac, "intact_all_layers": intact, "per_layer_fraction": fracs}
-    if cfg.reuse is not None:
-        rep["speedup_estimate"] = m.speedup_estimate
     return rep
 
 
@@ -529,7 +520,8 @@ def run_sweep_cell(
     The needle columns are a needle prompt's retention as `simulate` reports
     it.  On a trace they are a synthetic score-level diagnostic: layer 0 of a
     chunk-aligned needle that depends only on the policy's c and the seed,
-    outside the reuse loop, built once per c in the cell.
+    outside the reuse loop, built once per c in the cell.  micros_compress is a
+    modeled cost: n_heads * max(w, 1) * T per anchor layer, n_heads per copied one.
     """
 
     @functools.cache
@@ -551,6 +543,7 @@ def run_sweep_cell(
             frac, intact = needle_retention(compress_layer(needle_scores, 0, m.spec)[0], case)
             frac = round(frac, 6)
         fidelity = m.fidelity or {"kv_l1": "", "attn_cos": ""}
+        cost = float(cfg.model.n_heads * max(b.w, 1) * source.seq_len), float(cfg.model.n_heads)
         rows.append({
             "policy": m.spec.name,
             "c": b.c,
@@ -562,7 +555,7 @@ def run_sweep_cell(
             "attn_cos": fidelity["attn_cos"],
             "needle_fraction": frac,
             "needle_intact": str(intact).lower(),
-            "micros_compress": m.micros_compress,
+            "micros_compress": round(modeled_micros(cfg.model.n_layers, n_reuse, *cost), 3),
         })
     return rows
 

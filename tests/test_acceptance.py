@@ -60,8 +60,10 @@ def _oracle_chunkkv(a: np.ndarray, c: int, w: int, max_len: int, t_k: int):
         sums.append(total)
     k = min((max_len - w) // c, len(bounds))
     best = None
-    for subset in itertools.combinations(range(len(bounds)), k):
-        tot = sum(sums[i] for i in subset)
+    # combinations(sums, k) yields, in step, each index subset's chunk sums in index order
+    subsets = itertools.combinations(range(len(bounds)), k)
+    for subset, vals in zip(subsets, itertools.combinations(sums, k)):
+        tot = sum(vals)
         if best is None or tot > best[0] or (tot == best[0] and subset < best[1]):
             best = (tot, subset)
     kept = set(range(t_k - w, t_k))

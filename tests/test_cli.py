@@ -9,6 +9,7 @@ import pytest
 
 from kvlab.cli import main
 from kvlab.experiments import ConfigError, parse_config
+from kvlab.reuse import speedup_estimate
 
 
 def base_config(out_dir, **overrides):
@@ -149,6 +150,17 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
         second = (tmp_path / "out2" / "report.json").read_bytes()
         assert first == second
+
+    def test_report_keys_do_not_depend_on_reuse(self, tmp_path):
+        # report.json holds what the run measured; no modeled reuse speedup
+        keys = {}
+        for name, extra in (("reuse", {"reuse": {"n_reuse": 2}}), ("none", {})):
+            cfg = base_config(tmp_path / name, **extra)
+            assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+            report = json.loads((tmp_path / name / "report.json").read_text())
+            keys[name] = [set(p) for p in report["policies"]]
+        want = {"policy", "layers", "similarity_matrix", "adjacent_jaccard", "fidelity"}
+        assert keys["reuse"] == keys["none"] == [want, want]
 
     def test_invalid_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.json"
@@ -1166,8 +1178,11 @@ class TestOneNeedleAnswer:
 
     def test_trace_sweep_rows_match_simulate(self, tmp_path):
         # a random prompt: Jaccard and fidelity are simulate's, and the modeled
-        # cost at n_reuse 1 over that at n_reuse n is simulate's speedup_estimate
+        # cost at n_reuse 1 over that at n_reuse n is `speedup_estimate` of
+        # n_heads * max(w, 1) * T per anchor layer and n_heads per copied one
         prompt = {"kind": "random", "length": 48}
+        n_layers, n_heads, w, t = 4, 2, 4, 48  # base_config's model, POLICIES' w
+        cost = float(n_heads * max(w, 1) * t), float(n_heads)
         for got, reps, fresh in self._sweep_and_simulate(tmp_path, prompt):
             for row, rep, base in zip(got, reps, fresh, strict=True):
                 assert row["policy"] == rep["policy"] == base["policy"]
@@ -1175,7 +1190,8 @@ class TestOneNeedleAnswer:
                 assert float(row["kv_l1"]) == rep["fidelity"]["kv_l1"]
                 assert float(row["attn_cos"]) == rep["fidelity"]["attn_cos"]
                 ratio = float(base["micros_compress"]) / float(row["micros_compress"])
-                assert round(ratio, 6) == rep["speedup_estimate"]
+                n = int(row["n_reuse"])
+                assert round(ratio, 6) == round(speedup_estimate(n_layers, n, *cost), 6)
 
 
 class TestReuseBench:

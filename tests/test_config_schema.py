@@ -447,15 +447,23 @@ def test_extreme_bases_run(base, command):
     assert _run(command, EXTREME_BASES[base]) == expected
 
 
+@st.composite
+def _extreme_edits(draw) -> tuple[int, list]:
+    """A base index and one or two distinct slots of that base, each with its own extreme."""
+    base = draw(st.sampled_from(range(len(EXTREME_BASES))))
+    slots = [(path, key) for i, path, key in EXTREME_SLOTS if i == base]
+    first = draw(st.sampled_from(slots))
+    rest = [s for s in slots if s != first]
+    picked = [first, *draw(st.lists(st.sampled_from(rest), max_size=1))]
+    return base, [(path, key, draw(st.sampled_from(EXTREMES))) for path, key in picked]
+
+
 @settings(max_examples=150, deadline=None)
-@given(
-    slot=st.sampled_from(EXTREME_SLOTS),
-    value=st.sampled_from(EXTREMES),
-    command=st.sampled_from(COMMANDS),
-)
-def test_every_command_exits_0_or_2_at_the_extremes(slot, value, command):
-    base, path, key = slot
+@given(edits=_extreme_edits(), command=st.sampled_from(COMMANDS))
+def test_every_command_exits_0_or_2_at_the_extremes(edits, command):
+    base, slots = edits
     doc = copy.deepcopy(EXTREME_BASES[base])
-    _node(doc, path)[key] = value
+    for path, key, value in slots:
+        _node(doc, path)[key] = value
     code, err = _run(command, doc)
     assert code in (0, 2), err

@@ -48,12 +48,15 @@ PROMPTS = {
     },
 }
 
-# (command, prompt, n_reuse) -> sha256 of the written file
+# (command, prompt, n_reuse) -> sha256 of the written file.  The simulate
+# digests were re-recorded when report.json lost each policy's modeled
+# `speedup_estimate`: the old report with that key popped from every policy
+# and dumped again is byte-equal to the new one.
 DIGESTS = {
-    ("simulate", "random", 1): "809d01d284dc5c71cab55a33efbd72f320cb76d43cf149311824551337045ed0",
-    ("simulate", "random", 2): "285a64bad04cece0c43d770b4d6aa8b6224ed020722931d4fabcfd442bbdd3ac",
-    ("simulate", "needle", 1): "8ca65d3efa5c3dd9ee3f267e07f591581734384cb32d90f847660657c041a9c8",
-    ("simulate", "needle", 2): "9b2c31bf0228d218cb9010a42def0e94eb00697be97c5c18518c3d4f424489a2",
+    ("simulate", "random", 1): "e805decc45320018c5cd1d5b44a6604b2342d33427a248d4b53f9337f09f0086",
+    ("simulate", "random", 2): "fb7873844bd69c46c38bb202f8d253945bf04f5a2c4db70c205881754abf8888",
+    ("simulate", "needle", 1): "9b332ceb2bdd982fa4aa0e32569edd183267746dc25563c01a887025d18f6acb",
+    ("simulate", "needle", 2): "5411971dd1be7eb5f6f23a9c8cbbfc48bdd82bc39886f6b974f4af9397589e60",
     # needle.json reads the kept sets report.json does, under the same reuse
     # plan; at signal 60 every layer keeps the same share of the span whether
     # it is compressed or copied, so n_reuse 2 writes the bytes of n_reuse 1.
