@@ -127,7 +127,6 @@ _JSON_TYPES = {
     float: "a finite number",
     str: "a string",
     bool: "true or false",
-    dict: "a JSON object",
 }
 
 

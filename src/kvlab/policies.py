@@ -1,4 +1,4 @@
-"""Eviction policies behind one dispatch.
+"""Eviction policies behind one dispatch and one selection routine.
 
 `compress_layer(source, layer, spec)` is the only place a policy kind picks
 its scoring rule.  A source is either a `PrefillTrace`, whose scores are the
@@ -6,13 +6,13 @@ causal softmax rows of each (layer, head)'s observe window, or
 `ScoreMatrices`, a synthetic one-head source (needle prompts) that hands
 every policy the same matrix per layer.
 
-Chunk-based compression keeps whole contiguous chunks scored by summed
-observe-window attention, always unioned with the most recent w positions
-(mask semantics: the kept count may fall below the budget when selected
-chunks overlap the recent window).  The baseline families are policy-level
-stand-ins: sink+recent streaming, cumulative-score heavy hitters,
-observe-window pooled top-k, layer-decaying budgets, and a depth-split
-hybrid of two inner policies.
+`chunkkv_from_scores` alone turns scores into a kept set: the top chunks by
+summed score, unioned with the last w positions (mask semantics: the kept
+count may fall below the budget when chosen chunks overlap that window).
+ChunkKV feeds it observe-window rows; the other kinds feed it one-position
+chunks: pooled observe-window column mass (SnapKVStyle, PyramidStyle with
+layer-decaying budgets), cumulative attention (H2OStyle) or a mask on the
+first sink positions (StreamingStyle).  Hybrid splits the layers.
 """
 
 from __future__ import annotations
@@ -106,8 +106,9 @@ def chunk_scores(a: np.ndarray, c: int) -> np.ndarray:
         raise ValueError("chunk size must be >= 1")
     t = a.shape[1]
     col_sums = a.sum(axis=0, dtype=np.float64)
-    c = min(c, t) or 1  # a chunk wider than the prompt is the whole prompt
-    return np.add.reduceat(col_sums, np.arange(0, t, c)) if t else np.zeros(0)
+    if c == 1 or t == 0:  # one-position chunks sum to the column sums; T = 0 has no chunks
+        return col_sums
+    return np.add.reduceat(col_sums, np.arange(0, t, min(c, t)))  # c > T: the whole prompt
 
 
 def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
@@ -116,34 +117,30 @@ def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
     return np.sort(order[:k])
 
 
-def _with_recent(picked, recent: int, t_k: int) -> KeptIndices:
-    """The picked positions unioned with the last `recent` of t_k positions."""
-    return KeptIndices.from_iterable([*picked, *range(max(t_k - recent, 0), t_k)])
+def chunkkv_from_scores(a: np.ndarray, c: int, w: int, max_len: int) -> KeptIndices:
+    """The top (max_len - w) // c chunks of a, ties toward the earlier, plus the last w.
 
-
-def chunkkv_from_scores(a: np.ndarray, c: int, w: int, max_len: int, t_k: int) -> KeptIndices:
-    """Mask-based chunk compression over a precomputed score matrix."""
+    T is a's width, and a budget that covers T keeps the whole prompt.
+    """
+    t = a.shape[1]
     if w > max_len:
         raise ValueError("observe window exceeds budget")
-    if max_len >= t_k:
-        return KeptIndices.from_iterable(range(t_k))
+    if max_len >= t:
+        return KeptIndices.from_iterable(range(t))
     chunks = _top_k_stable(chunk_scores(a, c), (max_len - w) // c).tolist()
-    picked = [p for i in chunks for p in range(i * c, min(i * c + c, t_k))]
-    return _with_recent(picked, w, t_k)
+    # one-position chunks are their own positions: no range per chosen token
+    picked = [p for i in chunks for p in range(i * c, min(i * c + c, t))] if c > 1 else chunks
+    return KeptIndices.from_iterable([*picked, *range(t - w, t)])
 
 
-def topk_from_scores(col_scores: np.ndarray, w: int, max_len: int, t_k: int) -> KeptIndices:
-    """Token-level top-k over per-position scores, unioned with the last w."""
-    if w > max_len:
-        raise ValueError("observe window exceeds budget")
-    if max_len >= t_k:
-        return KeptIndices.from_iterable(range(t_k))
-    return _with_recent(_top_k_stable(col_scores, max_len - w).tolist(), w, t_k)
+def topk_from_scores(col_scores: np.ndarray, w: int, max_len: int) -> KeptIndices:
+    """Token-level top-k over per-position scores, unioned with the last w: one-position chunks."""
+    return chunkkv_from_scores(np.asarray(col_scores)[None], 1, w, max_len)
 
 
 def streaming_compress(t_k: int, sink: int, max_len: int) -> KeptIndices:
-    """The first sink positions plus the most recent max_len - sink, no scores consulted."""
-    return _with_recent(range(sink), max_len - sink, t_k)
+    """The first sink of t_k positions plus the most recent max_len - sink: top-k on a sink mask."""
+    return topk_from_scores(np.arange(t_k) < sink, max_len - sink, max_len)
 
 
 def positional_exposure(t_k: int) -> np.ndarray:
@@ -318,17 +315,15 @@ def compress_layer(
             raise ValueError("H2OStyle reads col_mass, which this trace was prefilled without")
         else:
             scores = h2o_scores(np.stack(source.col_mass[layer]), spec.h2o_normalize)
-        select = lambda col: topk_from_scores(col, b.w, max_len, t_k)
+        select = lambda col: topk_from_scores(col, b.w, max_len)
     else:
         mats = [_scores(source, layer, h, b.w) for h in heads]
         if spec.kind == "ChunkKV":
             scores = mats
-            select = lambda a: chunkkv_from_scores(a, b.c, b.w, max_len, t_k)
+            select = lambda a: chunkkv_from_scores(a, b.c, b.w, max_len)
         else:  # SnapKVStyle, PyramidStyle: max-pooled observe-window column mass
             scores = [m.sum(axis=0, dtype=np.float64) for m in mats]
-            select = lambda col: topk_from_scores(
-                max_pool_1d(col, spec.pool_width), b.w, max_len, t_k
-            )
+            select = lambda col: topk_from_scores(max_pool_1d(col, spec.pool_width), b.w, max_len)
     if spec.head_pool:
         return [select(np.mean(scores, axis=0))] * len(heads)
     return [select(s) for s in scores]

@@ -82,7 +82,7 @@ def test_criterion_3_chunkkv_oracle_equivalence():
         w = int(rng.choice([0, 1, 2]))
         max_len = int(rng.integers(max(w, 1), t_k + 1))
         a = rng.uniform(0, 1, size=(max(w, 1), t_k)).astype(np.float32)
-        got = chunkkv_from_scores(a, c, w, max_len, t_k).as_set()
+        got = chunkkv_from_scores(a, c, w, max_len).as_set()
         if max_len >= t_k:
             want = set(range(t_k))
         else:
@@ -150,7 +150,7 @@ def test_criterion_5_chunk_integrity():
         w = int(rng.integers(0, 4))
         max_len = int(rng.integers(max(w, 1), t_k))
         a = rng.uniform(0, 1, size=(max(w, 1), t_k)).astype(np.float32)
-        kept = chunkkv_from_scores(a, c, w, max_len, t_k)
+        kept = chunkkv_from_scores(a, c, w, max_len)
         recent = set(range(t_k - w, t_k))
         kept_set = kept.as_set()
         for pos in kept_set - recent:
@@ -206,7 +206,7 @@ def test_criterion_8_needle_intactness():
     for seed in range(100):
         dominant = NeedleCase(seq_len=t, span_start=20, span_len=c, signal=float(t), seed=seed)
         a = make_needle_case(dominant, observe_rows=w)
-        kept = chunkkv_from_scores(a, c, w, budget, t)
+        kept = chunkkv_from_scores(a, c, w, budget)
         _, intact = needle_retention(kept, dominant)
         assert intact
         chunk_ok += 1
@@ -216,7 +216,7 @@ def test_criterion_8_needle_intactness():
         )
         aw = make_needle_case(weak, observe_rows=w)
         col = aw.sum(axis=0, dtype=np.float64)
-        kept_tok = topk_from_scores(col, w, token_budget, t)
+        kept_tok = topk_from_scores(col, w, token_budget)
         _, intact_tok = needle_retention(kept_tok, weak)
         assert not intact_tok
         token_fail += 1

@@ -133,22 +133,22 @@ class TestSelectChunks:
 class TestChunkKV:
     def test_worked_example(self):
         a = np.array([[0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]], dtype=np.float32)
-        kept = chunkkv_from_scores(a, c=2, w=2, max_len=6, t_k=8)
+        kept = chunkkv_from_scores(a, c=2, w=2, max_len=6)
         assert kept.positions == (2, 3, 6, 7)
 
     def test_identity_when_budget_covers(self):
         a = random_scores(2, 10, 0)
-        kept = chunkkv_from_scores(a, c=3, w=2, max_len=10, t_k=10)
+        kept = chunkkv_from_scores(a, c=3, w=2, max_len=10)
         assert kept.positions == tuple(range(10))
 
     def test_uniform_tie_break(self):
         a = np.ones((1, 9), dtype=np.float32)
-        kept = chunkkv_from_scores(a, c=3, w=0, max_len=6, t_k=9)
+        kept = chunkkv_from_scores(a, c=3, w=0, max_len=6)
         assert kept.positions == tuple(range(6))
 
     def test_w_exceeding_budget_raises(self):
         with pytest.raises(ValueError):
-            chunkkv_from_scores(random_scores(2, 10, 0), c=2, w=5, max_len=4, t_k=10)
+            chunkkv_from_scores(random_scores(2, 10, 0), c=2, w=5, max_len=4)
 
     @pytest.mark.parametrize("head_pool", [False, True])
     def test_zero_window_keeps_the_earliest_chunks(self, small_trace, head_pool):
@@ -178,7 +178,7 @@ class TestChunkKV:
     def test_chunk_integrity(self, t, c, w, seed, data):
         max_len = data.draw(st.integers(min_value=max(w, 1), max_value=t))
         a = random_scores(w, t, seed)
-        kept = chunkkv_from_scores(a, c, w, max_len, t)
+        kept = chunkkv_from_scores(a, c, w, max_len)
         if max_len >= t:
             assert kept.positions == tuple(range(t))
             return
@@ -201,26 +201,49 @@ class TestChunkKV:
         lo = max(w, 1)
         if lo + c >= t:
             return
-        small = chunkkv_from_scores(a, c, w, lo, t)
-        big = chunkkv_from_scores(a, c, w, lo + c, t)
+        small = chunkkv_from_scores(a, c, w, lo)
+        big = chunkkv_from_scores(a, c, w, lo + c)
         assert small.as_set() <= big.as_set()
 
     def test_score_shift_invariant_with_equal_chunks(self):
         rng = np.random.Generator(np.random.Philox(key=5))
         base = rng.uniform(0, 1, size=(2, 12)).astype(np.float32)
-        k1 = chunkkv_from_scores(base, c=3, w=0, max_len=6, t_k=12)
-        k2 = chunkkv_from_scores(base + np.float32(5.0), c=3, w=0, max_len=6, t_k=12)
+        k1 = chunkkv_from_scores(base, c=3, w=0, max_len=6)
+        k2 = chunkkv_from_scores(base + np.float32(5.0), c=3, w=0, max_len=6)
         assert k1.positions == k2.positions
 
     def test_score_shift_can_flip_with_short_final_chunk(self):
         # chunks (0,2),(2,4),(4,5): the short chunk wins raw sums but loses
         # once a constant inflates the full-length chunks
         a = np.array([[0.0, 0.0, 0.0, 0.0, 0.9]], dtype=np.float32)
-        k1 = chunkkv_from_scores(a, c=2, w=0, max_len=2, t_k=5)
+        k1 = chunkkv_from_scores(a, c=2, w=0, max_len=2)
         assert k1.positions == (4,)
         shifted = np.array([[1.0, 1.0, 1.0, 1.0, 1.9]], dtype=np.float32)
-        k2 = chunkkv_from_scores(shifted, c=2, w=0, max_len=2, t_k=5)
+        k2 = chunkkv_from_scores(shifted, c=2, w=0, max_len=2)
         assert k2.positions == (0, 1)
+
+    def test_short_last_chunk_scores_by_its_sum_not_its_mean(self):
+        # T mod c != 0: chunks (0,2),(2,4),(4,5); the short chunk sums one
+        # column, so summed scores rank it last where a mean rule ranks it first
+        a = np.array([[0.3, 0.3, 0.3, 0.3, 0.5]], dtype=np.float32)
+        sums = chunk_scores(a, c=2)
+        assert sums.tolist() == [2 * float(np.float32(0.3))] * 2 + [0.5]
+        assert chunkkv_from_scores(a, c=2, w=0, max_len=2).positions == (0, 1)
+        means = sums / np.array([2, 2, 1])
+        (best,) = top_chunks(means, 1)
+        assert tuple(range(2 * best, min(2 * best + 2, 5))) == (4,)
+
+    @pytest.mark.parametrize("w", range(9))
+    def test_one_position_chunks_keep_what_snapkv_p1_keeps(self, small_trace, w):
+        # ChunkKV (arXiv 2502.00299) at c = 1 is token-level SnapKV (arXiv
+        # 2404.14469): the same kept set for every layer and head
+        for max_len in range(9, small_trace.seq_len):
+            budget = BudgetSpec(max_len=max_len, w=w, c=1)
+            chunk = PolicySpec("ChunkKV", budget)
+            snap = PolicySpec("SnapKVStyle", budget, pool_width=1)
+            for l in range(small_trace.n_layers):
+                got = [k.positions for k in compress_layer(small_trace, l, chunk)]
+                assert got == [k.positions for k in compress_layer(small_trace, l, snap)]
 
 
 class TestStreaming:
@@ -232,6 +255,9 @@ class TestStreaming:
 
     def test_identity(self):
         assert streaming_compress(5, sink=2, max_len=8).positions == tuple(range(5))
+
+    def test_sink_past_the_prompt_keeps_only_prompt_positions(self):
+        assert streaming_compress(5, sink=8, max_len=6).positions == tuple(range(5))
 
     def test_budget_covers_all(self):
         spec = PolicySpec("StreamingStyle", BudgetSpec(max_len=8, w=0), sink=2)
@@ -283,6 +309,37 @@ class TestResolvedLayerBudgets:
             resolved_layer_budgets(spec, 4, 48)
 
 
+def topk_oracle(col, w, max_len):
+    """Brute-force token top-k: the first max_len - w by (-score, position), plus the last w."""
+    t = len(col)
+    if max_len >= t:
+        return set(range(t))
+    order = sorted(range(t), key=lambda j: (-col[j], j))
+    return set(order[: max_len - w]) | set(range(t - w, t))
+
+
+class TestTopK:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        col=st.lists(
+            st.one_of(
+                st.sampled_from([0.0, -0.0, 0.25, 1.0]),  # ties, and zeros of both signs
+                st.floats(allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        ),
+        data=st.data(),
+    )
+    def test_matches_sort_oracle(self, col, data):
+        t = len(col)
+        w = data.draw(st.integers(0, t), label="w")
+        max_len = data.draw(st.integers(w, t + 3), label="max_len")
+        kept = topk_from_scores(np.array(col), w, max_len)
+        assert kept.as_set() == topk_oracle(col, w, max_len)
+        assert all(p < t for p in kept)
+
+
 class TestH2O:
     def test_budget_covers_all(self, small_trace):
         spec = PolicySpec("H2OStyle", BudgetSpec(max_len=small_trace.seq_len, w=2))
@@ -296,7 +353,7 @@ class TestH2O:
         probs = causal_softmax_rows(raw, query_offset=0)
         for normalize in ("exposure", "none"):
             col = h2o_scores(probs.sum(axis=0, dtype=np.float64), normalize)
-            kept = topk_from_scores(col, w=2, max_len=4, t_k=t)
+            kept = topk_from_scores(col, w=2, max_len=4)
             assert 5 in kept.as_set()
 
     def test_sort_based_oracle(self, small_model, small_trace):
@@ -319,7 +376,7 @@ class TestSnapKV:
         spec = PolicySpec("SnapKVStyle", BudgetSpec(max_len=12, w=4), pool_width=1)
         kept = compress_layer(small_trace, 0, spec)[0]
         a = observe_scores(small_model, small_trace, 0, 0, 4, "softmax")
-        want = topk_from_scores(a.sum(axis=0, dtype=np.float64), 4, 12, small_trace.seq_len)
+        want = topk_from_scores(a.sum(axis=0, dtype=np.float64), 4, 12)
         assert kept.positions == want.positions
 
     def test_budget_covers_all(self, small_trace):
@@ -329,7 +386,7 @@ class TestSnapKV:
     def test_pooling_hand_case(self):
         pooled = max_pool_1d(np.array([0.0, 5.0, 0.0, 0.0]), 3)
         assert pooled.tolist() == [5.0, 5.0, 5.0, 0.0]
-        kept = topk_from_scores(pooled, w=0, max_len=2, t_k=4)
+        kept = topk_from_scores(pooled, w=0, max_len=2)
         assert kept.positions == (0, 1)
 
     def test_even_pool_width_rejected(self):
@@ -365,8 +422,8 @@ class TestSnapKV:
         w = data.draw(st.integers(0, n))
         max_len = data.draw(st.integers(w, n))
         assert (
-            topk_from_scores(got, w, max_len, n).positions
-            == topk_from_scores(want, w, max_len, n).positions
+            topk_from_scores(got, w, max_len).positions
+            == topk_from_scores(want, w, max_len).positions
         )
 
 
@@ -547,12 +604,12 @@ def test_needle_preservation_vs_token_policy():
     scores = noise.copy()
     scores[:, 10:15] += np.float32(t)
 
-    kept_chunk = chunkkv_from_scores(scores, c, w, max_len=w + c, t_k=t)
+    kept_chunk = chunkkv_from_scores(scores, c, w, max_len=w + c)
     assert set(span) <= kept_chunk.as_set()
 
     budget = w + len(span) - 1  # strictly between w and span + w
     col = scores.sum(axis=0, dtype=np.float64)
-    kept_token = topk_from_scores(col, w, budget, t)
+    kept_token = topk_from_scores(col, w, budget)
     assert not set(span) <= kept_token.as_set()
     assert len(set(span) & kept_token.as_set()) > 0
 
@@ -592,13 +649,13 @@ def test_score_source_matches_selection_primitives(kind, head_pool):
         if k == "FullKV":
             want = tuple(range(t))
         elif k == "ChunkKV":
-            want = chunkkv_from_scores(a, c, w, max_len, t).positions
+            want = chunkkv_from_scores(a, c, w, max_len).positions
         elif k == "SnapKVStyle":
-            want = topk_from_scores(max_pool_1d(col, 3), w, max_len, t).positions
+            want = topk_from_scores(max_pool_1d(col, 3), w, max_len).positions
         elif k == "PyramidStyle":
-            want = topk_from_scores(max_pool_1d(col, 3), w, pyramid[l], t).positions
+            want = topk_from_scores(max_pool_1d(col, 3), w, pyramid[l]).positions
         elif k == "H2OStyle":
-            want = topk_from_scores(col, w, max_len, t).positions
+            want = topk_from_scores(col, w, max_len).positions
         else:
             want = streaming_compress(t, 2, max_len).positions
         got = compress_layer(ScoreMatrices(mats), l, spec)
