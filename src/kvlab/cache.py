@@ -16,14 +16,12 @@ class KeptIndices:
 
     def __post_init__(self):
         pos = self.positions
-        if any(p < 0 for p in pos):
-            raise ValueError("positions must be non-negative")
-        if any(pos[i] >= pos[i + 1] for i in range(len(pos) - 1)):
-            raise ValueError("positions must be strictly increasing")
+        if list(pos) != sorted(set(pos)) or (pos and pos[0] < 0):
+            raise ValueError("positions must be non-negative and strictly increasing")
 
     @classmethod
     def from_iterable(cls, it: Iterable[int]) -> "KeptIndices":
-        return cls(tuple(sorted(set(int(p) for p in it))))
+        return cls(tuple(sorted(set(map(int, it)))))
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -1,3 +1,7 @@
+import importlib.util
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -47,3 +51,19 @@ def small_model():
 @pytest.fixture(scope="session")
 def small_trace(small_model):
     return prefill(small_model, random_tokens(64, 40, seed=5), observe_rows=40)
+
+
+@pytest.fixture
+def load_perfbench(monkeypatch):
+    """Import perfbench/NAME.py by file path; perfbench/ is only read, so no bytecode."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+
+    def load(name: str):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+        spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up here
+        spec.loader.exec_module(module)
+        return module
+
+    return load

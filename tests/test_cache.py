@@ -81,3 +81,44 @@ def test_kept_indices_reject_unsorted():
         KeptIndices((1, 1))
     with pytest.raises(ValueError):
         KeptIndices((-1,))
+
+
+def _loops_reject(pos) -> bool:
+    """The two per-position loops KeptIndices once checked with, as the oracle."""
+    return any(p < 0 for p in pos) or any(pos[i] >= pos[i + 1] for i in range(len(pos) - 1))
+
+
+_DRAWN = st.lists(st.integers(-3, 40), max_size=30)  # duplicates, any order, empty
+_ITERABLES = st.one_of(
+    _DRAWN,
+    _DRAWN.map(lambda xs: np.array(xs, dtype=np.int64)),
+    st.builds(range, st.integers(0, 40), st.integers(0, 40), st.sampled_from([-3, -1, 1, 2, 5])),
+)
+_TUPLES = st.one_of(
+    _DRAWN.map(tuple),
+    st.sets(st.integers(-3, 40), max_size=30).map(lambda s: tuple(sorted(s))),
+    st.sets(st.integers(0, 40), max_size=30).map(lambda s: tuple(np.array(sorted(s), np.int64))),
+)
+
+
+@given(_ITERABLES)
+def test_kept_indices_from_iterable_sorts_and_deduplicates(xs):
+    want = tuple(sorted(set(int(x) for x in xs)))
+    if _loops_reject(want):
+        with pytest.raises(ValueError):
+            KeptIndices.from_iterable(xs)
+        return
+    got = KeptIndices.from_iterable(xs).positions
+    assert got == want
+    assert all(type(p) is int for p in got)
+
+
+@given(_TUPLES)
+def test_kept_indices_reject_exactly_what_the_loops_rejected(pos):
+    if _loops_reject(pos):
+        with pytest.raises(
+            ValueError, match="^positions must be non-negative and strictly increasing$"
+        ):
+            KeptIndices(pos)
+    else:
+        assert KeptIndices(pos).positions == pos

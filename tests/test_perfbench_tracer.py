@@ -8,16 +8,11 @@ keeps the name but no longer calls through it (a direct import, or
 just as silently.
 """
 
-import importlib.util
 import json
-import sys
-from pathlib import Path
 
 import pytest
 
 from kvlab.cli import main
-
-ROOT = Path(__file__).resolve().parents[1]
 
 # Names gone before this test existed: earlier refactors deleted them and the
 # tracer still lists them.  The benchmark change that mends perfbench/ (ROADMAP
@@ -56,15 +51,8 @@ CALLED_LAYERS = (
 
 
 @pytest.fixture
-def tracer_module(monkeypatch):
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # perfbench/ is only read
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracer", ROOT / "perfbench" / "tracer.py"
-    )
-    module = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, module)  # dataclasses look their module up here
-    spec.loader.exec_module(module)
-    return module
+def tracer_module(load_perfbench):
+    return load_perfbench("tracer")
 
 
 def test_tracer_boundaries_resolve(tracer_module):
