@@ -22,7 +22,6 @@ from .experiments import (
     cmd_simulate,
     cmd_sweep,
     load_config,
-    override_seed,
 )
 
 
@@ -36,7 +35,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
-        p.add_argument("--seed", type=int, default=None, help="override the prompt seed")
         p.set_defaults(run=run)
 
     mem = sub.add_parser("memory", help="decode-stage KV cache byte count")
@@ -51,13 +49,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     cfg = load_config(args.config)
-    if args.seed is not None:
-        if args.command == "sweep" and cfg.sweep is not None and cfg.sweep.seeds:
-            raise ConfigError(f"--seed {args.seed} would be ignored: sweep.seeds sets every seed")
-        try:
-            cfg = override_seed(cfg, args.seed)
-        except ValueError as e:
-            raise ConfigError(f"--seed: {e}") from e
     out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -279,15 +279,10 @@ def load_config(path) -> ExperimentConfig:
 
 
 def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """cfg with its prompt seed replaced, needle case and echoed config included.
-
-    The rebuilt PromptSpec and NeedleCase check the seed, so one outside
-    Philox's key range raises `check_seed`'s ValueError.
-    """
+    """cfg at one `seeds` value of a sweep: prompt and needle seeds replaced, `raw` as written."""
     p = cfg.prompt
     needle = replace(p.needle, seed=seed) if p.needle is not None else None
-    raw = {**cfg.raw, "prompt": {**cfg.raw["prompt"], "seed": seed}}
-    return replace(cfg, prompt=replace(p, seed=seed, needle=needle), raw=raw)
+    return replace(cfg, prompt=replace(p, seed=seed, needle=needle))
 
 
 def prompt_tokens(cfg: ExperimentConfig) -> tuple[int, ...]:

@@ -1,11 +1,11 @@
 """Minimal deterministic dense linear algebra for the toy attention engine.
 
-Everything is float32 and accumulation order is fixed (row-major,
-left-to-right over the inner dimension), so results are bit-identical
-across runs and match a naive triple-loop reference exactly.  BLAS is not
-used: its blocked accumulation rounds differently.  The kernels take and
-return plain 2-D ndarrays; every array kvlab passes between modules is one,
-marked read-only (``flags.writeable = False``) by ``_frozen`` where it is made.
+Contractions are float32 and add in a fixed order (row-major, left to right
+over the inner dimension), so they are bit-identical across runs and match a
+naive triple-loop reference exactly; softmax row sums are numpy's pairwise
+sums over T (below).  BLAS is not used: its blocked accumulation rounds
+differently.  The kernels take and return plain 2-D ndarrays; every array
+kvlab passes between modules is one, made read-only by ``_frozen``.
 
 Every product sum is one ``np.einsum("ki,kj->ij", xt, yt)`` on k-major
 operands (``_contract``), with einsum's default ``optimize=False``, so numpy

@@ -356,14 +356,15 @@ def test_every_command_exits_0_or_2(command_out, doc, via_flag, seed):
             argv += ["--out", str(out_dir)]
         else:
             doc = {**doc, "out_dir": str(out_dir)}
-        if seed is not None:
-            argv += ["--seed", str(seed)]
+        if seed is not None:  # -1 lies outside Philox's key range
+            doc = {**doc, "prompt": {**doc["prompt"], "seed": seed}}
         (tmp / "config.json").write_text(json.dumps(doc))
         err = io.StringIO()
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
             code = main(argv)
     assert code in (0, 2), err.getvalue()
     assert out == "fresh" or code == 2, err.getvalue()
+    assert seed != -1 or code == 2, err.getvalue()
 
 
 def _half():

@@ -3,12 +3,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from kvlab.cache import BudgetSpec
 from kvlab.metrics import NeedleCase, make_needle_case
-from kvlab.model import prefill
+from kvlab.model import ModelConfig, init_model, prefill
 from kvlab.policies import (
     POLICY_KINDS,
     PolicySpec,
@@ -544,6 +544,79 @@ def test_budget_and_recency_law(kind, small_trace):
                 assert set(range(t - w, t)) <= ks.as_set()
                 pos = ks.positions
                 assert all(pos[i] < pos[i + 1] for i in range(len(pos) - 1))
+
+
+@pytest.fixture(scope="module")
+def law_model():
+    return init_model(ModelConfig(n_layers=4, n_heads=2, head_dim=8, vocab_size=64, seed=11))
+
+
+@st.composite
+def law_budgets(draw):
+    w, c = draw(st.integers(0, 8)), draw(st.integers(1, 12))
+    if draw(st.booleans()):
+        return BudgetSpec(ratio=draw(st.floats(0.01, 1.0)), w=w, c=c)
+    return BudgetSpec(max_len=w + draw(st.integers(0, 80)), w=w, c=c)
+
+
+LAW_PLAIN_SPECS = st.builds(
+    PolicySpec,
+    kind=st.sampled_from(ALL_KINDS),
+    budget=law_budgets(),
+    pool_width=st.sampled_from([1, 3, 5]),
+    sink=st.integers(0, 6),
+    skew=st.sampled_from([0.0, 0.3]),
+    head_pool=st.booleans(),
+    h2o_normalize=st.sampled_from(["exposure", "none"]),
+)
+LAW_SPECS = LAW_PLAIN_SPECS | st.builds(
+    PolicySpec,
+    kind=st.just("Hybrid"),
+    budget=law_budgets(),
+    split=st.integers(1, 4),
+    inner_a=LAW_PLAIN_SPECS,
+    inner_b=LAW_PLAIN_SPECS,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    spec=LAW_SPECS,
+    t=st.integers(1, 80),
+    seed=st.integers(0, 2**32),
+    n_reuse=st.integers(1, 4),
+)
+def test_policy_laws(law_model, spec, t, seed, n_reuse):
+    # budget, recency window, chunk integrity and reuse set-equality, per
+    # layer and head, on a 4-layer, 2-head prefill of a seeded prompt
+    try:
+        budgets = resolved_layer_budgets(spec, 4, t)
+    except ValueError:
+        assume(False)
+    trace = prefill(law_model, random_tokens(64, t, seed),
+                    max(1, observe_rows([spec])), reads_col_mass([spec]))
+    kept = run_with_reuse(trace, spec, ReusePlan(4, 1))
+    reused = run_with_reuse(trace, spec, ReusePlan(4, n_reuse))
+    for l in range(4):
+        layer = spec if spec.kind != "Hybrid" else spec.inner_a if l < spec.split else spec.inner_b
+        b = layer.budget
+        for h in range(2):
+            pos = kept[l][h].as_set()
+            if layer.kind == "FullKV" or budgets[l] >= t:
+                assert pos == set(range(t))
+            else:
+                assert len(pos) <= budgets[l]
+            if layer.kind == "StreamingStyle":
+                recent = range(max(0, t - (budgets[l] - layer.sink)), t)
+                assert pos == set(range(min(layer.sink, t))) | set(recent)
+            else:
+                assert set(range(t - min(b.w, t), t)) <= pos
+            if layer.kind == "ChunkKV":
+                for p in pos:
+                    if p < t - b.w:
+                        i = p // b.c
+                        assert set(range(i * b.c, min(i * b.c + b.c, t))) <= pos
+            assert reused[l][h] == kept[l - l % n_reuse][h]
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
