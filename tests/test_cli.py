@@ -3,12 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from kvlab.cli import main
-from kvlab.experiments import ConfigError, parse_config
+from kvlab.experiments import ConfigError, load_config, override_seed, parse_config
 from kvlab.reuse import speedup_estimate
 
 
@@ -456,15 +457,54 @@ class TestSeedOverride:
         [{"kind": "random", "length": 48, "seed": 1}, NEEDLE_PROMPT],
         ids=["random", "needle"],
     )
-    def test_echoed_config_parses_again(self, tmp_path, prompt):
-        # the echo is the file as written, minus out_dir
+    def test_report_echoes_effective_seed(self, tmp_path, prompt):
+        # the echo is the file as written, minus out_dir, so its seed is the one that ran
         path = write_config(tmp_path, base_config(tmp_path / "out", prompt=prompt))
         assert main(["simulate", "--config", path]) == 0
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
         written = json.loads(Path(path).read_text())
         del written["out_dir"]
         assert echo == written
-        parse_config(echo)
+        assert echo["prompt"]["seed"] == prompt["seed"]
+
+    @pytest.mark.parametrize(
+        "prompt",
+        [{"kind": "random", "length": 48, "seed": 1}, NEEDLE_PROMPT],
+        ids=["random", "needle"],
+    )
+    def test_echoed_config_parses_again(self, tmp_path, prompt):
+        # to the config that ran, all but out_dir
+        path = write_config(tmp_path, base_config(tmp_path / "out", prompt=prompt))
+        assert main(["simulate", "--config", path]) == 0
+        echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
+        ran = load_config(path)
+        again = parse_config(echo)
+        assert replace(again, raw=None) == replace(ran, out_dir=again.out_dir, raw=None)
+
+    @pytest.mark.parametrize("prompt", [None, NEEDLE_PROMPT], ids=["random", "needle"])
+    def test_override_seed_keeps_the_document_as_written(self, tmp_path, prompt):
+        # a sweep's seeds value reaches the prompt and its needle, not the echo
+        cfg = base_config(tmp_path / "out")
+        if prompt is not None:
+            cfg["prompt"] = prompt
+        loaded = load_config(write_config(tmp_path, cfg))
+        seeded = override_seed(loaded, 7)
+        assert seeded.prompt.seed == 7
+        assert seeded.prompt.needle is None or seeded.prompt.needle.seed == 7
+        assert seeded.raw == cfg
+        assert loaded.prompt.seed == cfg["prompt"]["seed"]
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "needle", "reuse-bench"])
+    def test_stale_seed_flag_exits_2_without_prefill(self, tmp_path, capsys, monkeypatch, command):
+        # the seed lives in the config; argparse rejects the old flag before any run
+        calls = _count_prefills(monkeypatch)
+        cfg = base_config(tmp_path / "out", prompt=NEEDLE_PROMPT, sweep={"c": [3]})
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--config", write_config(tmp_path, cfg), "--seed", "7"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 7" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
 
 
 class TestSimilarity:
