@@ -34,7 +34,7 @@ def build_parser() -> argparse.ArgumentParser:
                          (cmd_simulate, cmd_sweep, cmd_similarity, cmd_needle, cmd_reuse_bench)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
-        p.add_argument("--out", default=None, help="output directory (overrides config out_dir)")
+        p.add_argument("--out", default="out", help="output directory (default: out)")
         p.set_defaults(run=run)
 
     mem = sub.add_parser("memory", help="decode-stage KV cache byte count")
@@ -49,12 +49,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args):
     cfg = load_config(args.config)
-    out_dir = Path(args.out) if args.out else Path(cfg.out_dir)
+    out_dir = Path(args.out)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # a file in the way, at the path or above it
-        field = "--out" if args.out else "out_dir"
-        raise ConfigError(f"{field} {str(out_dir)!r} cannot be a directory: {e.strerror}") from e
+        raise ConfigError(f"--out {str(out_dir)!r} cannot be a directory: {e.strerror}") from e
     return cfg, out_dir
 
 

@@ -113,7 +113,6 @@ class ExperimentConfig:
     policies: tuple[PolicySpec, ...]
     reuse: Optional[ReuseSpec] = None
     sweep: Optional[SweepSpec] = None
-    out_dir: str = "out"
     raw: Optional[dict] = None
 
 
@@ -445,11 +444,9 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
         for m in measured
     ]
 
-    config_echo = dict(cfg.raw or {})
-    config_echo.pop("out_dir", None)  # output location is not experiment content
     report = {
         "artifact_version": __version__,
-        "config": config_echo,
+        "config": cfg.raw,
         "seq_len": t_k,
         "memory": {
             "full_cache_bytes": memory_bytes(

@@ -43,7 +43,7 @@ class PolicySpec:
 
     kind: str
     budget: BudgetSpec
-    pool_width: int = 1          # SnapKVStyle: odd 1-D max-pool width
+    pool_width: int = 1          # SnapKVStyle, PyramidStyle: odd 1-D max-pool width
     sink: int = 4                # StreamingStyle: initial tokens always kept
     skew: float = 0.0            # PyramidStyle: top/bottom budget skew in [0, 1)
     split: Optional[int] = None  # Hybrid: first split layers use inner_a

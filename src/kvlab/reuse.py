@@ -49,10 +49,8 @@ def run_with_reuse(
         raise ValueError("reuse plan layer count does not match source")
     out: list[list[KeptIndices]] = []
     for l in range(source.n_layers):
-        if l % plan.n_reuse == 0:
-            out.append(compress_layer(source, l, spec))
-        else:
-            out.append(list(out[plan.anchor(l)]))
+        a = plan.anchor(l)
+        out.append(compress_layer(source, l, spec) if a == l else list(out[a]))
     return out
 
 

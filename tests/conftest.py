@@ -5,6 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+sys.dont_write_bytecode = True  # the suite leaves no __pycache__ under src or perfbench
+
 from kvlab.model import ModelConfig, _forward, init_model, prefill
 from kvlab.numerics import _mm_t
 
@@ -55,8 +57,7 @@ def small_trace(small_model):
 
 @pytest.fixture
 def load_perfbench(monkeypatch):
-    """Import perfbench/NAME.py by file path; perfbench/ is only read, so no bytecode."""
-    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    """Import perfbench/NAME.py by file path."""
 
     def load(name: str):
         path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"

@@ -1,6 +1,7 @@
 """Every benchmark workload's output must match what perfbench/golden.json records.
 
-Each workload named in BENCHMARK.json is run in-process through ``kvlab.cli.main``
+Each workload named in BENCHMARK.json or recorded in golden.json (needle_scores,
+the one pin of ``kvlab needle`` at T=16384) is run in-process through ``kvlab.cli.main``
 at the recorded seed and checked by ``perfbench/check.py``: the rules that hold
 at every seed, plus the recorded digests of kept sets, fidelity values and sweep
 rows.  A change that moves one kept position fails here with the named field.
@@ -14,7 +15,9 @@ import pytest
 from kvlab.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
-WORKLOADS = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+BENCHMARKED = [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]]
+RECORDED = list(json.loads((ROOT / "perfbench" / "golden.json").read_text())["workloads"])
+WORKLOADS = list(dict.fromkeys(BENCHMARKED + RECORDED))
 
 
 @pytest.mark.parametrize("name", WORKLOADS)

@@ -3,7 +3,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,13 @@ from kvlab.experiments import ConfigError, load_config, override_seed, parse_con
 from kvlab.reuse import speedup_estimate
 
 
-def base_config(out_dir, **overrides):
+@pytest.fixture(autouse=True)
+def in_tmp_path(tmp_path, monkeypatch):
+    """Each test runs in its own tmp_path, where kvlab's default --out, `out`, lands."""
+    monkeypatch.chdir(tmp_path)
+
+
+def base_config(**overrides):
     cfg = {
         "schema": 1,
         "model": {"n_layers": 4, "n_heads": 2, "head_dim": 8, "vocab_size": 64, "seed": 3},
@@ -22,7 +27,6 @@ def base_config(out_dir, **overrides):
             {"kind": "ChunkKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}},
             {"kind": "SnapKVStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "pool_width": 3},
         ],
-        "out_dir": str(out_dir),
     }
     cfg.update(overrides)
     return cfg
@@ -54,10 +58,11 @@ def _count_prefills(monkeypatch) -> list:
 
 
 def _src_env() -> dict:
-    """os.environ with this checkout's src first on PYTHONPATH, for a kvlab subprocess."""
+    """os.environ with this checkout's src first on PYTHONPATH, for a kvlab subprocess
+    that writes no bytecode into src."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+    return {**os.environ, "PYTHONPATH": path, "PYTHONDONTWRITEBYTECODE": "1"}
 
 
 def write_config(tmp_path, cfg):
@@ -134,7 +139,6 @@ class TestMemoryCommand:
 class TestSimulate:
     def test_fullkv_ratio_one_everywhere(self, tmp_path):
         cfg = base_config(
-            tmp_path / "out",
             policies=[{"kind": "FullKV", "budget": {"ratio": 1.0, "w": 0, "c": 1}}],
         )
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
@@ -144,11 +148,10 @@ class TestSimulate:
                 assert all(h["ratio"] == 1.0 for h in layer["heads"])
 
     def test_reproducible_byte_identical(self, tmp_path):
-        cfg = base_config(tmp_path / "out1", reuse={"n_reuse": 2})
-        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        path = write_config(tmp_path, base_config(reuse={"n_reuse": 2}))
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out1")]) == 0
         first = (tmp_path / "out1" / "report.json").read_bytes()
-        cfg["out_dir"] = str(tmp_path / "out2")
-        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert main(["simulate", "--config", path, "--out", str(tmp_path / "out2")]) == 0
         second = (tmp_path / "out2" / "report.json").read_bytes()
         assert first == second
 
@@ -156,8 +159,8 @@ class TestSimulate:
         # report.json holds what the run measured; no modeled reuse speedup
         keys = {}
         for name, extra in (("reuse", {"reuse": {"n_reuse": 2}}), ("none", {})):
-            cfg = base_config(tmp_path / name, **extra)
-            assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+            path = write_config(tmp_path, base_config(**extra))
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / name)]) == 0
             report = json.loads((tmp_path / name / "report.json").read_text())
             keys[name] = [set(p) for p in report["policies"]]
         want = {"policy", "layers", "similarity_matrix", "adjacent_jaccard", "fidelity"}
@@ -170,7 +173,7 @@ class TestSimulate:
 
     def test_integer_too_long_to_parse_exits_2_naming_the_file(self, tmp_path, capsys):
         # json.loads refuses integers of more than 4300 digits with a ValueError
-        text = json.dumps(base_config(tmp_path / "out"))
+        text = json.dumps(base_config())
         p = tmp_path / "huge.json"
         p.write_text(text.replace('"seed": 3', '"seed": ' + "9" * 5000, 1))
         assert main(["simulate", "--config", str(p)]) == 2
@@ -186,7 +189,7 @@ class TestSimulate:
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
         monkeypatch.setattr(kvlab.experiments, "init_model", no_memory)
-        cfg = _with_model(tmp_path / "out", vocab_size=10**12)
+        cfg = _with_model(vocab_size=10**12)
         cfg["sweep"] = {"n_reuse": [1]}
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
@@ -200,7 +203,7 @@ class TestSimulate:
             raise MemoryError  # as `[x] * n` raises it, with no message
 
         monkeypatch.setattr(kvlab.experiments, "init_model", no_memory)
-        assert main(["simulate", "--config", write_config(tmp_path, base_config(tmp_path / "out"))]) == 2
+        assert main(["simulate", "--config", write_config(tmp_path, base_config())]) == 2
         err = capsys.readouterr().err
         assert err == "error: the config's sizes need more memory than can be allocated\n"
 
@@ -212,14 +215,14 @@ class TestSimulate:
             raise MemoryError("Unable to allocate 7.28 TiB for an array")
 
         monkeypatch.setattr(kvlab.experiments, "prompt_tokens", no_memory)
-        cfg = base_config(tmp_path / "out", prompt={"kind": "random", "length": 10**12, "seed": 1})
+        cfg = base_config(prompt={"kind": "random", "length": 10**12, "seed": 1})
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: the config's sizes need more memory than can be allocated")
         assert "internal error" not in err
 
     def test_timings_isolated(self, tmp_path):
-        cfg = base_config(tmp_path / "out")
+        cfg = base_config()
         main(["simulate", "--config", write_config(tmp_path, cfg)])
         report = (tmp_path / "out" / "report.json").read_text()
         assert "perf" not in report
@@ -233,7 +236,7 @@ class TestSimulate:
 
     def test_timings_keep_policies_of_one_kind(self, tmp_path):
         h2o = {"kind": "H2OStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}}
-        cfg = base_config(tmp_path / "out", policies=[h2o, {**h2o, "h2o_normalize": "none"}])
+        cfg = base_config(policies=[h2o, {**h2o, "h2o_normalize": "none"}])
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
         timings = json.loads((tmp_path / "out" / "timings.json").read_text())
         assert [p["policy"] for p in timings["policies"]] == ["H2OStyle", "H2OStyle"]
@@ -241,18 +244,25 @@ class TestSimulate:
 
 class TestOutputPath:
     @pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
-    @pytest.mark.parametrize("via_flag", [True, False], ids=["flag", "config"])
-    def test_a_file_in_the_way_exits_2_naming_the_field(self, tmp_path, capsys, below, via_flag):
+    def test_a_file_in_the_way_exits_2_naming_the_flag(self, tmp_path, capsys, below):
         afile = tmp_path / "afile"
         afile.write_text("kept")
         out = afile / "sub" if below else afile
-        cfg = base_config(tmp_path / "unused" if via_flag else out)
-        argv = ["simulate", "--config", write_config(tmp_path, cfg)]
-        assert main(argv + ["--out", str(out)] if via_flag else argv) == 2
+        argv = ["simulate", "--config", write_config(tmp_path, base_config()), "--out", str(out)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        field = "--out" if via_flag else "out_dir"
-        assert err.startswith(f"error: {field} {str(out)!r} cannot be a directory: ")
+        assert err.startswith(f"error: --out {str(out)!r} cannot be a directory: ")
         assert afile.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "needle", "reuse-bench"])
+    def test_out_dir_in_the_config_exits_2_without_prefill(self, tmp_path, capsys, monkeypatch, command):
+        # --out alone names the output directory; the schema refuses the old field
+        calls = _count_prefills(monkeypatch)
+        cfg = base_config(prompt=NEEDLE_PROMPT, sweep={"c": [3]}, out_dir=str(tmp_path / "old"))
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == "error: unknown field out_dir\n"
+        assert calls == []
+        assert not (tmp_path / "old").exists()
 
     @pytest.mark.parametrize(
         "command, overrides, output",
@@ -271,8 +281,8 @@ class TestOutputPath:
     ):
         out = tmp_path / "out"
         (out / output).mkdir(parents=True)
-        cfg = base_config(out, **overrides)
-        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        argv = [command, "--config", write_config(tmp_path, base_config(**overrides)), "--out", str(out)]
+        assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith(f"error: cannot write {out / output}: ")
         assert captured.out == ""
@@ -284,7 +294,7 @@ class TestOutputPath:
         out = tmp_path / "out"
         out.mkdir()
         (out / "report.json").symlink_to("/dev/full")
-        argv = ["simulate", "--config", write_config(tmp_path, base_config(out))]
+        argv = ["simulate", "--config", write_config(tmp_path, base_config()), "--out", str(out)]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err == f"error: cannot write {out / 'report.json'}: {os.strerror(28)}\n"  # ENOSPC
@@ -295,7 +305,7 @@ class TestOutputPath:
         # the paths are printed after every output file is written
         args = ["--batch", "1", "--seq", "8", "--layers", "1", "--heads", "1", "--head-dim", "1"]
         if command == "simulate":
-            args = ["--config", write_config(tmp_path, base_config(tmp_path / "out"))]
+            args = ["--config", write_config(tmp_path, base_config())]
         read, write = os.pipe()
         os.close(read)
         with os.fdopen(write, "wb") as stdout:
@@ -310,7 +320,6 @@ class TestOutputPath:
 class TestSweep:
     def test_row_count_product(self, tmp_path):
         cfg = base_config(
-            tmp_path / "out",
             sweep={"c": [3, 5], "ratio": [0.2], "n_reuse": [1], "seeds": [0, 1]},
         )
         cfg["policies"] = cfg["policies"][:1]
@@ -320,7 +329,7 @@ class TestSweep:
         assert len(rows) == 4
 
     def test_rectangular_csv(self, tmp_path):
-        cfg = base_config(tmp_path / "out", sweep={"c": [5], "seeds": [0, 1]})
+        cfg = base_config(sweep={"c": [5], "seeds": [0, 1]})
         main(["sweep", "--config", write_config(tmp_path, cfg)])
         with (tmp_path / "out" / "sweep.csv").open() as f:
             reader = csv.reader(f)
@@ -329,12 +338,11 @@ class TestSweep:
                 assert len(row) == len(header)
 
     def test_empty_axis_exit_2(self, tmp_path):
-        cfg = base_config(tmp_path / "out", sweep={"c": []})
+        cfg = base_config(sweep={"c": []})
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
 
     def test_needle_prompt_applies_n_reuse(self, tmp_path):
         cfg = base_config(
-            tmp_path / "out",
             prompt=NEEDLE_PROMPT,
             sweep={"c": [5], "ratio": [0.1], "n_reuse": [1, 4], "seeds": [0]},
         )
@@ -348,7 +356,6 @@ class TestSweep:
     def test_prefill_once_per_seed_rows_in_cell_order(self, tmp_path, monkeypatch):
         calls = _count_prefills(monkeypatch)
         cfg = base_config(
-            tmp_path / "out",
             sweep={"c": [3, 5], "n_reuse": [1, 2], "seeds": [0, 1, 0]},
         )
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
@@ -362,7 +369,7 @@ class TestSweep:
 
     def test_no_process_pool_is_loaded(self, tmp_path):
         # a process pool's modules cost every command about 30 ms of imports
-        path = write_config(tmp_path, base_config(tmp_path / "out", sweep={"seeds": [0, 1]}))
+        path = write_config(tmp_path, base_config(sweep={"seeds": [0, 1]}))
         code = (
             "import sys, kvlab.cli\n"
             f"kvlab.cli.load_config({path!r})\n"
@@ -376,7 +383,7 @@ class TestSweep:
         assert proc.stdout.splitlines()[-1] == "[]"  # after the path sweep prints
 
     def test_workers_is_no_flag(self, tmp_path, capsys):
-        path = write_config(tmp_path, base_config(tmp_path / "out", sweep={"c": [3, 5]}))
+        path = write_config(tmp_path, base_config(sweep={"c": [3, 5]}))
         with pytest.raises(SystemExit) as e:
             main(["sweep", "--config", path, "--workers", "2"])
         assert e.value.code == 2
@@ -384,7 +391,7 @@ class TestSweep:
 
     def test_needle_sweep_follows_seeds_axis(self, tmp_path):
         weak = {**NEEDLE_PROMPT, "signal": 0.3}  # retention then depends on the noise draw
-        cfg = base_config(tmp_path / "out", prompt=weak, sweep={"c": [3, 5], "seeds": [1, 2]})
+        cfg = base_config(prompt=weak, sweep={"c": [3, 5], "seeds": [1, 2]})
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
         with (tmp_path / "out" / "sweep.csv").open() as f:
             got = list(csv.DictReader(f))
@@ -411,13 +418,13 @@ class TestSweep:
             },
         ]
         prompt = {"kind": "random", "length": 200, "seed": 1}
-        cfg = base_config(tmp_path / "out", prompt=prompt, policies=policies,
+        cfg = base_config(prompt=prompt, policies=policies,
                           sweep={"n_reuse": [1, 2]})
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
         with (tmp_path / "out" / "sweep.csv").open() as f:
             rows = [r for r in csv.DictReader(f) if r["n_reuse"] == "1"]
-        sim = base_config(tmp_path / "sim", prompt=prompt, policies=policies)
-        assert main(["simulate", "--config", write_config(tmp_path, sim)]) == 0
+        sim = write_config(tmp_path, base_config(prompt=prompt, policies=policies))
+        assert main(["simulate", "--config", sim, "--out", str(tmp_path / "sim")]) == 0
         report = json.loads((tmp_path / "sim" / "report.json").read_text())
         assert [(r["c"], r["ratio"]) for r in rows] == [("5", ""), ("20", "0.5"), ("7", "0.3")]
         for row, rep in zip(rows, report["policies"], strict=True):
@@ -436,7 +443,7 @@ class TestSweep:
             return real(case, observe_rows=observe_rows)
 
         monkeypatch.setattr(kvlab.experiments, "make_needle_case", counting)
-        cfg = base_config(tmp_path / "out", sweep={"c": [3, 5], "n_reuse": [1, 2], "seeds": [0]})
+        cfg = base_config(sweep={"c": [3, 5], "n_reuse": [1, 2], "seeds": [0]})
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
         assert len(calls) == 4  # one per cell, shared by both policies
 
@@ -446,8 +453,8 @@ class TestSeedOverride:
         weak = {**NEEDLE_PROMPT, "signal": 0.3}  # retention then depends on the noise draw
         outs = {}
         for seed in (4, 7):
-            cfg = base_config(tmp_path / f"seed{seed}", prompt={**weak, "seed": seed})
-            assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 0
+            path = write_config(tmp_path, base_config(prompt={**weak, "seed": seed}))
+            assert main(["needle", "--config", path, "--out", str(tmp_path / f"seed{seed}")]) == 0
             outs[seed] = json.loads((tmp_path / f"seed{seed}" / "needle.json").read_text())
             assert outs[seed]["case"]["seed"] == seed
         assert outs[4]["policies"] != outs[7]["policies"]
@@ -458,13 +465,11 @@ class TestSeedOverride:
         ids=["random", "needle"],
     )
     def test_report_echoes_effective_seed(self, tmp_path, prompt):
-        # the echo is the file as written, minus out_dir, so its seed is the one that ran
-        path = write_config(tmp_path, base_config(tmp_path / "out", prompt=prompt))
+        # the echo is the file as written, so its seed is the one that ran
+        path = write_config(tmp_path, base_config(prompt=prompt))
         assert main(["simulate", "--config", path]) == 0
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
-        written = json.loads(Path(path).read_text())
-        del written["out_dir"]
-        assert echo == written
+        assert echo == json.loads(Path(path).read_text())
         assert echo["prompt"]["seed"] == prompt["seed"]
 
     @pytest.mark.parametrize(
@@ -473,18 +478,18 @@ class TestSeedOverride:
         ids=["random", "needle"],
     )
     def test_echoed_config_parses_again(self, tmp_path, prompt):
-        # to the config that ran, all but out_dir
-        path = write_config(tmp_path, base_config(tmp_path / "out", prompt=prompt))
+        # to the config that ran
+        path = write_config(tmp_path, base_config(prompt=prompt))
         assert main(["simulate", "--config", path]) == 0
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
         ran = load_config(path)
         again = parse_config(echo)
-        assert replace(again, raw=None) == replace(ran, out_dir=again.out_dir, raw=None)
+        assert again == ran
 
     @pytest.mark.parametrize("prompt", [None, NEEDLE_PROMPT], ids=["random", "needle"])
     def test_override_seed_keeps_the_document_as_written(self, tmp_path, prompt):
         # a sweep's seeds value reaches the prompt and its needle, not the echo
-        cfg = base_config(tmp_path / "out")
+        cfg = base_config()
         if prompt is not None:
             cfg["prompt"] = prompt
         loaded = load_config(write_config(tmp_path, cfg))
@@ -498,7 +503,7 @@ class TestSeedOverride:
     def test_stale_seed_flag_exits_2_without_prefill(self, tmp_path, capsys, monkeypatch, command):
         # the seed lives in the config; argparse rejects the old flag before any run
         calls = _count_prefills(monkeypatch)
-        cfg = base_config(tmp_path / "out", prompt=NEEDLE_PROMPT, sweep={"c": [3]})
+        cfg = base_config(prompt=NEEDLE_PROMPT, sweep={"c": [3]})
         with pytest.raises(SystemExit) as exit_:
             main([command, "--config", write_config(tmp_path, cfg), "--seed", "7"])
         assert exit_.value.code == 2
@@ -509,13 +514,13 @@ class TestSeedOverride:
 
 class TestSimilarity:
     def test_outputs_per_policy(self, tmp_path):
-        cfg = base_config(tmp_path / "out")
+        cfg = base_config()
         assert main(["similarity", "--config", write_config(tmp_path, cfg)]) == 0
         assert (tmp_path / "out" / "similarity_ChunkKV.csv").exists()
         assert (tmp_path / "out" / "similarity_ChunkKV.pgm").exists()
 
     def test_pgm_header_and_roundtrip(self, tmp_path):
-        cfg = base_config(tmp_path / "out")
+        cfg = base_config()
         main(["similarity", "--config", write_config(tmp_path, cfg)])
         lines = (tmp_path / "out" / "similarity_ChunkKV.pgm").read_text().splitlines()
         assert lines[0] == "P2"
@@ -526,7 +531,7 @@ class TestSimilarity:
             assert row.split()[i] == "255"
 
     def test_csv_matches_report_to_3_decimals(self, tmp_path):
-        cfg = base_config(tmp_path / "out")
+        cfg = base_config()
         main(["similarity", "--config", write_config(tmp_path, cfg)])
         main(["simulate", "--config", write_config(tmp_path, cfg)])
         report = json.loads((tmp_path / "out" / "report.json").read_text())
@@ -540,7 +545,6 @@ class TestSimilarity:
     def test_identical_indices_all_max(self, tmp_path):
         # streaming keeps the same positions on every layer
         cfg = base_config(
-            tmp_path / "out",
             model={"n_layers": 2, "n_heads": 1, "head_dim": 8, "vocab_size": 64, "seed": 3},
             policies=[{"kind": "StreamingStyle", "budget": {"max_len": 10, "w": 2, "c": 1}, "sink": 2}],
         )
@@ -557,7 +561,7 @@ class TestSimilarity:
             {"kind": "ChunkKV", "budget": {**budget, "c": 2}},
             {"kind": "ChunkKV", "budget": budget, "head_pool": True},
         ]
-        cfg = base_config(tmp_path / "out", policies=policies)
+        cfg = base_config(policies=policies)
         assert main(["similarity", "--config", write_config(tmp_path, cfg)]) == 0
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
         out = tmp_path / "out"
@@ -589,7 +593,7 @@ class TestHybridSplit:
             "inner_a": {"kind": "ChunkKV", "budget": budget},
             "inner_b": {"kind": "SnapKVStyle", "budget": budget},
         }
-        cfg = base_config(tmp_path / "out", policies=[hybrid], **overrides)
+        cfg = base_config(policies=[hybrid], **overrides)
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert "split" in capsys.readouterr().err
 
@@ -619,7 +623,7 @@ class TestHybridSplit:
             "inner_a": inner,
             "inner_b": {**inner, "budget": {"ratio": 0.25, "w": 3, "c": 5}},
         }
-        cfg = base_config(tmp_path / "out", policies=[hybrid])
+        cfg = base_config(policies=[hybrid])
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
         assert prefill_calls == [(4, False)]
 
@@ -636,7 +640,6 @@ class TestHybridSplit:
             {"kind": "StreamingStyle", "budget": {"max_len": 60, "w": 40}, "sink": 4},
         ]
         cfg = base_config(
-            tmp_path / "out",
             prompt={"kind": "random", "length": 200, "seed": 1},
             policies=[*non_readers, *readers],
         )
@@ -668,24 +671,24 @@ class TestHybridSplit:
             return {"kind": kind, "budget": budget}
 
         specs = [spec(kind) for kind in policies]
-        cfg = base_config(tmp_path / "out", policies=specs, sweep={"c": [5]})
+        cfg = base_config(policies=specs, sweep={"c": [5]})
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 0
         assert prefill_calls and {c for _, c in prefill_calls} == {col_mass}
 
 
-def _with_budget(out_dir, **budget):
-    cfg = base_config(out_dir)
+def _with_budget(**budget):
+    cfg = base_config()
     cfg["policies"][0]["budget"] = {**cfg["policies"][0]["budget"], **budget}
     return cfg
 
 
-def _with_policy(out_dir, kind, **extra):
+def _with_policy(kind, **extra):
     budget = {"ratio": 0.25, "w": 4, "c": 5}
-    return base_config(out_dir, policies=[{"kind": kind, "budget": budget, **extra}])
+    return base_config(policies=[{"kind": kind, "budget": budget, **extra}])
 
 
-def _with_model(out_dir, **fields):
-    cfg = base_config(out_dir)
+def _with_model(**fields):
+    cfg = base_config()
     cfg["model"] = {**cfg["model"], **fields}
     return cfg
 
@@ -694,47 +697,46 @@ class TestConfigTypes:
     @pytest.mark.parametrize(
         "make_cfg, field",
         [
-            (lambda out: _with_budget(out, ratio="0.2"), "policies[0].budget.ratio"),
-            (lambda out: _with_budget(out, w="2"), "policies[0].budget.w"),
-            (lambda out: _with_budget(out, c=2.5), "policies[0].budget.c"),
-            (lambda out: base_config(out, reuse=2), "reuse"),
+            (lambda: _with_budget(ratio="0.2"), "policies[0].budget.ratio"),
+            (lambda: _with_budget(w="2"), "policies[0].budget.w"),
+            (lambda: _with_budget(c=2.5), "policies[0].budget.c"),
+            (lambda: base_config(reuse=2), "reuse"),
             (
-                lambda out: base_config(out, policies=[{"kind": "ChunkKV", "budget": [1]}]),
+                lambda: base_config(policies=[{"kind": "ChunkKV", "budget": [1]}]),
                 "policies[0].budget",
             ),
-            (lambda out: base_config(out, policies=[1]), "policies[0]"),
-            (lambda out: base_config(out, policies={"kind": "ChunkKV"}), "policies"),
-            (lambda out: base_config(out, model=[]), "model"),
-            (lambda out: base_config(out, prompt=[]), "prompt"),
-            (lambda out: base_config(out, sweep=[1]), "sweep"),
-            (lambda out: _with_policy(out, "StreamingStyle", sink="4"), "policies[0].sink"),
-            (lambda out: _with_policy(out, "StreamingStyle", sink=None), "policies[0].sink"),
-            (lambda out: _with_policy(out, "PyramidStyle", skew="0.1"), "policies[0].skew"),
+            (lambda: base_config(policies=[1]), "policies[0]"),
+            (lambda: base_config(policies={"kind": "ChunkKV"}), "policies"),
+            (lambda: base_config(model=[]), "model"),
+            (lambda: base_config(prompt=[]), "prompt"),
+            (lambda: base_config(sweep=[1]), "sweep"),
+            (lambda: _with_policy("StreamingStyle", sink="4"), "policies[0].sink"),
+            (lambda: _with_policy("StreamingStyle", sink=None), "policies[0].sink"),
+            (lambda: _with_policy("PyramidStyle", skew="0.1"), "policies[0].skew"),
             (
-                lambda out: _with_policy(out, "ChunkKV", head_pool="yes"),
+                lambda: _with_policy("ChunkKV", head_pool="yes"),
                 "policies[0].head_pool",
             ),
-            (lambda out: _with_model(out, n_layers=2.5), "model.n_layers"),
-            (lambda out: _with_model(out, seed="3"), "model.seed"),
-            (lambda out: base_config(out, sweep={"c": [2.5]}), "sweep.c[0]"),
+            (lambda: _with_model(n_layers=2.5), "model.n_layers"),
+            (lambda: _with_model(seed="3"), "model.seed"),
+            (lambda: base_config(sweep={"c": [2.5]}), "sweep.c[0]"),
             (
-                lambda out: base_config(out, prompt={"kind": "random", "length": "16"}),
+                lambda: base_config(prompt={"kind": "random", "length": "16"}),
                 "prompt.length",
             ),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": []}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "seq_len": []}),
                 "prompt.seq_len",
             ),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "weak_offset": "2"}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "weak_offset": "2"}),
                 "prompt.weak_offset",
             ),
-            (lambda out: _with_seed(out, "prompt", "1"), "prompt.seed"),
+            (lambda: _with_seed("prompt", "1"), "prompt.seed"),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "signal": "60"}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "signal": "60"}),
                 "prompt.signal",
             ),
-            (lambda out: {**base_config(out), "out_dir": 5}, "out_dir"),
         ],
         ids=[
             "ratio-string", "w-string", "c-float", "reuse-int", "budget-list",
@@ -742,11 +744,10 @@ class TestConfigTypes:
             "sweep-list", "sink-string", "sink-null", "skew-string", "head-pool-string",
             "n-layers-float", "model-seed-string", "sweep-c-float", "length-string",
             "seq-len-list", "weak-offset-string", "prompt-seed-string", "signal-string",
-            "out-dir-int",
         ],
     )
     def test_wrong_type_exits_2_naming_field(self, tmp_path, capsys, make_cfg, field):
-        cfg = make_cfg(tmp_path / "out")
+        cfg = make_cfg()
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert f"error: {field} must be" in err
@@ -761,17 +762,17 @@ class TestConfigTypes:
             "inner_a": {"kind": "ChunkKV", "budget": budget},
             "inner_b": {"kind": "SnapKVStyle", "budget": budget},
         }
-        cfg = base_config(tmp_path / "out", policies=[hybrid])
+        cfg = base_config(policies=[hybrid])
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert "error: policies[0].split must be an integer" in capsys.readouterr().err
 
-    def test_negative_sink_rejected_by_parse_config(self, tmp_path):
+    def test_negative_sink_rejected_by_parse_config(self):
         with pytest.raises(ConfigError, match="sink"):
-            parse_config(_with_policy(tmp_path / "out", "StreamingStyle", sink=-2))
+            parse_config(_with_policy("StreamingStyle", sink=-2))
 
     @pytest.mark.parametrize("width", [0, 2, 4])
-    def test_even_pool_width_rejected_by_parse_config(self, tmp_path, width):
-        cfg = base_config(tmp_path / "out")
+    def test_even_pool_width_rejected_by_parse_config(self, width):
+        cfg = base_config()
         cfg["policies"][1]["pool_width"] = width
         with pytest.raises(ConfigError, match="pool_width"):
             parse_config(cfg)
@@ -779,14 +780,14 @@ class TestConfigTypes:
 
     @pytest.mark.parametrize("schema", [True, 1.0], ids=["true", "float"])
     def test_schema_must_be_the_integer_1(self, tmp_path, capsys, schema):
-        cfg = base_config(tmp_path / "out", schema=schema)
+        cfg = base_config(schema=schema)
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert "schema" in capsys.readouterr().err
 
-    def test_integers_in_float_fields_stored_as_floats(self, tmp_path):
+    def test_integers_in_float_fields_stored_as_floats(self):
         pyramid = {"kind": "PyramidStyle", "budget": {"ratio": 1, "w": 4, "c": 5}, "skew": 0}
         cfg = parse_config(
-            base_config(tmp_path, prompt={**NEEDLE_PROMPT, "signal": 60}, policies=[pyramid])
+            base_config(prompt={**NEEDLE_PROMPT, "signal": 60}, policies=[pyramid])
         )
         spec = cfg.policies[0]
         assert [type(v) for v in (cfg.prompt.needle.signal, spec.budget.ratio, spec.skew)] == [
@@ -794,17 +795,17 @@ class TestConfigTypes:
         ]
 
 
-def _hybrid_with_inner_b(out_dir, **inner_b):
+def _hybrid_with_inner_b(**inner_b):
     budget = {"ratio": 0.25, "w": 4, "c": 5}
     return _with_policy(
-        out_dir, "Hybrid", split=2,
+        "Hybrid", split=2,
         inner_a={"kind": "ChunkKV", "budget": budget},
         inner_b={"budget": budget, **inner_b},
     )
 
 
-def _with_seed(out_dir, section, seed):
-    cfg = base_config(out_dir)
+def _with_seed(section, seed):
+    cfg = base_config()
     cfg[section] = {**cfg[section], "seed": seed}
     return cfg
 
@@ -815,114 +816,112 @@ class TestRangeErrorsBeforePrefill:
     @pytest.mark.parametrize(
         "make_cfg, field",
         [
-            (lambda out: _with_policy(out, "PyramidStyle", skew=1.5), "policies[0].skew"),
-            (lambda out: _with_policy(out, "PyramidStyle", skew=-0.5), "policies[0].skew"),
+            (lambda: _with_policy("PyramidStyle", skew=1.5), "policies[0].skew"),
+            (lambda: _with_policy("PyramidStyle", skew=-0.5), "policies[0].skew"),
             # ratio 0.25 of 48 is 12 positions; skew 0.5 leaves the last layer 6 < w + c = 9
-            (lambda out: _with_policy(out, "PyramidStyle", skew=0.5), "policies[0].skew"),
-            (lambda out: _with_policy(out, "StreamingStyle", sink=13), "policies[0].sink"),
+            (lambda: _with_policy("PyramidStyle", skew=0.5), "policies[0].skew"),
+            (lambda: _with_policy("StreamingStyle", sink=13), "policies[0].sink"),
             (
-                lambda out: _hybrid_with_inner_b(out, kind="StreamingStyle", sink=13),
+                lambda: _hybrid_with_inner_b(kind="StreamingStyle", sink=13),
                 "policies[0].inner_b.sink",
             ),
             (
-                lambda out: _hybrid_with_inner_b(out, kind="PyramidStyle", skew=1.5),
+                lambda: _hybrid_with_inner_b(kind="PyramidStyle", skew=1.5),
                 "policies[0].inner_b.skew",
             ),
             (
-                lambda out: base_config(
-                    out,
+                lambda: base_config(
                     policies=[{"kind": "StreamingStyle", "budget": {"ratio": 0.5, "w": 4, "c": 5}, "sink": 13}],
                     sweep={"ratio": [0.5, 0.25]},
                 ),
                 "policies[0].sink",
             ),
-            (lambda out: base_config(out, sweep={"c": [5, 0]}), "c must be"),
-            (lambda out: base_config(out, sweep={"ratio": [1.5]}), "ratio must be"),
-            (lambda out: base_config(out, sweep={"n_reuse": [5]}), "sweep.n_reuse[0]"),
+            (lambda: base_config(sweep={"c": [5, 0]}), "c must be"),
+            (lambda: base_config(sweep={"ratio": [1.5]}), "ratio must be"),
+            (lambda: base_config(sweep={"n_reuse": [5]}), "sweep.n_reuse[0]"),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "observe_rows": 0}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "observe_rows": 0}),
                 "prompt: observe_rows must be >= 1",
             ),
             # a ratio budget of this length overflows the float arithmetic
             (
-                lambda out: base_config(
-                    out,
+                lambda: base_config(
                     prompt={"kind": "random", "length": 10**400, "seed": 1},
                     policies=[{"kind": "StreamingStyle", "budget": {"ratio": 0.5}}],
                 ),
                 "policies[0].budget",
             ),
             # seeds outside Philox's key range [0, 2**128)
-            (lambda out: _with_seed(out, "model", -1), "model: seed"),
-            (lambda out: _with_seed(out, "model", 10**400), "model: seed"),
-            (lambda out: _with_seed(out, "prompt", -1), "prompt: seed"),
-            (lambda out: _with_seed(out, "prompt", 2**128), "prompt: seed"),
+            (lambda: _with_seed("model", -1), "model: seed"),
+            (lambda: _with_seed("model", 10**400), "model: seed"),
+            (lambda: _with_seed("prompt", -1), "prompt: seed"),
+            (lambda: _with_seed("prompt", 2**128), "prompt: seed"),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seed": -1}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "seed": -1}),
                 "prompt: seed",
             ),
-            (lambda out: base_config(out, sweep={"seeds": [0, -1]}), "sweep.seeds[1]"),
+            (lambda: base_config(sweep={"seeds": [0, -1]}), "sweep.seeds[1]"),
             # no skew can lift a max_len below w + c = 9
             (
-                lambda out: base_config(out, policies=[{
+                lambda: base_config(policies=[{
                     "kind": "PyramidStyle", "budget": {"max_len": 6, "w": 4, "c": 5}, "skew": 0.0,
                 }]),
                 "policies[0].budget: max_len 6 is below the minimum budget w + c = 9",
             ),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "signal": 1e39}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "signal": 1e39}),
                 "prompt: signal",
             ),
             (
-                lambda out: base_config(out, prompt={"kind": "random", "length": 0, "seed": 1}),
+                lambda: base_config(prompt={"kind": "random", "length": 0, "seed": 1}),
                 "prompt: random prompt needs length >= 1",
             ),
             # span 20..24 of a 60-token prompt, moved or widened past its end
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "span_start": 56}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "span_start": 56}),
                 "prompt: span must lie within [0, seq_len)",
             ),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "weak_offset": 5}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "weak_offset": 5}),
                 "prompt: weak_offset must index into the span",
             ),
             # sizes past numpy's index-sized integers: no array of them can be made
-            (lambda out: _with_model(out, n_layers=2**70), "model.n_layers"),
-            (lambda out: _with_model(out, n_heads=2**70), "model.n_heads"),
-            (lambda out: _with_model(out, head_dim=2**70), "model.head_dim"),
-            (lambda out: _with_model(out, vocab_size=2**70), "model.vocab_size"),
+            (lambda: _with_model(n_layers=2**70), "model.n_layers"),
+            (lambda: _with_model(n_heads=2**70), "model.n_heads"),
+            (lambda: _with_model(head_dim=2**70), "model.head_dim"),
+            (lambda: _with_model(vocab_size=2**70), "model.vocab_size"),
             # sizes numpy can index whose weights it cannot: refused before init_model
-            (lambda out: _with_model(out, n_layers=2**62), "model.n_layers"),
-            (lambda out: _with_model(out, n_heads=2**62), "model.n_heads"),
-            (lambda out: _with_model(out, head_dim=2**62), "model.head_dim"),
-            (lambda out: _with_model(out, vocab_size=2**62), "model.vocab_size"),
+            (lambda: _with_model(n_layers=2**62), "model.n_layers"),
+            (lambda: _with_model(n_heads=2**62), "model.n_heads"),
+            (lambda: _with_model(head_dim=2**62), "model.head_dim"),
+            (lambda: _with_model(vocab_size=2**62), "model.vocab_size"),
             (
-                lambda out: base_config(out, prompt={"kind": "random", "length": 2**70, "seed": 1}),
+                lambda: base_config(prompt={"kind": "random", "length": 2**70, "seed": 1}),
                 "prompt.length",
             ),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": 2**70}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "seq_len": 2**70}),
                 "prompt.seq_len",
             ),
             # a prompt numpy can index whose first array it cannot
             (
-                lambda out: base_config(out, prompt={"kind": "random", "length": 2**62, "seed": 1}),
+                lambda: base_config(prompt={"kind": "random", "length": 2**62, "seed": 1}),
                 "prompt.length",
             ),
             (
-                lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "seq_len": 2**62}),
+                lambda: base_config(prompt={**NEEDLE_PROMPT, "seq_len": 2**62}),
                 "prompt.seq_len",
             ),
             # a needle prompt whose float64 score draw, observe_rows x seq_len, numpy cannot index
             (
-                lambda out: base_config(
-                    out, prompt={**NEEDLE_PROMPT, "seq_len": 64, "observe_rows": 2**62}
+                lambda: base_config(
+                    prompt={**NEEDLE_PROMPT, "seq_len": 64, "observe_rows": 2**62}
                 ),
                 "prompt.observe_rows * prompt.seq_len",
             ),
             # the modeled compress cost, n_layers * n_heads * w * T, is a float
             (
-                lambda out: base_config(out, policies=[
+                lambda: base_config(policies=[
                     {"kind": "StreamingStyle", "budget": {"max_len": 10**330, "w": 10**330}},
                 ]),
                 "policies[0].budget.w: its modeled cost overflows",
@@ -954,7 +953,7 @@ class TestRangeErrorsBeforePrefill:
         monkeypatch.setattr(
             kvlab.experiments, "prefill", lambda *a: calls.append(1) or real(*a)
         )
-        cfg = make_cfg(tmp_path / "out")
+        cfg = make_cfg()
         cfg.setdefault("sweep", {"c": [5]})
         assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
@@ -965,7 +964,7 @@ class TestRangeErrorsBeforePrefill:
     def test_needle_seed_at_the_key_limit_runs(self, tmp_path):
         # each layer's needle scores draw from a key derived from the seed
         prompt = {**NEEDLE_PROMPT, "seed": 2**128 - 1}
-        cfg = write_config(tmp_path, base_config(tmp_path / "out", prompt=prompt))
+        cfg = write_config(tmp_path, base_config(prompt=prompt))
         assert main(["simulate", "--config", cfg]) == 0
 
     @pytest.mark.parametrize(
@@ -983,27 +982,27 @@ class TestRangeErrorsBeforePrefill:
     def test_widths_above_the_prompt_run_as_the_whole_prompt(self, tmp_path, huge, wide):
         kept = []
         for name, policy in (("huge", huge), ("wide", wide)):
-            cfg = base_config(tmp_path / name, policies=[policy])
-            assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+            path = write_config(tmp_path, base_config(policies=[policy]))
+            assert main(["simulate", "--config", path, "--out", str(tmp_path / name)]) == 0
             report = json.loads((tmp_path / name / "report.json").read_text())
             kept.append(report["policies"][0]["layers"])
         assert kept[0] == kept[1]
 
     def test_signal_at_the_float32_limit_runs(self, tmp_path, capsys):
-        cfg = base_config(tmp_path / "out", prompt={**NEEDLE_PROMPT, "signal": 3.4e38})
+        cfg = base_config(prompt={**NEEDLE_PROMPT, "signal": 3.4e38})
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
         assert capsys.readouterr().err == ""
 
     def test_sweep_without_axes(self, tmp_path, capsys):
         # simulate ignores an empty sweep section; sweep refuses it
-        cfg = write_config(tmp_path, base_config(tmp_path / "out", sweep={}))
+        cfg = write_config(tmp_path, base_config(sweep={}))
         assert main(["simulate", "--config", cfg]) == 0
         assert main(["sweep", "--config", cfg]) == 2
         assert "error: sweep requires a 'sweep' section with axes" in capsys.readouterr().err
 
     def test_valid_edges_still_run(self, tmp_path):
         # a sink equal to the budget, and a skew whose last layer gets exactly w + c
-        cfg = base_config(tmp_path / "out", policies=[
+        cfg = base_config(policies=[
             {"kind": "StreamingStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "sink": 12},
             {"kind": "PyramidStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "skew": 0.25},
         ])
@@ -1014,32 +1013,32 @@ class TestUnknownKeys:
     @pytest.mark.parametrize(
         "make_cfg, path",
         [
-            (lambda out: {**base_config(out), "polices": []}, "polices"),
-            (lambda out: _with_model(out, n_layer=4), "model.n_layer"),
+            (lambda: {**base_config(), "polices": []}, "polices"),
+            (lambda: _with_model(n_layer=4), "model.n_layer"),
             (
-                lambda out: base_config(out, prompt={"kind": "random", "length": 48, "seeds": 7}),
+                lambda: base_config(prompt={"kind": "random", "length": 48, "seeds": 7}),
                 "prompt.seeds",
             ),
-            (lambda out: base_config(out, prompt={**NEEDLE_PROMPT, "sead": 7}), "prompt.sead"),
-            (lambda out: base_config(out, sweep={"seed": [1, 2]}), "sweep.seed"),
+            (lambda: base_config(prompt={**NEEDLE_PROMPT, "sead": 7}), "prompt.sead"),
+            (lambda: base_config(sweep={"seed": [1, 2]}), "sweep.seed"),
             (
-                lambda out: _with_policy(out, "SnapKVStyle", pool_widht=3),
+                lambda: _with_policy("SnapKVStyle", pool_widht=3),
                 "policies[0].pool_widht",
             ),
             (
-                lambda out: _hybrid_with_inner_b(out, kind="ChunkKV", skwe=0.1),
+                lambda: _hybrid_with_inner_b(kind="ChunkKV", skwe=0.1),
                 "policies[0].inner_b.skwe",
             ),
-            (lambda out: _with_budget(out, W=12), "policies[0].budget.W"),
-            (lambda out: base_config(out, reuse={"nreuse": 4}), "reuse.nreuse"),
+            (lambda: _with_budget(W=12), "policies[0].budget.W"),
+            (lambda: base_config(reuse={"nreuse": 4}), "reuse.nreuse"),
             # not a field: every policy reads the softmax observe rows
             (
-                lambda out: _with_policy(out, "ChunkKV", score_mode="raw"),
+                lambda: _with_policy("ChunkKV", score_mode="raw"),
                 "policies[0].score_mode",
             ),
             (
-                lambda out: _with_policy(
-                    out, "Hybrid", split=2,
+                lambda: _with_policy(
+                    "Hybrid", split=2,
                     inner_a={"kind": "ChunkKV", "budget": {"ratio": 0.25}, "score_mode": "softmax"},
                     inner_b={"kind": "H2OStyle", "budget": {"ratio": 0.25}},
                 ),
@@ -1052,7 +1051,7 @@ class TestUnknownKeys:
         ],
     )
     def test_misspelled_key_exits_2_naming_its_path(self, tmp_path, capsys, make_cfg, path):
-        cfg = make_cfg(tmp_path / "out")
+        cfg = make_cfg()
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         err = capsys.readouterr().err
         assert f"error: unknown field {path}\n" in err
@@ -1071,7 +1070,7 @@ class TestUnknownKeys:
     ):
         # every prompt is a seeded draw, and a needle's noise is uniform
         calls = _count_prefills(monkeypatch)
-        cfg = base_config(tmp_path / "out", prompt=prompt)
+        cfg = base_config(prompt=prompt)
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
         assert calls == []
@@ -1081,7 +1080,6 @@ class TestUnknownKeys:
 class TestNeedleCommand:
     def test_needle_report(self, tmp_path):
         cfg = base_config(
-            tmp_path / "out",
             prompt=NEEDLE_PROMPT,
         )
         cfg["policies"][0]["budget"] = {"max_len": 9, "w": 4, "c": 5}
@@ -1091,7 +1089,7 @@ class TestNeedleCommand:
         assert chunk["intact_all_layers"] is True
 
     def test_requires_needle_prompt(self, tmp_path):
-        cfg = base_config(tmp_path / "out")
+        cfg = base_config()
         assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 2
 
 
@@ -1110,7 +1108,7 @@ class TestOneNeedleAnswer:
     @pytest.mark.parametrize("n_reuse", [1, 2])
     def test_needle_json_matches_report(self, tmp_path, n_reuse):
         cfg = base_config(
-            tmp_path / "out", prompt=self.WEAK, policies=self.POLICIES, reuse={"n_reuse": n_reuse}
+            prompt=self.WEAK, policies=self.POLICIES, reuse={"n_reuse": n_reuse}
         )
         path = write_config(tmp_path, cfg)
         assert main(["simulate", "--config", path]) == 0
@@ -1126,7 +1124,7 @@ class TestOneNeedleAnswer:
     def _sweep_and_simulate(self, tmp_path, prompt):
         """Each sweep cell's rows and the report of `simulate` on the same cell."""
         sweep = {"c": [3, 5], "ratio": [0.25, 0.4], "n_reuse": [1, 2], "seeds": [1, 2]}
-        cfg = base_config(tmp_path / "out", prompt=prompt, policies=self.POLICIES, sweep=sweep)
+        cfg = base_config(prompt=prompt, policies=self.POLICIES, sweep=sweep)
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
         with (tmp_path / "out" / "sweep.csv").open() as f:
             rows = list(csv.DictReader(f))
@@ -1137,12 +1135,12 @@ class TestOneNeedleAnswer:
         for i, ((c, ratio, n_reuse, seed), got) in enumerate(cells.items()):
             budget = {"ratio": float(ratio), "w": 4, "c": int(c)}
             cell = base_config(
-                tmp_path / f"cell{i}",
                 prompt={**prompt, "seed": int(seed)},
                 policies=[{**p, "budget": budget} for p in self.POLICIES],
                 reuse={"n_reuse": int(n_reuse)},
             )
-            assert main(["simulate", "--config", write_config(tmp_path, cell)]) == 0
+            argv = ["simulate", "--config", write_config(tmp_path, cell), "--out", str(tmp_path / f"cell{i}")]
+            assert main(argv) == 0
             report = json.loads((tmp_path / f"cell{i}" / "report.json").read_text())
             yield got, report["policies"], cells[(c, ratio, "1", seed)]
 
@@ -1174,7 +1172,6 @@ class TestOneNeedleAnswer:
 class TestReuseBench:
     def test_report_schema_and_baseline(self, tmp_path):
         cfg = base_config(
-            tmp_path / "out",
             reuse={"n_reuse": 2},
             sweep={"n_reuse": [1, 2]},
         )
@@ -1205,7 +1202,7 @@ class TestReuseBench:
             "compress_layer",
             lambda source, layer, spec: layers.append(layer) or real_compress(source, layer, spec),
         )
-        cfg = base_config(tmp_path / "out", sweep={"n_reuse": [1, 2, 4]})
+        cfg = base_config(sweep={"n_reuse": [1, 2, 4]})
         assert main(["reuse-bench", "--config", write_config(tmp_path, cfg)]) == 0
         assert plans == [1] * 5 + [2] * 5 + [4] * 5
         assert layers == []
@@ -1221,7 +1218,7 @@ class TestReuseBench:
         monkeypatch.setattr(
             kvlab.experiments, "prefill", lambda *a, **k: calls.append(1) or real(*a, **k)
         )
-        cfg = base_config(tmp_path / "out", prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2})
+        cfg = base_config(prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2})
         assert main(["reuse-bench", "--config", write_config(tmp_path, cfg)]) == 0
         assert calls == []
         out = json.loads((tmp_path / "out" / "reuse_bench.json").read_text())

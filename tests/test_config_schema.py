@@ -105,7 +105,6 @@ VALID = [
         "model": {"n_layers": 2, "n_heads": 1, "head_dim": 4, "vocab_size": 16},
         "prompt": {"kind": "random", "length": 8},
         "policies": [{"kind": "ChunkKV", "budget": _budget(), "head_pool": True}],
-        "out_dir": "out",
     },
 ]
 
@@ -337,10 +336,9 @@ OUTPUT_FILE = {
         if out != "output-file" or command in OUTPUT_FILE
     ]),
     doc=command_docs(),
-    via_flag=st.booleans(),
     seed=st.none() | st.integers(-1, 3),
 )
-def test_every_command_exits_0_or_2(command_out, doc, via_flag, seed):
+def test_every_command_exits_0_or_2(command_out, doc, seed):
     command, out = command_out
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
@@ -351,11 +349,7 @@ def test_every_command_exits_0_or_2(command_out, doc, via_flag, seed):
             "fresh": tmp / "out", "output-file": tmp / "out",
             "file": tmp / "afile", "below-file": tmp / "afile" / "x",
         }[out]
-        argv = [command, "--config", str(tmp / "config.json")]
-        if via_flag:
-            argv += ["--out", str(out_dir)]
-        else:
-            doc = {**doc, "out_dir": str(out_dir)}
+        argv = [command, "--config", str(tmp / "config.json"), "--out", str(out_dir)]
         if seed is not None:  # -1 lies outside Philox's key range
             doc = {**doc, "prompt": {**doc["prompt"], "seed": seed}}
         (tmp / "config.json").write_text(json.dumps(doc))

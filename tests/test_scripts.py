@@ -20,6 +20,7 @@ ROOT = Path(__file__).resolve().parents[1]
 def test_script_writes_what_it_announces(tmp_path, script, args):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # no bytecode under src
     out = tmp_path / "out"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / script), "--out", str(out), *args],
