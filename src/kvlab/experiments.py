@@ -278,10 +278,8 @@ def load_config(path) -> ExperimentConfig:
 
 
 def override_seed(cfg: ExperimentConfig, seed: int) -> ExperimentConfig:
-    """cfg at one `seeds` value of a sweep: prompt and needle seeds replaced, `raw` as written."""
-    p = cfg.prompt
-    needle = replace(p.needle, seed=seed) if p.needle is not None else None
-    return replace(cfg, prompt=replace(p, seed=seed, needle=needle))
+    """cfg at one `seeds` value of a sweep: the prompt seed replaced, `raw` as written."""
+    return replace(cfg, prompt=replace(cfg.prompt, seed=seed))
 
 
 def prompt_tokens(cfg: ExperimentConfig) -> tuple[int, ...]:
@@ -299,19 +297,15 @@ def _digest(kept: KeptIndices) -> str:
     return hashlib.sha256(payload).hexdigest()[:12]
 
 
-def _source(cfg: ExperimentConfig) -> PrefillTrace | ScoreMatrices:
-    """What the policies read: the prompt's prefill, or a needle prompt's synthetic scores.
+def _source(cfg: ExperimentConfig) -> PrefillTrace:
+    """What the policies read: the prompt's prefill.
 
-    A needle prompt gives one matrix per layer, each drawn from its own seed.
     Prefill keeps the observe rows the policies read, and the final row `_fidelity` reads,
-    and builds col_mass only if a policy reads it.
+    and builds col_mass only if a policy reads it.  A needle prompt's synthetic scores
+    are read by `kvlab needle` alone, so here it is a ConfigError, raised before any draw.
     """
-    case, rows = cfg.prompt.needle, cfg.prompt.observe_rows
-    if case is not None:
-        return ScoreMatrices(tuple(
-            make_needle_case(replace(case, seed=(case.seed * 1000003 + l) % 2**128), rows)
-            for l in range(cfg.model.n_layers)
-        ))
+    if cfg.prompt.needle is not None:
+        raise ConfigError("a needle prompt runs only under `kvlab needle`")
     rows = max(1, observe_rows(cfg.policies))
     return prefill(init_model(cfg.model), prompt_tokens(cfg), rows, reads_col_mass(cfg.policies))
 
@@ -345,50 +339,39 @@ def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]]) -> dict:
 
 @dataclass(frozen=True)
 class _Measured:
-    """One policy's kept sets under a reuse plan, what was measured on them, and their timings.
+    """One policy's kept sets on a prefill trace under a reuse plan, their measures and timings.
 
-    `simulate`, `sweep` and `needle` copy these fields, rounded as written.
-    Only report.json's kept-set digests and similarity matrix, and a sweep's
+    `simulate` and `sweep` copy these fields, rounded as written.  Only
+    report.json's kept-set digests and similarity matrix, and a sweep's
     synthetic needle and modeled cost columns, are built elsewhere.
     """
 
     spec: PolicySpec
-    kept: list[list[KeptIndices]]  # [layer][head]; synthetic scores have one head
+    kept: list[list[KeptIndices]]  # [layer][head]
     adjacent_jaccard: Optional[float]  # head 0; None below two layers
-    fidelity: Optional[dict]  # report.json's fidelity block (traces)
-    # head-0 needle retention (needle prompts): the layer mean, whether every
-    # layer kept the whole span, and each layer's (fraction, intact)
-    needle: Optional[tuple[float, bool, list[tuple[float, bool]]]]
+    fidelity: dict  # report.json's fidelity block
     select_s: float
     fidelity_s: float
 
 
 def _measure(
-    cfg: ExperimentConfig, source: PrefillTrace | ScoreMatrices, specs: Sequence, n_reuse: int
+    cfg: ExperimentConfig, trace: PrefillTrace, specs: Sequence, n_reuse: int
 ) -> list[_Measured]:
     """Each spec's `run_with_reuse` kept sets under n_reuse, what they measure and their timings."""
-    trace = source if isinstance(source, PrefillTrace) else None
-    case = cfg.prompt.needle
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
     out = []
     for spec in specs:
         t0 = time.perf_counter()
-        kept = run_with_reuse(source, spec, plan)
+        kept = run_with_reuse(trace, spec, plan)
         t1 = time.perf_counter()
-        fidelity = _fidelity(trace, kept) if trace is not None else None
+        fidelity = _fidelity(trace, kept)
         t2 = time.perf_counter()
         head0 = [heads[0] for heads in kept]
-        needle = None
-        if case is not None:
-            fracs, intact = zip(*(needle_retention(k, case) for k in head0))
-            per_layer = [(round(f, 6), i) for f, i in zip(fracs, intact)]
-            needle = round(float(np.mean(fracs)), 6), all(intact), per_layer
         out.append(_Measured(
             spec,
             kept,
             round(adjacent_similarity(head0), 6) if len(head0) >= 2 else None,
             fidelity,
-            needle,
             select_s=t1 - t0,
             fidelity_s=t2 - t1,
         ))
@@ -399,50 +382,40 @@ def _n_reuse(cfg: ExperimentConfig) -> int:
     return cfg.reuse.n_reuse if cfg.reuse else 1
 
 
-def _policy_report(cfg: ExperimentConfig, m: _Measured, t_k: int) -> dict:
-    layers = []
-    for heads in m.kept:
-        if len(heads) == 1:  # synthetic scores have one head; report it for every head
-            heads = heads * cfg.model.n_heads
-        layers.append({"heads": [
-            {"retained": len(k), "ratio": round(len(k) / t_k, 6), "digest": _digest(k)}
-            for k in heads
-        ]})
+def _policy_report(m: _Measured, t_k: int) -> dict:
+    layers = [{"heads": [
+        {"retained": len(k), "ratio": round(len(k) / t_k, 6), "digest": _digest(k)}
+        for k in heads
+    ]} for heads in m.kept]
     sim = similarity_matrix([heads[0] for heads in m.kept])
-    rep: dict[str, Any] = {
+    return {
         "policy": m.spec.name,
         "layers": layers,
         "similarity_matrix": [[round(v, 6) for v in row] for row in sim],
         "adjacent_jaccard": m.adjacent_jaccard,
+        "fidelity": m.fidelity,
     }
-    if m.fidelity is not None:
-        rep["fidelity"] = m.fidelity
-    if m.needle is not None:
-        frac, intact, per_layer = m.needle
-        fracs = [f for f, _ in per_layer]
-        rep["needle"] = {"fraction": frac, "intact_all_layers": intact, "per_layer_fraction": fracs}
-    return rep
 
 
 def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     """Run every policy once; returns (report, timings).
 
-    timings holds prefill_s (model init and prefill; traces only) and a list
-    with one entry per policy, in report order: its name, select_s (the reuse
-    loop's kept sets) and fidelity_s (the fidelity metrics on them).
+    timings holds prefill_s (model init and prefill) and a list with one
+    entry per policy, in report order: its name, select_s (the reuse loop's
+    kept sets) and fidelity_s (the fidelity metrics on them).
     """
-    timings: dict[str, Any] = {}
-
     t0 = time.perf_counter()
-    source = _source(cfg)
-    if isinstance(source, PrefillTrace):
-        timings["prefill_s"] = time.perf_counter() - t0
-    t_k = source.seq_len
-    measured = _measure(cfg, source, cfg.policies, _n_reuse(cfg))
-    timings["policies"] = [
-        {"policy": m.spec.name, "select_s": m.select_s, "fidelity_s": m.fidelity_s}
-        for m in measured
-    ]
+    trace = _source(cfg)
+    prefill_s = time.perf_counter() - t0
+    t_k = trace.seq_len
+    measured = _measure(cfg, trace, cfg.policies, _n_reuse(cfg))
+    timings = {
+        "prefill_s": prefill_s,
+        "policies": [
+            {"policy": m.spec.name, "select_s": m.select_s, "fidelity_s": m.fidelity_s}
+            for m in measured
+        ],
+    }
 
     report = {
         "artifact_version": __version__,
@@ -453,7 +426,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
                 1, t_k, cfg.model.n_layers, cfg.model.n_heads, cfg.model.head_dim
             )
         },
-        "policies": [_policy_report(cfg, m, t_k) for m in measured],
+        "policies": [_policy_report(m, t_k) for m in measured],
     }
     return report, timings
 
@@ -498,21 +471,21 @@ def _cell_spec(spec: PolicySpec, c: Optional[int], ratio: Optional[float]) -> Po
 
 def run_sweep_cell(
     cfg: ExperimentConfig,
-    source: PrefillTrace | ScoreMatrices,
+    trace: PrefillTrace,
     c: Optional[int],
     ratio: Optional[float],
     n_reuse: int,
     seed: int,
 ) -> list[dict]:
-    """One sweep cell: every policy at (c, ratio, n_reuse) on seed's source.
+    """One sweep cell: every policy at (c, ratio, n_reuse) on seed's prefill trace.
 
     A c or ratio of None keeps each policy's own (`_cell_spec`); a row's c and
     ratio are those of the budget it ran with (ratio empty for a max_len).
-    The needle columns are a needle prompt's retention as `simulate` reports
-    it.  On a trace they are a synthetic score-level diagnostic: layer 0 of a
-    chunk-aligned needle that depends only on the policy's c and the seed,
-    outside the reuse loop, built once per c in the cell.  micros_compress is a
-    modeled cost: n_heads * max(w, 1) * T per anchor layer, n_heads per copied one.
+    The needle columns are a synthetic score-level diagnostic, not read off the
+    trace: layer 0 of a chunk-aligned needle that depends only on the policy's
+    c and the seed, outside the reuse loop, built once per c in the cell.
+    micros_compress is a modeled cost: n_heads * max(w, 1) * T per anchor
+    layer, n_heads per copied one.
     """
 
     @functools.cache
@@ -525,16 +498,11 @@ def run_sweep_cell(
 
     cells = [_cell_spec(spec, c, ratio) for spec in cfg.policies]
     rows = []
-    for m in _measure(cfg, source, cells, n_reuse):
+    for m in _measure(cfg, trace, cells, n_reuse):
         b = m.spec.budget
-        if m.needle is not None:
-            frac, intact, _ = m.needle
-        else:
-            case, needle_scores = auto_needle(b.c)
-            frac, intact = needle_retention(compress_layer(needle_scores, 0, m.spec)[0], case)
-            frac = round(frac, 6)
-        fidelity = m.fidelity or {"kv_l1": "", "attn_cos": ""}
-        cost = float(cfg.model.n_heads * max(b.w, 1) * source.seq_len), float(cfg.model.n_heads)
+        case, needle_scores = auto_needle(b.c)
+        frac, intact = needle_retention(compress_layer(needle_scores, 0, m.spec)[0], case)
+        cost = float(cfg.model.n_heads * max(b.w, 1) * trace.seq_len), float(cfg.model.n_heads)
         rows.append({
             "policy": m.spec.name,
             "c": b.c,
@@ -542,9 +510,9 @@ def run_sweep_cell(
             "n_reuse": n_reuse,
             "seed": seed,
             "adjacent_jaccard": "" if m.adjacent_jaccard is None else m.adjacent_jaccard,
-            "kv_l1": fidelity["kv_l1"],
-            "attn_cos": fidelity["attn_cos"],
-            "needle_fraction": frac,
+            "kv_l1": m.fidelity["kv_l1"],
+            "attn_cos": m.fidelity["attn_cos"],
+            "needle_fraction": round(frac, 6),
             "needle_intact": str(intact).lower(),
             "micros_compress": round(modeled_micros(cfg.model.n_layers, n_reuse, *cost), 3),
         })
@@ -569,11 +537,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     cells = _sweep_cells(cfg)
     rows = [None] * len(cells)
     for seed in dict.fromkeys(cell[3] for cell in cells):
-        seeded, source = override_seed(cfg, seed), None  # drop the last source before building one
-        source = _source(seeded)
+        seeded, trace = override_seed(cfg, seed), None  # drop the last trace before building one
+        trace = _source(seeded)
         for i, (c, r, n, s) in enumerate(cells):
             if s == seed:
-                rows[i] = run_sweep_cell(seeded, source, c, r, n, seed)
+                rows[i] = run_sweep_cell(seeded, trace, c, r, n, seed)
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=list(rows[0][0]))  # run_sweep_cell's column order
     writer.writeheader()
@@ -611,21 +579,33 @@ def cmd_similarity(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """[needle.json] in `cli._load`'s out_dir: per-layer needle retention under the reuse plan."""
-    if cfg.prompt.needle is None:
+    """[needle.json] in `cli._load`'s out_dir: per-layer needle retention under the reuse plan.
+
+    The needle prompt's scores are one synthetic matrix per layer, each drawn
+    from its own seed; retention is read off each layer's kept set.
+    """
+    case, rows = cfg.prompt.needle, cfg.prompt.observe_rows
+    if case is None:
         raise ConfigError("needle command requires a needle prompt")
+    source = ScoreMatrices(tuple(
+        make_needle_case(replace(case, seed=(case.seed * 1000003 + l) % 2**128), rows)
+        for l in range(cfg.model.n_layers)
+    ))
+    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=_n_reuse(cfg))
     policies = []
-    for m in _measure(cfg, _source(cfg), cfg.policies, _n_reuse(cfg)):
-        frac, intact, per_layer = m.needle
+    for spec in cfg.policies:
+        kept = run_with_reuse(source, spec, plan)
+        fracs, intact = zip(*(needle_retention(heads[0], case) for heads in kept))
         policies.append({
-            "policy": m.spec.name,
-            "mean_fraction": frac,
-            "intact_all_layers": intact,
+            "policy": spec.name,
+            "mean_fraction": round(float(np.mean(fracs)), 6),
+            "intact_all_layers": all(intact),
             "per_layer": [
-                {"layer": l, "fraction": f, "intact": i} for l, (f, i) in enumerate(per_layer)
+                {"layer": l, "fraction": round(f, 6), "intact": i}
+                for l, (f, i) in enumerate(zip(fracs, intact))
             ],
         })
-    doc = {"case": asdict(cfg.prompt.needle), "policies": policies}
+    doc = {"case": asdict(case), "policies": policies}
     return [write_json(out_dir / "needle.json", doc)]
 
 
@@ -638,7 +618,7 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     reuses = (cfg.sweep and cfg.sweep.n_reuse) or (cfg.reuse and (cfg.reuse.n_reuse,))
     if not reuses:
         raise ConfigError("reuse-bench requires a reuse plan or an n_reuse sweep axis")
-    source = _source(cfg)
+    trace = _source(cfg)
     spec = cfg.policies[0]
 
     def median_time(fn) -> tuple[float, Any]:  # of 5 calls, and the last call's result
@@ -651,7 +631,7 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
     n_layers = cfg.model.n_layers
     timed = {  # each distinct plan's median time and kept sets, the n_reuse 1 baseline first
-        n: median_time(functools.partial(run_with_reuse, source, spec, ReusePlan(n_layers, n)))
+        n: median_time(functools.partial(run_with_reuse, trace, spec, ReusePlan(n_layers, n)))
         for n in dict.fromkeys((1, *reuses))
     }
     # the n_reuse 1 loop compresses every layer: its time per layer is the

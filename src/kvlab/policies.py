@@ -3,8 +3,9 @@
 `compress_layer(source, layer, spec)` is the only place a policy kind picks
 its scoring rule.  A source is either a `PrefillTrace`, whose scores are the
 causal softmax rows of each (layer, head)'s observe window, or
-`ScoreMatrices`, a synthetic one-head source (needle prompts) that hands
-every policy the same matrix per layer.
+`ScoreMatrices`, a synthetic one-head source that hands every policy the
+same matrix per layer: a needle prompt's under `kvlab needle`, and the
+sweep's needle columns.
 
 `chunkkv_from_scores` alone turns scores into a kept set: the top chunks by
 summed score, unioned with the last w positions (mask semantics: the kept
@@ -82,7 +83,9 @@ class PolicySpec:
 
 @dataclass(frozen=True)
 class ScoreMatrices:
-    """Synthetic one-head score source (needle prompts): a matrix per layer.
+    """Synthetic one-head score source: a matrix per layer.
+
+    `kvlab needle` reads one, and so do the sweep's needle columns.
 
     Every observe window reads the layer's matrix, a read-only float32
     ndarray, as given.

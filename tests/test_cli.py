@@ -221,6 +221,33 @@ class TestSimulate:
         assert err.startswith("error: the config's sizes need more memory than can be allocated")
         assert "internal error" not in err
 
+    def test_only_numpy_is_loaded_beside_the_standard_library(self, tmp_path):
+        # numpy is kvlab's one runtime dependency.  -S skips site's .pth imports, so
+        # numpy's own directory goes on the path
+        import numpy
+
+        path = write_config(tmp_path, base_config(reuse={"n_reuse": 2}))
+        code = (
+            "import json, sys, kvlab.cli\n"
+            f"assert kvlab.cli.main(['simulate', '--config', {path!r}]) == 0\n"
+            "tops = {name.partition('.')[0] for name in sys.modules} - set(sys.stdlib_module_names)\n"
+            "print(json.dumps({n: getattr(sys.modules.get(n), '__file__', None) for n in tops}))\n"
+        )
+        env = _src_env()
+        env["PYTHONPATH"] += os.pathsep + str(Path(numpy.__file__).parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])  # after the path simulate prints
+        # numpy's Cython-built extensions register these; no file or package backs them
+        cython = {
+            name for name, file in loaded.items()
+            if file is None and (name == "cython_runtime" or name.startswith("_cython_"))
+        }
+        assert set(loaded) - cython == {"__main__", "numpy", "kvlab"}
+
     def test_timings_isolated(self, tmp_path):
         cfg = base_config()
         main(["simulate", "--config", write_config(tmp_path, cfg)])
@@ -341,18 +368,6 @@ class TestSweep:
         cfg = base_config(sweep={"c": []})
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 2
 
-    def test_needle_prompt_applies_n_reuse(self, tmp_path):
-        cfg = base_config(
-            prompt=NEEDLE_PROMPT,
-            sweep={"c": [5], "ratio": [0.1], "n_reuse": [1, 4], "seeds": [0]},
-        )
-        cfg["policies"] = cfg["policies"][1:]  # SnapKVStyle
-        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
-        with (tmp_path / "out" / "sweep.csv").open() as f:
-            jaccard = {int(r["n_reuse"]): float(r["adjacent_jaccard"]) for r in csv.DictReader(f)}
-        assert jaccard[4] == 1.0
-        assert jaccard[1] < 1.0
-
     def test_prefill_once_per_seed_rows_in_cell_order(self, tmp_path, monkeypatch):
         calls = _count_prefills(monkeypatch)
         cfg = base_config(
@@ -388,22 +403,6 @@ class TestSweep:
             main(["sweep", "--config", path, "--workers", "2"])
         assert e.value.code == 2
         assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
-
-    def test_needle_sweep_follows_seeds_axis(self, tmp_path):
-        weak = {**NEEDLE_PROMPT, "signal": 0.3}  # retention then depends on the noise draw
-        cfg = base_config(prompt=weak, sweep={"c": [3, 5], "seeds": [1, 2]})
-        assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
-        with (tmp_path / "out" / "sweep.csv").open() as f:
-            got = list(csv.DictReader(f))
-        want = []
-        for seed in (1, 2):
-            out = tmp_path / f"seed{seed}"
-            one = {**cfg, "prompt": {**weak, "seed": seed}, "sweep": {"c": [3, 5]}}
-            assert main(["sweep", "--config", write_config(tmp_path, one), "--out", str(out)]) == 0
-            with (out / "sweep.csv").open() as f:
-                want += csv.DictReader(f)
-        cell = lambda row: (row["c"], row["seed"], row["policy"])
-        assert sorted(got, key=cell) == sorted(want, key=cell)
 
     def test_axis_left_out_keeps_each_policy_budget(self, tmp_path):
         # no c or ratio axis: a max_len budget stays one, and a Hybrid's inner
@@ -459,43 +458,29 @@ class TestSeedOverride:
             assert outs[seed]["case"]["seed"] == seed
         assert outs[4]["policies"] != outs[7]["policies"]
 
-    @pytest.mark.parametrize(
-        "prompt",
-        [{"kind": "random", "length": 48, "seed": 1}, NEEDLE_PROMPT],
-        ids=["random", "needle"],
-    )
-    def test_report_echoes_effective_seed(self, tmp_path, prompt):
+    def test_report_echoes_effective_seed(self, tmp_path):
         # the echo is the file as written, so its seed is the one that ran
-        path = write_config(tmp_path, base_config(prompt=prompt))
+        path = write_config(tmp_path, base_config())
         assert main(["simulate", "--config", path]) == 0
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
         assert echo == json.loads(Path(path).read_text())
-        assert echo["prompt"]["seed"] == prompt["seed"]
+        assert echo["prompt"]["seed"] == base_config()["prompt"]["seed"]
 
-    @pytest.mark.parametrize(
-        "prompt",
-        [{"kind": "random", "length": 48, "seed": 1}, NEEDLE_PROMPT],
-        ids=["random", "needle"],
-    )
-    def test_echoed_config_parses_again(self, tmp_path, prompt):
+    def test_echoed_config_parses_again(self, tmp_path):
         # to the config that ran
-        path = write_config(tmp_path, base_config(prompt=prompt))
+        path = write_config(tmp_path, base_config())
         assert main(["simulate", "--config", path]) == 0
         echo = json.loads((tmp_path / "out" / "report.json").read_text())["config"]
         ran = load_config(path)
         again = parse_config(echo)
         assert again == ran
 
-    @pytest.mark.parametrize("prompt", [None, NEEDLE_PROMPT], ids=["random", "needle"])
-    def test_override_seed_keeps_the_document_as_written(self, tmp_path, prompt):
-        # a sweep's seeds value reaches the prompt and its needle, not the echo
+    def test_override_seed_keeps_the_document_as_written(self, tmp_path):
+        # a sweep's seeds value reaches the prompt, not the echo
         cfg = base_config()
-        if prompt is not None:
-            cfg["prompt"] = prompt
         loaded = load_config(write_config(tmp_path, cfg))
         seeded = override_seed(loaded, 7)
         assert seeded.prompt.seed == 7
-        assert seeded.prompt.needle is None or seeded.prompt.needle.seed == 7
         assert seeded.raw == cfg
         assert loaded.prompt.seed == cfg["prompt"]["seed"]
 
@@ -965,7 +950,7 @@ class TestRangeErrorsBeforePrefill:
         # each layer's needle scores draw from a key derived from the seed
         prompt = {**NEEDLE_PROMPT, "seed": 2**128 - 1}
         cfg = write_config(tmp_path, base_config(prompt=prompt))
-        assert main(["simulate", "--config", cfg]) == 0
+        assert main(["needle", "--config", cfg]) == 0
 
     @pytest.mark.parametrize(
         "huge, wide",
@@ -990,7 +975,7 @@ class TestRangeErrorsBeforePrefill:
 
     def test_signal_at_the_float32_limit_runs(self, tmp_path, capsys):
         cfg = base_config(prompt={**NEEDLE_PROMPT, "signal": 3.4e38})
-        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 0
         assert capsys.readouterr().err == ""
 
     def test_sweep_without_axes(self, tmp_path, capsys):
@@ -1092,12 +1077,45 @@ class TestNeedleCommand:
         cfg = base_config()
         assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 2
 
+    def test_follows_the_reuse_plan(self, tmp_path):
+        # signal 0.3 over uniform noise: a layer's retention depends on its own draw
+        weak = {**NEEDLE_PROMPT, "signal": 0.3, "seed": 2, "observe_rows": 4}
+        budget = {"ratio": 0.25, "w": 4, "c": 5}
+        policies = [
+            {"kind": "SnapKVStyle", "budget": budget, "pool_width": 3},
+            {"kind": "H2OStyle", "budget": budget},
+            {"kind": "PyramidStyle", "budget": budget, "skew": 0.2},
+        ]
+        fractions = {}
+        for n_reuse in (1, 4):  # base_config's model has 4 layers
+            cfg = base_config(prompt=weak, policies=policies, reuse={"n_reuse": n_reuse})
+            out = tmp_path / f"reuse{n_reuse}"
+            assert main(["needle", "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+            doc = json.loads((out / "needle.json").read_text())
+            fractions[n_reuse] = [[l["fraction"] for l in p["per_layer"]] for p in doc["policies"]]
+        for fresh, copied in zip(fractions[1], fractions[4], strict=True):
+            assert copied == [copied[0]] * 4  # every layer copies layer 0's kept set
+            assert len(set(fresh)) > 1  # every layer draws and compresses its own scores
 
-class TestOneNeedleAnswer:
-    """simulate, needle and sweep read needle retention off the same kept sets."""
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "reuse-bench"])
+    def test_other_commands_refuse_a_needle_prompt(self, tmp_path, capsys, monkeypatch, command):
+        # every other command reads a prefill trace; a needle prompt draws nothing there
+        import kvlab.experiments
 
-    # signal 0.3 over uniform noise: retention depends on the draw and on reuse
-    WEAK = {**NEEDLE_PROMPT, "signal": 0.3, "seed": 2, "observe_rows": 4}
+        prefills = _count_prefills(monkeypatch)
+        draws = []
+        real = kvlab.experiments.make_needle_case
+        monkeypatch.setattr(
+            kvlab.experiments, "make_needle_case", lambda *a, **k: draws.append(1) or real(*a, **k)
+        )
+        cfg = base_config(prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2}, sweep={"c": [5]})
+        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == "error: a needle prompt runs only under `kvlab needle`\n"
+        assert prefills == draws == []
+        assert list((tmp_path / "out").iterdir()) == []
+
+
+class TestSweepMatchesSimulate:
     POLICIES = [
         {"kind": "ChunkKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}},
         {"kind": "SnapKVStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "pool_width": 3},
@@ -1105,24 +1123,13 @@ class TestOneNeedleAnswer:
         {"kind": "PyramidStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "skew": 0.2},
     ]
 
-    @pytest.mark.parametrize("n_reuse", [1, 2])
-    def test_needle_json_matches_report(self, tmp_path, n_reuse):
-        cfg = base_config(
-            prompt=self.WEAK, policies=self.POLICIES, reuse={"n_reuse": n_reuse}
-        )
-        path = write_config(tmp_path, cfg)
-        assert main(["simulate", "--config", path]) == 0
-        assert main(["needle", "--config", path]) == 0
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        needle = json.loads((tmp_path / "out" / "needle.json").read_text())
-        for rep, got in zip(report["policies"], needle["policies"], strict=True):
-            assert got["policy"] == rep["policy"]
-            assert [p["fraction"] for p in got["per_layer"]] == rep["needle"]["per_layer_fraction"]
-            assert got["mean_fraction"] == rep["needle"]["fraction"]
-            assert got["intact_all_layers"] == rep["needle"]["intact_all_layers"]
-
-    def _sweep_and_simulate(self, tmp_path, prompt):
-        """Each sweep cell's rows and the report of `simulate` on the same cell."""
+    def test_trace_sweep_rows_match_simulate(self, tmp_path):
+        # each cell's Jaccard and fidelity are simulate's on that cell, and the
+        # modeled cost at n_reuse 1 over that at n_reuse n is `speedup_estimate`
+        # of n_heads * max(w, 1) * T per anchor layer and n_heads per copied one
+        prompt = {"kind": "random", "length": 48}
+        n_layers, n_heads, w, t = 4, 2, 4, 48  # base_config's model, POLICIES' w
+        cost = float(n_heads * max(w, 1) * t), float(n_heads)
         sweep = {"c": [3, 5], "ratio": [0.25, 0.4], "n_reuse": [1, 2], "seeds": [1, 2]}
         cfg = base_config(prompt=prompt, policies=self.POLICIES, sweep=sweep)
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
@@ -1141,32 +1148,15 @@ class TestOneNeedleAnswer:
             )
             argv = ["simulate", "--config", write_config(tmp_path, cell), "--out", str(tmp_path / f"cell{i}")]
             assert main(argv) == 0
-            report = json.loads((tmp_path / f"cell{i}" / "report.json").read_text())
-            yield got, report["policies"], cells[(c, ratio, "1", seed)]
-
-    def test_sweep_rows_match_simulate(self, tmp_path):
-        for got, reps, _ in self._sweep_and_simulate(tmp_path, self.WEAK):
-            for row, rep in zip(got, reps, strict=True):
-                assert row["policy"] == rep["policy"]
-                assert float(row["needle_fraction"]) == rep["needle"]["fraction"]
-                assert row["needle_intact"] == str(rep["needle"]["intact_all_layers"]).lower()
-
-    def test_trace_sweep_rows_match_simulate(self, tmp_path):
-        # a random prompt: Jaccard and fidelity are simulate's, and the modeled
-        # cost at n_reuse 1 over that at n_reuse n is `speedup_estimate` of
-        # n_heads * max(w, 1) * T per anchor layer and n_heads per copied one
-        prompt = {"kind": "random", "length": 48}
-        n_layers, n_heads, w, t = 4, 2, 4, 48  # base_config's model, POLICIES' w
-        cost = float(n_heads * max(w, 1) * t), float(n_heads)
-        for got, reps, fresh in self._sweep_and_simulate(tmp_path, prompt):
+            reps = json.loads((tmp_path / f"cell{i}" / "report.json").read_text())["policies"]
+            fresh = cells[(c, ratio, "1", seed)]
             for row, rep, base in zip(got, reps, fresh, strict=True):
                 assert row["policy"] == rep["policy"] == base["policy"]
                 assert float(row["adjacent_jaccard"]) == rep["adjacent_jaccard"]
                 assert float(row["kv_l1"]) == rep["fidelity"]["kv_l1"]
                 assert float(row["attn_cos"]) == rep["fidelity"]["attn_cos"]
-                ratio = float(base["micros_compress"]) / float(row["micros_compress"])
-                n = int(row["n_reuse"])
-                assert round(ratio, 6) == round(speedup_estimate(n_layers, n, *cost), 6)
+                speedup = float(base["micros_compress"]) / float(row["micros_compress"])
+                assert round(speedup, 6) == round(speedup_estimate(n_layers, int(n_reuse), *cost), 6)
 
 
 class TestReuseBench:
@@ -1210,16 +1200,3 @@ class TestReuseBench:
         keys = {"n_reuse", "analytic_speedup", "measured_speedup", "t_compress_s", "t_select_s"}
         assert [set(r) for r in out["results"]] == [keys] * 3
 
-    def test_needle_prompt_times_needle_scores(self, tmp_path, monkeypatch):
-        import kvlab.experiments
-
-        calls = []
-        real = kvlab.experiments.prefill
-        monkeypatch.setattr(
-            kvlab.experiments, "prefill", lambda *a, **k: calls.append(1) or real(*a, **k)
-        )
-        cfg = base_config(prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2})
-        assert main(["reuse-bench", "--config", write_config(tmp_path, cfg)]) == 0
-        assert calls == []
-        out = json.loads((tmp_path / "out" / "reuse_bench.json").read_text())
-        assert [r["n_reuse"] for r in out["results"]] == [2]

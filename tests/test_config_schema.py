@@ -437,8 +437,12 @@ def _run(command, doc) -> tuple[int, str]:
 @pytest.mark.parametrize("command", COMMANDS)
 @pytest.mark.parametrize("base", range(len(EXTREME_BASES)), ids=["random", "needle"])
 def test_extreme_bases_run(base, command):
-    needle_on_random = command == "needle" and base == 0
-    expected = (2, "error: needle command requires a needle prompt\n") if needle_on_random else (0, "")
+    # a needle prompt runs under `kvlab needle` only, and that command needs one
+    expected = (0, "")
+    if command == "needle" and base == 0:
+        expected = (2, "error: needle command requires a needle prompt\n")
+    elif command != "needle" and base == 1:
+        expected = (2, "error: a needle prompt runs only under `kvlab needle`\n")
     assert _run(command, EXTREME_BASES[base]) == expected
 
 

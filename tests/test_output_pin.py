@@ -2,12 +2,11 @@
 
 The digests were recorded before the policy dispatch was unified; any change
 to what a policy keeps, or to how reports are written, shows up here.  The
-config stays clear of PyramidStyle with pool_width > 1 on needle scores and
-of sweeps, whose needle-prompt behaviour changed on purpose.  The sweep.csv
-digests were recorded before a sweep prefilled each prompt seed once and
-H2OStyle read its column mass from prefill.  simulate, needle and sweep read
-a needle prompt's retention off the same kept sets under the same reuse plan
-(`tests/test_cli.py::TestOneNeedleAnswer`).  The `DIGESTS` were re-recorded
+config stays clear of PyramidStyle with pool_width > 1 on needle scores.
+report.json and sweep.csv are pinned on a random prompt, needle.json on a
+needle prompt: only `kvlab needle` runs one.  The sweep.csv digests were
+recorded before a sweep prefilled each prompt seed once and H2OStyle read
+its column mass from prefill.  The `DIGESTS` were re-recorded
 on the code before raw observe scores were removed, with the one policy that
 read them (a ChunkKV with `score_mode` "raw") taken out of `POLICIES`; the
 code without raw scores writes the same bytes.
@@ -55,11 +54,8 @@ PROMPTS = {
 DIGESTS = {
     ("simulate", "random", 1): "e805decc45320018c5cd1d5b44a6604b2342d33427a248d4b53f9337f09f0086",
     ("simulate", "random", 2): "fb7873844bd69c46c38bb202f8d253945bf04f5a2c4db70c205881754abf8888",
-    ("simulate", "needle", 1): "9b332ceb2bdd982fa4aa0e32569edd183267746dc25563c01a887025d18f6acb",
-    ("simulate", "needle", 2): "5411971dd1be7eb5f6f23a9c8cbbfc48bdd82bc39886f6b974f4af9397589e60",
-    # needle.json reads the kept sets report.json does, under the same reuse
-    # plan; at signal 60 every layer keeps the same share of the span whether
-    # it is compressed or copied, so n_reuse 2 writes the bytes of n_reuse 1.
+    # at signal 60 every layer keeps the same share of the span whether it is
+    # compressed or copied, so n_reuse 2 writes the bytes of n_reuse 1.
     # Re-recorded when the `case` block lost the needle's `noise` field (the
     # noise is always uniform); the `policies` block kept every byte.
     ("needle", "needle", 1): "3efc76d2f746d3b388344fe51aec0b9f30edd42d6fde5fabe408a00a7ce753fc",
@@ -96,15 +92,9 @@ SWEEP_POLICIES = [
     _policy("H2OStyle", head_pool=True),
 ]
 
-# prompt -> sha256 of sweep.csv over c x ratio x n_reuse x two seeds.  The
-# needle digest was recorded when each seed group started to build its needle
-# scores at that seed; it equals the rows of two one-seed sweeps run with
-# --seed 1 and --seed 2 before that change.  It held when the needle columns
-# moved from a separate layer-0 draw to the cell's own kept sets: at signal 60
-# both keep the same share of the span.
+# prompt -> sha256 of sweep.csv over c x ratio x n_reuse x two seeds
 SWEEP_DIGESTS = {
     "random": "b2db089142e5ce5104cc4df078624d9181054605c22cd2250544a10a5a89b01e",
-    "needle": "0a9e77cf9f9bec76090afe28490a564d8893b9f7887fa6ae84acbdd5c14ff9a4",
 }
 
 
