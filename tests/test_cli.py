@@ -221,33 +221,6 @@ class TestSimulate:
         assert err.startswith("error: the config's sizes need more memory than can be allocated")
         assert "internal error" not in err
 
-    def test_only_numpy_is_loaded_beside_the_standard_library(self, tmp_path):
-        # numpy is kvlab's one runtime dependency.  -S skips site's .pth imports, so
-        # numpy's own directory goes on the path
-        import numpy
-
-        path = write_config(tmp_path, base_config(reuse={"n_reuse": 2}))
-        code = (
-            "import json, sys, kvlab.cli\n"
-            f"assert kvlab.cli.main(['simulate', '--config', {path!r}]) == 0\n"
-            "tops = {name.partition('.')[0] for name in sys.modules} - set(sys.stdlib_module_names)\n"
-            "print(json.dumps({n: getattr(sys.modules.get(n), '__file__', None) for n in tops}))\n"
-        )
-        env = _src_env()
-        env["PYTHONPATH"] += os.pathsep + str(Path(numpy.__file__).parents[1])
-        proc = subprocess.run(
-            [sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.splitlines()[-1])  # after the path simulate prints
-        # numpy's Cython-built extensions register these; no file or package backs them
-        cython = {
-            name for name, file in loaded.items()
-            if file is None and (name == "cython_runtime" or name.startswith("_cython_"))
-        }
-        assert set(loaded) - cython == {"__main__", "numpy", "kvlab"}
-
     def test_timings_isolated(self, tmp_path):
         cfg = base_config()
         main(["simulate", "--config", write_config(tmp_path, cfg)])
@@ -267,6 +240,47 @@ class TestSimulate:
         assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
         timings = json.loads((tmp_path / "out" / "timings.json").read_text())
         assert [p["policy"] for p in timings["policies"]] == ["H2OStyle", "H2OStyle"]
+
+
+# every command's config; a needle prompt runs under `kvlab needle` only
+DEPENDENCY_ARGV = {
+    "simulate": base_config(reuse={"n_reuse": 2}),
+    "sweep": base_config(sweep={"c": [3, 5], "n_reuse": [1, 2]}),
+    "similarity": base_config(),
+    "reuse-bench": base_config(reuse={"n_reuse": 2}),
+    "needle": base_config(prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2}),
+    "memory": "--batch 1 --seq 64 --layers 4 --heads 2 --head-dim 8".split(),
+}
+
+
+@pytest.mark.parametrize("command", list(DEPENDENCY_ARGV))
+def test_only_numpy_is_loaded_beside_the_standard_library(tmp_path, command):
+    # numpy is kvlab's one runtime dependency, under every command.  -S skips
+    # site's .pth imports, so numpy's own directory goes on the path
+    import numpy
+
+    given = DEPENDENCY_ARGV[command]
+    args = given if command == "memory" else ["--config", write_config(tmp_path, given)]
+    code = (
+        "import json, sys, kvlab.cli\n"
+        f"assert kvlab.cli.main({[command, *args]!r}) == 0\n"
+        "tops = {name.partition('.')[0] for name in sys.modules} - set(sys.stdlib_module_names)\n"
+        "print(json.dumps({n: getattr(sys.modules.get(n), '__file__', None) for n in tops}))\n"
+    )
+    env = _src_env()
+    env["PYTHONPATH"] += os.pathsep + str(Path(numpy.__file__).parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], cwd=tmp_path, env=env,
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])  # after what the command prints
+    # numpy's Cython-built extensions register these; no file or package backs them
+    cython = {
+        name for name, file in loaded.items()
+        if file is None and (name == "cython_runtime" or name.startswith("_cython_"))
+    }
+    assert set(loaded) - cython == {"__main__", "numpy", "kvlab"}
 
 
 class TestOutputPath:
@@ -1096,6 +1110,29 @@ class TestNeedleCommand:
         for fresh, copied in zip(fractions[1], fractions[4], strict=True):
             assert copied == [copied[0]] * 4  # every layer copies layer 0's kept set
             assert len(set(fresh)) > 1  # every layer draws and compresses its own scores
+
+    @pytest.mark.parametrize("n_reuse", [1, 2])
+    def test_summary_reads_each_layer(self, tmp_path, n_reuse):
+        # the mean and the all-layers flag summarize the per-layer entries, which
+        # number every layer in order; a layer is intact when it keeps the whole span
+        weak = {**NEEDLE_PROMPT, "signal": 0.3, "seed": 2, "observe_rows": 4}
+        policies = [
+            {"kind": "ChunkKV", "budget": {"max_len": 9, "w": 4, "c": 5}},
+            {"kind": "SnapKVStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}, "pool_width": 3},
+            {"kind": "H2OStyle", "budget": {"ratio": 0.25, "w": 4, "c": 5}},
+        ]
+        cfg = base_config(prompt=weak, policies=policies, reuse={"n_reuse": n_reuse})
+        assert main(["needle", "--config", write_config(tmp_path, cfg)]) == 0
+        doc = json.loads((tmp_path / "out" / "needle.json").read_text())
+        assert [p["policy"] for p in doc["policies"]] == ["ChunkKV", "SnapKVStyle", "H2OStyle"]
+        for p in doc["policies"]:
+            layers = p["per_layer"]
+            assert [l["layer"] for l in layers] == [0, 1, 2, 3]  # base_config's 4 layers
+            assert all(l["intact"] == (l["fraction"] == 1.0) for l in layers)
+            assert p["intact_all_layers"] == all(l["intact"] for l in layers)
+            # per-layer fractions are k / span_len, exact before rounding to 6 places
+            assert p["mean_fraction"] == round(sum(l["fraction"] for l in layers) / 4, 6)
+        assert {p["intact_all_layers"] for p in doc["policies"]} == {True, False}
 
     @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "reuse-bench"])
     def test_other_commands_refuse_a_needle_prompt(self, tmp_path, capsys, monkeypatch, command):

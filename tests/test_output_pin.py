@@ -45,6 +45,11 @@ PROMPTS = {
         "kind": "needle", "seq_len": 60, "span_start": 20, "span_len": 5,
         "signal": 60.0, "seed": 4, "weak_offset": 2, "observe_rows": 4,
     },
+    # signal 0.3 over uniform noise: each layer keeps its own share of the span
+    "weak_needle": {
+        "kind": "needle", "seq_len": 60, "span_start": 20, "span_len": 5,
+        "signal": 0.3, "seed": 2, "weak_offset": 2, "observe_rows": 4,
+    },
 }
 
 # (command, prompt, n_reuse) -> sha256 of the written file.  The simulate
@@ -60,6 +65,11 @@ DIGESTS = {
     # noise is always uniform); the `policies` block kept every byte.
     ("needle", "needle", 1): "3efc76d2f746d3b388344fe51aec0b9f30edd42d6fde5fabe408a00a7ce753fc",
     ("needle", "needle", 2): "3efc76d2f746d3b388344fe51aec0b9f30edd42d6fde5fabe408a00a7ce753fc",
+    # recorded while simulate and sweep also read a needle prompt, before
+    # `kvlab needle` drew its own per-layer scores; here n_reuse changes the bytes
+    ("needle", "weak_needle", 1): "82d61b6dbca6a02ac2b52f7d47bb46ff3dc62682028b4bb2c80847438cd925dc",
+    ("needle", "weak_needle", 2): "1ed482ab6bf9575a658dcd17f4bd73cd26626e0ede530ccbcd5a3e923bd80309",
+    ("needle", "weak_needle", 4): "69810f003896d9a3bb8d6fc5f27e1a7c729291583395ce2077bc88c2fac1ef1a",
 }
 
 OUTPUT = {"simulate": "report.json", "needle": "needle.json"}
