@@ -31,9 +31,7 @@ def main():
         ],
         "sweep": {"c": [3, 5, 10, 20, 30], "ratio": [0.1], "n_reuse": [1], "seeds": args.seeds},
     }
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    [path] = cmd_sweep(parse_config(doc), out)
+    [path] = cmd_sweep(parse_config(doc), Path(args.out))
     print(f"wrote {path}")
 
     grouped = defaultdict(list)

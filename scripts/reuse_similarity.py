@@ -1,12 +1,24 @@
 #!/usr/bin/env python3
 """Layer-wise index similarity study: adjacent-layer Jaccard per policy,
 similarity heatmaps (CSV + PGM), and analytic vs measured reuse speedups.
+
+Every layer selects its own kept set (n_reuse 1), so the similarity is that of
+fresh selections; the heatmaps render each policy's report.json matrix.
 """
 
 import argparse
+import json
 from pathlib import Path
 
-from kvlab.experiments import cmd_reuse_bench, cmd_similarity, parse_config, run_simulate
+from kvlab.experiments import cmd_reuse_bench, cmd_simulate, parse_config
+
+
+def heatmaps(matrix) -> tuple[str, str]:
+    """The matrix as CSV to 3 decimals and as a plain graymap of levels 0-255."""
+    table = "".join(",".join(f"{v:.3f}" for v in row) + "\r\n" for row in matrix)  # as csv.writer
+    levels = (" ".join(str(int(round(v * 255))) for v in row) for row in matrix)
+    n = len(matrix)
+    return table, "\n".join(["P2", f"{n} {n}", "255", *levels]) + "\n"
 
 
 def main():
@@ -25,19 +37,22 @@ def main():
             {"kind": "SnapKVStyle", "budget": {"ratio": 0.1, "w": 8, "c": 10}, "pool_width": 3},
             {"kind": "H2OStyle", "budget": {"ratio": 0.1, "w": 8, "c": 10}},
         ],
-        "reuse": {"n_reuse": 2},
         "sweep": {"n_reuse": [1, 2, 4, 8]},
     }
     cfg = parse_config(doc)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
-    report, _ = run_simulate(cfg)
+    written = cmd_simulate(cfg, out)
+    report = json.loads(written[0].read_text())
     print(f"{'policy':<14} {'adjacent_jaccard':>18}")
     for prep in report["policies"]:
         print(f"{prep['policy']:<14} {prep['adjacent_jaccard']:>18.4f}")
+        for ext, text in zip(("csv", "pgm"), heatmaps(prep["similarity_matrix"])):
+            path = out / f"similarity_{prep['policy']}.{ext}"
+            path.write_text(text, newline="")
+            written.append(path)
 
-    for path in cmd_similarity(cfg, out) + cmd_reuse_bench(cfg, out):
+    for path in written + cmd_reuse_bench(cfg, out):
         print(f"wrote {path}")
 
 

@@ -1,9 +1,11 @@
 """Command-line entry point.
 
-Subcommands: simulate | sweep | similarity | memory | needle | reuse-bench.
-Exit codes: 0 success, 1 internal error, 2 user/config error.  An output
-file kvlab cannot write (a directory in its place, say) exits 2 after the
-run, with a message naming the file; a closed stdout exits 0 quietly.
+Subcommands: simulate | sweep | needle | reuse-bench | memory.
+Exit codes: 0 success, 1 internal error, 2 user/config error.  --out is made
+at the first write, so a config its command refuses leaves no directory.  An
+--out that cannot be a directory, or an output file kvlab cannot write (a
+directory in its place, say), exits 2 after the run, with a message naming
+it; a closed stdout exits 0 quietly.
 """
 
 from __future__ import annotations
@@ -15,10 +17,8 @@ from pathlib import Path
 
 from .cache import memory_bytes
 from .experiments import (
-    ConfigError,
     cmd_needle,
     cmd_reuse_bench,
-    cmd_similarity,
     cmd_simulate,
     cmd_sweep,
     load_config,
@@ -30,8 +30,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     # bound on each call, so that a wrapper installed on a cmd_* name (perfbench's tracer) runs
-    for name, run in zip(("simulate", "sweep", "similarity", "needle", "reuse-bench"),
-                         (cmd_simulate, cmd_sweep, cmd_similarity, cmd_needle, cmd_reuse_bench)):
+    for name, run in zip(("simulate", "sweep", "needle", "reuse-bench"),
+                         (cmd_simulate, cmd_sweep, cmd_needle, cmd_reuse_bench)):
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="path to the JSON experiment config")
         p.add_argument("--out", default="out", help="output directory (default: out)")
@@ -45,16 +45,6 @@ def build_parser() -> argparse.ArgumentParser:
     mem.add_argument("--head-dim", type=int, required=True)
     mem.add_argument("--precision-bytes", type=int, default=2)
     return parser
-
-
-def _load(args):
-    cfg = load_config(args.config)
-    out_dir = Path(args.out)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as e:  # a file in the way, at the path or above it
-        raise ConfigError(f"--out {str(out_dir)!r} cannot be a directory: {e.strerror}") from e
-    return cfg, out_dir
 
 
 def main(argv=None) -> int:
@@ -78,13 +68,13 @@ def main(argv=None) -> int:
                 limit = sys.get_int_max_str_digits()
                 raise ValueError(f"the byte count {product} has over {limit} digits") from e
         else:
-            lines = args.run(*_load(args))  # the paths written
+            lines = args.run(load_config(args.config), Path(args.out))  # the paths written
         print(*lines, sep="\n", flush=True)
         return 0
     except BrokenPipeError:  # a closed stdout; fd 1 on devnull, so no exit-time flush fails again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except (ConfigError, ValueError) as e:
+    except ValueError as e:  # a ConfigError too
         print(f"error: {e}", file=sys.stderr)
         return 2
     except MemoryError as e:  # `[x] * n` raises one with no message

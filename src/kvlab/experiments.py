@@ -432,7 +432,12 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
 
 def _write(path: Path, text: str) -> Path:
-    """Every output file is written here: one the OS cannot write is a ConfigError naming it."""
+    """Every output file is written here, --out made at the first write: a path the OS cannot
+    make or write is a ConfigError naming it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # a file in the way, at the path or above it
+        raise ConfigError(f"--out {str(path.parent)!r} cannot be a directory: {e.strerror}") from e
     try:
         path.write_text(text, newline="")
     except OSError as e:  # a failed write or close carries no filename
@@ -445,7 +450,7 @@ def write_json(path: Path, obj: dict) -> Path:
 
 
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """[report.json], written after timings.json into out_dir, which `cli._load` creates."""
+    """[report.json], written into out_dir after timings.json."""
     report, timings = run_simulate(cfg)
     write_json(out_dir / "timings.json", timings)
     return [write_json(out_dir / "report.json", report)]
@@ -533,7 +538,7 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[Optional[int], Optional[fl
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """[sweep.csv] in cell order, into `cli._load`'s out_dir; one seed's source alive at once."""
+    """[sweep.csv] in cell order, into out_dir; one seed's source alive at once."""
     cells = _sweep_cells(cfg)
     rows = [None] * len(cells)
     for seed in dict.fromkeys(cell[3] for cell in cells):
@@ -551,35 +556,11 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 # ---------------------------------------------------------------------------
-# similarity heatmaps
-
-
-def cmd_similarity(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """similarity_<name>.csv/.pgm into `cli._load`'s out_dir; a shared name adds _<report index>."""
-    if cfg.model.n_layers < 2:
-        raise ConfigError("similarity requires at least 2 layers")
-    report, _ = run_simulate(cfg)
-    names = [p["policy"] for p in report["policies"]]
-    written = []
-    for i, (prep, name) in enumerate(zip(report["policies"], names)):
-        suffix = f"_{i}" if names.count(name) > 1 else ""
-        name = name.replace("|", "_").replace("[", "_").replace("]", "").replace("@", "_") + suffix
-        matrix = prep["similarity_matrix"]  # CSV rows end in \r\n, as csv.writer ends them
-        table = "".join(",".join(f"{v:.3f}" for v in row) + "\r\n" for row in matrix)
-        n = len(matrix)
-        levels = (" ".join(str(int(round(v * 255))) for v in row) for row in matrix)
-        pgm = "\n".join(["P2", f"{n} {n}", "255", *levels]) + "\n"  # plain graymap, levels 0-255
-        written += [_write(out_dir / f"similarity_{name}.csv", table),
-                    _write(out_dir / f"similarity_{name}.pgm", pgm)]
-    return written
-
-
-# ---------------------------------------------------------------------------
 # needle harness
 
 
 def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """[needle.json] in `cli._load`'s out_dir: per-layer needle retention under the reuse plan.
+    """[needle.json] in out_dir: per-layer needle retention under the reuse plan.
 
     The needle prompt's scores are one synthetic matrix per layer, each drawn
     from its own seed; retention is read off each layer's kept set.
@@ -614,7 +595,7 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
 
 
 def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """[reuse_bench.json], written into out_dir, which `cli._load` creates."""
+    """[reuse_bench.json], written into out_dir."""
     reuses = (cfg.sweep and cfg.sweep.n_reuse) or (cfg.reuse and (cfg.reuse.n_reuse,))
     if not reuses:
         raise ConfigError("reuse-bench requires a reuse plan or an n_reuse sweep axis")

@@ -181,7 +181,7 @@ class TestSimulate:
         assert f"error: cannot read config {p}: " in err
         assert "internal error" not in err
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_config_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch, command):
         import kvlab.experiments
 
@@ -246,7 +246,6 @@ class TestSimulate:
 DEPENDENCY_ARGV = {
     "simulate": base_config(reuse={"n_reuse": 2}),
     "sweep": base_config(sweep={"c": [3, 5], "n_reuse": [1, 2]}),
-    "similarity": base_config(),
     "reuse-bench": base_config(reuse={"n_reuse": 2}),
     "needle": base_config(prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2}),
     "memory": "--batch 1 --seq 64 --layers 4 --heads 2 --head-dim 8".split(),
@@ -295,7 +294,7 @@ class TestOutputPath:
         assert err.startswith(f"error: --out {str(out)!r} cannot be a directory: ")
         assert afile.read_text() == "kept"
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "needle", "reuse-bench"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "needle", "reuse-bench"])
     def test_out_dir_in_the_config_exits_2_without_prefill(self, tmp_path, capsys, monkeypatch, command):
         # --out alone names the output directory; the schema refuses the old field
         calls = _count_prefills(monkeypatch)
@@ -306,13 +305,44 @@ class TestOutputPath:
         assert not (tmp_path / "old").exists()
 
     @pytest.mark.parametrize(
+        "command, overrides, message",
+        [
+            *(
+                (command, {"prompt": NEEDLE_PROMPT, "reuse": {"n_reuse": 2}, "sweep": {"c": [5]}},
+                 "a needle prompt runs only under `kvlab needle`")
+                for command in ("simulate", "sweep", "reuse-bench")
+            ),
+            ("needle", {}, "needle command requires a needle prompt"),
+            ("reuse-bench", {}, "reuse-bench requires a reuse plan or an n_reuse sweep axis"),
+            ("sweep", {"sweep": {}}, "sweep requires a 'sweep' section with axes"),
+        ],
+        ids=["simulate-needle", "sweep-needle", "reuse-bench-needle",
+             "needle-random", "reuse-bench-no-plan", "sweep-no-axes"],
+    )
+    def test_a_config_its_command_refuses_writes_nothing(
+        self, tmp_path, capsys, monkeypatch, command, overrides, message
+    ):
+        # each command refuses these before any prefill or needle draw, and --out
+        # is made only at the first write
+        import kvlab.experiments
+
+        prefills = _count_prefills(monkeypatch)
+        draws = []
+        real = kvlab.experiments.make_needle_case
+        monkeypatch.setattr(
+            kvlab.experiments, "make_needle_case", lambda *a, **k: draws.append(1) or real(*a, **k)
+        )
+        assert main([command, "--config", write_config(tmp_path, base_config(**overrides))]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert prefills == draws == []
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "command, overrides, output",
         [
             ("simulate", {}, "report.json"),
             ("simulate", {}, "timings.json"),
             ("sweep", {"sweep": {"seeds": [0]}}, "sweep.csv"),
-            ("similarity", {}, "similarity_ChunkKV.csv"),
-            ("similarity", {}, "similarity_SnapKVStyle.pgm"),
             ("needle", {"prompt": NEEDLE_PROMPT}, "needle.json"),
             ("reuse-bench", {"reuse": {"n_reuse": 2}}, "reuse_bench.json"),
         ],
@@ -498,7 +528,7 @@ class TestSeedOverride:
         assert seeded.raw == cfg
         assert loaded.prompt.seed == cfg["prompt"]["seed"]
 
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "needle", "reuse-bench"])
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "needle", "reuse-bench"])
     def test_stale_seed_flag_exits_2_without_prefill(self, tmp_path, capsys, monkeypatch, command):
         # the seed lives in the config; argparse rejects the old flag before any run
         calls = _count_prefills(monkeypatch)
@@ -511,69 +541,13 @@ class TestSeedOverride:
         assert not (tmp_path / "out").exists()
 
 
-class TestSimilarity:
-    def test_outputs_per_policy(self, tmp_path):
-        cfg = base_config()
-        assert main(["similarity", "--config", write_config(tmp_path, cfg)]) == 0
-        assert (tmp_path / "out" / "similarity_ChunkKV.csv").exists()
-        assert (tmp_path / "out" / "similarity_ChunkKV.pgm").exists()
-
-    def test_pgm_header_and_roundtrip(self, tmp_path):
-        cfg = base_config()
-        main(["similarity", "--config", write_config(tmp_path, cfg)])
-        lines = (tmp_path / "out" / "similarity_ChunkKV.pgm").read_text().splitlines()
-        assert lines[0] == "P2"
-        assert lines[1] == "4 4"
-        assert lines[2] == "255"
-        # diagonal pixels are identical-layer similarity
-        for i, row in enumerate(lines[3:7]):
-            assert row.split()[i] == "255"
-
-    def test_csv_matches_report_to_3_decimals(self, tmp_path):
-        cfg = base_config()
-        main(["similarity", "--config", write_config(tmp_path, cfg)])
-        main(["simulate", "--config", write_config(tmp_path, cfg)])
-        report = json.loads((tmp_path / "out" / "report.json").read_text())
-        matrix = report["policies"][0]["similarity_matrix"]
-        with (tmp_path / "out" / "similarity_ChunkKV.csv").open() as f:
-            parsed = [[float(x) for x in row] for row in csv.reader(f)]
-        for i in range(4):
-            for j in range(4):
-                assert parsed[i][j] == pytest.approx(matrix[i][j], abs=5e-4)
-
-    def test_identical_indices_all_max(self, tmp_path):
-        # streaming keeps the same positions on every layer
-        cfg = base_config(
-            model={"n_layers": 2, "n_heads": 1, "head_dim": 8, "vocab_size": 64, "seed": 3},
-            policies=[{"kind": "StreamingStyle", "budget": {"max_len": 10, "w": 2, "c": 1}, "sink": 2}],
-        )
-        main(["similarity", "--config", write_config(tmp_path, cfg)])
-        lines = (tmp_path / "out" / "similarity_StreamingStyle.pgm").read_text().splitlines()
-        assert all(px == "255" for row in lines[3:] for px in row.split())
-
-    def test_shared_names_get_their_report_index(self, tmp_path):
-        # three ChunkKV and one SnapKVStyle: each policy writes its own pair
-        budget = {"ratio": 0.25, "w": 4, "c": 5}
-        policies = [
-            {"kind": "ChunkKV", "budget": budget},
-            {"kind": "SnapKVStyle", "budget": budget},
-            {"kind": "ChunkKV", "budget": {**budget, "c": 2}},
-            {"kind": "ChunkKV", "budget": budget, "head_pool": True},
-        ]
-        cfg = base_config(policies=policies)
-        assert main(["similarity", "--config", write_config(tmp_path, cfg)]) == 0
-        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
-        out = tmp_path / "out"
-        stems = ["ChunkKV_0", "SnapKVStyle", "ChunkKV_2", "ChunkKV_3"]
-        assert sorted(p.name for p in out.glob("similarity_*")) == sorted(
-            f"similarity_{stem}.{ext}" for stem in stems for ext in ("csv", "pgm")
-        )
-        report = json.loads((out / "report.json").read_text())
-        matrices = [p["similarity_matrix"] for p in report["policies"]]
-        assert matrices[0] != matrices[2]  # the files can tell the policies apart
-        for stem, matrix in zip(stems, matrices, strict=True):
-            with (out / f"similarity_{stem}.csv").open() as f:
-                assert list(csv.reader(f)) == [[f"{v:.3f}" for v in row] for row in matrix]
+def test_similarity_is_no_command(tmp_path, capsys):
+    # its heatmaps render report.json's similarity_matrix (scripts/reuse_similarity.py)
+    with pytest.raises(SystemExit) as exit_:
+        main(["similarity", "--config", write_config(tmp_path, base_config())])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'similarity'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class TestHybridSplit:
@@ -1133,23 +1107,6 @@ class TestNeedleCommand:
             # per-layer fractions are k / span_len, exact before rounding to 6 places
             assert p["mean_fraction"] == round(sum(l["fraction"] for l in layers) / 4, 6)
         assert {p["intact_all_layers"] for p in doc["policies"]} == {True, False}
-
-    @pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "reuse-bench"])
-    def test_other_commands_refuse_a_needle_prompt(self, tmp_path, capsys, monkeypatch, command):
-        # every other command reads a prefill trace; a needle prompt draws nothing there
-        import kvlab.experiments
-
-        prefills = _count_prefills(monkeypatch)
-        draws = []
-        real = kvlab.experiments.make_needle_case
-        monkeypatch.setattr(
-            kvlab.experiments, "make_needle_case", lambda *a, **k: draws.append(1) or real(*a, **k)
-        )
-        cfg = base_config(prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2}, sweep={"c": [5]})
-        assert main([command, "--config", write_config(tmp_path, cfg)]) == 2
-        assert capsys.readouterr().err == "error: a needle prompt runs only under `kvlab needle`\n"
-        assert prefills == draws == []
-        assert list((tmp_path / "out").iterdir()) == []
 
 
 class TestSweepMatchesSimulate:

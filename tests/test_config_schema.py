@@ -320,7 +320,7 @@ def command_docs(draw):
     return doc
 
 
-COMMANDS = ["simulate", "sweep", "needle", "similarity", "reuse-bench"]
+COMMANDS = ["simulate", "sweep", "needle", "reuse-bench"]
 # the file each command writes whose name does not depend on the config
 OUTPUT_FILE = {
     "simulate": "report.json", "sweep": "sweep.csv", "needle": "needle.json",

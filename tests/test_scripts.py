@@ -1,6 +1,8 @@
 """Smoke tests of the study scripts: each runs to exit 0 and writes what it announces."""
 
+import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -35,3 +37,34 @@ def test_script_writes_what_it_announces(tmp_path, script, args):
     for path in written:
         assert path.is_file()
         assert out in path.parents
+
+
+def test_reuse_similarity_renders_its_report(tmp_path, monkeypatch):
+    # the heatmaps render the report.json the script writes: one prefill for it and
+    # one for reuse-bench, with every layer selecting its own kept set
+    import kvlab.experiments
+
+    prefills = []
+    real = kvlab.experiments.prefill
+    monkeypatch.setattr(
+        kvlab.experiments, "prefill", lambda *a, **k: prefills.append(1) or real(*a, **k)
+    )
+    out = tmp_path / "out"
+    monkeypatch.setattr(sys, "argv", ["reuse_similarity.py", "--out", str(out), "--length", "32"])
+    runpy.run_path(str(ROOT / "scripts" / "reuse_similarity.py"), run_name="__main__")
+    assert len(prefills) == 2
+    report = json.loads((out / "report.json").read_text())
+    assert "reuse" not in report["config"]
+    names = [p["policy"] for p in report["policies"]]
+    assert sorted(p.name for p in out.glob("similarity_*")) == sorted(
+        f"similarity_{name}.{ext}" for name in names for ext in ("csv", "pgm")
+    )
+    for prep in report["policies"]:
+        matrix = prep["similarity_matrix"]
+        table = (out / f"similarity_{prep['policy']}.csv").read_bytes().decode()
+        assert table == "".join(",".join(f"{v:.3f}" for v in row) + "\r\n" for row in matrix)
+        lines = (out / f"similarity_{prep['policy']}.pgm").read_text().splitlines()
+        assert lines[:3] == ["P2", "8 8", "255"]  # the script's 8 layers
+        levels = [[int(px) for px in line.split()] for line in lines[3:]]
+        assert levels == [[round(v * 255) for v in row] for row in matrix]
+        assert [levels[i][i] for i in range(8)] == [255] * 8  # a layer against itself
