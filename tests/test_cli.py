@@ -166,6 +166,17 @@ class TestSimulate:
         want = {"policy", "layers", "similarity_matrix", "adjacent_jaccard", "fidelity"}
         assert keys["reuse"] == keys["none"] == [want, want]
 
+    def test_identical_kept_sets_read_similarity_one(self, tmp_path):
+        # streaming keeps the same positions on every layer
+        cfg = base_config(
+            model={"n_layers": 2, "n_heads": 1, "head_dim": 8, "vocab_size": 64, "seed": 3},
+            policies=[{"kind": "StreamingStyle", "budget": {"max_len": 10, "w": 2, "c": 1}, "sink": 2}],
+        )
+        assert main(["simulate", "--config", write_config(tmp_path, cfg)]) == 0
+        (prep,) = json.loads((tmp_path / "out" / "report.json").read_text())["policies"]
+        assert prep["similarity_matrix"] == [[1.0, 1.0], [1.0, 1.0]]
+        assert prep["adjacent_jaccard"] == 1.0
+
     def test_invalid_config_exit_2(self, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"schema": 99}))
@@ -358,6 +369,22 @@ class TestOutputPath:
         assert captured.err.startswith(f"error: cannot write {out / output}: ")
         assert captured.out == ""
         assert (out / output).is_dir()
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            ("simulate", {}),
+            ("sweep", {"sweep": {"seeds": [0]}}),
+            ("needle", {"prompt": NEEDLE_PROMPT}),
+            ("reuse-bench", {"reuse": {"n_reuse": 2}}),
+        ],
+    )
+    def test_out_and_its_parents_are_made_at_the_first_write(self, tmp_path, capsys, command, overrides):
+        out = tmp_path / "a" / "b" / "out"
+        argv = [command, "--config", write_config(tmp_path, base_config(**overrides)), "--out", str(out)]
+        assert main(argv) == 0
+        printed = [Path(line) for line in capsys.readouterr().out.splitlines()]
+        assert printed and all(path.parent == out and path.is_file() for path in printed)
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
     def test_a_failed_write_names_the_file_the_os_does_not(self, tmp_path, capsys):
