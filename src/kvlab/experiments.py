@@ -314,21 +314,30 @@ def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> np.ndarr
     return trace.observe_probs[layer][head][-1:]
 
 
-def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]]) -> dict:
+def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]], memo: dict) -> dict:
     """report.json's fidelity block: per-layer head means of the evicted KV L1 and
     the final-row attention cosine, and their layer means, rounded.
 
     Head h's kept set is charged against the |K| and |V| of every head of
     its layer, so a per-head policy's KV L1 is the head mean of "every head
-    evicts head h's set".
+    evicts head h's set", and memo (this trace's) holds it per (layer, kept
+    set); it holds the cosine per (layer, head, kept set).  A layer's |K| and
+    |V| stack is built only when one of its kept sets is not in memo yet, and
+    only one layer's stack is alive at a time.
     """
-    heads = range(trace.n_heads)
     l1s, coss = [], []
     for l in range(trace.n_layers):
-        mags = kv_magnitudes(trace.k[l], trace.v[l])
-        l1s.append(float(np.mean([kv_l1_loss(mags, kept[l][h]) for h in heads])))
-        rows = [_final_row_attention(trace, l, h) for h in heads]
-        coss.append(float(np.mean([attention_cosine(rows[h], kept[l][h]) for h in heads])))
+        mags, l1, cos = None, [], []  # the last layer's stack dropped before building one
+        for h, k in enumerate(kept[l]):
+            if ("kv_l1", l, k) not in memo:
+                mags = kv_magnitudes(trace.k[l], trace.v[l]) if mags is None else mags
+                memo["kv_l1", l, k] = kv_l1_loss(mags, k)
+            if ("attn_cos", l, h, k) not in memo:
+                memo["attn_cos", l, h, k] = attention_cosine(_final_row_attention(trace, l, h), k)
+            l1.append(memo["kv_l1", l, k])
+            cos.append(memo["attn_cos", l, h, k])
+        l1s.append(float(np.mean(l1)))
+        coss.append(float(np.mean(cos)))
     return {
         "kv_l1": round(float(np.mean(l1s)), 6),
         "attn_cos": round(float(np.mean(coss)), 6),
@@ -355,16 +364,21 @@ class _Measured:
 
 
 def _measure(
-    cfg: ExperimentConfig, trace: PrefillTrace, specs: Sequence, n_reuse: int
+    cfg: ExperimentConfig, trace: PrefillTrace, specs: Sequence, n_reuse: int, memo: dict
 ) -> list[_Measured]:
-    """Each spec's `run_with_reuse` kept sets under n_reuse, what they measure and their timings."""
+    """Each spec's `run_with_reuse` kept sets under n_reuse, what they measure and their timings.
+
+    memo lives exactly as long as trace and is passed to every call on it: a
+    kept set, KV L1 or cosine an earlier call already computed is read from
+    it, so the timings cover only the work this call did.
+    """
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
     out = []
     for spec in specs:
         t0 = time.perf_counter()
-        kept = run_with_reuse(trace, spec, plan)
+        kept = run_with_reuse(trace, spec, plan, memo)
         t1 = time.perf_counter()
-        fidelity = _fidelity(trace, kept)
+        fidelity = _fidelity(trace, kept, memo)
         t2 = time.perf_counter()
         head0 = [heads[0] for heads in kept]
         out.append(_Measured(
@@ -402,13 +416,14 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     timings holds prefill_s (model init and prefill) and a list with one
     entry per policy, in report order: its name, select_s (the reuse loop's
-    kept sets) and fidelity_s (the fidelity metrics on them).
+    kept sets) and fidelity_s (the fidelity metrics on them), each without
+    the work an earlier policy on the trace already did.
     """
     t0 = time.perf_counter()
     trace = _source(cfg)
     prefill_s = time.perf_counter() - t0
     t_k = trace.seq_len
-    measured = _measure(cfg, trace, cfg.policies, _n_reuse(cfg))
+    measured = _measure(cfg, trace, cfg.policies, _n_reuse(cfg), memo={})
     timings = {
         "prefill_s": prefill_s,
         "policies": [
@@ -481,8 +496,11 @@ def run_sweep_cell(
     ratio: Optional[float],
     n_reuse: int,
     seed: int,
+    memo: dict,
 ) -> list[dict]:
     """One sweep cell: every policy at (c, ratio, n_reuse) on seed's prefill trace.
+
+    memo is the trace's `_measure` memo, shared by every cell on the trace.
 
     A c or ratio of None keeps each policy's own (`_cell_spec`); a row's c and
     ratio are those of the budget it ran with (ratio empty for a max_len).
@@ -503,7 +521,7 @@ def run_sweep_cell(
 
     cells = [_cell_spec(spec, c, ratio) for spec in cfg.policies]
     rows = []
-    for m in _measure(cfg, trace, cells, n_reuse):
+    for m in _measure(cfg, trace, cells, n_reuse, memo):
         b = m.spec.budget
         case, needle_scores = auto_needle(b.c)
         frac, intact = needle_retention(compress_layer(needle_scores, 0, m.spec)[0], case)
@@ -538,15 +556,17 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[Optional[int], Optional[fl
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """[sweep.csv] in cell order, into out_dir; one seed's source alive at once."""
+    """[sweep.csv] in cell order, into out_dir; one seed's source, and its `_measure`
+    memo, alive at once."""
     cells = _sweep_cells(cfg)
     rows = [None] * len(cells)
     for seed in dict.fromkeys(cell[3] for cell in cells):
-        seeded, trace = override_seed(cfg, seed), None  # drop the last trace before building one
-        trace = _source(seeded)
+        # drop the last trace and its memo before building the next
+        seeded, trace, memo = override_seed(cfg, seed), None, None
+        trace, memo = _source(seeded), {}
         for i, (c, r, n, s) in enumerate(cells):
             if s == seed:
-                rows[i] = run_sweep_cell(seeded, trace, c, r, n, seed)
+                rows[i] = run_sweep_cell(seeded, trace, c, r, n, seed, memo)
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=list(rows[0][0]))  # run_sweep_cell's column order
     writer.writeheader()

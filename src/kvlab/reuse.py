@@ -8,6 +8,7 @@ layer copies its anchor's per-head index sets, head h reusing head h.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -29,28 +30,41 @@ class ReusePlan:
         return (layer // self.n_reuse) * self.n_reuse
 
 
-def jaccard(a: KeptIndices, b: KeptIndices) -> float:
-    """|a n b| / |a u b|; 1.0 when both sets are empty."""
-    sa, sb = a.as_set(), b.as_set()
+def _set_jaccard(sa: frozenset, sb: frozenset) -> float:
     union = sa | sb
     if not union:
         return 1.0
     return len(sa & sb) / len(union)
 
 
+def jaccard(a: KeptIndices, b: KeptIndices) -> float:
+    """|a n b| / |a u b|; 1.0 when both sets are empty."""
+    return _set_jaccard(a.as_set(), b.as_set())
+
+
 def run_with_reuse(
-    source: PrefillTrace | ScoreMatrices, spec: PolicySpec, plan: ReusePlan
+    source: PrefillTrace | ScoreMatrices,
+    spec: PolicySpec,
+    plan: ReusePlan,
+    memo: Optional[dict] = None,
 ) -> list[list[KeptIndices]]:
     """Compress anchor layers fresh; all other layers copy their anchor.
 
-    n_reuse=1 compresses every layer independently.
+    n_reuse=1 compresses every layer independently.  Anchor kept sets are kept
+    in memo under ("kept", layer, spec), a fresh dict when none is given; a
+    memo passed in must belong to this source alone, and a later call with it
+    copies the anchors it holds instead of compressing them again.
     """
     if plan.n_layers != source.n_layers:
         raise ValueError("reuse plan layer count does not match source")
+    memo = {} if memo is None else memo
     out: list[list[KeptIndices]] = []
     for l in range(source.n_layers):
-        a = plan.anchor(l)
-        out.append(compress_layer(source, l, spec) if a == l else list(out[a]))
+        a = plan.anchor(l)  # a <= l: an anchor is stored before any layer copies it
+        kept = memo.get(("kept", a, spec))
+        if kept is None:
+            kept = memo["kept", a, spec] = compress_layer(source, a, spec)
+        out.append(list(kept))
     return out
 
 
@@ -58,15 +72,16 @@ def adjacent_similarity(per_layer: list[KeptIndices]) -> float:
     """Mean Jaccard similarity of consecutive layers' kept-index sets."""
     if len(per_layer) < 2:
         raise ValueError("need at least 2 layers")
-    sims = [jaccard(per_layer[l], per_layer[l + 1]) for l in range(len(per_layer) - 1)]
-    return float(np.mean(sims))
+    sets = [k.as_set() for k in per_layer]
+    return float(np.mean([_set_jaccard(a, b) for a, b in zip(sets, sets[1:])]))
 
 
 def similarity_matrix(per_layer: list[KeptIndices]) -> tuple[tuple[float, ...], ...]:
-    """Jaccard similarity of every pair of layers' kept sets, row by row."""
+    """Jaccard similarity of every pair of layers' kept sets, row by row; each set built once."""
     if not per_layer:
         raise ValueError("need at least 1 layer")
-    return tuple(tuple(jaccard(a, b) for b in per_layer) for a in per_layer)
+    sets = [k.as_set() for k in per_layer]
+    return tuple(tuple(_set_jaccard(a, b) for b in sets) for a in sets)
 
 
 def modeled_micros(n_layers: int, n_reuse: int, t_compress: float, t_select: float) -> float:

@@ -1,0 +1,104 @@
+"""A trace's `_measure` memo: each kept set is selected and measured once per trace.
+
+Selection runs once per (layer, spec) anchor, the KV L1 once per (layer, kept
+set) and the attention cosine once per (layer, head, kept set), across every
+cell of a sweep on one trace.  The memo never outlives its trace, and
+reuse-bench, which times fresh selection, shares none between its reuse loops.
+"""
+
+import csv
+import json
+
+import kvlab.experiments
+import kvlab.reuse
+from kvlab.cli import main
+from kvlab.experiments import _cell_spec, _source, _sweep_cells, parse_config
+from kvlab.reuse import ReusePlan, run_with_reuse
+
+from test_cli import base_config, write_config
+
+
+def _count(monkeypatch, module, name) -> list:
+    """The arguments after the first of every call to module.name from now on."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a: calls.append(a[1:]) or real(*a))
+    return calls
+
+
+def _run(tmp_path, command: str, cfg: dict, name: str = "out"):
+    """The tmp_path / name directory that `kvlab command` on cfg writes."""
+    out = tmp_path / name
+    assert main([command, "--config", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+    return out
+
+
+def _distinct_work(cfg) -> tuple[set, set, set]:
+    """(layer, spec) anchors, (layer, kept set) and (layer, head, kept set) of a
+    one-seed sweep, from fresh reuse loops on its trace."""
+    trace = _source(cfg)
+    anchors, sets, head_sets = set(), set(), set()
+    for c, r, n, _ in _sweep_cells(cfg):
+        plan = ReusePlan(cfg.model.n_layers, n)
+        for spec in cfg.policies:
+            spec = _cell_spec(spec, c, r)
+            anchors |= {(l, spec) for l in range(0, plan.n_layers, n)}
+            for l, heads in enumerate(run_with_reuse(trace, spec, plan)):
+                sets |= {(l, k) for k in heads}
+                head_sets |= {(l, h, k) for h, k in enumerate(heads)}
+    return anchors, sets, head_sets
+
+
+def test_sweep_grid_selects_and_measures_each_kept_set_once(load_perfbench, tmp_path, monkeypatch):
+    workloads = load_perfbench("workloads")
+    doc = workloads.WORKLOADS["sweep_grid"].config(0)
+    cfg = parse_config(doc)
+    anchors, sets, head_sets = _distinct_work(cfg)
+    # 3 policies x 6 (c, ratio) cells x (8 + 2) anchor layers is 180 unshared calls,
+    # and 36 cell policies x 8 layers x 4 heads is 1152 fidelity triples
+    assert (len(anchors), len(sets), len(head_sets)) == (144, 591, 613)
+
+    compress = _count(monkeypatch, kvlab.reuse, "compress_layer")
+    l1 = _count(monkeypatch, kvlab.experiments, "kv_l1_loss")
+    cos = _count(monkeypatch, kvlab.experiments, "attention_cosine")
+    _run(tmp_path, "sweep", doc)
+    assert sorted(compress, key=repr) == sorted(anchors, key=repr)  # each one once
+    assert len(l1) == len(sets)
+    assert {k for (k,) in l1} == {k for _, k in sets}
+    assert len(cos) == len(head_sets)
+    assert {k for (k,) in cos} == {k for _, _, k in head_sets}
+
+
+def _sweep_rows(tmp_path, cfg, name) -> list[dict]:
+    with (_run(tmp_path, "sweep", cfg, name) / "sweep.csv").open() as f:
+        return list(csv.DictReader(f))
+
+
+def test_two_seed_sweep_rows_are_each_seeds_own(tmp_path):
+    # the second seed's trace gets a fresh memo: no kept set or measure leaks across
+    sweep = {"c": [3, 5], "ratio": [0.25], "n_reuse": [1, 2]}
+    both = _sweep_rows(tmp_path, base_config(sweep={**sweep, "seeds": [0, 1]}), "both")
+    for seed in (0, 1):
+        alone = _sweep_rows(tmp_path, base_config(sweep={**sweep, "seeds": [seed]}), f"seed{seed}")
+        assert [r for r in both if r["seed"] == str(seed)] == alone
+    assert [r for r in both if r["seed"] == "0"] != [r for r in both if r["seed"] == "1"]
+
+
+def test_a_policy_listed_twice_reports_twice(tmp_path):
+    cfg = base_config(reuse={"n_reuse": 2})
+    cfg["policies"] = [cfg["policies"][0]] * 2
+    out = _run(tmp_path, "simulate", cfg)
+    first, second = json.loads((out / "report.json").read_text())["policies"]
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+    timings = json.loads((out / "timings.json").read_text())
+    assert [p["policy"] for p in timings["policies"]] == ["ChunkKV", "ChunkKV"]
+
+
+def test_reuse_bench_selects_fresh_in_every_repeat(tmp_path, monkeypatch):
+    # 5 timing repeats of each distinct plan, n_reuse 1 first, every anchor layer
+    # compressed in each: measured_speedup times fresh selection
+    compress = _count(monkeypatch, kvlab.reuse, "compress_layer")
+    cfg = base_config(sweep={"n_reuse": [2, 4, 2]})  # base_config's 4 layers
+    _run(tmp_path, "reuse-bench", cfg)
+    anchors = {1: [0, 1, 2, 3], 2: [0, 2], 4: [0]}
+    assert [layer for layer, _ in compress] == [l for n in (1, 2, 4) for l in anchors[n] * 5]

@@ -119,6 +119,16 @@ class TestSimilarityMatrix:
                 assert m[i][j] == m[j][i]
                 assert m[i][j] == jaccard(kept[i][0], kept[j][0])
 
+    def test_each_layer_set_built_once(self, monkeypatch):
+        # the pairwise jaccard bits, from one frozenset per layer, not two per pair
+        layers = [ki(*range(l, 3 * l + 5)) for l in range(8)]
+        want = tuple(tuple(jaccard(a, b) for b in layers) for a in layers)
+        built = []
+        real = KeptIndices.as_set
+        monkeypatch.setattr(KeptIndices, "as_set", lambda self: built.append(self) or real(self))
+        assert similarity_matrix(layers) == want
+        assert built == layers
+
 
 class TestSpeedupEstimate:
     def test_negligible_select_gives_n_reuse(self):
