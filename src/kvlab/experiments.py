@@ -314,6 +314,11 @@ def _final_row_attention(trace: PrefillTrace, layer: int, head: int) -> np.ndarr
     return trace.observe_probs[layer][head][-1:]
 
 
+def _mean(xs: list[float]) -> float:
+    """np.mean(xs) bit for bit (one pairwise float64 sum, one division), without its overhead."""
+    return float(np.add.reduce(np.asarray(xs))) / len(xs)
+
+
 def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]], memo: dict) -> dict:
     """report.json's fidelity block: per-layer head means of the evicted KV L1 and
     the final-row attention cosine, and their layer means, rounded.
@@ -336,11 +341,11 @@ def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]], memo: dict) ->
                 memo["attn_cos", l, h, k] = attention_cosine(_final_row_attention(trace, l, h), k)
             l1.append(memo["kv_l1", l, k])
             cos.append(memo["attn_cos", l, h, k])
-        l1s.append(float(np.mean(l1)))
-        coss.append(float(np.mean(cos)))
+        l1s.append(_mean(l1))
+        coss.append(_mean(cos))
     return {
-        "kv_l1": round(float(np.mean(l1s)), 6),
-        "attn_cos": round(float(np.mean(coss)), 6),
+        "kv_l1": round(_mean(l1s), 6),
+        "attn_cos": round(_mean(coss), 6),
         "per_layer_l1": [round(x, 6) for x in l1s],
         "per_layer_cos": [round(x, 6) for x in coss],
     }
@@ -369,8 +374,8 @@ def _measure(
     """Each spec's `run_with_reuse` kept sets under n_reuse, what they measure and their timings.
 
     memo lives exactly as long as trace and is passed to every call on it: a
-    kept set, KV L1 or cosine an earlier call already computed is read from
-    it, so the timings cover only the work this call did.
+    ranking, kept set, KV L1 or cosine an earlier call already computed is
+    read from it, so the timings cover only the work this call did.
     """
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
     out = []
@@ -506,25 +511,31 @@ def run_sweep_cell(
     ratio are those of the budget it ran with (ratio empty for a max_len).
     The needle columns are a synthetic score-level diagnostic, not read off the
     trace: layer 0 of a chunk-aligned needle that depends only on the policy's
-    c and the seed, outside the reuse loop, built once per c in the cell.
-    micros_compress is a modeled cost: n_heads * max(w, 1) * T per anchor
-    layer, n_heads per copied one.
+    c and the seed, outside the reuse loop.  memo keeps each c's needle, with
+    the needle source's own memo, under ("needle", c), and each spec's
+    retention on it under ("needle", c, spec), so every cell on the trace
+    shares them.  micros_compress is a modeled cost: n_heads * max(w, 1) * T
+    per anchor layer, n_heads per copied one.
     """
 
-    @functools.cache
-    def auto_needle(c: int) -> tuple[NeedleCase, ScoreMatrices]:
-        t = cfg.prompt.length
-        start = seed % max(t // c, 1) * c  # the seed picks the chunk
-        case = NeedleCase(t, start, min(c, t - start), signal=float(t), seed=seed)
-        scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
-        return case, ScoreMatrices((scores,) * cfg.model.n_layers)
+    def auto_needle(c: int) -> tuple[NeedleCase, ScoreMatrices, dict]:
+        if ("needle", c) not in memo:
+            t = cfg.prompt.length
+            start = seed % max(t // c, 1) * c  # the seed picks the chunk
+            case = NeedleCase(t, start, min(c, t - start), signal=float(t), seed=seed)
+            scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
+            memo["needle", c] = case, ScoreMatrices((scores,) * cfg.model.n_layers), {}
+        return memo["needle", c]
 
     cells = [_cell_spec(spec, c, ratio) for spec in cfg.policies]
     rows = []
     for m in _measure(cfg, trace, cells, n_reuse, memo):
         b = m.spec.budget
-        case, needle_scores = auto_needle(b.c)
-        frac, intact = needle_retention(compress_layer(needle_scores, 0, m.spec)[0], case)
+        if ("needle", b.c, m.spec) not in memo:
+            case, needle, needle_memo = auto_needle(b.c)
+            kept = compress_layer(needle, 0, m.spec, memo=needle_memo)[0]
+            memo["needle", b.c, m.spec] = needle_retention(kept, case)
+        frac, intact = memo["needle", b.c, m.spec]
         cost = float(cfg.model.n_heads * max(b.w, 1) * trace.seq_len), float(cfg.model.n_heads)
         rows.append({
             "policy": m.spec.name,

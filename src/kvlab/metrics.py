@@ -8,6 +8,7 @@ cosine between a final-row attention distribution and its zero-masked
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -80,16 +81,19 @@ def kv_l1_loss(mags: np.ndarray, kept: KeptIndices) -> float:
 def attention_cosine(full_attn_row: np.ndarray, kept: KeptIndices) -> float:
     """Cosine between a distribution and its zero-masked restriction.
 
+    One dot product serves as both p . masked and |masked|^2: the two have the
+    same products, and |p| is the sqrt of p . p, as np.linalg.norm takes it.
     A kept index past the row's end fails the gather (IndexError).
     """
     p = full_attn_row.reshape(-1).astype(np.float64)
     masked = np.zeros_like(p)
     idx = np.asarray(kept.positions, dtype=np.intp)
     masked[idx] = p[idx]
-    norm = np.linalg.norm(p) * np.linalg.norm(masked)
+    dot = float(masked.dot(masked))
+    norm = math.sqrt(p.dot(p)) * math.sqrt(dot)
     if norm == 0:
         return 0.0
-    return float(np.dot(p, masked) / norm)
+    return dot / norm
 
 
 def make_needle_case(case: NeedleCase, observe_rows: int = 1) -> np.ndarray:

@@ -14,6 +14,10 @@ ChunkKV feeds it observe-window rows; the other kinds feed it one-position
 chunks: pooled observe-window column mass (SnapKVStyle, PyramidStyle with
 layer-decaying budgets), cumulative attention (H2OStyle) or a mask on the
 first sink positions (StreamingStyle).  Hybrid splits the layers.
+
+A layer's ranking, the stable descending order of its chunk scores, depends
+on the scoring rule and not on the budget, so `compress_layer` keeps it in a
+memo and every budget on the layer cuts the same ranking.
 """
 
 from __future__ import annotations
@@ -114,31 +118,38 @@ def chunk_scores(a: np.ndarray, c: int) -> np.ndarray:
     return np.add.reduceat(col_sums, np.arange(0, t, min(c, t)))  # c > T: the whole prompt
 
 
-def _top_k_stable(scores: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k largest scores, ascending; ties broken toward the earlier index."""
-    order = np.argsort(-np.asarray(scores, dtype=np.float64), kind="stable")
-    return np.sort(order[:k])
+def chunk_order(a: np.ndarray, c: int) -> np.ndarray:
+    """a's chunk indices by descending `chunk_scores`, ties toward the earlier: its ranking."""
+    return np.argsort(-chunk_scores(a, c), kind="stable")
 
 
-def chunkkv_from_scores(a: np.ndarray, c: int, w: int, max_len: int) -> KeptIndices:
+def chunkkv_from_scores(
+    a: np.ndarray, c: int, w: int, max_len: int, order: Optional[np.ndarray] = None
+) -> KeptIndices:
     """The top (max_len - w) // c chunks of a, ties toward the earlier, plus the last w.
 
-    T is a's width, and a budget that covers T keeps the whole prompt.
+    T is a's width, and a budget that covers T keeps the whole prompt.  order
+    is a's `chunk_order` at c when the caller already holds it: `compress_layer`
+    keeps it in its memo under ("ranking", layer, scoring rule), beside the
+    kept sets `run_with_reuse` keeps there under ("kept", layer, spec).
     """
     t = a.shape[1]
     if w > max_len:
         raise ValueError("observe window exceeds budget")
     if max_len >= t:
         return KeptIndices.from_iterable(range(t))
-    chunks = _top_k_stable(chunk_scores(a, c), (max_len - w) // c).tolist()
+    order = chunk_order(a, c) if order is None else order
+    chunks = np.sort(order[: (max_len - w) // c]).tolist()
     # one-position chunks are their own positions: no range per chosen token
     picked = [p for i in chunks for p in range(i * c, min(i * c + c, t))] if c > 1 else chunks
     return KeptIndices.from_iterable([*picked, *range(t - w, t)])
 
 
-def topk_from_scores(col_scores: np.ndarray, w: int, max_len: int) -> KeptIndices:
+def topk_from_scores(
+    col_scores: np.ndarray, w: int, max_len: int, order: Optional[np.ndarray] = None
+) -> KeptIndices:
     """Token-level top-k over per-position scores, unioned with the last w: one-position chunks."""
-    return chunkkv_from_scores(np.asarray(col_scores)[None], 1, w, max_len)
+    return chunkkv_from_scores(np.asarray(col_scores)[None], 1, w, max_len, order)
 
 
 def streaming_compress(t_k: int, sink: int, max_len: int) -> KeptIndices:
@@ -290,25 +301,28 @@ def _scores(source: PrefillTrace | ScoreMatrices, layer: int, head: int, w: int)
     return rows[len(rows) - w :]
 
 
-def compress_layer(
-    source: PrefillTrace | ScoreMatrices, layer: int, spec: PolicySpec
-) -> list[KeptIndices]:
-    """Per-head kept-sets for one layer of a trace or synthetic score source.
+def _scoring_rule(spec: PolicySpec) -> tuple:
+    """What a selecting kind's ranking depends on: never the budget's size or ratio.
 
-    The one place a policy kind picks its budget and scoring rule.  Head-pooled
-    specs select once from the mean of the heads' scores and give every head
-    that set.
+    SnapKVStyle and PyramidStyle share one rule; one-position rankers ignore c.
     """
-    if spec.kind == "Hybrid":
-        inner = spec.inner_a if layer < spec.split else spec.inner_b
-        return compress_layer(source, layer, inner)
-    t_k, heads = source.seq_len, range(source.n_heads)
-    max_len = resolved_layer_budgets(spec, source.n_layers, t_k)[layer]
-    if spec.kind == "FullKV" or max_len >= t_k:
-        return [KeptIndices.from_iterable(range(t_k))] * len(heads)
-    if spec.kind == "StreamingStyle":
-        return [streaming_compress(t_k, spec.sink, max_len)] * len(heads)
     b = spec.budget
+    if spec.kind == "ChunkKV":
+        return ("ChunkKV", b.w, b.c, spec.head_pool)
+    if spec.kind == "H2OStyle":
+        return ("H2OStyle", spec.h2o_normalize, spec.head_pool)
+    return ("SnapKVStyle", b.w, spec.pool_width, spec.head_pool)
+
+
+def _rankings(
+    source: PrefillTrace | ScoreMatrices, layer: int, spec: PolicySpec
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(scores, chunk_order) each budget cuts: one per head, or one pooled for head_pool.
+
+    ChunkKV's scores are observe-window rows ranked by chunk; the other kinds'
+    are one row of per-position scores, ranked by position.
+    """
+    w = spec.budget.w
     if spec.kind == "H2OStyle":
         if isinstance(source, ScoreMatrices):
             # no causal mask shaped synthetic scores: every position is
@@ -318,15 +332,53 @@ def compress_layer(
             raise ValueError("H2OStyle reads col_mass, which this trace was prefilled without")
         else:
             scores = h2o_scores(np.stack(source.col_mass[layer]), spec.h2o_normalize)
-        select = lambda col: topk_from_scores(col, b.w, max_len)
     else:
-        mats = [_scores(source, layer, h, b.w) for h in heads]
-        if spec.kind == "ChunkKV":
-            scores = mats
-            select = lambda a: chunkkv_from_scores(a, b.c, b.w, max_len)
-        else:  # SnapKVStyle, PyramidStyle: max-pooled observe-window column mass
-            scores = [m.sum(axis=0, dtype=np.float64) for m in mats]
-            select = lambda col: topk_from_scores(max_pool_1d(col, spec.pool_width), b.w, max_len)
+        scores = [_scores(source, layer, h, w) for h in range(source.n_heads)]
+        if spec.kind != "ChunkKV":  # SnapKVStyle, PyramidStyle: observe-window column mass
+            scores = [m.sum(axis=0, dtype=np.float64) for m in scores]
     if spec.head_pool:
-        return [select(np.mean(scores, axis=0))] * len(heads)
-    return [select(s) for s in scores]
+        scores = [np.mean(scores, axis=0)]
+    if spec.kind == "ChunkKV":
+        return [(a, chunk_order(a, spec.budget.c)) for a in scores]
+    if spec.kind != "H2OStyle":
+        scores = [max_pool_1d(col, spec.pool_width) for col in scores]
+    return [(col, chunk_order(col[None], 1)) for col in scores]
+
+
+def compress_layer(
+    source: PrefillTrace | ScoreMatrices,
+    layer: int,
+    spec: PolicySpec,
+    *,
+    memo: Optional[dict] = None,
+) -> list[KeptIndices]:
+    """Per-head kept-sets for one layer of a trace or synthetic score source.
+
+    The one place a policy kind picks its budget and scoring rule.  Head-pooled
+    specs select once from the mean of the heads' scores and give every head
+    that set.  The layer's rankings are kept in memo under ("ranking", layer,
+    scoring rule), a fresh dict when none is given, and each budget cuts them
+    with `chunkkv_from_scores`; `run_with_reuse` keeps the kept sets in the
+    same memo under ("kept", layer, spec).  A memo passed in must belong to
+    this source alone.
+    """
+    if spec.kind == "Hybrid":
+        inner = spec.inner_a if layer < spec.split else spec.inner_b
+        return compress_layer(source, layer, inner, memo=memo)
+    t_k, n_heads = source.seq_len, source.n_heads
+    max_len = resolved_layer_budgets(spec, source.n_layers, t_k)[layer]
+    if spec.kind == "FullKV" or max_len >= t_k:
+        return [KeptIndices.from_iterable(range(t_k))] * n_heads
+    if spec.kind == "StreamingStyle":
+        return [streaming_compress(t_k, spec.sink, max_len)] * n_heads
+    memo = {} if memo is None else memo
+    key = ("ranking", layer, _scoring_rule(spec))
+    ranked = memo.get(key)
+    if ranked is None:
+        ranked = memo[key] = _rankings(source, layer, spec)
+    b = spec.budget
+    if spec.kind == "ChunkKV":
+        kept = [chunkkv_from_scores(a, b.c, b.w, max_len, order) for a, order in ranked]
+    else:
+        kept = [topk_from_scores(col, b.w, max_len, order) for col, order in ranked]
+    return kept * n_heads if spec.head_pool else kept

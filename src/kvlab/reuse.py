@@ -51,9 +51,11 @@ def run_with_reuse(
     """Compress anchor layers fresh; all other layers copy their anchor.
 
     n_reuse=1 compresses every layer independently.  Anchor kept sets are kept
-    in memo under ("kept", layer, spec), a fresh dict when none is given; a
-    memo passed in must belong to this source alone, and a later call with it
-    copies the anchors it holds instead of compressing them again.
+    in memo under ("kept", layer, spec), a fresh dict when none is given, and
+    `compress_layer` keeps each layer's rankings there under ("ranking",
+    layer, scoring rule).  A memo passed in must belong to this source alone;
+    a later call with it copies the anchors it holds instead of compressing
+    them again, and cuts the rankings it holds instead of ranking again.
     """
     if plan.n_layers != source.n_layers:
         raise ValueError("reuse plan layer count does not match source")
@@ -63,7 +65,7 @@ def run_with_reuse(
         a = plan.anchor(l)  # a <= l: an anchor is stored before any layer copies it
         kept = memo.get(("kept", a, spec))
         if kept is None:
-            kept = memo["kept", a, spec] = compress_layer(source, a, spec)
+            kept = memo["kept", a, spec] = compress_layer(source, a, spec, memo=memo)
         out.append(list(kept))
     return out
 

@@ -515,7 +515,7 @@ class TestSweep:
         monkeypatch.setattr(kvlab.experiments, "make_needle_case", counting)
         cfg = base_config(sweep={"c": [3, 5], "n_reuse": [1, 2], "seeds": [0]})
         assert main(["sweep", "--config", write_config(tmp_path, cfg)]) == 0
-        assert len(calls) == 4  # one per cell, shared by both policies
+        assert len(calls) == 2  # one per c, shared by both policies and both n_reuse cells
 
 
 class TestSeedOverride:

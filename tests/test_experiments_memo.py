@@ -1,28 +1,35 @@
 """A trace's `_measure` memo: each kept set is selected and measured once per trace.
 
-Selection runs once per (layer, spec) anchor, the KV L1 once per (layer, kept
-set) and the attention cosine once per (layer, head, kept set), across every
-cell of a sweep on one trace.  The memo never outlives its trace, and
-reuse-bench, which times fresh selection, shares none between its reuse loops.
+Each layer is ranked once per scoring rule, selection runs once per (layer,
+spec) anchor, the KV L1 once per (layer, kept set) and the attention cosine
+once per (layer, head, kept set), across every cell of a sweep on one trace.
+The memo never outlives its trace, and reuse-bench, which times fresh
+selection, shares none between its reuse loops.
 """
 
+import collections
 import csv
 import json
 
+import numpy as np
+
 import kvlab.experiments
+import kvlab.policies
 import kvlab.reuse
 from kvlab.cli import main
-from kvlab.experiments import _cell_spec, _source, _sweep_cells, parse_config
+from kvlab.experiments import _cell_spec, _mean, _source, _sweep_cells, parse_config
+from kvlab.model import PrefillTrace
+from kvlab.policies import _scoring_rule
 from kvlab.reuse import ReusePlan, run_with_reuse
 
-from test_cli import base_config, write_config
+from test_cli import NEEDLE_PROMPT, base_config, write_config
 
 
 def _count(monkeypatch, module, name) -> list:
     """The arguments after the first of every call to module.name from now on."""
     calls = []
     real = getattr(module, name)
-    monkeypatch.setattr(module, name, lambda *a: calls.append(a[1:]) or real(*a))
+    monkeypatch.setattr(module, name, lambda *a, **kw: calls.append(a[1:]) or real(*a, **kw))
     return calls
 
 
@@ -69,6 +76,46 @@ def test_sweep_grid_selects_and_measures_each_kept_set_once(load_perfbench, tmp_
     assert {k for (k,) in cos} == {k for _, _, k in head_sets}
 
 
+def test_sweep_grid_ranks_each_layer_once_per_scoring_rule(load_perfbench, tmp_path, monkeypatch):
+    # every (c, ratio) cell cuts the trace's one ranking per (layer, scoring rule):
+    # ChunkKV's 3 c x 8 layers, and SnapKVStyle's and H2OStyle's 8 layers, which
+    # depend on neither c nor ratio; each c's needle source is ranked once per rule
+    doc = load_perfbench("workloads").WORKLOADS["sweep_grid"].config(0)
+    ranked = []
+    real = kvlab.policies._rankings
+    monkeypatch.setattr(
+        kvlab.policies,
+        "_rankings",
+        lambda source, layer, spec: ranked.append((source, layer, _scoring_rule(spec)))
+        or real(source, layer, spec),
+    )
+    compress = _count(monkeypatch, kvlab.reuse, "compress_layer")
+    _run(tmp_path, "sweep", doc)
+    on_trace = [(l, rule) for source, l, rule in ranked if isinstance(source, PrefillTrace)]
+    assert len(on_trace) == len(set(on_trace)) == 40
+    kinds = collections.Counter(rule[0] for _, rule in on_trace)
+    assert kinds == {"ChunkKV": 24, "SnapKVStyle": 8, "H2OStyle": 8}
+    on_needles = [(id(s), l, rule) for s, l, rule in ranked if not isinstance(s, PrefillTrace)]
+    assert len(on_needles) == len(set(on_needles)) == 3 * 3  # per c, one per policy
+    assert len(compress) == 144  # the anchors of the test above, each still once
+
+
+def test_needle_ranks_afresh_in_every_reuse_loop(tmp_path, monkeypatch):
+    ranked = _count(monkeypatch, kvlab.policies, "_rankings")
+    cfg = base_config(prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2})
+    cfg["policies"] = [cfg["policies"][0]] * 2  # one rule, two reuse loops
+    _run(tmp_path, "needle", cfg)
+    assert [layer for layer, _ in ranked] == [0, 2] * 2
+
+
+def test_layer_mean_is_np_mean_bit_for_bit():
+    rng = np.random.Generator(np.random.Philox(key=5))
+    for _ in range(20_000):
+        n = int(rng.integers(1, 70))
+        xs = (rng.uniform(0.0, 1.0, size=n) ** int(rng.integers(1, 6))).tolist()
+        assert _mean(xs) == float(np.mean(xs))
+
+
 def _sweep_rows(tmp_path, cfg, name) -> list[dict]:
     with (_run(tmp_path, "sweep", cfg, name) / "sweep.csv").open() as f:
         return list(csv.DictReader(f))
@@ -98,7 +145,9 @@ def test_reuse_bench_selects_fresh_in_every_repeat(tmp_path, monkeypatch):
     # 5 timing repeats of each distinct plan, n_reuse 1 first, every anchor layer
     # compressed in each: measured_speedup times fresh selection
     compress = _count(monkeypatch, kvlab.reuse, "compress_layer")
+    ranked = _count(monkeypatch, kvlab.policies, "_rankings")
     cfg = base_config(sweep={"n_reuse": [2, 4, 2]})  # base_config's 4 layers
     _run(tmp_path, "reuse-bench", cfg)
     anchors = {1: [0, 1, 2, 3], 2: [0, 2], 4: [0]}
     assert [layer for layer, _ in compress] == [l for n in (1, 2, 4) for l in anchors[n] * 5]
+    assert ranked == compress  # and every anchor ranked afresh

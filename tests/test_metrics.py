@@ -102,7 +102,34 @@ class TestKvL1Loss:
         assert kv_l1(kv, kept) == pytest.approx(kv_l1(swapped, kept))
 
 
+def attention_cosine_two_norm_oracle(full_attn_row, kept):
+    """The cosine attention_cosine used to take, with np.linalg.norm and its own dot, verbatim."""
+    p = full_attn_row.reshape(-1).astype(np.float64)
+    masked = np.zeros_like(p)
+    idx = np.asarray(kept.positions, dtype=np.intp)
+    masked[idx] = p[idx]
+    norm = np.linalg.norm(p) * np.linalg.norm(masked)
+    if norm == 0:
+        return 0.0
+    return float(np.dot(p, masked) / norm)
+
+
 class TestAttentionCosine:
+    def test_bits_match_two_norm_oracle(self):
+        # softmax-like rows, rows with zeros, all-zero rows, the empty row and
+        # empty kept sets, at lengths past numpy's blocked dot sizes
+        rng = np.random.Generator(np.random.Philox(key=17))
+        for i in range(3000):
+            t = int(rng.integers(0, 2101)) if i % 3 else int(rng.integers(0, 65))
+            row = rng.uniform(0.0, 1.0, size=t) ** int(rng.integers(1, 40))
+            if i % 7 == 0:
+                row[rng.uniform(size=t) < 0.5] = 0.0
+            if i % 11 == 0:
+                row[:] = 0.0
+            row = (row / max(row.sum(), 1.0)).astype(np.float32).reshape(1, -1)
+            kept = ki(np.flatnonzero(rng.uniform(size=t) < rng.uniform()))
+            assert attention_cosine(row, kept) == attention_cosine_two_norm_oracle(row, kept)
+
     def test_keep_all_is_one(self):
         row = np.array([[0.1, 0.2, 0.3, 0.4]], dtype=np.float32)
         assert attention_cosine(row, ki(range(4))) == pytest.approx(1.0)

@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kvlab.cache import BudgetSpec
@@ -14,7 +14,7 @@ from kvlab.policies import (
     PolicySpec,
     ScoreMatrices,
     _scores,
-    _top_k_stable,
+    chunk_order,
     chunk_scores,
     chunkkv_from_scores,
     compress_layer,
@@ -65,8 +65,11 @@ class TestObserveScores:
 
 
 def top_chunks(scores, k):
-    """Top-k chunks as chunkkv_from_scores ranks them, in ascending order."""
-    return tuple(_top_k_stable(scores, k).tolist())
+    """Top-k chunks as chunkkv_from_scores ranks them, in ascending order.
+
+    scores are chunk sums already: one-position chunks of one row rank by them.
+    """
+    return tuple(np.sort(chunk_order(np.asarray(scores)[None], 1)[:k]).tolist())
 
 
 class TestChunkScores:
@@ -617,6 +620,104 @@ def test_policy_laws(law_model, spec, t, seed, n_reuse):
                         i = p // b.c
                         assert set(range(i * b.c, min(i * b.c + b.c, t))) <= pos
             assert reused[l][h] == kept[l - l % n_reuse][h]
+
+
+@st.composite
+def shared_rule_calls(draw):
+    """(layer, spec) calls of one or two kinds over two layers and few field values,
+    so that most scoring rules recur under other budgets and calls differing in
+    one rule field meet on a layer."""
+    kinds = draw(st.lists(st.sampled_from(ALL_KINDS), min_size=1, max_size=2))
+
+    def plain():
+        w, c = draw(st.sampled_from([0, 2, 5])), draw(st.sampled_from([1, 3]))
+        if draw(st.booleans()):
+            budget = BudgetSpec(ratio=draw(st.floats(0.01, 1.0)), w=w, c=c)
+        else:
+            budget = BudgetSpec(max_len=w + draw(st.integers(0, 40)), w=w, c=c)
+        return PolicySpec(
+            draw(st.sampled_from(kinds)),
+            budget,
+            pool_width=draw(st.sampled_from([1, 3])),
+            sink=draw(st.integers(0, 4)),
+            skew=draw(st.sampled_from([0.0, 0.3])),
+            head_pool=draw(st.booleans()),
+            h2o_normalize=draw(st.sampled_from(["exposure", "none"])),
+        )
+
+    def spec():
+        if draw(st.integers(0, 4)) == 0:
+            split = draw(st.integers(1, 2))
+            return PolicySpec("Hybrid", BudgetSpec(ratio=0.5), split=split,
+                              inner_a=plain(), inner_b=plain())
+        return plain()
+
+    return [(draw(st.integers(0, 1)), spec()) for _ in range(draw(st.integers(1, 16)))]
+
+
+def _one_field_apart() -> list:
+    """Layer-0 calls whose scoring rules differ from the one before in one field each."""
+    b = BudgetSpec(max_len=12, w=2, c=3)
+    chunk = PolicySpec("ChunkKV", b)
+    snap = PolicySpec("SnapKVStyle", b, pool_width=3)
+    h2o = PolicySpec("H2OStyle", b)
+    specs = [
+        chunk, replace(chunk, budget=replace(b, w=5)), replace(chunk, budget=replace(b, c=1)),
+        replace(chunk, head_pool=True),
+        snap, replace(snap, budget=replace(b, w=5)), replace(snap, pool_width=1),
+        replace(snap, head_pool=True), replace(snap, kind="PyramidStyle", skew=0.3),
+        h2o, replace(h2o, h2o_normalize="none"), replace(h2o, head_pool=True),
+        PolicySpec("Hybrid", b, split=1, inner_a=replace(snap, budget=replace(b, max_len=20)),
+                   inner_b=chunk),
+    ]
+    return [(0, spec) for spec in specs]
+
+
+@settings(max_examples=200, deadline=None)
+@example(calls=_one_field_apart(), t=40, seed=1, synthetic=False)
+@given(
+    calls=shared_rule_calls(),
+    t=st.integers(1, 48),
+    seed=st.integers(0, 2**32),
+    synthetic=st.booleans(),
+)
+def test_a_shared_ranking_memo_keeps_what_fresh_selection_keeps(law_model, calls, t, seed, synthetic):
+    # one memo across a sequence of (layer, spec): each budget cuts the ranking
+    # an earlier spec of its scoring rule left, and keeps the sets a fresh
+    # compress_layer keeps
+    def valid(spec):
+        try:
+            resolved_layer_budgets(spec, 4, t)
+        except ValueError:
+            return False
+        return True
+
+    calls = [(l, spec) for l, spec in calls if valid(spec)]
+    assume(calls)
+    specs = [spec for _, spec in calls]
+    if synthetic:
+        source = ScoreMatrices(tuple(random_scores(4, t, seed + l) for l in range(4)))
+    else:
+        source = prefill(law_model, random_tokens(64, t, seed),
+                         max(1, observe_rows(specs)), reads_col_mass(specs))
+    memo = {}
+    for l, spec in calls:
+        assert compress_layer(source, l, spec, memo=memo) == compress_layer(source, l, spec)
+    assert all(key[0] == "ranking" for key in memo)
+
+
+def test_a_hybrid_cuts_the_ranking_its_inner_policy_left():
+    # the memo reaches a Hybrid's inner policies: a plain ChunkKV and a Hybrid
+    # over it at another budget find one ranking per layer
+    source = ScoreMatrices(tuple(random_scores(4, 40, l) for l in range(2)))
+    chunk = PolicySpec("ChunkKV", BudgetSpec(max_len=12, w=2, c=3))
+    hybrid = PolicySpec("Hybrid", BudgetSpec(ratio=0.5), split=1,
+                        inner_a=replace(chunk, budget=replace(chunk.budget, max_len=20)),
+                        inner_b=PolicySpec("H2OStyle", BudgetSpec(max_len=12)))
+    memo = {}
+    for l, spec in [(0, chunk), (1, chunk), (0, hybrid), (1, hybrid)]:
+        assert compress_layer(source, l, spec, memo=memo) == compress_layer(source, l, spec)
+    assert sorted(l for _, l, _ in memo) == [0, 1, 1]  # layer 1's Hybrid ranks as H2OStyle
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
