@@ -319,28 +319,32 @@ def _mean(xs: list[float]) -> float:
     return float(np.add.reduce(np.asarray(xs))) / len(xs)
 
 
-def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]], memo: dict) -> dict:
+def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]]) -> dict:
     """report.json's fidelity block: per-layer head means of the evicted KV L1 and
     the final-row attention cosine, and their layer means, rounded.
 
     Head h's kept set is charged against the |K| and |V| of every head of
     its layer, so a per-head policy's KV L1 is the head mean of "every head
-    evicts head h's set", and memo (this trace's) holds it per (layer, kept
-    set); it holds the cosine per (layer, head, kept set).  A layer's |K| and
-    |V| stack is built only when one of its kept sets is not in memo yet, and
-    only one layer's stack is alive at a time.
+    evicts head h's set", and trace.memo holds it per (layer, kept set); it
+    holds the cosine per (layer, head, kept set).  A layer's |K| and |V|
+    stack is built only when one of its kept sets is not in the memo yet,
+    and only one layer's stack is alive at a time.
     """
+    memo = trace.memo
     l1s, coss = [], []
     for l in range(trace.n_layers):
         mags, l1, cos = None, [], []  # the last layer's stack dropped before building one
         for h, k in enumerate(kept[l]):
-            if ("kv_l1", l, k) not in memo:
+            loss = memo.get(("kv_l1", l, k))
+            if loss is None:  # not falsiness: FullKV's loss is 0.0
                 mags = kv_magnitudes(trace.k[l], trace.v[l]) if mags is None else mags
-                memo["kv_l1", l, k] = kv_l1_loss(mags, k)
-            if ("attn_cos", l, h, k) not in memo:
-                memo["attn_cos", l, h, k] = attention_cosine(_final_row_attention(trace, l, h), k)
-            l1.append(memo["kv_l1", l, k])
-            cos.append(memo["attn_cos", l, h, k])
+                loss = memo["kv_l1", l, k] = kv_l1_loss(mags, k)
+            cosine = memo.get(("attn_cos", l, h, k))
+            if cosine is None:
+                row = _final_row_attention(trace, l, h)
+                cosine = memo["attn_cos", l, h, k] = attention_cosine(row, k)
+            l1.append(loss)
+            cos.append(cosine)
         l1s.append(_mean(l1))
         coss.append(_mean(cos))
     return {
@@ -369,21 +373,21 @@ class _Measured:
 
 
 def _measure(
-    cfg: ExperimentConfig, trace: PrefillTrace, specs: Sequence, n_reuse: int, memo: dict
+    cfg: ExperimentConfig, trace: PrefillTrace, specs: Sequence, n_reuse: int
 ) -> list[_Measured]:
     """Each spec's `run_with_reuse` kept sets under n_reuse, what they measure and their timings.
 
-    memo lives exactly as long as trace and is passed to every call on it: a
-    ranking, kept set, KV L1 or cosine an earlier call already computed is
-    read from it, so the timings cover only the work this call did.
+    A ranking, kept set, KV L1 or cosine an earlier call on trace already
+    computed is read from trace.memo, so the timings cover only the work
+    this call did.
     """
     plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
     out = []
     for spec in specs:
         t0 = time.perf_counter()
-        kept = run_with_reuse(trace, spec, plan, memo)
+        kept = run_with_reuse(trace, spec, plan)
         t1 = time.perf_counter()
-        fidelity = _fidelity(trace, kept, memo)
+        fidelity = _fidelity(trace, kept)
         t2 = time.perf_counter()
         head0 = [heads[0] for heads in kept]
         out.append(_Measured(
@@ -428,7 +432,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     trace = _source(cfg)
     prefill_s = time.perf_counter() - t0
     t_k = trace.seq_len
-    measured = _measure(cfg, trace, cfg.policies, _n_reuse(cfg), memo={})
+    measured = _measure(cfg, trace, cfg.policies, _n_reuse(cfg))
     timings = {
         "prefill_s": prefill_s,
         "policies": [
@@ -501,39 +505,37 @@ def run_sweep_cell(
     ratio: Optional[float],
     n_reuse: int,
     seed: int,
-    memo: dict,
 ) -> list[dict]:
     """One sweep cell: every policy at (c, ratio, n_reuse) on seed's prefill trace.
-
-    memo is the trace's `_measure` memo, shared by every cell on the trace.
 
     A c or ratio of None keeps each policy's own (`_cell_spec`); a row's c and
     ratio are those of the budget it ran with (ratio empty for a max_len).
     The needle columns are a synthetic score-level diagnostic, not read off the
     trace: layer 0 of a chunk-aligned needle that depends only on the policy's
-    c and the seed, outside the reuse loop.  memo keeps each c's needle, with
-    the needle source's own memo, under ("needle", c), and each spec's
-    retention on it under ("needle", c, spec), so every cell on the trace
-    shares them.  micros_compress is a modeled cost: n_heads * max(w, 1) * T
-    per anchor layer, n_heads per copied one.
+    c and the seed, outside the reuse loop.  trace.memo keeps each c's needle
+    under ("needle", c), and each spec's retention on it under ("needle", c,
+    spec), so every cell on the trace shares them.  micros_compress is a
+    modeled cost: n_heads * max(w, 1) * T per anchor layer, n_heads per
+    copied one.
     """
+    memo = trace.memo
 
-    def auto_needle(c: int) -> tuple[NeedleCase, ScoreMatrices, dict]:
+    def auto_needle(c: int) -> tuple[NeedleCase, ScoreMatrices]:
         if ("needle", c) not in memo:
             t = cfg.prompt.length
             start = seed % max(t // c, 1) * c  # the seed picks the chunk
             case = NeedleCase(t, start, min(c, t - start), signal=float(t), seed=seed)
             scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
-            memo["needle", c] = case, ScoreMatrices((scores,) * cfg.model.n_layers), {}
+            memo["needle", c] = case, ScoreMatrices((scores,) * cfg.model.n_layers)
         return memo["needle", c]
 
     cells = [_cell_spec(spec, c, ratio) for spec in cfg.policies]
     rows = []
-    for m in _measure(cfg, trace, cells, n_reuse, memo):
+    for m in _measure(cfg, trace, cells, n_reuse):
         b = m.spec.budget
         if ("needle", b.c, m.spec) not in memo:
-            case, needle, needle_memo = auto_needle(b.c)
-            kept = compress_layer(needle, 0, m.spec, memo=needle_memo)[0]
+            case, needle = auto_needle(b.c)
+            kept = compress_layer(needle, 0, m.spec)[0]
             memo["needle", b.c, m.spec] = needle_retention(kept, case)
         frac, intact = memo["needle", b.c, m.spec]
         cost = float(cfg.model.n_heads * max(b.w, 1) * trace.seq_len), float(cfg.model.n_heads)
@@ -567,17 +569,16 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[Optional[int], Optional[fl
 
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
-    """[sweep.csv] in cell order, into out_dir; one seed's source, and its `_measure`
-    memo, alive at once."""
+    """[sweep.csv] in cell order, into out_dir; one seed's source, with its memo of
+    the work its cells share, alive at once."""
     cells = _sweep_cells(cfg)
     rows = [None] * len(cells)
     for seed in dict.fromkeys(cell[3] for cell in cells):
-        # drop the last trace and its memo before building the next
-        seeded, trace, memo = override_seed(cfg, seed), None, None
-        trace, memo = _source(seeded), {}
+        seeded, trace = override_seed(cfg, seed), None  # the last trace dropped first
+        trace = _source(seeded)
         for i, (c, r, n, s) in enumerate(cells):
             if s == seed:
-                rows[i] = run_sweep_cell(seeded, trace, c, r, n, seed, memo)
+                rows[i] = run_sweep_cell(seeded, trace, c, r, n, seed)
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=list(rows[0][0]))  # run_sweep_cell's column order
     writer.writeheader()
@@ -594,7 +595,8 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     """[needle.json] in out_dir: per-layer needle retention under the reuse plan.
 
     The needle prompt's scores are one synthetic matrix per layer, each drawn
-    from its own seed; retention is read off each layer's kept set.
+    from its own seed; retention is read off each layer's kept set.  A ranking
+    or kept set one policy made is read back from the source's memo by the next.
     """
     case, rows = cfg.prompt.needle, cfg.prompt.observe_rows
     if case is None:
@@ -636,21 +638,22 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     def median_time(fn) -> tuple[float, Any]:  # of 5 calls, and the last call's result
         samples = []
         for _ in range(5):
+            fresh = replace(trace)  # trace's arrays and an empty memo: each call selects afresh
             t0 = time.perf_counter()
-            out = fn()
+            out = fn(fresh)
             samples.append(time.perf_counter() - t0)
         return float(np.median(samples)), out
 
     n_layers = cfg.model.n_layers
     timed = {  # each distinct plan's median time and kept sets, the n_reuse 1 baseline first
-        n: median_time(functools.partial(run_with_reuse, trace, spec, ReusePlan(n_layers, n)))
+        n: median_time(functools.partial(run_with_reuse, spec=spec, plan=ReusePlan(n_layers, n)))
         for n in dict.fromkeys((1, *reuses))
     }
     # the n_reuse 1 loop compresses every layer: its time per layer is the
     # compress cost, and copying one of its kept lists is the select cost
     t_full, kept = timed[1]
     t_compress = t_full / n_layers
-    t_select, _ = median_time(lambda: list(kept[0]))
+    t_select, _ = median_time(lambda _: list(kept[0]))
     rows = [{
         "n_reuse": n,
         "analytic_speedup": round(speedup_estimate(n_layers, n, t_compress, t_select), 6),

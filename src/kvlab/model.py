@@ -78,6 +78,9 @@ class PrefillTrace:
     softmax rows of the last n = min(observe_rows, T) queries against all T
     keys.  Row readers (``policies.observe_rows``) read the last w of these
     rows, and the fidelity metric reads the final row.
+    ``memo`` holds the rankings, kept sets and measures already made on this
+    trace.  No constructor argument and no part of equality, it starts empty:
+    ``dataclasses.replace(trace)`` shares every array and has a fresh memo.
     """
 
     config: ModelConfig
@@ -86,6 +89,7 @@ class PrefillTrace:
     v: tuple[tuple[np.ndarray, ...], ...]
     col_mass: tuple[tuple[np.ndarray, ...], ...] | None
     observe_probs: tuple[tuple[np.ndarray, ...], ...]
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def seq_len(self) -> int:

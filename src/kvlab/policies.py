@@ -16,14 +16,14 @@ layer-decaying budgets), cumulative attention (H2OStyle) or a mask on the
 first sink positions (StreamingStyle).  Hybrid splits the layers.
 
 A layer's ranking, the stable descending order of its chunk scores, depends
-on the scoring rule and not on the budget, so `compress_layer` keeps it in a
-memo and every budget on the layer cuts the same ranking.
+on the scoring rule and not on the budget, so `compress_layer` keeps it in
+the source's own memo and every budget on the layer cuts the same ranking.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -92,11 +92,12 @@ class ScoreMatrices:
     `kvlab needle` reads one, and so do the sweep's needle columns.
 
     Every observe window reads the layer's matrix, a read-only float32
-    ndarray, as given.
+    ndarray, as given.  ``memo`` is this source's, as a `PrefillTrace`'s is.
     """
 
     mats: tuple[np.ndarray, ...]
     n_heads: ClassVar[int] = 1
+    memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n_layers(self) -> int:
@@ -130,8 +131,8 @@ def chunkkv_from_scores(
 
     T is a's width, and a budget that covers T keeps the whole prompt.  order
     is a's `chunk_order` at c when the caller already holds it: `compress_layer`
-    keeps it in its memo under ("ranking", layer, scoring rule), beside the
-    kept sets `run_with_reuse` keeps there under ("kept", layer, spec).
+    keeps it in the source's memo under ("ranking", layer, scoring rule),
+    beside the kept sets `run_with_reuse` keeps there under ("kept", layer, spec).
     """
     t = a.shape[1]
     if w > max_len:
@@ -346,36 +347,29 @@ def _rankings(
 
 
 def compress_layer(
-    source: PrefillTrace | ScoreMatrices,
-    layer: int,
-    spec: PolicySpec,
-    *,
-    memo: Optional[dict] = None,
+    source: PrefillTrace | ScoreMatrices, layer: int, spec: PolicySpec
 ) -> list[KeptIndices]:
     """Per-head kept-sets for one layer of a trace or synthetic score source.
 
     The one place a policy kind picks its budget and scoring rule.  Head-pooled
     specs select once from the mean of the heads' scores and give every head
-    that set.  The layer's rankings are kept in memo under ("ranking", layer,
-    scoring rule), a fresh dict when none is given, and each budget cuts them
-    with `chunkkv_from_scores`; `run_with_reuse` keeps the kept sets in the
-    same memo under ("kept", layer, spec).  A memo passed in must belong to
-    this source alone.
+    that set.  The layer's rankings are kept in source.memo under ("ranking",
+    layer, scoring rule), and each budget cuts them with `chunkkv_from_scores`;
+    `run_with_reuse` keeps the kept sets there under ("kept", layer, spec).
     """
     if spec.kind == "Hybrid":
         inner = spec.inner_a if layer < spec.split else spec.inner_b
-        return compress_layer(source, layer, inner, memo=memo)
+        return compress_layer(source, layer, inner)
     t_k, n_heads = source.seq_len, source.n_heads
     max_len = resolved_layer_budgets(spec, source.n_layers, t_k)[layer]
     if spec.kind == "FullKV" or max_len >= t_k:
         return [KeptIndices.from_iterable(range(t_k))] * n_heads
     if spec.kind == "StreamingStyle":
         return [streaming_compress(t_k, spec.sink, max_len)] * n_heads
-    memo = {} if memo is None else memo
     key = ("ranking", layer, _scoring_rule(spec))
-    ranked = memo.get(key)
+    ranked = source.memo.get(key)
     if ranked is None:
-        ranked = memo[key] = _rankings(source, layer, spec)
+        ranked = source.memo[key] = _rankings(source, layer, spec)
     b = spec.budget
     if spec.kind == "ChunkKV":
         kept = [chunkkv_from_scores(a, b.c, b.w, max_len, order) for a, order in ranked]

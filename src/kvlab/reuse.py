@@ -8,7 +8,6 @@ layer copies its anchor's per-head index sets, head h reusing head h.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -43,29 +42,23 @@ def jaccard(a: KeptIndices, b: KeptIndices) -> float:
 
 
 def run_with_reuse(
-    source: PrefillTrace | ScoreMatrices,
-    spec: PolicySpec,
-    plan: ReusePlan,
-    memo: Optional[dict] = None,
+    source: PrefillTrace | ScoreMatrices, spec: PolicySpec, plan: ReusePlan
 ) -> list[list[KeptIndices]]:
     """Compress anchor layers fresh; all other layers copy their anchor.
 
     n_reuse=1 compresses every layer independently.  Anchor kept sets are kept
-    in memo under ("kept", layer, spec), a fresh dict when none is given, and
-    `compress_layer` keeps each layer's rankings there under ("ranking",
-    layer, scoring rule).  A memo passed in must belong to this source alone;
-    a later call with it copies the anchors it holds instead of compressing
-    them again, and cuts the rankings it holds instead of ranking again.
+    in source.memo under ("kept", layer, spec) and `compress_layer` keeps the
+    rankings there, so a later call on the source copies the anchors and cuts
+    the rankings it holds instead of selecting again.
     """
     if plan.n_layers != source.n_layers:
         raise ValueError("reuse plan layer count does not match source")
-    memo = {} if memo is None else memo
     out: list[list[KeptIndices]] = []
     for l in range(source.n_layers):
         a = plan.anchor(l)  # a <= l: an anchor is stored before any layer copies it
-        kept = memo.get(("kept", a, spec))
+        kept = source.memo.get(("kept", a, spec))
         if kept is None:
-            kept = memo["kept", a, spec] = compress_layer(source, a, spec, memo=memo)
+            kept = source.memo["kept", a, spec] = compress_layer(source, a, spec)
         out.append(list(kept))
     return out
 

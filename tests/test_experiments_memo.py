@@ -1,25 +1,29 @@
-"""A trace's `_measure` memo: each kept set is selected and measured once per trace.
+"""A score source's memo: each kept set is selected and measured once per trace.
 
 Each layer is ranked once per scoring rule, selection runs once per (layer,
 spec) anchor, the KV L1 once per (layer, kept set) and the attention cosine
 once per (layer, head, kept set), across every cell of a sweep on one trace.
-The memo never outlives its trace, and reuse-bench, which times fresh
-selection, shares none between its reuse loops.
+The memo is a field of its source and never outlives it: `needle`'s policies
+share the needle source's, and reuse-bench, which times fresh selection,
+runs each reuse loop on a copy of the trace with an empty memo.
 """
 
 import collections
 import csv
 import json
+from dataclasses import fields, replace
 
 import numpy as np
+import pytest
 
 import kvlab.experiments
 import kvlab.policies
 import kvlab.reuse
+from kvlab.cache import BudgetSpec
 from kvlab.cli import main
 from kvlab.experiments import _cell_spec, _mean, _source, _sweep_cells, parse_config
-from kvlab.model import PrefillTrace
-from kvlab.policies import _scoring_rule
+from kvlab.model import ModelConfig, PrefillTrace, init_model, prefill
+from kvlab.policies import PolicySpec, ScoreMatrices, _scoring_rule
 from kvlab.reuse import ReusePlan, run_with_reuse
 
 from test_cli import NEEDLE_PROMPT, base_config, write_config
@@ -100,12 +104,44 @@ def test_sweep_grid_ranks_each_layer_once_per_scoring_rule(load_perfbench, tmp_p
     assert len(compress) == 144  # the anchors of the test above, each still once
 
 
-def test_needle_ranks_afresh_in_every_reuse_loop(tmp_path, monkeypatch):
+def test_needle_ranks_each_layer_once_per_command(tmp_path, monkeypatch):
+    # the policies read one needle source: the second of two identical ones
+    # reads the first one's anchors back and reports the same bytes
     ranked = _count(monkeypatch, kvlab.policies, "_rankings")
     cfg = base_config(prompt=NEEDLE_PROMPT, reuse={"n_reuse": 2})
     cfg["policies"] = [cfg["policies"][0]] * 2  # one rule, two reuse loops
-    _run(tmp_path, "needle", cfg)
-    assert [layer for layer, _ in ranked] == [0, 2] * 2
+    out = _run(tmp_path, "needle", cfg)
+    assert [layer for layer, _ in ranked] == [0, 2]
+    first, second = json.loads((out / "needle.json").read_text())["policies"]
+    assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
+
+
+def _used_sources() -> list:
+    """(source, its array fields) pairs of a trace and a ScoreMatrices, each memo filled."""
+    model = init_model(ModelConfig(n_layers=2, n_heads=2, head_dim=4, vocab_size=32, seed=3))
+    trace = prefill(model, list(range(20)), observe_rows=4)
+    scores = ScoreMatrices(tuple(np.full((4, 20), 0.05, dtype=np.float32) for _ in range(2)))
+    spec = PolicySpec("ChunkKV", BudgetSpec(max_len=10, w=2, c=4))
+    for source in (trace, scores):
+        run_with_reuse(source, spec, ReusePlan(2, 1))
+        assert source.memo
+    return [(trace, ("k", "v", "observe_probs", "col_mass")), (scores, ("mats",))]
+
+
+@pytest.mark.parametrize("source, arrays", _used_sources(), ids=["trace", "scores"])
+def test_a_source_memo_is_no_constructor_argument(source, arrays):
+    given = {f.name: getattr(source, f.name) for f in fields(source) if f.init}
+    with pytest.raises(TypeError, match="memo"):
+        type(source)(**given, memo={})
+    assert type(source)(**given).memo == {}
+
+
+@pytest.mark.parametrize("source, arrays", _used_sources(), ids=["trace", "scores"])
+def test_a_replaced_source_shares_its_arrays_with_an_empty_memo(source, arrays):
+    copy = replace(source)
+    assert copy.memo == {} and source.memo
+    assert all(getattr(copy, name) is getattr(source, name) for name in arrays)
+    assert copy == source  # the memo plays no part in equality
 
 
 def test_layer_mean_is_np_mean_bit_for_bit():
@@ -139,6 +175,16 @@ def test_a_policy_listed_twice_reports_twice(tmp_path):
     assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
     timings = json.loads((out / "timings.json").read_text())
     assert [p["policy"] for p in timings["policies"]] == ["ChunkKV", "ChunkKV"]
+
+
+def test_a_zero_kv_l1_is_read_back_not_recomputed(tmp_path, monkeypatch):
+    # FullKV evicts nothing: its KV L1 is 0.0, held in the memo like any other,
+    # so two FullKV policies measure each layer's one kept set once
+    l1 = _count(monkeypatch, kvlab.experiments, "kv_l1_loss")
+    cfg = base_config(policies=[{"kind": "FullKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}}] * 2)
+    report = json.loads((_run(tmp_path, "simulate", cfg) / "report.json").read_text())
+    assert [p["fidelity"]["kv_l1"] for p in report["policies"]] == [0.0, 0.0]
+    assert len(l1) == 4  # base_config's 4 layers
 
 
 def test_reuse_bench_selects_fresh_in_every_repeat(tmp_path, monkeypatch):

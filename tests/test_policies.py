@@ -682,9 +682,9 @@ def _one_field_apart() -> list:
     synthetic=st.booleans(),
 )
 def test_a_shared_ranking_memo_keeps_what_fresh_selection_keeps(law_model, calls, t, seed, synthetic):
-    # one memo across a sequence of (layer, spec): each budget cuts the ranking
-    # an earlier spec of its scoring rule left, and keeps the sets a fresh
-    # compress_layer keeps
+    # the source's memo across a sequence of (layer, spec): each budget cuts the
+    # ranking an earlier spec of its scoring rule left, and keeps the sets
+    # compress_layer keeps on a copy of the source with an empty memo
     def valid(spec):
         try:
             resolved_layer_budgets(spec, 4, t)
@@ -700,10 +700,9 @@ def test_a_shared_ranking_memo_keeps_what_fresh_selection_keeps(law_model, calls
     else:
         source = prefill(law_model, random_tokens(64, t, seed),
                          max(1, observe_rows(specs)), reads_col_mass(specs))
-    memo = {}
     for l, spec in calls:
-        assert compress_layer(source, l, spec, memo=memo) == compress_layer(source, l, spec)
-    assert all(key[0] == "ranking" for key in memo)
+        assert compress_layer(source, l, spec) == compress_layer(replace(source), l, spec)
+    assert all(key[0] == "ranking" for key in source.memo)
 
 
 def test_a_hybrid_cuts_the_ranking_its_inner_policy_left():
@@ -714,10 +713,9 @@ def test_a_hybrid_cuts_the_ranking_its_inner_policy_left():
     hybrid = PolicySpec("Hybrid", BudgetSpec(ratio=0.5), split=1,
                         inner_a=replace(chunk, budget=replace(chunk.budget, max_len=20)),
                         inner_b=PolicySpec("H2OStyle", BudgetSpec(max_len=12)))
-    memo = {}
     for l, spec in [(0, chunk), (1, chunk), (0, hybrid), (1, hybrid)]:
-        assert compress_layer(source, l, spec, memo=memo) == compress_layer(source, l, spec)
-    assert sorted(l for _, l, _ in memo) == [0, 1, 1]  # layer 1's Hybrid ranks as H2OStyle
+        assert compress_layer(source, l, spec) == compress_layer(replace(source), l, spec)
+    assert sorted(l for _, l, _ in source.memo) == [0, 1, 1]  # layer 1's Hybrid ranks as H2OStyle
 
 
 @pytest.mark.parametrize("kind", POLICY_KINDS)
