@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -15,8 +16,8 @@ class KeptIndices:
     positions: tuple[int, ...]
 
     def __post_init__(self):
-        pos = self.positions
-        if list(pos) != sorted(set(pos)) or (pos and pos[0] < 0):
+        pos = self.positions  # checked in one pass: from_iterable is what sorts and deduplicates
+        if (pos and pos[0] < 0) or any(map(operator.ge, pos, pos[1:])):
             raise ValueError("positions must be non-negative and strictly increasing")
 
     @classmethod

@@ -372,16 +372,14 @@ class _Measured:
     fidelity_s: float
 
 
-def _measure(
-    cfg: ExperimentConfig, trace: PrefillTrace, specs: Sequence, n_reuse: int
-) -> list[_Measured]:
+def _measure(trace: PrefillTrace, specs: Sequence, n_reuse: int) -> list[_Measured]:
     """Each spec's `run_with_reuse` kept sets under n_reuse, what they measure and their timings.
 
     A ranking, kept set, KV L1 or cosine an earlier call on trace already
     computed is read from trace.memo, so the timings cover only the work
     this call did.
     """
-    plan = ReusePlan(n_layers=cfg.model.n_layers, n_reuse=n_reuse)
+    plan = ReusePlan(n_layers=trace.n_layers, n_reuse=n_reuse)
     out = []
     for spec in specs:
         t0 = time.perf_counter()
@@ -432,7 +430,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
     trace = _source(cfg)
     prefill_s = time.perf_counter() - t0
     t_k = trace.seq_len
-    measured = _measure(cfg, trace, cfg.policies, _n_reuse(cfg))
+    measured = _measure(trace, cfg.policies, _n_reuse(cfg))
     timings = {
         "prefill_s": prefill_s,
         "policies": [
@@ -504,41 +502,38 @@ def run_sweep_cell(
     c: Optional[int],
     ratio: Optional[float],
     n_reuse: int,
-    seed: int,
 ) -> list[dict]:
-    """One sweep cell: every policy at (c, ratio, n_reuse) on seed's prefill trace.
+    """One sweep cell: every policy at (c, ratio, n_reuse) on the trace of cfg's prompt seed.
 
     A c or ratio of None keeps each policy's own (`_cell_spec`); a row's c and
     ratio are those of the budget it ran with (ratio empty for a max_len).
     The needle columns are a synthetic score-level diagnostic, not read off the
     trace: layer 0 of a chunk-aligned needle that depends only on the policy's
-    c and the seed, outside the reuse loop.  trace.memo keeps each c's needle
-    under ("needle", c), and each spec's retention on it under ("needle", c,
-    spec), so every cell on the trace shares them.  micros_compress is a
-    modeled cost: n_heads * max(w, 1) * T per anchor layer, n_heads per
-    copied one.
+    c and the seed, outside the reuse loop.  T, the layer count and the head
+    count are the trace's.  trace.memo keeps each c's needle under ("needle",
+    c), and each spec's retention on it under ("needle", spec), so every cell
+    on the trace shares them.  micros_compress is a modeled cost: n_heads *
+    max(w, 1) * T per anchor layer, n_heads per copied one.
     """
-    memo = trace.memo
+    memo, seed, t = trace.memo, cfg.prompt.seed, trace.seq_len
 
     def auto_needle(c: int) -> tuple[NeedleCase, ScoreMatrices]:
         if ("needle", c) not in memo:
-            t = cfg.prompt.length
             start = seed % max(t // c, 1) * c  # the seed picks the chunk
             case = NeedleCase(t, start, min(c, t - start), signal=float(t), seed=seed)
             scores = make_needle_case(case, observe_rows=cfg.prompt.observe_rows)
-            memo["needle", c] = case, ScoreMatrices((scores,) * cfg.model.n_layers)
+            memo["needle", c] = case, ScoreMatrices((scores,) * trace.n_layers)
         return memo["needle", c]
 
     cells = [_cell_spec(spec, c, ratio) for spec in cfg.policies]
     rows = []
-    for m in _measure(cfg, trace, cells, n_reuse):
+    for m in _measure(trace, cells, n_reuse):
         b = m.spec.budget
-        if ("needle", b.c, m.spec) not in memo:
+        if ("needle", m.spec) not in memo:
             case, needle = auto_needle(b.c)
-            kept = compress_layer(needle, 0, m.spec)[0]
-            memo["needle", b.c, m.spec] = needle_retention(kept, case)
-        frac, intact = memo["needle", b.c, m.spec]
-        cost = float(cfg.model.n_heads * max(b.w, 1) * trace.seq_len), float(cfg.model.n_heads)
+            memo["needle", m.spec] = needle_retention(compress_layer(needle, 0, m.spec)[0], case)
+        frac, intact = memo["needle", m.spec]
+        cost = float(trace.n_heads * max(b.w, 1) * t), float(trace.n_heads)
         rows.append({
             "policy": m.spec.name,
             "c": b.c,
@@ -550,7 +545,7 @@ def run_sweep_cell(
             "attn_cos": m.fidelity["attn_cos"],
             "needle_fraction": round(frac, 6),
             "needle_intact": str(intact).lower(),
-            "micros_compress": round(modeled_micros(cfg.model.n_layers, n_reuse, *cost), 3),
+            "micros_compress": round(modeled_micros(trace.n_layers, n_reuse, *cost), 3),
         })
     return rows
 
@@ -578,7 +573,7 @@ def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
         trace = _source(seeded)
         for i, (c, r, n, s) in enumerate(cells):
             if s == seed:
-                rows[i] = run_sweep_cell(seeded, trace, c, r, n, seed)
+                rows[i] = run_sweep_cell(seeded, trace, c, r, n)
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=list(rows[0][0]))  # run_sweep_cell's column order
     writer.writeheader()

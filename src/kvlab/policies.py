@@ -10,10 +10,11 @@ sweep's needle columns.
 `chunkkv_from_scores` alone turns scores into a kept set: the top chunks by
 summed score, unioned with the last w positions (mask semantics: the kept
 count may fall below the budget when chosen chunks overlap that window).
-ChunkKV feeds it observe-window rows; the other kinds feed it one-position
-chunks: pooled observe-window column mass (SnapKVStyle, PyramidStyle with
-layer-decaying budgets), cumulative attention (H2OStyle) or a mask on the
-first sink positions (StreamingStyle).  Hybrid splits the layers.
+`compress_layer` calls it once per ranking: ChunkKV's observe-window rows at
+its c, and at c = 1 the other kinds' one-position scores: pooled observe-window
+column mass (SnapKVStyle, PyramidStyle with layer-decaying budgets) or
+cumulative attention (H2OStyle).  StreamingStyle cuts a mask on the first sink
+positions through `topk_from_scores`.  Hybrid splits the layers.
 
 A layer's ranking, the stable descending order of its chunk scores, depends
 on the scoring rule and not on the budget, so `compress_layer` keeps it in
@@ -109,12 +110,15 @@ class ScoreMatrices:
 
 
 def chunk_scores(a: np.ndarray, c: int) -> np.ndarray:
-    """Float64 sums of all observe rows' scores over chunk i = [i*c, min(i*c + c, T))."""
+    """Float64 sums of all observe rows' scores over chunk i = [i*c, min(i*c + c, T)).
+
+    At c = 1, reduceat over one-position chunks returns the column sums bit for bit.
+    """
     if c < 1:
         raise ValueError("chunk size must be >= 1")
     t = a.shape[1]
     col_sums = a.sum(axis=0, dtype=np.float64)
-    if c == 1 or t == 0:  # one-position chunks sum to the column sums; T = 0 has no chunks
+    if t == 0:  # no chunks, and np.arange(0, 0, 0) raises
         return col_sums
     return np.add.reduceat(col_sums, np.arange(0, t, min(c, t)))  # c > T: the whole prompt
 
@@ -321,7 +325,7 @@ def _rankings(
     """(scores, chunk_order) each budget cuts: one per head, or one pooled for head_pool.
 
     ChunkKV's scores are observe-window rows ranked by chunk; the other kinds'
-    are one row of per-position scores, ranked by position.
+    are one row of per-position scores, a (1, T) array ranked by position.
     """
     w = spec.budget.w
     if spec.kind == "H2OStyle":
@@ -343,7 +347,7 @@ def _rankings(
         return [(a, chunk_order(a, spec.budget.c)) for a in scores]
     if spec.kind != "H2OStyle":
         scores = [max_pool_1d(col, spec.pool_width) for col in scores]
-    return [(col, chunk_order(col[None], 1)) for col in scores]
+    return [(col[None], chunk_order(col[None], 1)) for col in scores]
 
 
 def compress_layer(
@@ -354,8 +358,8 @@ def compress_layer(
     The one place a policy kind picks its budget and scoring rule.  Head-pooled
     specs select once from the mean of the heads' scores and give every head
     that set.  The layer's rankings are kept in source.memo under ("ranking",
-    layer, scoring rule), and each budget cuts them with `chunkkv_from_scores`;
-    `run_with_reuse` keeps the kept sets there under ("kept", layer, spec).
+    layer, scoring rule), and one `chunkkv_from_scores` call cuts each (at c = 1
+    but for ChunkKV); `run_with_reuse` keeps kept sets under ("kept", layer, spec).
     """
     if spec.kind == "Hybrid":
         inner = spec.inner_a if layer < spec.split else spec.inner_b
@@ -371,8 +375,6 @@ def compress_layer(
     if ranked is None:
         ranked = source.memo[key] = _rankings(source, layer, spec)
     b = spec.budget
-    if spec.kind == "ChunkKV":
-        kept = [chunkkv_from_scores(a, b.c, b.w, max_len, order) for a, order in ranked]
-    else:
-        kept = [topk_from_scores(col, b.w, max_len, order) for col, order in ranked]
+    c = b.c if spec.kind == "ChunkKV" else 1  # the other kinds rank one-position chunks
+    kept = [chunkkv_from_scores(a, c, b.w, max_len, order) for a, order in ranked]
     return kept * n_heads if spec.head_pool else kept

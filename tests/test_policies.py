@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import kvlab.policies
 from kvlab.cache import BudgetSpec
 from kvlab.metrics import NeedleCase, make_needle_case
 from kvlab.model import ModelConfig, init_model, prefill
@@ -86,6 +87,12 @@ class TestChunkScores:
         assert chunk_scores(a, 10**400).tolist() == chunk_scores(a, 12).tolist()
         assert len(chunk_scores(a, 10**400)) == 1
 
+    @pytest.mark.parametrize("t", [1, 2, 7, 256, 1024])
+    def test_one_position_chunks_are_the_column_sums_bit_for_bit(self, t):
+        a = random_scores(3, t, t)
+        want = a.sum(axis=0, dtype=np.float64)
+        assert chunk_scores(a, 1).view(np.int64).tolist() == want.view(np.int64).tolist()
+
     def test_all_ones_uniform(self):
         scores = chunk_scores(np.ones((2, 6), dtype=np.float32), c=2)
         assert scores.tolist() == [4.0, 4.0, 4.0]
@@ -133,7 +140,40 @@ class TestSelectChunks:
         assert top_chunks(scores, 2) == (0, 1)
 
 
+def chunkkv_oracle(a, c, w, max_len):
+    """The first (max_len - w) // c chunks of chunk_order, each expanded, plus the last w.
+
+    A budget that covers T keeps the whole prompt.
+    """
+    t = a.shape[1]
+    if max_len >= t:
+        return tuple(range(t))
+    kept = set(range(t - w, t))
+    for i in chunk_order(a, c)[: (max_len - w) // c].tolist():
+        kept.update(range(i * c, min(i * c + c, t)))
+    return tuple(sorted(kept))
+
+
+@st.composite
+def chunkkv_cases(draw):
+    """(scores, c, w, max_len): T in 1..40, c from 1 past T or 10**400, w in 0..4."""
+    t = draw(st.integers(1, 40), label="t")
+    rows = draw(st.integers(1, 3), label="rows")
+    rng = np.random.Generator(np.random.Philox(key=draw(st.integers(0, 10_000), label="seed")))
+    ties = draw(st.booleans(), label="ties")
+    a = rng.integers(0, 3, size=(rows, t)) if ties else rng.uniform(size=(rows, t))
+    c = draw(st.one_of(st.integers(1, t + 2), st.just(10**400)), label="c")
+    w = draw(st.integers(0, 4), label="w")
+    return a.astype(np.float32), c, w, draw(st.integers(w, max(w, t + 2)), label="max_len")
+
+
 class TestChunkKV:
+    @settings(max_examples=300, deadline=None)
+    @given(chunkkv_cases())
+    @example((np.array([[0, 0, 1]], dtype=np.float32), 2, 0, 2))  # the short last chunk wins
+    def test_matches_the_expanded_ranking_oracle(self, case):
+        assert chunkkv_from_scores(*case).positions == chunkkv_oracle(*case)
+
     def test_worked_example(self):
         a = np.array([[0.1, 0.1, 0.5, 0.4, 0.05, 0.05, 0.9, 0.9]], dtype=np.float32)
         kept = chunkkv_from_scores(a, c=2, w=2, max_len=6)
@@ -832,6 +872,33 @@ def test_score_source_matches_selection_primitives(kind, head_pool):
             want = streaming_compress(t, 2, max_len).positions
         got = compress_layer(ScoreMatrices(mats), l, spec)
         assert [kept.positions for kept in got] == [want]
+
+
+@pytest.mark.parametrize("head_pool", [False, True])
+@pytest.mark.parametrize("kind", ["ChunkKV", "SnapKVStyle", "PyramidStyle", "H2OStyle"])
+def test_compress_layer_makes_one_cut_per_ranking(small_trace, monkeypatch, kind, head_pool):
+    # the budget is below T = 40, so every kind ranks and cuts: one
+    # chunkkv_from_scores call per head, or one pooled; none via topk_from_scores
+    calls = {"chunkkv_from_scores": 0, "topk_from_scores": 0}
+
+    def counting(name):
+        inner = getattr(kvlab.policies, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(kvlab.policies, name, counting(name))
+    trace = replace(small_trace)  # an empty memo: this call ranks afresh
+    spec = PolicySpec(kind, BudgetSpec(ratio=0.25, w=4, c=5), pool_width=3, head_pool=head_pool)
+    assert resolved_layer_budgets(spec, trace.n_layers, trace.seq_len)[0] < trace.seq_len
+    kept = compress_layer(trace, 0, spec)
+    assert len(kept) == trace.n_heads
+    cuts = 1 if head_pool else trace.n_heads
+    assert calls == {"chunkkv_from_scores": cuts, "topk_from_scores": 0}
 
 
 def test_pyramid_zero_skew_equals_snapkv_on_scores():
