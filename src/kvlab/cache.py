@@ -11,7 +11,11 @@ import numpy as np
 
 @dataclass(frozen=True)
 class KeptIndices:
-    """Sorted, deduplicated token positions retained for one (layer, head)."""
+    """Sorted, deduplicated token positions retained for one (layer, head).
+
+    The hash of the positions is computed once, at construction: kept sets
+    key the fidelity pass's per-layer dicts and a report's digests.
+    """
 
     positions: tuple[int, ...]
 
@@ -19,10 +23,21 @@ class KeptIndices:
         pos = self.positions  # checked in one pass: from_iterable is what sorts and deduplicates
         if (pos and pos[0] < 0) or any(map(operator.ge, pos, pos[1:])):
             raise ValueError("positions must be non-negative and strictly increasing")
+        object.__setattr__(self, "_hash", hash(pos))  # no field: ==, repr and fields() ignore it
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @classmethod
     def from_iterable(cls, it: Iterable[int]) -> "KeptIndices":
-        return cls(tuple(sorted(set(map(int, it)))))
+        """The positions of it, sorted and deduplicated; input already strictly
+        increasing (every selection's) passes with the constructor's one check."""
+        pos = tuple(map(int, it))
+        try:
+            return cls(pos)
+        except ValueError:  # out of order, repeated or negative: a negative raises again below
+            pass
+        return cls(tuple(sorted(set(pos))))
 
     def __len__(self) -> int:
         return len(self.positions)

@@ -3,9 +3,10 @@
 Subcommands: simulate | sweep | needle | reuse-bench | memory.
 Exit codes: 0 success, 1 internal error, 2 user/config error.  --out is made
 at the first write, so a config its command refuses leaves no directory.  An
---out that cannot be a directory, or an output file kvlab cannot write (a
-directory in its place, say), exits 2 after the run, with a message naming
-it; a closed stdout exits 0 quietly.
+--out that cannot be a directory, or an output file the OS refuses to write,
+exits 2 after the run, with a message naming it; an output file with a
+directory in its place exits 2 with that message before the run.  A closed
+stdout exits 0 quietly.
 """
 
 from __future__ import annotations

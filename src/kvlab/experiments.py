@@ -8,16 +8,18 @@ the config.
 from __future__ import annotations
 
 import csv
+import errno
 import functools
 import hashlib
 import io
 import itertools
 import json
+import os
 import sys
 import time
 from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Any, Optional, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import Any, Callable, Optional, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -293,14 +295,13 @@ def prompt_tokens(cfg: ExperimentConfig) -> tuple[int, ...]:
 
 
 def _digest(kept: KeptIndices) -> str:
-    payload = ",".join(str(p) for p in kept.positions).encode()
-    return hashlib.sha256(payload).hexdigest()[:12]
+    return hashlib.sha256(",".join(map(str, kept.positions)).encode()).hexdigest()[:12]
 
 
 def _source(cfg: ExperimentConfig) -> PrefillTrace:
     """What the policies read: the prompt's prefill.
 
-    Prefill keeps the observe rows the policies read, and the final row `_fidelity` reads,
+    Prefill keeps the observe rows the policies read, and the final row `_measure` reads,
     and builds col_mass only if a policy reads it.  A needle prompt's synthetic scores
     are read by `kvlab needle` alone, so here it is a ConfigError, raised before any draw.
     """
@@ -319,45 +320,9 @@ def _mean(xs: list[float]) -> float:
     return float(np.add.reduce(np.asarray(xs))) / len(xs)
 
 
-def _fidelity(trace: PrefillTrace, kept: list[list[KeptIndices]]) -> dict:
-    """report.json's fidelity block: per-layer head means of the evicted KV L1 and
-    the final-row attention cosine, and their layer means, rounded.
-
-    Head h's kept set is charged against the |K| and |V| of every head of
-    its layer, so a per-head policy's KV L1 is the head mean of "every head
-    evicts head h's set", and trace.memo holds it per (layer, kept set); it
-    holds the cosine per (layer, head, kept set).  A layer's |K| and |V|
-    stack is built only when one of its kept sets is not in the memo yet,
-    and only one layer's stack is alive at a time.
-    """
-    memo = trace.memo
-    l1s, coss = [], []
-    for l in range(trace.n_layers):
-        mags, l1, cos = None, [], []  # the last layer's stack dropped before building one
-        for h, k in enumerate(kept[l]):
-            loss = memo.get(("kv_l1", l, k))
-            if loss is None:  # not falsiness: FullKV's loss is 0.0
-                mags = kv_magnitudes(trace.k[l], trace.v[l]) if mags is None else mags
-                loss = memo["kv_l1", l, k] = kv_l1_loss(mags, k)
-            cosine = memo.get(("attn_cos", l, h, k))
-            if cosine is None:
-                row = _final_row_attention(trace, l, h)
-                cosine = memo["attn_cos", l, h, k] = attention_cosine(row, k)
-            l1.append(loss)
-            cos.append(cosine)
-        l1s.append(_mean(l1))
-        coss.append(_mean(cos))
-    return {
-        "kv_l1": round(_mean(l1s), 6),
-        "attn_cos": round(_mean(coss), 6),
-        "per_layer_l1": [round(x, 6) for x in l1s],
-        "per_layer_cos": [round(x, 6) for x in coss],
-    }
-
-
 @dataclass(frozen=True)
 class _Measured:
-    """One policy's kept sets on a prefill trace under a reuse plan, their measures and timings.
+    """One run, a policy's kept sets on a prefill trace under n_reuse, its measures and timings.
 
     `simulate` and `sweep` copy these fields, rounded as written.  Only
     report.json's kept-set digests and similarity matrix, and a sweep's
@@ -365,6 +330,7 @@ class _Measured:
     """
 
     spec: PolicySpec
+    n_reuse: int
     kept: list[list[KeptIndices]]  # [layer][head]
     adjacent_jaccard: Optional[float]  # head 0; None below two layers
     fidelity: dict  # report.json's fidelity block
@@ -372,29 +338,63 @@ class _Measured:
     fidelity_s: float
 
 
-def _measure(trace: PrefillTrace, specs: Sequence, n_reuse: int) -> list[_Measured]:
-    """Each spec's `run_with_reuse` kept sets under n_reuse, what they measure and their timings.
+def _measure(trace: PrefillTrace, runs: Sequence[tuple[PolicySpec, int]]) -> list[_Measured]:
+    """Each (spec, n_reuse) run's `run_with_reuse` kept sets, what they measure and their timings.
 
-    A ranking, kept set, KV L1 or cosine an earlier call on trace already
-    computed is read from trace.memo, so the timings cover only the work
-    this call did.
+    Every run is selected first, then one pass over the layers measures them
+    all.  For each layer the pass builds one |K| and |V| stack
+    (`kv_magnitudes`), computes each distinct kept set's KV L1 and each
+    distinct (head, kept set)'s final-row attention cosine once, and drops
+    the stack before the next layer's is built.  Head h's kept set is charged
+    against the |K| and |V| of every head of its layer, so a per-head
+    policy's KV L1 is the head mean of "every head evicts head h's set".
+    The fidelity block holds per-layer head means and their layer means,
+    rounded.  A run's select_s leaves out the rankings and kept sets
+    trace.memo already held; its fidelity_s is its own part of each layer's
+    pass, a layer's stack charged to the first run that reads it.
     """
-    plan = ReusePlan(n_layers=trace.n_layers, n_reuse=n_reuse)
-    out = []
-    for spec in specs:
+    selected = []
+    for spec, n_reuse in runs:
         t0 = time.perf_counter()
-        kept = run_with_reuse(trace, spec, plan)
-        t1 = time.perf_counter()
-        fidelity = _fidelity(trace, kept)
-        t2 = time.perf_counter()
+        kept = run_with_reuse(trace, spec, ReusePlan(trace.n_layers, n_reuse))
+        selected.append((kept, time.perf_counter() - t0))
+    l1s, coss, fidelity_s = [[] for _ in runs], [[] for _ in runs], [0.0] * len(runs)
+    for l in range(trace.n_layers):
+        mags, l1, cos = None, {}, {}  # the last layer's stack dropped before building one
+        for i, (kept, _) in enumerate(selected):
+            t0 = time.perf_counter()
+            head_l1, head_cos = [], []
+            for h, k in enumerate(kept[l]):
+                loss = l1.get(k)
+                if loss is None:  # not falsiness: FullKV's loss is 0.0
+                    mags = kv_magnitudes(trace.k[l], trace.v[l]) if mags is None else mags
+                    loss = l1[k] = kv_l1_loss(mags, k)
+                cosine = cos.get((h, k))
+                if cosine is None:
+                    cosine = cos[h, k] = attention_cosine(_final_row_attention(trace, l, h), k)
+                head_l1.append(loss)
+                head_cos.append(cosine)
+            l1s[i].append(_mean(head_l1))
+            coss[i].append(_mean(head_cos))
+            fidelity_s[i] += time.perf_counter() - t0
+    out = []
+    for (spec, n_reuse), (kept, select_s), l1, cos, f_s in zip(
+        runs, selected, l1s, coss, fidelity_s
+    ):
         head0 = [heads[0] for heads in kept]
         out.append(_Measured(
             spec,
+            n_reuse,
             kept,
             round(adjacent_similarity(head0), 6) if len(head0) >= 2 else None,
-            fidelity,
-            select_s=t1 - t0,
-            fidelity_s=t2 - t1,
+            {
+                "kv_l1": round(_mean(l1), 6),
+                "attn_cos": round(_mean(cos), 6),
+                "per_layer_l1": [round(x, 6) for x in l1],
+                "per_layer_cos": [round(x, 6) for x in cos],
+            },
+            select_s=select_s,
+            fidelity_s=f_s,
         ))
     return out
 
@@ -403,9 +403,10 @@ def _n_reuse(cfg: ExperimentConfig) -> int:
     return cfg.reuse.n_reuse if cfg.reuse else 1
 
 
-def _policy_report(m: _Measured, t_k: int) -> dict:
+def _policy_report(m: _Measured, t_k: int, digest: Callable[[KeptIndices], str]) -> dict:
+    """m's report.json entry, each head's kept set digested by `_digest` or a cache of it."""
     layers = [{"heads": [
-        {"retained": len(k), "ratio": round(len(k) / t_k, 6), "digest": _digest(k)}
+        {"retained": len(k), "ratio": round(len(k) / t_k, 6), "digest": digest(k)}
         for k in heads
     ]} for heads in m.kept]
     sim = similarity_matrix([heads[0] for heads in m.kept])
@@ -423,14 +424,14 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
 
     timings holds prefill_s (model init and prefill) and a list with one
     entry per policy, in report order: its name, select_s (the reuse loop's
-    kept sets) and fidelity_s (the fidelity metrics on them), each without
-    the work an earlier policy on the trace already did.
+    kept sets) and fidelity_s (the fidelity metrics on them), each as
+    `_measure` charges it.
     """
     t0 = time.perf_counter()
     trace = _source(cfg)
     prefill_s = time.perf_counter() - t0
     t_k = trace.seq_len
-    measured = _measure(trace, cfg.policies, _n_reuse(cfg))
+    measured = _measure(trace, [(spec, _n_reuse(cfg)) for spec in cfg.policies])
     timings = {
         "prefill_s": prefill_s,
         "policies": [
@@ -439,6 +440,9 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
         ],
     }
 
+    # each distinct kept set digested once: FullKV and head-pooled policies share
+    # one across heads, and policies that keep the same sets share them
+    digest = functools.cache(_digest)
     report = {
         "artifact_version": __version__,
         "config": cfg.raw,
@@ -448,7 +452,7 @@ def run_simulate(cfg: ExperimentConfig) -> tuple[dict, dict]:
                 1, t_k, cfg.model.n_layers, cfg.model.n_heads, cfg.model.head_dim
             )
         },
-        "policies": [_policy_report(m, t_k) for m in measured],
+        "policies": [_policy_report(m, t_k, digest) for m in measured],
     }
     return report, timings
 
@@ -471,11 +475,22 @@ def write_json(path: Path, obj: dict) -> Path:
     return _write(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
 
 
+def _outputs(out_dir: Path, *names: str) -> list[Path]:
+    """out_dir / name for each name, refused before the run when a directory stands
+    in one's place, with the message `_write` would give after it."""
+    paths = [out_dir / name for name in names]
+    for path in paths:
+        if path.is_dir():
+            raise ConfigError(f"cannot write {path}: {os.strerror(errno.EISDIR)}")
+    return paths
+
+
 def cmd_simulate(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     """[report.json], written into out_dir after timings.json."""
+    timings_path, report_path = _outputs(out_dir, "timings.json", "report.json")
     report, timings = run_simulate(cfg)
-    write_json(out_dir / "timings.json", timings)
-    return [write_json(out_dir / "report.json", report)]
+    write_json(timings_path, timings)
+    return [write_json(report_path, report)]
 
 
 # ---------------------------------------------------------------------------
@@ -496,17 +511,12 @@ def _cell_spec(spec: PolicySpec, c: Optional[int], ratio: Optional[float]) -> Po
     return replace(spec, budget=budget, **inner)
 
 
-def run_sweep_cell(
-    cfg: ExperimentConfig,
-    trace: PrefillTrace,
-    c: Optional[int],
-    ratio: Optional[float],
-    n_reuse: int,
-) -> list[dict]:
-    """One sweep cell: every policy at (c, ratio, n_reuse) on the trace of cfg's prompt seed.
+def run_sweep_cell(cfg: ExperimentConfig, trace: PrefillTrace, measured: list[_Measured]) -> list[dict]:
+    """One sweep cell's rows: its policies' runs at one (c, ratio, n_reuse), measured on the
+    trace of cfg's prompt seed.
 
-    A c or ratio of None keeps each policy's own (`_cell_spec`); a row's c and
-    ratio are those of the budget it ran with (ratio empty for a max_len).
+    A row's c and ratio are those of the budget it ran with (ratio empty for a
+    max_len), and its n_reuse that of its run.
     The needle columns are a synthetic score-level diagnostic, not read off the
     trace: layer 0 of a chunk-aligned needle that depends only on the policy's
     c and the seed, outside the reuse loop.  T, the layer count and the head
@@ -525,9 +535,8 @@ def run_sweep_cell(
             memo["needle", c] = case, ScoreMatrices((scores,) * trace.n_layers)
         return memo["needle", c]
 
-    cells = [_cell_spec(spec, c, ratio) for spec in cfg.policies]
     rows = []
-    for m in _measure(trace, cells, n_reuse):
+    for m in measured:
         b = m.spec.budget
         if ("needle", m.spec) not in memo:
             case, needle = auto_needle(b.c)
@@ -538,14 +547,14 @@ def run_sweep_cell(
             "policy": m.spec.name,
             "c": b.c,
             "ratio": "" if b.ratio is None else b.ratio,
-            "n_reuse": n_reuse,
+            "n_reuse": m.n_reuse,
             "seed": seed,
             "adjacent_jaccard": "" if m.adjacent_jaccard is None else m.adjacent_jaccard,
             "kv_l1": m.fidelity["kv_l1"],
             "attn_cos": m.fidelity["attn_cos"],
             "needle_fraction": round(frac, 6),
             "needle_intact": str(intact).lower(),
-            "micros_compress": round(modeled_micros(trace.n_layers, n_reuse, *cost), 3),
+            "micros_compress": round(modeled_micros(trace.n_layers, m.n_reuse, *cost), 3),
         })
     return rows
 
@@ -565,21 +574,33 @@ def _sweep_cells(cfg: ExperimentConfig) -> list[tuple[Optional[int], Optional[fl
 
 def cmd_sweep(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     """[sweep.csv] in cell order, into out_dir; one seed's source, with its memo of
-    the work its cells share, alive at once."""
+    the work its cells share, alive at once.
+
+    Each seed's cells are measured in one `_measure` call, every policy at
+    each cell's (c, ratio, n_reuse): a c or ratio of None keeps each policy's
+    own (`_cell_spec`).
+    """
     cells = _sweep_cells(cfg)
-    rows = [None] * len(cells)
+    (path,) = _outputs(out_dir, "sweep.csv")
+    rows, n_specs = [None] * len(cells), len(cfg.policies)
     for seed in dict.fromkeys(cell[3] for cell in cells):
         seeded, trace = override_seed(cfg, seed), None  # the last trace dropped first
         trace = _source(seeded)
-        for i, (c, r, n, s) in enumerate(cells):
-            if s == seed:
-                rows[i] = run_sweep_cell(seeded, trace, c, r, n)
+        mine = [i for i, cell in enumerate(cells) if cell[3] == seed]
+        runs = [
+            (_cell_spec(spec, c, r), n)
+            for c, r, n, _ in (cells[i] for i in mine)
+            for spec in cfg.policies
+        ]
+        measured = _measure(trace, runs)
+        for j, i in enumerate(mine):
+            rows[i] = run_sweep_cell(seeded, trace, measured[j * n_specs : (j + 1) * n_specs])
     text = io.StringIO()
     writer = csv.DictWriter(text, fieldnames=list(rows[0][0]))  # run_sweep_cell's column order
     writer.writeheader()
     for row in itertools.chain.from_iterable(rows):
         writer.writerow(row)
-    return [_write(out_dir / "sweep.csv", text.getvalue())]
+    return [_write(path, text.getvalue())]
 
 
 # ---------------------------------------------------------------------------
@@ -596,6 +617,7 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     case, rows = cfg.prompt.needle, cfg.prompt.observe_rows
     if case is None:
         raise ConfigError("needle command requires a needle prompt")
+    (path,) = _outputs(out_dir, "needle.json")
     source = ScoreMatrices(tuple(
         make_needle_case(replace(case, seed=(case.seed * 1000003 + l) % 2**128), rows)
         for l in range(cfg.model.n_layers)
@@ -615,7 +637,7 @@ def cmd_needle(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
             ],
         })
     doc = {"case": asdict(case), "policies": policies}
-    return [write_json(out_dir / "needle.json", doc)]
+    return [write_json(path, doc)]
 
 
 # ---------------------------------------------------------------------------
@@ -627,6 +649,7 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
     reuses = (cfg.sweep and cfg.sweep.n_reuse) or (cfg.reuse and (cfg.reuse.n_reuse,))
     if not reuses:
         raise ConfigError("reuse-bench requires a reuse plan or an n_reuse sweep axis")
+    (path,) = _outputs(out_dir, "reuse_bench.json")
     trace = _source(cfg)
     spec = cfg.policies[0]
 
@@ -657,4 +680,4 @@ def cmd_reuse_bench(cfg: ExperimentConfig, out_dir: Path) -> list[Path]:
         "t_select_s": t_select,
     } for n in reuses]
     doc = {"policy": spec.name, "n_layers": n_layers, "results": rows}
-    return [write_json(out_dir / "reuse_bench.json", doc)]
+    return [write_json(path, doc)]

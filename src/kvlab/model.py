@@ -78,8 +78,10 @@ class PrefillTrace:
     softmax rows of the last n = min(observe_rows, T) queries against all T
     keys.  Row readers (``policies.observe_rows``) read the last w of these
     rows, and the fidelity metric reads the final row.
-    ``memo`` holds the rankings, kept sets and measures already made on this
-    trace.  No constructor argument and no part of equality, it starts empty:
+    ``memo`` holds the rankings and kept sets already made on this trace (and
+    a sweep's needles); the fidelity measures live only in the one layer pass
+    that takes them, one layer's |K|/|V| stack at a time.  No constructor
+    argument and no part of equality, it starts empty:
     ``dataclasses.replace(trace)`` shares every array and has a fresh memo.
     """
 

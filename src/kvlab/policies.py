@@ -144,10 +144,11 @@ def chunkkv_from_scores(
     if max_len >= t:
         return KeptIndices.from_iterable(range(t))
     order = chunk_order(a, c) if order is None else order
-    chunks = np.sort(order[: (max_len - w) // c]).tolist()
-    # one-position chunks are their own positions: no range per chosen token
-    picked = [p for i in chunks for p in range(i * c, min(i * c + c, t))] if c > 1 else chunks
-    return KeptIndices.from_iterable([*picked, *range(t - w, t)])
+    chosen = np.zeros(len(order), dtype=bool)
+    chosen[order[: (max_len - w) // c]] = True
+    kept = chosen.repeat(min(c, t))[:t]  # c > T: one chunk of the whole prompt
+    kept[t - w :] = True
+    return KeptIndices.from_iterable(kept.nonzero()[0].tolist())
 
 
 def topk_from_scores(

@@ -1,9 +1,12 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from kvlab.cache import BudgetSpec, KeptIndices, memory_bytes
+from kvlab.policies import chunk_order, chunkkv_from_scores
 
 
 def make_layer_kv(seq_len=6, heads=2, dim=3, seed=0):
@@ -122,3 +125,18 @@ def test_kept_indices_reject_exactly_what_the_loops_rejected(pos):
             KeptIndices(pos)
     else:
         assert KeptIndices(pos).positions == pos
+
+
+def test_kept_indices_hash_once_and_equal_sets_are_one_key():
+    # the hash is the positions' own, computed at construction and read back, and
+    # adds no field: equality, repr and fields() see the positions alone
+    k = KeptIndices.from_iterable([7, 2, 2, 5])
+    assert hash(k) == hash(k.positions) == hash((2, 5, 7))
+    assert repr(k) == "KeptIndices(positions=(2, 5, 7))"
+    assert [f.name for f in fields(KeptIndices)] == ["positions"]
+    # two cuts of one score row, one ranked here and one by the cut itself
+    scores = np.array([[0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.8, 0.4]], dtype=np.float32)
+    a = chunkkv_from_scores(scores, 2, 2, 6)
+    b = chunkkv_from_scores(scores, 2, 2, 6, chunk_order(scores, 2))
+    assert a is not b and a == b
+    assert {a: "first", b: "second"} == {a: "second"}

@@ -1,4 +1,5 @@
 import csv
+import errno
 import json
 import os
 import subprocess
@@ -359,16 +360,20 @@ class TestOutputPath:
         ],
     )
     def test_a_directory_at_an_output_file_exits_2_naming_it(
-        self, tmp_path, capsys, command, overrides, output
+        self, tmp_path, capsys, monkeypatch, command, overrides, output
     ):
+        # refused before the run: no prefill, and no other output written
+        prefills = _count_prefills(monkeypatch)
         out = tmp_path / "out"
         (out / output).mkdir(parents=True)
         argv = [command, "--config", write_config(tmp_path, base_config(**overrides)), "--out", str(out)]
         assert main(argv) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"error: cannot write {out / output}: ")
+        assert captured.err == f"error: cannot write {out / output}: {os.strerror(errno.EISDIR)}\n"
         assert captured.out == ""
         assert (out / output).is_dir()
+        assert prefills == []
+        assert [p.name for p in out.iterdir()] == [output]
 
     @pytest.mark.parametrize(
         "command, overrides",

@@ -1,16 +1,21 @@
-"""A score source's memo: each kept set is selected and measured once per trace.
+"""A score source's memo and the layer pass: each kept set is selected and measured once per trace.
 
-Each layer is ranked once per scoring rule, selection runs once per (layer,
-spec) anchor, the KV L1 once per (layer, kept set) and the attention cosine
-once per (layer, head, kept set), across every cell of a sweep on one trace.
+Each layer is ranked once per scoring rule and selection runs once per
+(layer, spec) anchor, across every cell of a sweep on one trace: the trace's
+memo holds its rankings and kept sets (and a sweep's needles), no measures.
 The memo is a field of its source and never outlives it: `needle`'s policies
 share the needle source's, and reuse-bench, which times fresh selection,
-runs each reuse loop on a copy of the trace with an empty memo.
+runs each reuse loop on a copy of the trace with an empty memo.  A command
+measures every run on a trace in one pass over the layers, which builds each
+layer's |K| and |V| stack once, with one stack alive at a time, and takes the
+KV L1 once per (layer, kept set) and the attention cosine once per (layer,
+head, kept set).
 """
 
 import collections
 import csv
 import json
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -78,6 +83,36 @@ def test_sweep_grid_selects_and_measures_each_kept_set_once(load_perfbench, tmp_
     assert {k for (k,) in l1} == {k for _, k in sets}
     assert len(cos) == len(head_sets)
     assert {k for (k,) in cos} == {k for _, _, k in head_sets}
+
+
+@pytest.mark.parametrize("workload", ["sweep_grid", "policy_mix", "prefill_long"])
+def test_each_layer_is_stacked_once_per_trace_one_stack_at_a_time(
+    load_perfbench, tmp_path, monkeypatch, workload
+):
+    # one kv_magnitudes stack per layer, in layer order, each built after the
+    # last one died; the memo keeps rankings, kept sets and needles, no measures
+    wl = load_perfbench("workloads").WORKLOADS[workload]
+    traces, stacked, stacks, alive = [], [], [], []
+    real_source, real_stack = kvlab.experiments._source, kvlab.experiments.kv_magnitudes
+
+    def stack(keys, values):
+        alive.append(sum(ref() is not None for ref in stacks))
+        stacked.append(keys)
+        mags = real_stack(keys, values)
+        stacks.append(weakref.ref(mags))
+        return mags
+
+    monkeypatch.setattr(
+        kvlab.experiments, "_source", lambda cfg: traces.append(real_source(cfg)) or traces[-1]
+    )
+    monkeypatch.setattr(kvlab.experiments, "kv_magnitudes", stack)
+    _run(tmp_path, wl.command, wl.config(0))
+    (trace,) = traces
+    assert len(stacked) == trace.n_layers == 8
+    assert all(keys is layer for keys, layer in zip(stacked, trace.k))
+    assert alive == [0] * 8
+    needles = {"needle"} if wl.command == "sweep" else set()
+    assert {key[0] for key in trace.memo} == {"ranking", "kept"} | needles
 
 
 def test_sweep_grid_ranks_each_layer_once_per_scoring_rule(load_perfbench, tmp_path, monkeypatch):
@@ -178,8 +213,8 @@ def test_a_policy_listed_twice_reports_twice(tmp_path):
 
 
 def test_a_zero_kv_l1_is_read_back_not_recomputed(tmp_path, monkeypatch):
-    # FullKV evicts nothing: its KV L1 is 0.0, held in the memo like any other,
-    # so two FullKV policies measure each layer's one kept set once
+    # FullKV evicts nothing: its KV L1 is 0.0, held in the layer pass like any
+    # other, so two FullKV policies measure each layer's one kept set once
     l1 = _count(monkeypatch, kvlab.experiments, "kv_l1_loss")
     cfg = base_config(policies=[{"kind": "FullKV", "budget": {"ratio": 0.25, "w": 4, "c": 5}}] * 2)
     report = json.loads((_run(tmp_path, "simulate", cfg) / "report.json").read_text())
